@@ -10,11 +10,19 @@ solved backwards from the endpoint gradient of the functional.  Only the
 endpoint slot of Lambda is ever nonzero (stages of one step never enter
 the next), so the sweep carries a vector of length n between steps.
 
+The same solve gives the step's control gradient: with F_u the control
+Jacobian of the step, dw/du_n collects -F_u^T(k) R(k) over the steps k
+of interval n.  The sweep sums these rows into AdjointTrajectory.grad,
+so no step is built a second time for the gradient.
+
 For off-surface steps the solve collapses to a stage recursion in the
 reversed-time table a~_ij = a_ji b_j / b_i (adjoint_step_transformed);
 the assembled version (adjoint_step_matrix) is kept as the oracle the
-two-route tests compare against.  Sliding steps use the assembled form
-of the index-2 stage system directly.
+two-route tests compare against.  There the gradient row is the stage
+quadrature h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.
+Sliding steps use the assembled form of the index-2 stage system
+directly (there is no stage-multiplier shortcut through the algebraic
+rows).
 
 At transition nodes the multiplier jumps by pi * g_x^T.  For crossings
 and sliding entries pi is pinned by continuity of the Hamiltonian across
@@ -26,9 +34,7 @@ at the blend-weight boundary.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,8 +55,9 @@ class AdjointTrajectory:
     minus-side value (the one step k-1 continues from), with the jump
     size recorded in jumps.  lam_g[k] is the algebraic multiplier on
     sliding nodes, zero elsewhere.  stage_lams[k] holds the transformed
-    stage multipliers on off-surface steps and None on sliding steps,
-    whose raw step multipliers live in sliding_R for gradient assembly.
+    stage multipliers on off-surface steps and None on sliding steps
+    (and on every step of the matrix backend).  grad[n] is dw/du_n, the
+    reduced gradient over the control grid, shape (N, m).
     """
 
     functional: str
@@ -58,10 +65,9 @@ class AdjointTrajectory:
     lam: np.ndarray
     lam_g: np.ndarray
     stage_lams: list
-    sliding_R: dict
     jumps: list
     nu1: Optional[float]
-    ode_R: dict = field(default_factory=dict)   # filled by the matrix backend only
+    grad: np.ndarray
 
     @property
     def K(self) -> int:
@@ -84,9 +90,9 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
 
     Solves   lam_i = lam_plus + h sum_j a~_ij f_x^T(x_j(k+1), u) lam_j
     and      lam_k = lam_plus + h sum_i b_i f_x^T(x_i(k+1), u) lam_i.
-    Returns (stage multipliers (s, n), lam_k).
+    Returns (stage multipliers (s, n), lam_k, gradient row (m,)).
     """
-    n = ocp.n
+    n, m = ocp.n, ocp.m
     s = tab.s
     h = traj.h[k]
     atab = adjoint_tableau(tab)
@@ -103,7 +109,11 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
         raise SingularSystem(f"transformed adjoint stage system singular at step {k}") from exc
     lam_stages = sol.reshape(s, n)
     lam_k = lam_plus + h * sum(tab.b[i] * (fxs[i].T @ lam_stages[i]) for i in range(s))
-    return lam_stages, lam_k
+    _, _, f_u = ocp.field(traj.field_id[k])
+    acc = np.zeros(m)
+    for i in range(s):
+        acc += tab.b[i] * (f_u(traj.stages_x[k][i], u).T @ lam_stages[i])
+    return lam_stages, lam_k, h * acc
 
 
 def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -144,14 +154,14 @@ def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
                         u: np.ndarray, Lambda_plus: np.ndarray,
                         tab: ButcherTableau):
     """Assembled one-step adjoint.  Lambda_plus is the full padded vector
-    ((s+1) n,); returns (Lambda_k, R)."""
-    FXp, FX, _ = assemble_ode_step_matrices(ocp, traj, k, u, tab)
+    ((s+1) n,); returns (Lambda_k, gradient row -F_u^T R)."""
+    FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u, tab)
     try:
         R = np.linalg.solve(FXp.T, Lambda_plus)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"matrix-form adjoint system singular at step {k}") from exc
     Lambda_k = -FX.T @ R
-    return Lambda_k, R
+    return Lambda_k, -(Fu.T @ R)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +229,10 @@ def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
                          tab: ButcherTableau):
     """One backward step through the sliding stage system.
 
-    Returns (lam_k, R).  R keeps the raw step multipliers for the
-    control-gradient assembly.
+    Returns (lam_k, gradient row -F_u^T R).
     """
     n = ocp.n
-    FXp, FX, _ = assemble_sliding_step_matrices(ocp, traj, k, u, tab)
+    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, tab)
     dim = FXp.shape[0]
     Lam_plus = np.zeros(dim)
     Lam_plus[dim - n:] = lam_plus
@@ -232,7 +241,7 @@ def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"sliding adjoint system singular at step {k}") from exc
     Lambda_k = -FX.T @ R
-    return Lambda_k[dim - n:], R
+    return Lambda_k[dim - n:], -(Fu.T @ R)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +367,9 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     backend 'transformed' uses the reversed-table stage recursion on
     off-surface steps (the implementation of record); 'matrix' solves the
-    assembled one-step systems instead and keeps the step multipliers,
-    which the two-route consistency tests compare against.
+    assembled one-step systems instead, the oracle the two-route
+    consistency tests compare against.  Either way the sweep also yields
+    the reduced gradient of w over the control grid.
     """
     tab = tab if tab is not None else radau_iia_3()
     if backend not in ("transformed", "matrix"):
@@ -372,8 +382,7 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     lam = np.zeros((K + 1, n))
     lam_g = np.zeros(K + 1)
     stage_lams: list = [None] * K
-    sliding_R: dict = {}
-    ode_R: dict = {}
+    rows = np.zeros((K, ocp.m))
     jumps: list = []
     trans_at = {rec.k: rec for rec in traj.transitions}
 
@@ -392,17 +401,16 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     for k in range(K - 1, -1, -1):
         u = grid.values[traj.ctrl[k]]
         if traj.mode[k] is Mode.SLIDING:
-            lam_k, R = adjoint_step_sliding(ocp, traj, k, u, lam[k + 1], tab)
-            sliding_R[k] = R
+            lam_k, rows[k] = adjoint_step_sliding(ocp, traj, k, u, lam[k + 1], tab)
             lam_g[k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]), lam_k)
         elif backend == "matrix":
             Lam_plus = np.zeros((tab.s + 1) * n)
             Lam_plus[tab.s * n:] = lam[k + 1]
-            Lambda_k, R = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, tab)
-            ode_R[k] = R
+            Lambda_k, rows[k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, tab)
             lam_k = Lambda_k[tab.s * n:]
         else:
-            stages, lam_k = adjoint_step_transformed(ocp, traj, k, u, lam[k + 1], tab)
+            stages, lam_k, rows[k] = adjoint_step_transformed(ocp, traj, k, u,
+                                                              lam[k + 1], tab)
             stage_lams[k] = stages
         lam[k] = lam_k
 
@@ -414,10 +422,13 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
             lam_g[k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus)
 
     jumps.reverse()
+    # each interval's rows are summed in ascending step order, not in the
+    # order the backward sweep produced them
+    grad = np.zeros((grid.N, grid.m))
+    np.add.at(grad, traj.ctrl, rows)
     return AdjointTrajectory(functional=w.name, times=traj.times, lam=lam,
-                             lam_g=lam_g, stage_lams=stage_lams,
-                             sliding_R=sliding_R, jumps=jumps, nu1=nu1,
-                             ode_R=ode_R)
+                             lam_g=lam_g, stage_lams=stage_lams, jumps=jumps,
+                             nu1=nu1, grad=grad)
 
 
 def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan):
@@ -446,19 +457,6 @@ def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus):
 def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                  functionals, tab: Optional[ButcherTableau] = None,
                  eps_tan: float = 1e-10) -> list:
-    """Sweep several functionals over one trajectory, concurrently when
-    allowed.  SLIDOC_THREADS caps the worker count; the result order
-    always matches the input order.
-    """
-    functionals = list(functionals)
-    cap = os.environ.get("SLIDOC_THREADS", "")
-    try:
-        max_workers = max(1, int(cap)) if cap else min(len(functionals), os.cpu_count() or 1)
-    except ValueError:
-        max_workers = 1
-    if max_workers == 1 or len(functionals) <= 1:
-        return [run_adjoint(ocp, traj, grid, w, tab=tab, eps_tan=eps_tan)
-                for w in functionals]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda w: run_adjoint(ocp, traj, grid, w, tab=tab,
-                                                   eps_tan=eps_tan), functionals))
+    """Sweep several functionals over one trajectory, in input order."""
+    return [run_adjoint(ocp, traj, grid, w, tab=tab, eps_tan=eps_tan)
+            for w in functionals]

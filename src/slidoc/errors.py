@@ -91,15 +91,7 @@ class LineSearchFailure(SlidocError):
     """Armijo backtracking cap hit without sufficient decrease."""
 
 
-class MaxIters(SlidocError):
-    """Iteration budget exhausted."""
-
-
 # ---- verification ----
-
-class StructureChange(SlidocError):
-    """A finite-difference probe changed the transition structure."""
-
 
 class ReferenceUnconverged(SlidocError):
     """Self-convergence reference solutions disagree above tolerance."""
@@ -113,7 +105,3 @@ class ParseError(SlidocError):
 
 class ValidationError(SlidocError):
     """Input parsed but violates a constraint; message carries the field path."""
-
-
-class UsageError(SlidocError):
-    """Command line is malformed."""

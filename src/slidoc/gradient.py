@@ -1,15 +1,11 @@
 """Reduced gradients of endpoint functionals over the control grid.
 
 The derivative of a functional w(x(tf)) with respect to the constant
-control of interval n collects contributions from every step inside the
-interval.  On off-surface steps the stage multipliers give the quadrature
-
-    dw/du_n += h(k) sum_i b_i f_u^T(x_i(k+1), u_n) lam_i(k),
-
-which equals -F_u^T(k) R(k) of the assembled step matrices; on sliding
-steps the assembled form is used directly with the stored step
-multipliers (there is no stage-multiplier shortcut through the algebraic
-rows).
+control of interval n collects -F_u^T(k) R(k) from every step k inside
+the interval, where R(k) is the step's adjoint multiplier vector.  The
+backward sweep forms these rows from the step systems it solves and
+sums them into AdjointTrajectory.grad (see adjoint.py), so this module
+only checks meshes and exposes the result.
 """
 
 from __future__ import annotations
@@ -18,43 +14,21 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import (AdjointTrajectory, assemble_ode_step_matrices,
-                      assemble_sliding_step_matrices, run_adjoint)
+from .adjoint import AdjointTrajectory, run_adjoint
 from .errors import DimensionMismatch, MeshMismatch
 from .integrator import Trajectory
-from .model import ControlGrid, EndpointFunctional, HybridOCP, Mode
-from .tableau import ButcherTableau, radau_iia_3
+from .model import ControlGrid, EndpointFunctional, HybridOCP
+from .tableau import ButcherTableau
 
 
 def reduced_gradient(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                     adj: AdjointTrajectory,
-                     tab: Optional[ButcherTableau] = None) -> np.ndarray:
-    """Assemble dw/du, shape (N, m), from a finished backward sweep."""
-    tab = tab if tab is not None else radau_iia_3()
+                     adj: AdjointTrajectory) -> np.ndarray:
+    """dw/du, shape (N, m), from a finished backward sweep."""
     if adj.K != traj.K or adj.times.shape != traj.times.shape \
-            or not np.array_equal(adj.times, traj.times):
+            or not np.array_equal(adj.times, traj.times) \
+            or adj.grad.shape != (grid.N, grid.m):
         raise MeshMismatch("adjoint sweep and trajectory live on different meshes")
-
-    N, m = grid.N, grid.m
-    grad = np.zeros((N, m))
-    for k in range(traj.K):
-        nctrl = int(traj.ctrl[k])
-        u = grid.values[nctrl]
-        if traj.mode[k] is Mode.SLIDING:
-            _, _, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, tab)
-            grad[nctrl] += -(Fu.T @ adj.sliding_R[k])
-        elif adj.stage_lams[k] is not None:
-            h = traj.h[k]
-            _, _, f_u = ocp.field(traj.field_id[k])
-            lam_i = adj.stage_lams[k]
-            acc = np.zeros(m)
-            for i in range(tab.s):
-                acc += tab.b[i] * (f_u(traj.stages_x[k][i], u).T @ lam_i[i])
-            grad[nctrl] += h * acc
-        else:
-            _, _, Fu = assemble_ode_step_matrices(ocp, traj, k, u, tab)
-            grad[nctrl] += -(Fu.T @ adj.ode_R[k])
-    return grad
+    return adj.grad.copy()
 
 
 def reduced_gradient_matrix(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
@@ -62,8 +36,7 @@ def reduced_gradient_matrix(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                             tab: Optional[ButcherTableau] = None) -> np.ndarray:
     """Gradient via the assembled matrix route on every step.  Oracle for
     the stage-form assembly; one extra backward sweep."""
-    adj = run_adjoint(ocp, traj, grid, w, tab=tab, backend="matrix")
-    return reduced_gradient(ocp, traj, grid, adj, tab=tab)
+    return run_adjoint(ocp, traj, grid, w, tab=tab, backend="matrix").grad
 
 
 def directional_derivative(grad: np.ndarray, d: np.ndarray) -> float:

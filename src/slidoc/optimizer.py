@@ -351,7 +351,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
 
         adjs = run_adjoints(ocp, traj, grid, functionals, tab=tab,
                             eps_tan=integ_opts.eps_tan)
-        grads = [reduced_gradient(ocp, traj, grid, a, tab=tab).reshape(dim)
+        grads = [reduced_gradient(ocp, traj, grid, a).reshape(dim)
                  for a in adjs]
         grad0 = grads[0]
         eqs = list(zip(eq_vals, grads[1:1 + len(ocp.g1)]))

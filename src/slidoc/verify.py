@@ -135,7 +135,7 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
 
     traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
     adj = run_adjoint(ocp, traj, grid, functional, tab=tab, eps_tan=opts.eps_tan)
-    grad = reduced_gradient(ocp, traj, grid, adj, tab=tab)
+    grad = reduced_gradient(ocp, traj, grid, adj)
     fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, tab, opts)
 
     keep = ~fd.flags
@@ -196,7 +196,7 @@ class _RunData:
             self.adj = run_adjoint(ocp, self.traj, grid, functional, tab=tab,
                                    eps_tan=opts.eps_tan)
         if quantity == "gradient":
-            self.grad = reduced_gradient(ocp, self.traj, grid, self.adj, tab=tab)
+            self.grad = reduced_gradient(ocp, self.traj, grid, self.adj)
 
 
 def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:

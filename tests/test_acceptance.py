@@ -7,7 +7,8 @@ discrete flow, and the discrete adjoint of an order-p Runge-Kutta method
 with nonzero weights is an order-p scheme for the adjoint equation
 (Hager 2000; Sanz-Serna 2016): fifth order for 3-stage Radau IIA, as the
 reversed-time table's B(5), C(2), D(3) in criterion 1 certify.  The
-stage multipliers are third order.
+stage multipliers are third order.  Criterion 5 holds the reduced
+gradient, a quadrature of both, to the same [4.6, 5.4] band.
 """
 
 import json
@@ -97,7 +98,7 @@ def test_acceptance_04_adjoint_orders():
 def test_acceptance_05_gradient_order():
     ocp, grid = get_problem("smooth-linear")
     rep = order_study(ocp, grid, "gradient", H_LADDER)
-    report(5, rep.slope >= 2.6, f"slope {rep.slope:.3f} >= 2.6")
+    report(5, 4.6 <= rep.slope <= 5.4, f"slope {rep.slope:.3f} in [4.6, 5.4]")
 
 
 def test_acceptance_06_oracle_agreement():

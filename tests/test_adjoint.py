@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
-                            assemble_ode_step_matrices, run_adjoint,
-                            run_adjoints, terminal_conditions, transition_jump)
+                            run_adjoint, run_adjoints, terminal_conditions,
+                            transition_jump)
 from slidoc.errors import SingularJumpSystem
 from slidoc.integrator import IntegratorOptions, integrate
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP,
@@ -86,9 +86,9 @@ def test_sliding_step_is_exact_in_one_step():
     k = traj.transitions[0].k + 1          # a fully sliding step
     u = grid.values[traj.ctrl[k]]
     lam_plus = np.array([1.0, 0.7])
-    lam_k, R = adjoint_step_sliding(ocp, traj, k, u, lam_plus, TAB)
+    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus, TAB)
     assert lam_k == pytest.approx([1.0, 0.0], abs=1e-13)
-    assert R.shape == (TAB.s * (ocp.n + 1) + ocp.n,)
+    assert row.shape == (ocp.m,)
 
 
 def test_two_backends_agree_on_a_smooth_problem():
@@ -108,10 +108,11 @@ def test_matrix_backend_keeps_stage_slots_empty():
     n, s = ocp.n, TAB.s
     for k in (0, traj.K // 2, traj.K - 1):
         u = grid.values[traj.ctrl[k]]
-        _, FX, _ = assemble_ode_step_matrices(ocp, traj, k, u, TAB)
-        Lam_k = -FX.T @ adj.ode_R[k]
+        Lam_plus = np.zeros((s + 1) * n)
+        Lam_plus[s * n:] = adj.lam[k + 1]
+        Lam_k, _ = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, TAB)
         assert np.all(Lam_k[:s * n] == 0.0)
-        assert Lam_k[s * n:] == pytest.approx(adj.lam[k], abs=1e-14)
+        assert np.array_equal(Lam_k[s * n:], adj.lam[k])
 
 
 def test_crossing_jump_hand_case():
@@ -182,14 +183,20 @@ def test_stability_function_is_preserved_by_the_transform():
         assert stab(adj, z) == pytest.approx(stab(TAB, z), abs=1e-13)
 
 
-def test_concurrent_sweeps_match_sequential():
+def test_run_adjoints_matches_single_sweeps():
     ocp, grid = get_problem("constrained-toy")
     traj = integrate(ocp, grid, 8)
     ws = [ocp.phi, ocp.g1[0], ocp.g2[0]]
     batch = run_adjoints(ocp, traj, grid, ws)
+    assert len(batch) == len(ws)
     for w, adj in zip(ws, batch):
         solo = run_adjoint(ocp, traj, grid, w)
+        assert adj.functional == w.name
         assert np.array_equal(adj.lam, solo.lam)
+        assert np.array_equal(adj.lam_g, solo.lam_g)
+        assert np.array_equal(adj.grad, solo.grad)
+        assert np.array_equal([j["pi"] for j in adj.jumps],
+                              [j["pi"] for j in solo.jumps])
 
 
 def test_random_linear_two_route_equivalence():

@@ -103,8 +103,10 @@ def test_order_study_adjoint_and_gradient():
     # third-order quantity: the reference gate needs the deeper ladder
     rep = order_study(ocp, grid, "adjoint_stage", HS + [0.0125])
     assert rep.slope >= 2.6
+    # the gradient is a quadrature of the node and stage multipliers and
+    # keeps their fifth order on this smooth problem
     rep = order_study(ocp, grid, "gradient", HS)
-    assert rep.slope >= 2.6
+    assert 4.6 <= rep.slope <= 5.4
 
 
 def test_adjoint_nodes_converge_to_closed_form():
