@@ -24,6 +24,18 @@ Sliding steps use the assembled form of the index-2 stage system
 directly (there is no stage-multiplier shortcut through the algebraic
 rows).
 
+run_adjoints sweeps F functionals in lockstep.  The step matrices depend
+only on the trajectory, so each step builds its stage Jacobians and its
+matrix once and carries F multipliers of length n; terminal values, jump
+scalars and lam_g stay per functional.  The F right-hand sides go to one
+np.linalg.solve call on the matrix broadcast to (F, d, d): a batch of
+single-RHS LU solves, which gives each functional bit for bit what its
+own solve gives.  One solve with a (d, F) right-hand side would not: the
+multi-RHS triangular solves round differently, so the result would
+depend on which functionals share the sweep.  Every error a sweep can
+raise depends on the trajectory alone, so the lockstep sweep fails at
+the same step, with the same error, as a sweep of the first functional.
+
 At transition nodes the multiplier jumps by pi * g_x^T.  For crossings
 and sliding entries pi is pinned by continuity of the Hamiltonian across
 the event; for sliding exits (seen backwards: off-surface to sliding) it
@@ -83,37 +95,45 @@ def _ode_stage_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray
     return [f_x(traj.stages_x[k][i], u) for i in range(traj.stages_x[k].shape[0])]
 
 
+def _solve_columns(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M y_f = rhs[f] for every row f of rhs (F, d); returns the
+    solutions as columns (F, d, 1).  A batch of single-RHS LU solves,
+    bit-identical to solving each row on its own.  Products of a matrix
+    with these columns are likewise one matrix-vector product per row."""
+    F, d = rhs.shape
+    return np.linalg.solve(np.broadcast_to(M, (F, d, d)), rhs.reshape(F, d, 1))
+
+
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
                              u: np.ndarray, lam_plus: np.ndarray,
-                             tab: ButcherTableau):
-    """Stage recursion in the reversed-time table.
+                             tab: ButcherTableau, atab: ButcherTableau):
+    """Stage recursion in the reversed-time table atab = adjoint_tableau(tab).
 
     Solves   lam_i = lam_plus + h sum_j a~_ij f_x^T(x_j(k+1), u) lam_j
-    and      lam_k = lam_plus + h sum_i b_i f_x^T(x_i(k+1), u) lam_i.
-    Returns (stage multipliers (s, n), lam_k, gradient row (m,)).
+    and      lam_k = lam_plus + h sum_i b_i f_x^T(x_i(k+1), u) lam_i
+    for every row of lam_plus (F, n).  Returns (stage multipliers
+    (F, s, n), lam_k (F, n), gradient rows (F, m)).
     """
     n, m = ocp.n, ocp.m
     s = tab.s
+    F = lam_plus.shape[0]
     h = traj.h[k]
-    atab = adjoint_tableau(tab)
     fxs = _ode_stage_jacobians(ocp, traj, k, u)
 
+    # block (i, j) of M is I delta_ij - h a~_ij f_x^T(x_j)
     M = np.eye(s * n)
-    for i in range(s):
-        for j in range(s):
-            M[i * n:(i + 1) * n, j * n:(j + 1) * n] -= h * atab.A[i, j] * fxs[j].T
-    rhs = np.tile(lam_plus, s)
+    M.reshape(s, n, s, n)[...] -= (h * atab.A)[:, None, :, None] \
+        * np.array(fxs).transpose(2, 0, 1)[None]
     try:
-        sol = np.linalg.solve(M, rhs)
+        cols = _solve_columns(M, np.tile(lam_plus, s)).reshape(F, s, n, 1)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"transformed adjoint stage system singular at step {k}") from exc
-    lam_stages = sol.reshape(s, n)
-    lam_k = lam_plus + h * sum(tab.b[i] * (fxs[i].T @ lam_stages[i]) for i in range(s))
+    lam_k = lam_plus + h * sum(tab.b[i] * (fxs[i].T @ cols[:, i])[..., 0] for i in range(s))
     _, _, f_u = ocp.field(traj.field_id[k])
-    acc = np.zeros(m)
+    acc = np.zeros((F, m))
     for i in range(s):
-        acc += tab.b[i] * (f_u(traj.stages_x[k][i], u).T @ lam_stages[i])
-    return lam_stages, lam_k, h * acc
+        acc += tab.b[i] * (f_u(traj.stages_x[k][i], u).T @ cols[:, i])[..., 0]
+    return cols[..., 0], lam_k, h * acc
 
 
 def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -153,15 +173,15 @@ def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
 def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
                         u: np.ndarray, Lambda_plus: np.ndarray,
                         tab: ButcherTableau):
-    """Assembled one-step adjoint.  Lambda_plus is the full padded vector
-    ((s+1) n,); returns (Lambda_k, gradient row -F_u^T R)."""
+    """Assembled one-step adjoint.  Lambda_plus holds one full padded
+    vector ((s+1) n,) per row; returns (Lambda_k, gradient rows -F_u^T R),
+    both with the same leading axis."""
     FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u, tab)
     try:
-        R = np.linalg.solve(FXp.T, Lambda_plus)
+        R = _solve_columns(FXp.T, Lambda_plus)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"matrix-form adjoint system singular at step {k}") from exc
-    Lambda_k = -FX.T @ R
-    return Lambda_k, -(Fu.T @ R)
+    return (-FX.T @ R)[..., 0], -(Fu.T @ R)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +189,8 @@ def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
-                                   u: np.ndarray, tab: ButcherTableau):
+                                   u: np.ndarray, tab: ButcherTableau,
+                                   eps_den: float = 1e-12):
     """Dense F_{X+}, F_X and F_u of a sliding step.
 
     Unknown layout (x_1, z_1, ..., x_s, z_s, x(k+1)); equation layout
@@ -185,7 +206,7 @@ def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
 
     Js, gxs, fFus = [], [], []
     for j in range(s):
-        fF, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, Xs[j], u)
+        fF, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, Xs[j], u, eps_den=eps_den)
         gx = ocp.g_x(Xs[j])
         Js.append(fF_x + Zs[j] * ocp.g_xx(Xs[j]))
         gxs.append(gx)
@@ -226,22 +247,21 @@ def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
                          u: np.ndarray, lam_plus: np.ndarray,
-                         tab: ButcherTableau):
-    """One backward step through the sliding stage system.
-
-    Returns (lam_k, gradient row -F_u^T R).
+                         tab: ButcherTableau, eps_den: float = 1e-12):
+    """One backward step through the sliding stage system for every row
+    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows -F_u^T R
+    (F, m)).
     """
     n = ocp.n
-    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, tab)
+    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, tab, eps_den=eps_den)
     dim = FXp.shape[0]
-    Lam_plus = np.zeros(dim)
-    Lam_plus[dim - n:] = lam_plus
+    Lam_plus = np.zeros((lam_plus.shape[0], dim))
+    Lam_plus[:, dim - n:] = lam_plus
     try:
-        R = np.linalg.solve(FXp.T, Lam_plus)
+        R = _solve_columns(FXp.T, Lam_plus)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"sliding adjoint system singular at step {k}") from exc
-    Lambda_k = -FX.T @ R
-    return Lambda_k[dim - n:], -(Fu.T @ R)
+    return (-FX.T @ R)[:, dim - n:, 0], -(Fu.T @ R)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +269,14 @@ def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
-                       lam_f: np.ndarray) -> float:
+                       lam_f: np.ndarray, eps_den: float = 1e-12) -> float:
     """Algebraic multiplier recovered from the state multiplier:
 
         lam_g = (g_x fF_x^T lam + z g_x g_xx lam - (g_xx x')^T lam) / (g_x g_x^T)
 
     with x' = f_F + g_x^T z the sliding velocity.
     """
-    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, x, u)
+    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, x, u, eps_den=eps_den)
     gx = ocp.g_x(x)
     gxx = ocp.g_xx(x)
     xdot = fF + gx * z
@@ -269,7 +289,7 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
 
 
 def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                        w: EndpointFunctional):
+                        w: EndpointFunctional, eps_den: float = 1e-12):
     """Multiplier start values at tf.
 
     Off the surface this is just the functional gradient.  On the surface
@@ -283,7 +303,7 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     u = grid.values[traj.ctrl[-1]]
     z = float(traj.z_node[-1])
-    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, xK, u)
+    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, xK, u, eps_den=eps_den)
     gx = ocp.g_x(xK)
     gxx = ocp.g_xx(xK)
     xdot = fF + gx * z
@@ -310,7 +330,8 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
                     u_minus: np.ndarray, u_plus: np.ndarray,
                     lam_plus: np.ndarray, lam_g_plus: float, z_plus: float,
-                    field_before: str, eps_tan: float = 1e-10):
+                    field_before: str, eps_tan: float = 1e-10,
+                    eps_den: float = 1e-12):
     """Backward jump at a transition node: lam_minus = lam_plus - pi g_x^T.
 
     kind refers to the forward-time event.  field_before names the field
@@ -337,7 +358,7 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
         raise SingularJumpSystem(f"field before a {kind.value} event cannot be {field_before!r}")
 
     if kind is TransitionKind.ENTER_SLIDING:
-        fF, _, _, _, _, _ = filippov_jacobians(ocp, x_star, u_plus)
+        fF, _, _, _, _, _ = filippov_jacobians(ocp, x_star, u_plus, eps_den=eps_den)
         rhs_H = float(lam_plus @ fF) + z_plus * float(lam_plus @ gx) \
             - lam_g_plus * ocp.g(x_star)
     else:
@@ -358,18 +379,18 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
 # full sweeps
 
 
-def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                w: EndpointFunctional,
-                tab: Optional[ButcherTableau] = None,
-                eps_tan: float = 1e-10,
-                backend: str = "transformed") -> AdjointTrajectory:
-    """Backward sweep of one endpoint functional over the whole mesh.
+def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
+                 functionals, tab: Optional[ButcherTableau] = None,
+                 eps_tan: float = 1e-10, eps_den: float = 1e-12,
+                 backend: str = "transformed") -> list:
+    """Backward sweep of several endpoint functionals over the whole mesh,
+    in lockstep; one AdjointTrajectory per functional, in input order.
 
     backend 'transformed' uses the reversed-table stage recursion on
     off-surface steps (the implementation of record); 'matrix' solves the
     assembled one-step systems instead, the oracle the two-route
     consistency tests compare against.  Either way the sweep also yields
-    the reduced gradient of w over the control grid.
+    the reduced gradient of each functional over the control grid.
     """
     tab = tab if tab is not None else radau_iia_3()
     if backend not in ("transformed", "matrix"):
@@ -378,60 +399,80 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     if grid.N != traj.breakpoint_nodes.shape[0] - 1:
         raise MeshMismatch(f"grid has {grid.N} intervals, trajectory {traj.breakpoint_nodes.shape[0] - 1}")
 
-    n = ocp.n
-    lam = np.zeros((K + 1, n))
-    lam_g = np.zeros(K + 1)
-    stage_lams: list = [None] * K
-    rows = np.zeros((K, ocp.m))
-    jumps: list = []
+    atab = adjoint_tableau(tab)
+    n, s = ocp.n, tab.s
+    F = len(functionals)
+    lam = np.zeros((F, K + 1, n))
+    lam_g = np.zeros((F, K + 1))
+    stage_lams = [[None] * K for _ in range(F)]
+    rows = np.zeros((F, K, ocp.m))
+    jumps: list = [[] for _ in range(F)]
     trans_at = {rec.k: rec for rec in traj.transitions}
 
-    lam_K, lam_g_K, nu1 = terminal_conditions(ocp, traj, grid, w)
-    lam[K] = lam_K
-    lam_g[K] = lam_g_K
+    def jump(k):
+        rec = trans_at[k]
+        for f in range(F):
+            lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[f, k], lam_g[f, k],
+                                     eps_tan, eps_den)
+            jumps[f].append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value, "pi": float(pi)})
+            lam[f, k] = lam_minus
+            lam_g[f, k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus, eps_den)
+
+    nu1 = []
+    for f, w in enumerate(functionals):
+        lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w, eps_den)
+        nu1.append(nu1_f)
 
     if K in trans_at:
         # trajectory ends exactly on a transition: jump before any step
-        rec = trans_at[K]
-        lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[K], lam_g[K], eps_tan)
-        jumps.append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value, "pi": float(pi)})
-        lam[K] = lam_minus
-        lam_g[K] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus)
+        jump(K)
 
     for k in range(K - 1, -1, -1):
         u = grid.values[traj.ctrl[k]]
         if traj.mode[k] is Mode.SLIDING:
-            lam_k, rows[k] = adjoint_step_sliding(ocp, traj, k, u, lam[k + 1], tab)
-            lam_g[k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]), lam_k)
+            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1],
+                                                         tab, eps_den)
+            for f in range(F):
+                lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
+                                                 lam[f, k], eps_den)
         elif backend == "matrix":
-            Lam_plus = np.zeros((tab.s + 1) * n)
-            Lam_plus[tab.s * n:] = lam[k + 1]
-            Lambda_k, rows[k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, tab)
-            lam_k = Lambda_k[tab.s * n:]
+            Lam_plus = np.zeros((F, (s + 1) * n))
+            Lam_plus[:, s * n:] = lam[:, k + 1]
+            Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, tab)
+            lam[:, k] = Lambda_k[:, s * n:]
         else:
-            stages, lam_k, rows[k] = adjoint_step_transformed(ocp, traj, k, u,
-                                                              lam[k + 1], tab)
-            stage_lams[k] = stages
-        lam[k] = lam_k
+            stages, lam[:, k], rows[:, k] = adjoint_step_transformed(
+                ocp, traj, k, u, lam[:, k + 1], tab, atab)
+            for f in range(F):
+                stage_lams[f][k] = stages[f]
 
         if k in trans_at and k > 0:
-            rec = trans_at[k]
-            lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[k], lam_g[k], eps_tan)
-            jumps.append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value, "pi": float(pi)})
-            lam[k] = lam_minus
-            lam_g[k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus)
+            jump(k)
 
-    jumps.reverse()
-    # each interval's rows are summed in ascending step order, not in the
-    # order the backward sweep produced them
-    grad = np.zeros((grid.N, grid.m))
-    np.add.at(grad, traj.ctrl, rows)
-    return AdjointTrajectory(functional=w.name, times=traj.times, lam=lam,
-                             lam_g=lam_g, stage_lams=stage_lams, jumps=jumps,
-                             nu1=nu1, grad=grad)
+    out = []
+    for f, w in enumerate(functionals):
+        jumps[f].reverse()
+        # each interval's rows are summed in ascending step order, not in
+        # the order the backward sweep produced them
+        grad = np.zeros((grid.N, grid.m))
+        np.add.at(grad, traj.ctrl, rows[f])
+        out.append(AdjointTrajectory(functional=w.name, times=traj.times, lam=lam[f],
+                                     lam_g=lam_g[f], stage_lams=stage_lams[f],
+                                     jumps=jumps[f], nu1=nu1[f], grad=grad))
+    return out
 
 
-def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan):
+def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
+                w: EndpointFunctional,
+                tab: Optional[ButcherTableau] = None,
+                eps_tan: float = 1e-10, eps_den: float = 1e-12,
+                backend: str = "transformed") -> AdjointTrajectory:
+    """Backward sweep of one endpoint functional (see run_adjoints)."""
+    return run_adjoints(ocp, traj, grid, [w], tab=tab, eps_tan=eps_tan,
+                        eps_den=eps_den, backend=backend)[0]
+
+
+def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan, eps_den):
     k = rec.k
     u_minus = grid.values[traj.ctrl[k - 1]] if k > 0 else grid.values[0]
     u_plus = grid.values[traj.ctrl[k]] if k < traj.K else grid.values[traj.ctrl[-1]]
@@ -439,10 +480,10 @@ def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan):
     z_plus = float(traj.z_node[k])
     return transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
                            lam_plus, lam_g_plus, z_plus, field_before,
-                           eps_tan=eps_tan)
+                           eps_tan=eps_tan, eps_den=eps_den)
 
 
-def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus):
+def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus, eps_den):
     """lam_g just before the event in forward time: zero when the minus
     side is off-surface, the pointwise recovery when it is sliding."""
     k = rec.k
@@ -450,13 +491,5 @@ def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus):
             and traj.mode[k - 1] is Mode.SLIDING:
         u_minus = grid.values[traj.ctrl[k - 1]]
         z_minus = float(traj.stages_z[k - 1][-1])
-        return lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus)
+        return lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus, eps_den)
     return 0.0
-
-
-def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                 functionals, tab: Optional[ButcherTableau] = None,
-                 eps_tan: float = 1e-10) -> list:
-    """Sweep several functionals over one trajectory, in input order."""
-    return [run_adjoint(ocp, traj, grid, w, tab=tab, eps_tan=eps_tan)
-            for w in functionals]

@@ -137,7 +137,7 @@ def _cmd_adjoint(args) -> int:
     traj = integrate(ocp, grid, cfg.steps_per_interval,
                      opts=cfg.integrator_options())
     adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional),
-                      eps_tan=cfg.eps_tan)
+                      eps_tan=cfg.eps_tan, eps_den=cfg.eps_den)
 
     header = ["k", "t"] + [f"lambda{i}" for i in range(ocp.n)] + ["lambda_g"]
     rows = [[_cell(k), _cell(traj.times[k])]
@@ -158,7 +158,7 @@ def _cmd_gradient(args) -> int:
     traj = integrate(ocp, grid, cfg.steps_per_interval,
                      opts=cfg.integrator_options())
     adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional),
-                      eps_tan=cfg.eps_tan)
+                      eps_tan=cfg.eps_tan, eps_den=cfg.eps_den)
     grad = reduced_gradient(ocp, traj, grid, adj)
     _write(args.out, _json_text({
         "meta": cfg.meta(),
@@ -305,3 +305,7 @@ def main(argv=None) -> int:
     except SlidocError as exc:
         sys.stderr.write(canonical_json(exc.to_dict()) + "\n")
         return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

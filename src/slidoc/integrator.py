@@ -29,8 +29,7 @@ import numpy as np
 from .errors import (ChatteringLimit, NewtonDivergence, NoBracket,
                      SingularIteration, TangentialAmbiguity)
 from .model import (ControlGrid, EntryKind, HybridOCP, Mode, TransitionKind,
-                    alpha, entry_test, exit_test, filippov_field,
-                    filippov_jacobians)
+                    alpha, entry_test, exit_test, filippov_jacobians)
 from .tableau import ButcherTableau, radau_iia_3
 
 
@@ -99,38 +98,27 @@ class Trajectory:
 def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
              h: float, tab: ButcherTableau, opts: IntegratorOptions):
     """One implicit Runge-Kutta step of x' = f(x, u) with f chosen by
-    field_id ('f1', 'f2', or 'ff' for the sliding blend used as a plain
-    ODE).  Returns (stages, x_plus) with stages of shape (s, n).
+    field_id ('f1' or 'f2').  Returns (stages, x_plus) with stages of
+    shape (s, n).
     """
     n = ocp.n
     s = tab.s
     A, b = tab.A, tab.b
-
-    if field_id == "ff":
-        def fval(xx):
-            return filippov_field(ocp, xx, u, eps_den=opts.eps_den)[0]
-
-        def fjac(xx):
-            return filippov_jacobians(ocp, xx, u, eps_den=opts.eps_den)[1]
-    else:
-        f, f_x, _ = ocp.field(field_id)
-        fval = lambda xx: f(xx, u)
-        fjac = lambda xx: f_x(xx, u)
+    f, f_x, _ = ocp.field(field_id)
 
     Y = np.tile(x, (s, 1))
     for it in range(opts.max_newton_iters + 1):
-        fy = np.array([fval(Y[i]) for i in range(s)])
+        fy = np.array([f(Y[i], u) for i in range(s)])
         res = Y - x[None, :] - h * (A @ fy)
         if np.max(np.abs(res)) <= opts.newton_tol:
             x_plus = x + h * (b @ fy)
             return Y, x_plus
         if it == opts.max_newton_iters:
             break
+        # block (i, j) of J is I delta_ij - h a_ij f_x(Y_j)
         J = np.eye(s * n)
-        for j in range(s):
-            fx_j = fjac(Y[j])
-            for i in range(s):
-                J[i * n:(i + 1) * n, j * n:(j + 1) * n] -= h * A[i, j] * fx_j
+        J.reshape(s, n, s, n)[...] -= (h * A)[:, None, :, None] \
+            * np.array([f_x(Y[j], u) for j in range(s)]).transpose(1, 0, 2)[None]
         try:
             delta = np.linalg.solve(J, -res.reshape(s * n))
         except np.linalg.LinAlgError as exc:

@@ -321,13 +321,20 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
     lo_flat = np.tile(ocp.u_lo, N)
     hi_flat = np.tile(ocp.u_hi, N)
     functionals = [ocp.phi, *ocp.g1, *ocp.g2]
+    # the last evaluation, keyed by the control's bytes: the next
+    # iteration starts from the accepted line-search trial, which the
+    # line search has just integrated
+    last: dict = {}
 
     def evaluate(uflat: np.ndarray):
-        grid = grid0.with_values(uflat.reshape(N, m))
-        traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=integ_opts)
-        xK = traj.x[-1]
-        vals = [w.value(xK) for w in functionals]
-        return grid, traj, vals
+        key = uflat.tobytes()
+        if key not in last:
+            grid = grid0.with_values(uflat.reshape(N, m))
+            traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=integ_opts)
+            xK = traj.x[-1]
+            last.clear()
+            last[key] = grid, traj, [w.value(xK) for w in functionals]
+        return last[key]
 
     def merit_factory(c):
         def merit(uflat):
@@ -350,7 +357,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
         M = constraint_violation(eq_vals, ineq_vals)
 
         adjs = run_adjoints(ocp, traj, grid, functionals, tab=tab,
-                            eps_tan=integ_opts.eps_tan)
+                            eps_tan=integ_opts.eps_tan, eps_den=integ_opts.eps_den)
         grads = [reduced_gradient(ocp, traj, grid, a).reshape(dim)
                  for a in adjs]
         grad0 = grads[0]

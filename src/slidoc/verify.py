@@ -134,7 +134,8 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
     opts = opts if opts is not None else IntegratorOptions()
 
     traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
-    adj = run_adjoint(ocp, traj, grid, functional, tab=tab, eps_tan=opts.eps_tan)
+    adj = run_adjoint(ocp, traj, grid, functional, tab=tab, eps_tan=opts.eps_tan,
+                      eps_den=opts.eps_den)
     grad = reduced_gradient(ocp, traj, grid, adj)
     fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, tab, opts)
 
@@ -194,7 +195,7 @@ class _RunData:
         self.grad = None
         if quantity in ("adjoint_endpoint", "adjoint_stage", "gradient"):
             self.adj = run_adjoint(ocp, self.traj, grid, functional, tab=tab,
-                                   eps_tan=opts.eps_tan)
+                                   eps_tan=opts.eps_tan, eps_den=opts.eps_den)
         if quantity == "gradient":
             self.grad = reduced_gradient(ocp, self.traj, grid, self.adj)
 

@@ -2,10 +2,13 @@
 equivalence of the transformed and assembled formulations."""
 
 import dataclasses
+import itertools
+import sys
 
 import numpy as np
 import pytest
 
+import slidoc.adjoint as adjoint_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             run_adjoint, run_adjoints, terminal_conditions,
                             transition_jump)
@@ -86,9 +89,10 @@ def test_sliding_step_is_exact_in_one_step():
     k = traj.transitions[0].k + 1          # a fully sliding step
     u = grid.values[traj.ctrl[k]]
     lam_plus = np.array([1.0, 0.7])
-    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus, TAB)
-    assert lam_k == pytest.approx([1.0, 0.0], abs=1e-13)
-    assert row.shape == (ocp.m,)
+    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None], TAB)
+    assert lam_k.shape == (1, ocp.n)
+    assert lam_k[0] == pytest.approx([1.0, 0.0], abs=1e-13)
+    assert row.shape == (1, ocp.m)
 
 
 def test_two_backends_agree_on_a_smooth_problem():
@@ -110,9 +114,9 @@ def test_matrix_backend_keeps_stage_slots_empty():
         u = grid.values[traj.ctrl[k]]
         Lam_plus = np.zeros((s + 1) * n)
         Lam_plus[s * n:] = adj.lam[k + 1]
-        Lam_k, _ = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, TAB)
-        assert np.all(Lam_k[:s * n] == 0.0)
-        assert np.array_equal(Lam_k[s * n:], adj.lam[k])
+        Lam_k, _ = adjoint_step_matrix(ocp, traj, k, u, Lam_plus[None], TAB)
+        assert np.all(Lam_k[0, :s * n] == 0.0)
+        assert np.array_equal(Lam_k[0, s * n:], adj.lam[k])
 
 
 def test_crossing_jump_hand_case():
@@ -183,20 +187,84 @@ def test_stability_function_is_preserved_by_the_transform():
         assert stab(adj, z) == pytest.approx(stab(TAB, z), abs=1e-13)
 
 
-def test_run_adjoints_matches_single_sweeps():
+def _lockstep_cases():
     ocp, grid = get_problem("constrained-toy")
-    traj = integrate(ocp, grid, 8)
-    ws = [ocp.phi, ocp.g1[0], ocp.g2[0]]
-    batch = run_adjoints(ocp, traj, grid, ws)
-    assert len(batch) == len(ws)
-    for w, adj in zip(ws, batch):
-        solo = run_adjoint(ocp, traj, grid, w)
-        assert adj.functional == w.name
-        assert np.array_equal(adj.lam, solo.lam)
-        assert np.array_equal(adj.lam_g, solo.lam_g)
-        assert np.array_equal(adj.grad, solo.grad)
-        assert np.array_equal([j["pi"] for j in adj.jumps],
-                              [j["pi"] for j in solo.jumps])
+    yield ocp, grid, [ocp.phi, ocp.g1[0], ocp.g2[0]]
+    # sliding steps, an entry jump and an exit jump, two functionals
+    ocp, grid = get_problem("slide-exit")
+    w = EndpointFunctional(value=lambda x: float(x[0] + 3.0 * x[1] ** 2),
+                           grad=lambda x: np.array([1.0, 6.0 * x[1]]), name="w")
+    yield ocp, grid, [ocp.phi, w]
+
+
+def test_run_adjoints_matches_single_sweeps():
+    """The lockstep sweep gives every functional bit for bit what a sweep
+    of that functional alone gives, on both backends."""
+    for (ocp, grid, ws), backend in itertools.product(_lockstep_cases(),
+                                                      ("transformed", "matrix")):
+        traj = integrate(ocp, grid, 8)
+        batch = run_adjoints(ocp, traj, grid, ws, backend=backend)
+        assert len(batch) == len(ws)
+        for w, adj in zip(ws, batch):
+            solo = run_adjoint(ocp, traj, grid, w, backend=backend)
+            assert adj.functional == w.name
+            assert np.array_equal(adj.lam, solo.lam)
+            assert np.array_equal(adj.lam_g, solo.lam_g)
+            assert np.array_equal(adj.grad, solo.grad)
+            assert len(adj.stage_lams) == len(solo.stage_lams)
+            for a, b in zip(adj.stage_lams, solo.stage_lams):
+                assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal([j["pi"] for j in adj.jumps],
+                                  [j["pi"] for j in solo.jumps])
+            assert adj.nu1 == solo.nu1
+    # the last case swept sliding steps and both jumps in lockstep
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    assert [len(adj.jumps) for adj in batch] == [2, 2]
+
+
+def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
+    """Three functionals, one sweep: one batched solve per step and one
+    reversed-time table per sweep."""
+    ocp, grid = get_problem("constrained-toy", {"N": 4})
+    traj = integrate(ocp, grid, 4)
+    counts = {"solve": 0, "table": 0}
+    solve, table = np.linalg.solve, adjoint_mod.adjoint_tableau
+
+    def counted_solve(*args, **kwargs):
+        counts["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_table(*args, **kwargs):
+        counts["table"] += 1
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(adjoint_mod, "adjoint_tableau", counted_table)
+    run_adjoints(ocp, traj, grid, [ocp.phi, ocp.g1[0], ocp.g2[0]])
+    assert traj.K == 16 and not traj.transitions
+    assert counts == {"solve": traj.K, "table": 1}
+
+
+def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
+    """The backward sweep evaluates the Filippov Jacobians with the
+    configured eps_den at all four sites: the sliding step assembly, the
+    pointwise lam_g, the terminal system and the entry jump."""
+    seen = []
+    original = adjoint_mod.filippov_jacobians
+
+    def spy(*args, **kwargs):
+        seen.append((sys._getframe(1).f_code.co_name, kwargs.get("eps_den")))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adjoint_mod, "filippov_jacobians", spy)
+    for name in ("p2-sliding", "slide-exit"):
+        ocp, grid = get_problem(name)
+        traj = integrate(ocp, grid, 8)
+        run_adjoint(ocp, traj, grid, ocp.phi, eps_den=3e-13)
+    assert {site for site, _ in seen} == {
+        "assemble_sliding_step_matrices", "lambda_g_pointwise",
+        "terminal_conditions", "transition_jump"}
+    assert {eps for _, eps in seen} == {3e-13}
 
 
 def test_random_linear_two_route_equivalence():

@@ -2,9 +2,14 @@
 config handling, exit codes, and rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slidoc
 from slidoc.cli import main
 from slidoc.config import canonical_json, parse_config
 from slidoc.errors import ParseError, ValidationError
@@ -111,6 +116,27 @@ def test_tableau_check_stdout(capsys):
     assert all(res[f"C{k}"] <= 1e-12 for k in range(1, 4))
     assert all(res[f"D{k}"] <= 1e-12 for k in range(1, 3))
     assert res["C4"] > 1e-6
+
+
+@pytest.mark.parametrize("module", ["slidoc", "slidoc.cli"])
+def test_module_entry_points_run_the_cli(tmp_path, module):
+    """`python -m slidoc` and `python -m slidoc.cli` both run main and
+    pass its exit code on."""
+    env = dict(os.environ)
+    src = str(Path(slidoc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "g.json"
+    done = subprocess.run(
+        [sys.executable, "-m", module, "check-gradient", "--problem",
+         "smooth-linear", "--steps-per-interval", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(read(out))["rel"] <= 1e-6
+    bad = subprocess.run([sys.executable, "-m", module, "simulate", "--problem",
+                          "no-such-problem", "--out", str(tmp_path / "x.csv")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 1
+    assert json.loads(bad.stderr.splitlines()[-1])["error"] == "ValidationError"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ search, and the full loop on the constrained toy problem."""
 import numpy as np
 import pytest
 
+import slidoc.optimizer as optimizer_mod
 from slidoc.errors import CFailure, LineSearchFailure, ValidationError
 from slidoc.optimizer import (OptimizerConfig, adjust_penalty,
                               constraint_violation, descent_measures,
@@ -169,6 +170,31 @@ def test_optimize_constrained_toy_contract():
     assert abs(h[-1].sigma) <= cfg.epsilon
     # the endpoint actually lands on the constraint set
     assert h[-1].F0 == pytest.approx(0.36, abs=1e-4)
+
+
+def test_optimize_integrates_each_iterate_once(monkeypatch):
+    """The line search integrates the accepted trial; the next iteration
+    reuses it, so integrate runs once per line-search trial plus once
+    for the starting point."""
+    calls = {"integrate": 0, "trials": 0}
+    integrate, search = optimizer_mod.integrate, optimizer_mod.line_search
+
+    def counted_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        result = search(*args, **kwargs)
+        calls["trials"] += result[3]
+        return result
+
+    monkeypatch.setattr(optimizer_mod, "integrate", counted_integrate)
+    monkeypatch.setattr(optimizer_mod, "line_search", counted_search)
+    ocp, grid = get_problem("constrained-toy", {"N": 4})
+    res = optimize(ocp, grid, 4)
+    assert res.status == "stationary"
+    assert calls["integrate"] == 1 + calls["trials"]
+    assert calls["integrate"] == len(res.history)
 
 
 def test_optimize_unconstrained_linear_pins_the_box():
