@@ -22,7 +22,11 @@ two-route tests compare against.  There the gradient row is the stage
 quadrature h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.
 Sliding steps use the assembled form of the index-2 stage system
 directly (there is no stage-multiplier shortcut through the algebraic
-rows).
+rows).  Both assemble_*_step_matrices gather the stage Jacobians and
+call one layout function, _step_matrices, whose stage block is
+integrator.stage_matrix, the matrix the forward Newton iteration
+factors; adjoint_step_transformed builds its M with the same function
+from the reversed-time table and the transposed Jacobians.
 
 run_adjoints sweeps F functionals in lockstep.  The step matrices depend
 only on the trajectory, so each step builds its stage Jacobians and its
@@ -53,7 +57,7 @@ import numpy as np
 
 from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
                      SingularTerminalSystem)
-from .integrator import Trajectory
+from .integrator import Trajectory, stage_matrix, stage_sums
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_jacobians)
 from .tableau import ButcherTableau, adjoint_tableau, radau_iia_3
@@ -91,8 +95,8 @@ class AdjointTrajectory:
 
 
 def _ode_stage_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray):
-    f, f_x, _ = ocp.field(traj.field_id[k])
-    return [f_x(traj.stages_x[k][i], u) for i in range(traj.stages_x[k].shape[0])]
+    _, f_x, _ = ocp.field(traj.field_id[k])
+    return np.array([f_x(x_j, u) for x_j in traj.stages_x[k]])
 
 
 def _solve_columns(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -121,9 +125,7 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
     fxs = _ode_stage_jacobians(ocp, traj, k, u)
 
     # block (i, j) of M is I delta_ij - h a~_ij f_x^T(x_j)
-    M = np.eye(s * n)
-    M.reshape(s, n, s, n)[...] -= (h * atab.A)[:, None, :, None] \
-        * np.array(fxs).transpose(2, 0, 1)[None]
+    M = stage_matrix(h, atab.A, fxs.transpose(0, 2, 1))
     try:
         cols = _solve_columns(M, np.tile(lam_plus, s)).reshape(F, s, n, 1)
     except np.linalg.LinAlgError as exc:
@@ -136,38 +138,48 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
     return cols[..., 0], lam_k, h * acc
 
 
+def _step_matrices(h: float, tab: ButcherTableau, Js: np.ndarray, fus: np.ndarray,
+                   gxs: Optional[np.ndarray] = None):
+    """Dense F_{X+}, F_X and F_u of one step from its stage Jacobians Js
+    (s, n, n), control Jacobians fus (s, n, m) and, on a sliding step,
+    surface gradients gxs (s, n).
+
+    Unknowns are the stage unknowns of stage_matrix followed by x(k+1);
+    the equations are the stage equations (with their constraint rows)
+    followed by the endpoint row x(k+1) - x(k) - h sum_j b_j v_j, where
+    v_j is stage j's right-hand side.
+    """
+    s, n = Js.shape[:2]
+    d = n if gxs is None else n + 1
+    re = s * d
+    dim = re + n
+    FXp = np.zeros((dim, dim))
+    FXp[:re, :re] = stage_matrix(h, tab.A, Js, gxs)
+    end = np.zeros((n, s, d))
+    end[:, :, :n] -= (h * tab.b)[None, :, None] * Js.transpose(1, 0, 2)
+    if gxs is not None:
+        end[:, :, n] -= (h * tab.b)[None, :] * gxs.T
+    FXp[re:, :re] = end.reshape(n, re)
+    FXp[re:, re:] = np.eye(n)
+
+    FX = np.zeros((dim, dim))
+    FX[:re].reshape(s, d, dim)[:, :n, re:] = -np.eye(n)   # stage rows see -x(k)
+    FX[re:, re:] = -np.eye(n)                  # endpoint row too; constraints do not
+
+    sums = -h * stage_sums(np.vstack([tab.A, tab.b]), fus)
+    Fu = np.zeros((dim, fus.shape[2]))
+    Fu[:re].reshape(s, d, -1)[:, :n] = sums[:s]
+    Fu[re:] = sums[s]
+    return FXp, FX, Fu
+
+
 def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
                                u: np.ndarray, tab: ButcherTableau):
     """Dense F_{X+}, F_X and F_u of an off-surface step, in the block
     layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row)."""
-    n, m = ocp.n, ocp.m
-    s = tab.s
-    h = traj.h[k]
-    fxs = _ode_stage_jacobians(ocp, traj, k, u)
     _, _, f_u = ocp.field(traj.field_id[k])
-    fus = [f_u(traj.stages_x[k][i], u) for i in range(s)]
-
-    dim = (s + 1) * n
-    FXp = np.zeros((dim, dim))
-    for i in range(s):
-        for j in range(s):
-            blk = -h * tab.A[i, j] * fxs[j]
-            if i == j:
-                blk = blk + np.eye(n)
-            FXp[i * n:(i + 1) * n, j * n:(j + 1) * n] = blk
-    for j in range(s):
-        FXp[s * n:, j * n:(j + 1) * n] = -h * tab.b[j] * fxs[j]
-    FXp[s * n:, s * n:] = np.eye(n)
-
-    FX = np.zeros((dim, dim))
-    for i in range(s + 1):
-        FX[i * n:(i + 1) * n, s * n:] = -np.eye(n)
-
-    Fu = np.zeros((dim, m))
-    for i in range(s):
-        Fu[i * n:(i + 1) * n] = -h * sum(tab.A[i, j] * fus[j] for j in range(s))
-    Fu[s * n:] = -h * sum(tab.b[j] * fus[j] for j in range(s))
-    return FXp, FX, Fu
+    fus = np.array([f_u(x_j, u) for x_j in traj.stages_x[k]])
+    return _step_matrices(traj.h[k], tab, _ode_stage_jacobians(ocp, traj, k, u), fus)
 
 
 def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -198,51 +210,13 @@ def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
     state Jacobian is J_j = fF_x(x_j, u) + z_j g_xx(x_j), the derivative
     of f_F + g_x^T z through both arguments.
     """
-    n, m = ocp.n, ocp.m
-    s = tab.s
-    h = traj.h[k]
-    Xs = traj.stages_x[k]
-    Zs = traj.stages_z[k]
-
-    Js, gxs, fFus = [], [], []
-    for j in range(s):
-        fF, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, Xs[j], u, eps_den=eps_den)
-        gx = ocp.g_x(Xs[j])
-        Js.append(fF_x + Zs[j] * ocp.g_xx(Xs[j]))
-        gxs.append(gx)
-        fFus.append(fF_u)
-
-    dim = s * (n + 1) + n
-    FXp = np.zeros((dim, dim))
-    for i in range(s):
-        ri = i * (n + 1)
-        for j in range(s):
-            cj = j * (n + 1)
-            blk = -h * tab.A[i, j] * Js[j]
-            if i == j:
-                blk = blk + np.eye(n)
-            FXp[ri:ri + n, cj:cj + n] = blk
-            FXp[ri:ri + n, cj + n] = -h * tab.A[i, j] * gxs[j]
-        FXp[ri + n, ri:ri + n] = gxs[i]
-    re = s * (n + 1)
-    for j in range(s):
-        cj = j * (n + 1)
-        FXp[re:, cj:cj + n] = -h * tab.b[j] * Js[j]
-        FXp[re:, cj + n] = -h * tab.b[j] * gxs[j]
-    FXp[re:, re:] = np.eye(n)
-
-    FX = np.zeros((dim, dim))
-    for i in range(s):
-        ri = i * (n + 1)
-        FX[ri:ri + n, re:] = -np.eye(n)     # stage-diff rows see -x(k)
-    FX[re:, re:] = -np.eye(n)               # endpoint row too; constraints do not
-
-    Fu = np.zeros((dim, m))
-    for i in range(s):
-        ri = i * (n + 1)
-        Fu[ri:ri + n] = -h * sum(tab.A[i, j] * fFus[j] for j in range(s))
-    Fu[re:] = -h * sum(tab.b[j] * fFus[j] for j in range(s))
-    return FXp, FX, Fu
+    Js, gxs, fus = [], [], []
+    for x_j, z_j in zip(traj.stages_x[k], traj.stages_z[k]):
+        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u, eps_den=eps_den)
+        Js.append(fF_x + z_j * ocp.g_xx(x_j))
+        gxs.append(ocp.g_x(x_j))
+        fus.append(fF_u)
+    return _step_matrices(traj.h[k], tab, np.array(Js), np.array(fus), np.array(gxs))
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,

@@ -17,6 +17,15 @@ step_sliding, which solves the index-2 stage system
 
 whose multiplier z vanishes identically in exact arithmetic; its computed
 size is a diagnostic for the discretization.
+
+stage_matrix is the one place the stage block layout is written: block
+(i, j) is I delta_ij - h a_ij J_j, plus the multiplier columns and
+constraint rows on the surface.  Both Newton iterations factor it, and
+the backward sweep builds every step Jacobian F_{X+} with it, so the
+forward and adjoint matrices agree by construction.  The stage sums of
+the sliding residual, of x_plus and of the control Jacobian add their
+terms over j in order (stage_sums): A @ V or einsum may round
+differently, which would change results in the last bit.
 """
 
 from __future__ import annotations
@@ -26,10 +35,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ChatteringLimit, NewtonDivergence, NoBracket,
-                     SingularIteration, TangentialAmbiguity)
+from .errors import ChatteringLimit, NewtonDivergence, NoBracket, SingularIteration
 from .model import (ControlGrid, EntryKind, HybridOCP, Mode, TransitionKind,
-                    alpha, entry_test, exit_test, filippov_jacobians)
+                    alpha, entry_test, exit_kind, exit_test, filippov_jacobians,
+                    normal_speeds)
 from .tableau import ButcherTableau, radau_iia_3
 
 
@@ -95,6 +104,37 @@ class Trajectory:
 # single steps
 
 
+def stage_matrix(h: float, A: np.ndarray, Js: np.ndarray,
+                 gxs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Jacobian of the stage equations with respect to the stage unknowns.
+
+    Block (i, j) is I delta_ij - h a_ij J_j for the stage Jacobians Js
+    (s, n, n).  With gxs (s, n) it is the sliding stage system: the
+    unknowns interleave as (x_1, z_1, ..., x_s, z_s), the z_j column of
+    stage i's rows is -h a_ij g_x(x_j)^T, and stage i ends with the
+    constraint row g_x(x_i).
+    """
+    s, n = Js.shape[:2]
+    d = n if gxs is None else n + 1
+    M = np.eye(s * d)
+    blocks = M.reshape(s, d, s, d)
+    blocks[:, :n, :, :n] -= (h * A)[:, None, :, None] * Js.transpose(1, 0, 2)[None]
+    if gxs is not None:
+        blocks[:, :n, :, n] -= (h * A)[:, None, :] * gxs.T[None]
+        blocks[:, n] = 0.0
+        blocks[np.arange(s), n, np.arange(s), :n] = gxs
+    return M
+
+
+def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row sums sum_j W_ij V_j of the stage values V (s, ...), added up
+    over j in order; a matrix product may round differently."""
+    acc = np.zeros((W.shape[0],) + V.shape[1:])
+    for j in range(W.shape[1]):
+        acc += np.multiply.outer(W[:, j], V[j])
+    return acc
+
+
 def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
              h: float, tab: ButcherTableau, opts: IntegratorOptions):
     """One implicit Runge-Kutta step of x' = f(x, u) with f chosen by
@@ -115,10 +155,7 @@ def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
             return Y, x_plus
         if it == opts.max_newton_iters:
             break
-        # block (i, j) of J is I delta_ij - h a_ij f_x(Y_j)
-        J = np.eye(s * n)
-        J.reshape(s, n, s, n)[...] -= (h * A)[:, None, :, None] \
-            * np.array([f_x(Y[j], u) for j in range(s)]).transpose(1, 0, 2)[None]
+        J = stage_matrix(h, A, np.array([f_x(Y[j], u) for j in range(s)]))
         try:
             delta = np.linalg.solve(J, -res.reshape(s * n))
         except np.linalg.LinAlgError as exc:
@@ -141,61 +178,29 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     n = ocp.n
     s = tab.s
     A, b = tab.A, tab.b
-    dim = s * (n + 1)
 
     X = np.tile(x, (s, 1))
     Z = np.zeros(s)
-
-    def rhs_terms():
-        # f_F + g_x^T z and the pieces needed for both residual and Jacobian
-        vals = []
-        for j in range(s):
-            fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, X[j], u, eps_den=opts.eps_den)
-            gx = ocp.g_x(X[j])
-            gxx = ocp.g_xx(X[j])
-            vals.append((fF, fF_x, gx, gxx))
-        return vals
-
     for it in range(opts.max_newton_iters + 1):
-        vals = rhs_terms()
-        res = np.zeros(dim)
-        for i in range(s):
-            acc = np.zeros(n)
-            for j in range(s):
-                fF, _, gx, _ = vals[j]
-                acc += A[i, j] * (fF + gx * Z[j])
-            res[i * (n + 1):i * (n + 1) + n] = X[i] - x - h * acc
-            res[i * (n + 1) + n] = ocp.g(X[i])
+        jacs = [filippov_jacobians(ocp, X[j], u, eps_den=opts.eps_den) for j in range(s)]
+        gxs = np.array([ocp.g_x(X[j]) for j in range(s)])
+        V = np.array([jac[0] for jac in jacs]) + gxs * Z[:, None]   # f_F + g_x^T z
+        res = np.empty((s, n + 1))
+        res[:, :n] = X - x - h * stage_sums(A, V)
+        res[:, n] = [ocp.g(X[i]) for i in range(s)]
         if np.max(np.abs(res)) <= opts.newton_tol:
-            acc = np.zeros(n)
-            for j in range(s):
-                fF, _, gx, _ = vals[j]
-                acc += b[j] * (fF + gx * Z[j])
-            x_plus = x + h * acc
-            return X, Z.copy(), x_plus, float(Z[s - 1])
+            x_plus = x + h * stage_sums(b[None], V)[0]
+            return X, Z, x_plus, float(Z[s - 1])
         if it == opts.max_newton_iters:
             break
-        J = np.zeros((dim, dim))
-        for i in range(s):
-            ri = i * (n + 1)
-            for j in range(s):
-                cj = j * (n + 1)
-                fF, fF_x, gx, gxx = vals[j]
-                Jj = fF_x + Z[j] * gxx
-                blk = -h * A[i, j] * Jj
-                if i == j:
-                    blk = blk + np.eye(n)
-                J[ri:ri + n, cj:cj + n] = blk
-                J[ri:ri + n, cj + n] = -h * A[i, j] * gx
-            gx_i = ocp.g_x(X[i])
-            J[ri + n, ri:ri + n] = gx_i
+        Js = np.array([jacs[j][1] + Z[j] * ocp.g_xx(X[j]) for j in range(s)])
         try:
-            delta = np.linalg.solve(J, -res)
+            delta = np.linalg.solve(stage_matrix(h, A, Js, gxs), -res.reshape(-1))
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
-        for i in range(s):
-            X[i] = X[i] + delta[i * (n + 1):i * (n + 1) + n]
-            Z[i] = Z[i] + delta[i * (n + 1) + n]
+        delta = delta.reshape(s, n + 1)
+        X = X + delta[:, :n]
+        Z = Z + delta[:, n]
     raise NewtonDivergence(
         f"sliding stage Newton stalled after {opts.max_newton_iters} iterations "
         f"(h = {h:.3e}, residual = {np.max(np.abs(res)):.3e})",
@@ -275,25 +280,6 @@ def _initial_mode(ocp: HybridOCP, x0: np.ndarray, u: np.ndarray,
 def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
     gx = ocp.g_x(x)
     return x - gx * (ocp.g(x) / float(gx @ gx))
-
-
-def _classify_exit(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, boundary: int,
-                   eps_tan: float) -> TransitionKind:
-    """Exit verdict at a located blend-weight boundary (0 or 1)."""
-    gx = ocp.g_x(x)
-    w1 = float(gx @ ocp.f1(x, u))
-    w2 = float(gx @ ocp.f2(x, u))
-    if boundary == 0:
-        if w2 < -eps_tan:
-            return TransitionKind.EXIT_TO_F1
-        raise TangentialAmbiguity(
-            f"blend weight reached 0 but w2 = {w2:.3e} is not decisively negative",
-            w1=w1, w2=w2)
-    if w1 > eps_tan:
-        return TransitionKind.EXIT_TO_F2
-    raise TangentialAmbiguity(
-        f"blend weight reached 1 but w1 = {w1:.3e} is not decisively positive",
-        w1=w1, w2=w2)
 
 
 class _Builder:
@@ -492,7 +478,7 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, tab, opts, note_transition):
     tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h,
                                 opts.event_tol, opts.max_event_iters)
     if tau == 0.0:
-        kind = _classify_exit(ocp, x, u, boundary, opts.eps_tan)
+        kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
         bld.record(kind, t, x, x)
         bld.z_node[-1] = 0.0
         note_transition()
@@ -500,7 +486,7 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, tab, opts, note_transition):
 
     Xs, Zs, xp, zp = data
     bld.commit(t + tau, xp, tau, Mode.SLIDING, "fF", nctrl, Xs, Zs, zp)
-    kind = _classify_exit(ocp, xp, u, boundary, opts.eps_tan)
+    kind = exit_kind(*normal_speeds(ocp, xp, u), boundary, opts.eps_tan)
     bld.record(kind, t + tau, xp, xp)
     note_transition()
     bld.z_node[-1] = 0.0

@@ -142,10 +142,22 @@ class ControlGrid:
 # surface algebra
 
 
-def _w12(ocp: HybridOCP, x: np.ndarray, u: np.ndarray):
+def normal_speeds(ocp: HybridOCP, x: np.ndarray, u: np.ndarray):
     """Normal speeds w1 = g_x f1 and w2 = g_x f2 at (x, u)."""
     gx = ocp.g_x(x)
     return float(gx @ ocp.f1(x, u)), float(gx @ ocp.f2(x, u))
+
+
+def _blend_weight(w1: float, w2: float, eps_den: float) -> float:
+    """The quotient alpha = w1 / (w1 - w2), guarded: DegenerateDenominator
+    when the two normal speeds are too close for it to be meaningful; the
+    threshold scales with the size of the speeds themselves."""
+    den = w1 - w2
+    if abs(den) <= eps_den * max(1.0, abs(w1) + abs(w2)):
+        raise DegenerateDenominator(
+            f"g_x(f1 - f2) = {den:.3e} with speeds w1 = {w1:.3e}, w2 = {w2:.3e}",
+            w1=w1, w2=w2)
+    return w1 / den
 
 
 def alpha(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
@@ -153,17 +165,9 @@ def alpha(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
     """Convex weight alpha = g_x f1 / (g_x (f1 - f2)) of the sliding field.
 
     Raises DegenerateDenominator when the two normal speeds are too close
-    for the quotient to be meaningful; the threshold scales with the size
-    of the speeds themselves.
+    for the quotient to be meaningful (see _blend_weight).
     """
-    w1, w2 = _w12(ocp, x, u)
-    den = w1 - w2
-    scale = max(1.0, abs(w1) + abs(w2))
-    if abs(den) <= eps_den * scale:
-        raise DegenerateDenominator(
-            f"g_x(f1 - f2) = {den:.3e} with speeds w1 = {w1:.3e}, w2 = {w2:.3e}",
-            w1=w1, w2=w2)
-    return w1 / den
+    return _blend_weight(*normal_speeds(ocp, x, u), eps_den)
 
 
 def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
@@ -197,13 +201,8 @@ def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
     w1 = float(gx @ f1v)
     w2 = float(gx @ f2v)
+    a = _blend_weight(w1, w2, eps_den)
     den = w1 - w2
-    scale = max(1.0, abs(w1) + abs(w2))
-    if abs(den) <= eps_den * scale:
-        raise DegenerateDenominator(
-            f"g_x(f1 - f2) = {den:.3e} with speeds w1 = {w1:.3e}, w2 = {w2:.3e}",
-            w1=w1, w2=w2)
-    a = w1 / den
 
     dw1_dx = f1v @ gxx + gx @ f1x
     dw2_dx = f2v @ gxx + gx @ f2x
@@ -229,7 +228,7 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
     surface and sliding starts.  Speeds within eps_tan of zero cannot be
     classified and raise TangentialAmbiguity.
     """
-    w1, w2 = _w12(ocp, x, u)
+    w1, w2 = normal_speeds(ocp, x, u)
     if abs(w1) <= eps_tan or abs(w2) <= eps_tan:
         raise TangentialAmbiguity(
             f"normal speeds w1 = {w1:.3e}, w2 = {w2:.3e} within eps_tan = {eps_tan:.1e}",
@@ -250,29 +249,33 @@ def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
               eps_tan: float = 1e-10) -> Optional[TransitionKind]:
     """Decide whether sliding has ended at (x, u).
 
-    Returns None while alpha stays inside [0, 1].  At alpha <= 0 the blend
-    has degenerated to f1; sliding ends towards g < 0 provided f2 still
-    points down decisively (w2 < -eps_tan).  Symmetrically at alpha >= 1.
-    Sign patterns that fit neither case raise TangentialAmbiguity.
+    Returns None while alpha stays inside (0, 1); otherwise the verdict
+    of exit_kind at the boundary alpha has reached.
     """
-    w1, w2 = _w12(ocp, x, u)
-    den = w1 - w2
-    scale = max(1.0, abs(w1) + abs(w2))
-    if abs(den) <= eps_den * scale:
-        raise DegenerateDenominator(
-            f"g_x(f1 - f2) = {den:.3e} during sliding exit test", w1=w1, w2=w2)
-    a = w1 / den
+    w1, w2 = normal_speeds(ocp, x, u)
+    a = _blend_weight(w1, w2, eps_den)
     if 0.0 < a < 1.0:
         return None
-    if a <= 0.0:
+    return exit_kind(w1, w2, 0 if a <= 0.0 else 1, eps_tan)
+
+
+def exit_kind(w1: float, w2: float, boundary: int,
+              eps_tan: float = 1e-10) -> TransitionKind:
+    """Where sliding goes once the blend weight has reached boundary 0 or 1.
+
+    At alpha <= 0 the blend has degenerated to f1; sliding ends towards
+    g < 0 provided f2 still points down decisively (w2 < -eps_tan).
+    Symmetrically at alpha >= 1.  Sign patterns that fit neither case
+    raise TangentialAmbiguity.
+    """
+    if boundary == 0:
         if w2 < -eps_tan:
             return TransitionKind.EXIT_TO_F1
         raise TangentialAmbiguity(
-            f"alpha = {a:.3e} at exit but w2 = {w2:.3e} is not decisively negative",
-            w1=w1, w2=w2, alpha=a)
-    # a >= 1
+            f"blend weight reached 0 but w2 = {w2:.3e} is not decisively negative",
+            w1=w1, w2=w2)
     if w1 > eps_tan:
         return TransitionKind.EXIT_TO_F2
     raise TangentialAmbiguity(
-        f"alpha = {a:.3e} at exit but w1 = {w1:.3e} is not decisively positive",
-        w1=w1, w2=w2, alpha=a)
+        f"blend weight reached 1 but w1 = {w1:.3e} is not decisively positive",
+        w1=w1, w2=w2)

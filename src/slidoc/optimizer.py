@@ -66,18 +66,12 @@ class OptimizerConfig:
 
 
 def make_hessian(dim: int, h_scale: float):
-    """Scaled-identity QP Hessian with certified spectral bounds.
-
-    The bounds nu1 <= eig(H) <= nu2 are measured, not assumed, so any
-    future non-diagonal choice inherits the check.
-    """
-    H = h_scale * np.eye(dim)
-    eig = np.linalg.eigvalsh(H)
-    nu1, nu2 = float(eig[0]), float(eig[-1])
-    if nu1 <= 0.0:
-        raise ValidationError(f"optimizer.h_scale: Hessian not positive definite (min eig {nu1:.3e})",
+    """Scaled-identity QP Hessian H = h_scale I with its spectral bounds
+    nu1 = nu2 = h_scale; returns (H, nu1, nu2)."""
+    if not h_scale > 0:
+        raise ValidationError(f"optimizer.h_scale: Hessian not positive definite (min eig {h_scale:.3e})",
                               field="optimizer.h_scale")
-    return H, nu1, nu2
+    return h_scale * np.eye(dim), float(h_scale), float(h_scale)
 
 
 def constraint_violation(eq_vals, ineq_vals) -> float:

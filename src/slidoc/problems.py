@@ -13,7 +13,7 @@ Problems:
   p2-sliding       constant fields pushing onto g(x) = x2 = 0 from both
                    sides; slides forever once captured.  Everything about
                    it has closed forms, so it anchors the event and
-                   sliding tests.
+                   sliding tests.  It is p2-steered with kappa = 0.
   p2-steered       p2 with the control also steering the tangential
                    velocity, so sliding-segment gradients are nonzero.
   slide-exit       the blend weight drifts to 0 along the surface and the
@@ -83,35 +83,6 @@ def _smooth_linear(N: int):
     return ocp, ControlGrid(0.0, 1.0, u)
 
 
-def _p2_sliding(N: int):
-    def f1(x, u):
-        return np.array([1.0, 1.0 + u[0]])
-
-    def f2(x, u):
-        return np.array([1.0, -1.0 + u[0]])
-
-    zeros22 = _const_jac(np.zeros((2, 2)))
-    bu = _const_jac([[0.0], [1.0]])
-
-    phi = EndpointFunctional(
-        value=lambda x: float(x[0]),
-        grad=lambda x: np.array([1.0, 0.0]),
-        name="phi")
-
-    ocp = HybridOCP(
-        name="p2-sliding", n=2, m=1,
-        f1=f1, f1_x=zeros22, f1_u=bu,
-        f2=f2, f2_x=zeros22, f2_u=bu,
-        g=lambda x: float(x[1]),
-        g_x=lambda x: np.array([0.0, 1.0]),
-        g_xx=lambda x: np.zeros((2, 2)),
-        phi=phi,
-        x0=np.array([0.0, -0.5]), t0=0.0, tf=1.0,
-        u_lo=np.array([-0.8]), u_hi=np.array([0.8]))
-    u = np.full((N, 1), 0.2)
-    return ocp, ControlGrid(0.0, 1.0, u)
-
-
 def _p2_steered(N: int, kappa: float = 0.5):
     def f1(x, u):
         return np.array([1.0 + kappa * u[0], 1.0 + u[0]])
@@ -138,6 +109,11 @@ def _p2_steered(N: int, kappa: float = 0.5):
         u_lo=np.array([-0.8]), u_hi=np.array([0.8]))
     u = np.full((N, 1), 0.2)
     return ocp, ControlGrid(0.0, 1.0, u)
+
+
+def _p2_sliding(N: int):
+    ocp, grid = _p2_steered(N, kappa=0.0)
+    return replace(ocp, name="p2-sliding"), grid
 
 
 def _slide_exit(N: int):

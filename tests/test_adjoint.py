@@ -10,11 +10,12 @@ import pytest
 
 import slidoc.adjoint as adjoint_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
-                            run_adjoint, run_adjoints, terminal_conditions,
-                            transition_jump)
+                            assemble_ode_step_matrices,
+                            assemble_sliding_step_matrices, run_adjoint,
+                            run_adjoints, terminal_conditions, transition_jump)
 from slidoc.errors import SingularJumpSystem
 from slidoc.integrator import IntegratorOptions, integrate
-from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP,
+from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           TransitionKind)
 from slidoc.problems import get_problem
 from slidoc.tableau import adjoint_tableau, radau_iia_3
@@ -172,6 +173,108 @@ def test_exit_jump_projects_onto_the_tangent_space():
     exit_node = traj.transitions[1].k
     gx = ocp.g_x(traj.x[exit_node])
     assert abs(float(gx @ adj.lam[exit_node])) <= 1e-12
+
+
+ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _circle_slide():
+    """Curved surface g = |x|^2 - 1 (g_xx = 2 I) with f1 = x + u J x +
+    (0.3, 0) inside and f2 = -x + u J x outside: from (0.5, 0) at u = 0.4
+    the trajectory reaches the circle and slides along it."""
+    w = EndpointFunctional(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0, 0.0]))
+    ocp = HybridOCP(name="circle-slide", n=2, m=1,
+                    f1=lambda x, u: x + u[0] * (ROT @ x) + np.array([0.3, 0.0]),
+                    f1_x=lambda x, u: np.eye(2) + u[0] * ROT,
+                    f1_u=lambda x, u: (ROT @ x)[:, None],
+                    f2=lambda x, u: -x + u[0] * (ROT @ x),
+                    f2_x=lambda x, u: -np.eye(2) + u[0] * ROT,
+                    f2_u=lambda x, u: (ROT @ x)[:, None],
+                    g=lambda x: float(x @ x - 1.0),
+                    g_x=lambda x: 2.0 * x,
+                    g_xx=lambda x: 2.0 * np.eye(2),
+                    phi=w, x0=np.array([0.5, 0.0]), t0=0.0, tf=1.0,
+                    u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
+    return ocp, ControlGrid(0.0, 1.0, np.full((4, 1), 0.4))
+
+
+def _step_residual(ocp, sliding, field_id, h, Xp, xk, u):
+    """F(X(k+1), x(k), u) of one step, written out from the scheme: the
+    stage rows x_i - x(k) - h sum_j a_ij v_j (each followed by g(x_i) when
+    sliding), then the endpoint row x(k+1) - x(k) - h sum_j b_j v_j, with
+    v_j = f(x_j, u) off the surface and the Filippov field plus
+    g_x^T(x_j) z_j on it."""
+    n, s = ocp.n, TAB.s
+    d = n + 1 if sliding else n
+    stages = Xp[:s * d].reshape(s, d)
+
+    def v(x, z):
+        if not sliding:
+            return ocp.field(field_id)[0](x, u)
+        gx = ocp.g_x(x)
+        f1, f2 = ocp.f1(x, u), ocp.f2(x, u)
+        a = (gx @ f1) / (gx @ f1 - gx @ f2)
+        return (1.0 - a) * f1 + a * f2 + gx * z
+
+    vs = [v(row[:n], row[n] if sliding else 0.0) for row in stages]
+    rows = []
+    for i in range(s):
+        rows.append(stages[i, :n] - xk - h * sum(TAB.A[i, j] * vs[j] for j in range(s)))
+        if sliding:
+            rows.append([ocp.g(stages[i, :n])])
+    rows.append(Xp[s * d:] - xk - h * sum(TAB.b[j] * vs[j] for j in range(s)))
+    return np.concatenate(rows)
+
+
+def _central_differences(F, v, eps=1e-6):
+    cols = []
+    for i in range(v.size):
+        e = np.zeros(v.size)
+        e[i] = eps
+        cols.append((F(v + e) - F(v - e)) / (2.0 * eps))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("case", ["off-surface", "sliding", "sliding-unconverged"])
+def test_step_jacobians_match_central_differences(case):
+    """F_{X+}, F_X and F_u of both step assemblies against central
+    differences of the step residual, on a curved surface.  At converged
+    sliding stages z is about 1e-8, so the z g_xx terms are also checked
+    at a perturbed iterate with |z| about 0.5."""
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 4)
+    assert traj.transition_kinds() == ["EnterSliding"]
+    u = grid.values[0]
+    n, s = ocp.n, TAB.s
+    if case == "off-surface":
+        k = 0
+        assert traj.mode[k] is Mode.BELOW
+        FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u, TAB)
+        stages = traj.stages_x[k]
+    else:
+        k = traj.transitions[0].k + 1
+        assert traj.mode[k] is Mode.SLIDING
+        if case == "sliding-unconverged":
+            traj.stages_x[k] = traj.stages_x[k] + np.array([[0.02, -0.01]])
+            traj.stages_z[k] = np.array([0.5, -0.45, 0.4])
+        FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, TAB)
+        stages = np.column_stack([traj.stages_x[k], traj.stages_z[k]])
+    sliding = case != "off-surface"
+    h, xk = traj.h[k], traj.x[k]
+    Xp = np.append(stages.ravel(), traj.x[k + 1])
+    dim = Xp.size
+    assert FXp.shape == FX.shape == (dim, dim) and Fu.shape == (dim, ocp.m)
+
+    def F(Xp=Xp, xk=xk, u=u):
+        return _step_residual(ocp, sliding, traj.field_id[k], h, Xp, xk, u)
+
+    fd_FXp = _central_differences(lambda v: F(Xp=v), Xp)
+    fd_FX = np.zeros((dim, dim))   # only the endpoint slot of X(k) enters
+    fd_FX[:, dim - n:] = _central_differences(lambda v: F(xk=v), xk)
+    fd_Fu = _central_differences(lambda v: F(u=v), u)
+    assert np.max(np.abs(FXp - fd_FXp)) <= 1e-8
+    assert np.max(np.abs(FX - fd_FX)) <= 1e-8
+    assert np.max(np.abs(Fu - fd_Fu)) <= 1e-8
 
 
 def test_stability_function_is_preserved_by_the_transform():
