@@ -26,6 +26,16 @@ forward and adjoint matrices agree by construction.  The stage sums of
 the sliding residual, of x_plus and of the control Jacobian add their
 terms over j in order (stage_sums): A @ V or einsum may round
 differently, which would change results in the last bit.
+
+A run is resumable at any control breakpoint.  The interval loop records
+what it holds when interval n begins (IntervalStart: t, x, mode, the
+number of committed transitions and z at node breakpoint_nodes[n]);
+integrate(..., base=traj, start=n) copies traj's committed data up to
+that node and runs intervals n..N-1 with the new controls, so it equals
+a full run bit for bit when the controls before interval n are traj's.
+The node's stored values are not always the restart state: interval n
+may exit sliding on the breakpoint (z set to 0) or project the node onto
+the surface.
 """
 
 from __future__ import annotations
@@ -68,6 +78,18 @@ class TransitionRecord:
                 "x_plus": list(map(float, self.x_plus))}
 
 
+@dataclass(frozen=True)
+class IntervalStart:
+    """The interval loop's state when control interval n begins: time,
+    state, mode, how many transitions are committed, and z at node
+    breakpoint_nodes[n] before interval n changes it."""
+    t: float
+    x: np.ndarray
+    mode: Mode
+    transitions: int
+    z: float
+
+
 @dataclass
 class Trajectory:
     """Committed mesh with endpoint states, stage data and transitions.
@@ -75,7 +97,8 @@ class Trajectory:
     Arrays are indexed by node k = 0..K (states) and step k = 0..K-1
     (everything else).  stages_z[k] is None on non-sliding steps.  mode
     and field_id describe the step, ctrl[k] is the control interval the
-    step belongs to, and breakpoint_nodes[n] is the node index of t_n.
+    step belongs to, breakpoint_nodes[n] is the node index of t_n and
+    starts[n] is the state integration resumes from at interval n.
     """
 
     times: np.ndarray
@@ -89,6 +112,7 @@ class Trajectory:
     z_node: np.ndarray
     transitions: list
     breakpoint_nodes: np.ndarray
+    starts: list
     terminal_mode: Mode
     spi: int
 
@@ -98,6 +122,13 @@ class Trajectory:
 
     def transition_kinds(self) -> list:
         return [rec.kind.value for rec in self.transitions]
+
+    def transition_intervals(self) -> list:
+        """Control interval n of each transition, its node lying in
+        [t_n, t_{n+1}); a transition at tf counts in the last interval."""
+        last = len(self.breakpoint_nodes) - 2
+        return [min(int(np.searchsorted(self.breakpoint_nodes, rec.k, side="right")) - 1, last)
+                for rec in self.transitions]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +316,7 @@ def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
 class _Builder:
     """Accumulates committed steps; keeps integrate() itself readable."""
 
-    def __init__(self, ocp, t0, x0, spi):
-        self.ocp = ocp
+    def __init__(self, t0, x0, spi):
         self.times = [float(t0)]
         self.xs = [np.array(x0, dtype=float)]
         self.hs = []
@@ -298,11 +328,38 @@ class _Builder:
         self.z_node = [0.0]
         self.transitions = []
         self.breakpoint_nodes = [0]
+        self.starts = []
         self.spi = spi
+
+    @classmethod
+    def resumed(cls, base: Trajectory, n: int):
+        """Base's committed data up to node breakpoint_nodes[n], that
+        node holding the values it had when interval n began."""
+        state = base.starts[n]
+        k = int(base.breakpoint_nodes[n])
+        bld = cls(base.times[0], base.x[0], base.spi)
+        bld.times = base.times[:k].tolist() + [state.t]
+        bld.xs = list(base.x[:k]) + [state.x]
+        bld.hs = base.h[:k].tolist()
+        bld.modes = base.mode[:k]
+        bld.fields = base.field_id[:k]
+        bld.ctrl = base.ctrl[:k].tolist()
+        bld.stages_x = base.stages_x[:k]
+        bld.stages_z = base.stages_z[:k]
+        bld.z_node = base.z_node[:k].tolist() + [state.z]
+        bld.transitions = base.transitions[:state.transitions]
+        bld.breakpoint_nodes = base.breakpoint_nodes[:n + 1].tolist()
+        bld.starts = base.starts[:n]
+        return bld
 
     @property
     def k(self):
         return len(self.hs)
+
+    def begin_interval(self, t, x, mode):
+        self.starts.append(IntervalStart(t=t, x=x, mode=mode,
+                                         transitions=len(self.transitions),
+                                         z=self.z_node[-1]))
 
     def commit(self, t_new, x_new, h, mode, field_id, nctrl, stages, zstages, z_new):
         self.times.append(float(t_new))
@@ -328,14 +385,23 @@ class _Builder:
             stages_x=self.stages_x, stages_z=self.stages_z,
             z_node=np.array(self.z_node), transitions=self.transitions,
             breakpoint_nodes=np.array(self.breakpoint_nodes, dtype=int),
-            terminal_mode=terminal_mode, spi=self.spi)
+            starts=self.starts, terminal_mode=terminal_mode, spi=self.spi)
 
 
 def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
               tab: Optional[ButcherTableau] = None,
-              opts: Optional[IntegratorOptions] = None) -> Trajectory:
+              opts: Optional[IntegratorOptions] = None,
+              base: Optional[Trajectory] = None, start: int = 0) -> Trajectory:
     """Integrate the hybrid system over [t0, tf] with piecewise-constant
     control, localizing and recording every surface transition.
+
+    With base and start = n > 0 the run resumes base at control interval
+    n: it keeps base's data up to t_n and integrates intervals n..N-1
+    only.  The result equals a full run bit for bit when base came from
+    the same problem, tab, opts and steps_per_interval, and grid's
+    controls before interval n are the ones base was integrated with.
+    A base from another mesh (steps_per_interval, N or breakpoints), or
+    a base with start = 0, raises ValueError.
     """
     tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
@@ -345,13 +411,24 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 
     bp = grid.breakpoints()
     N = grid.N
-    mode = _initial_mode(ocp, ocp.x0, grid.values[0], opts)
-    bld = _Builder(ocp, grid.t0, ocp.x0, spi)
+    if base is None and start == 0:
+        mode = _initial_mode(ocp, ocp.x0, grid.values[0], opts)
+        bld = _Builder(grid.t0, ocp.x0, spi)
+        x = np.array(ocp.x0, dtype=float)
+        t = float(grid.t0)
+    else:
+        if base is None or not 0 < start < N:
+            raise ValueError(f"resuming at interval {start} needs a base trajectory "
+                             f"and 0 < start < N = {N}")
+        if (base.spi != spi or len(base.starts) != N
+                or base.starts[start].t != bp[start]):
+            raise ValueError("base trajectory has a different mesh")
+        state = base.starts[start]
+        bld = _Builder.resumed(base, start)
+        t, x, mode = state.t, state.x, state.mode
 
-    x = np.array(ocp.x0, dtype=float)
-    t = float(grid.t0)
-
-    for n in range(N):
+    for n in range(start, N):
+        bld.begin_interval(t, x, mode)
         u = grid.values[n]
         nodes = np.linspace(bp[n], bp[n + 1], spi + 1)
         n_transitions = 0

@@ -1,17 +1,24 @@
 """Finite-difference gradient oracle and convergence-order studies.
 
-The oracle re-integrates the full hybrid system for every probe, events
+The oracle integrates the hybrid system again for every probe, events
 and all, so it is an independent check on the adjoint-based gradient.
-Probes that change the transition structure (a different sequence of
-transition kinds than the base run) are flagged NonSmoothAcrossEvent:
-the functional is not differentiable across such a change, so those
-entries are excluded from pass/fail comparisons but still reported.
+A probe of u_n resumes the base run at control interval n (integrate's
+base/start): the state at t_n does not depend on u_n, so only intervals
+n..N-1 are integrated again, and the result equals a full run bit for
+bit.  An entry is flagged NonSmoothAcrossEvent when a probe changes the
+transition structure (the sequence of transition kinds, or the control
+interval any transition falls in): the functional is not differentiable
+across such a change, so those entries are excluded from pass/fail
+comparisons but still reported.  A probe that raises a SlidocError
+(e.g. it lands on a tangential exit) flags its entry too; the entry is
+NaN and FDReport.errors names the error class.
 
 Order studies are self-convergent: the reference is the same integrator
 on a mesh 8 times finer than the finest study mesh, cross-checked
 against a second reference at twice that resolution.  Stage quantities
-are compared against the reference's own collocation interpolant, which
-is a cubic through the step endpoint and stage values.
+are compared against the reference's own collocation interpolant, the
+polynomial through the step endpoints and interior stage values (a cubic
+for 3-stage Radau IIA).
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import run_adjoint
-from .errors import ReferenceUnconverged, ValidationError
+from .errors import ReferenceUnconverged, SlidocError, ValidationError
 from .gradient import reduced_gradient
 from .integrator import IntegratorOptions, Trajectory, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
@@ -40,32 +47,43 @@ QUANTITIES = ("state_endpoint", "state_stage", "adjoint_endpoint",
 
 @dataclass(frozen=True)
 class FDReport:
-    entries: np.ndarray          # (N, m) central differences
-    flags: np.ndarray            # (N, m) bool, True = NonSmoothAcrossEvent
+    entries: np.ndarray          # (N, m) central differences, NaN where a probe raised
+    flags: np.ndarray            # (N, m) bool, True = NonSmoothAcrossEvent or a probe raised
     eps: float
     base_kinds: tuple            # transition kinds of the unperturbed run
+    errors: dict                 # (n, j) -> error class of the probe that raised
 
     @property
     def flagged(self) -> list:
         return [[int(n), int(j)] for n, j in zip(*np.nonzero(self.flags))]
 
     def to_dict(self) -> dict:
-        return {"entries": [[float(v) for v in row] for row in self.entries],
+        return {"entries": [[float(v) if np.isfinite(v) else None for v in row]
+                            for row in self.entries],
                 "flagged": self.flagged,
                 "flag": FLAG_NONSMOOTH,
+                "probe_errors": [[n, j, name] for (n, j), name in self.errors.items()],
                 "eps": self.eps,
                 "base_kinds": list(self.base_kinds)}
+
+
+def _structure(traj: Trajectory) -> tuple:
+    """Kind and control interval of every transition, in order."""
+    return tuple(zip(traj.transition_kinds(), traj.transition_intervals()))
 
 
 def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                 functional: Optional[EndpointFunctional] = None,
                 eps: float = 1e-6,
                 tab: Optional[ButcherTableau] = None,
-                opts: Optional[IntegratorOptions] = None) -> FDReport:
+                opts: Optional[IntegratorOptions] = None,
+                base: Optional[Trajectory] = None) -> FDReport:
     """Central differences of w(x(tf)) in every control entry.
 
-    The probe size is eps scaled by max(1, |u_nj|).  Each evaluation is a
-    full re-integration including event location.
+    The probe size is eps scaled by max(1, |u_nj|).  base is the
+    unperturbed run (integrated here when None); a probe of u_n resumes
+    it at interval n, event location included.  A failure of the base
+    run raises; a failing probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
@@ -73,17 +91,24 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
 
-    base = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
-    base_kinds = tuple(base.transition_kinds())
+    if base is None:
+        base = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
+    base_structure = _structure(base)
 
     N, m = grid.N, grid.m
     entries = np.zeros((N, m))
     flags = np.zeros((N, m), dtype=bool)
+    errors = {}
 
-    def probe(values):
-        traj = integrate(ocp, grid.with_values(values), steps_per_interval,
-                         tab=tab, opts=opts)
-        return functional.value(traj.x[-1]), tuple(traj.transition_kinds())
+    def probe(n, values):
+        """(w(x(tf)), transition structure, None), or (None, None, the
+        class name of the error that stopped the run)."""
+        try:
+            traj = integrate(ocp, grid.with_values(values), steps_per_interval,
+                             tab=tab, opts=opts, base=base if n else None, start=n)
+        except SlidocError as exc:
+            return None, None, type(exc).__name__
+        return functional.value(traj.x[-1]), _structure(traj), None
 
     for n in range(N):
         for j in range(m):
@@ -92,15 +117,22 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
             up[n, j] += step
             dn = grid.values.copy()
             dn[n, j] -= step
-            w_up, kinds_up = probe(up)
-            w_dn, kinds_dn = probe(dn)
+            w_up, structure_up, error_up = probe(n, up)
+            w_dn, structure_dn, error_dn = probe(n, dn)
+            error = error_up or error_dn
+            if error is not None:
+                entries[n, j] = np.nan
+                flags[n, j] = True
+                errors[(n, j)] = error
+                continue
             entries[n, j] = (w_up - w_dn) / (2.0 * step)
-            if kinds_up != base_kinds or kinds_dn != base_kinds:
+            if structure_up != base_structure or structure_dn != base_structure:
                 flags[n, j] = True
 
     entries.flags.writeable = False
     flags.flags.writeable = False
-    return FDReport(entries=entries, flags=flags, eps=eps, base_kinds=base_kinds)
+    return FDReport(entries=entries, flags=flags, eps=eps,
+                    base_kinds=tuple(base.transition_kinds()), errors=errors)
 
 
 @dataclass(frozen=True)
@@ -137,7 +169,7 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
     adj = run_adjoint(ocp, traj, grid, functional, tab=tab, eps_tan=opts.eps_tan,
                       eps_den=opts.eps_den)
     grad = reduced_gradient(ocp, traj, grid, adj)
-    fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, tab, opts)
+    fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, tab, opts, base=traj)
 
     keep = ~fd.flags
     if not np.any(keep):
@@ -204,7 +236,8 @@ def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:
     """Max-norm error of the run against the reference.
 
     Meshes nest, so node comparisons go by index; stage comparisons
-    evaluate the reference's collocation cubic at the run's stage times
+    evaluate the reference's collocation polynomial through the step
+    start, the interior stages and the step end at the run's stage times
     (interior stages only; the last abscissa is the step endpoint)."""
     # steps per interval differ by an integer ratio; nodes align at
     # index k * ratio
@@ -223,22 +256,19 @@ def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:
         return float(np.max(np.abs(run.adj.lam - ref.adj.lam[idx])))
 
     c = tab.c
+    nodes = (0.0, *c[:-1], 1.0)
     err = 0.0
     for k in range(K):
-        for i in range(len(c) - 1):        # interior stages c_1, c_2
+        for i in range(len(c) - 1):        # interior stages
             pos = c[i] * ratio
             sub = int(np.floor(pos))
             tau = pos - sub
             j = k * ratio + sub
             if quantity == "state_stage":
-                nodes = (0.0, c[0], c[1], 1.0)
-                vals = (ref.traj.x[j], ref.traj.stages_x[j][0],
-                        ref.traj.stages_x[j][1], ref.traj.x[j + 1])
+                vals = (ref.traj.x[j], *ref.traj.stages_x[j][:-1], ref.traj.x[j + 1])
                 approx = run.traj.stages_x[k][i]
             else:                          # adjoint_stage
-                nodes = (0.0, c[0], c[1], 1.0)
-                vals = (ref.adj.lam[j], ref.adj.stage_lams[j][0],
-                        ref.adj.stage_lams[j][1], ref.adj.lam[j + 1])
+                vals = (ref.adj.lam[j], *ref.adj.stage_lams[j][:-1], ref.adj.lam[j + 1])
                 approx = run.adj.stage_lams[k][i]
             exact = _lagrange_eval(nodes, vals, tau)
             err = max(err, float(np.max(np.abs(approx - exact))))

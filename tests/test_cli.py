@@ -80,6 +80,17 @@ def test_check_gradient(tmp_path):
     assert doc["flagged"] == []
 
 
+@pytest.mark.parametrize("problem", slidoc.problem_names())
+def test_check_gradient_returns_json_on_every_problem(tmp_path, problem):
+    out = tmp_path / "chk.json"
+    assert run("check-gradient", "--problem", problem, "--out", str(out)) == 0
+    doc = json.loads(read(out))
+    assert doc["rel"] <= 1e-6
+    expected = [[5, 0, "TangentialAmbiguity"]] if problem == "slide-exit" else []
+    assert doc["probe_errors"] == expected
+    assert doc["flagged"] == [e[:2] for e in expected]
+
+
 def test_optimize_outputs(tmp_path):
     out = tmp_path / "run.json"
     hist = tmp_path / "hist.csv"

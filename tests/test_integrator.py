@@ -6,15 +6,19 @@ values, not self-consistency.
 """
 
 import dataclasses
+import enum
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket
-from slidoc.integrator import IntegratorOptions, integrate, locate_event, step_ode
+from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
+                               step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
-from slidoc.problems import get_problem
+from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import radau_iia_3
 
 TAB = radau_iia_3()
@@ -173,3 +177,107 @@ def test_locate_event_no_sign_change():
     with pytest.raises(NoBracket):
         locate_event(lambda t: (None, 1.0 + t), 1.0, 1.0,
                      event_tol=1e-12, max_iters=80)
+
+
+# ---------------------------------------------------------------------------
+# resumed runs
+
+
+def _chain_problem():
+    """chain-n of the benchmark, loaded from benchmarks/chain.py as is."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "chain.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_chain", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.chain_problem
+
+
+def _field_bytes(value) -> bytes:
+    """Every byte of a trajectory field, through lists and records."""
+    if value is None:
+        return b"-"
+    if isinstance(value, enum.Enum):
+        return value.value.encode()
+    if isinstance(value, str):
+        return value.encode()
+    if dataclasses.is_dataclass(value):
+        return b"{" + b",".join(_field_bytes(getattr(value, f.name))
+                                for f in dataclasses.fields(value)) + b"}"
+    if isinstance(value, list):
+        return b"[" + b",".join(map(_field_bytes, value)) + b"]"
+    arr = np.asarray(value)
+    return f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()
+
+
+def assert_resumes_exactly(ocp, grid, spi, steps, opts=OPTS):
+    """For every n in [1, N) and every step d, resuming the run of grid
+    at interval n with u_n + d equals a full run of those controls."""
+    base = integrate(ocp, grid, spi, opts=opts)
+    for n in range(1, grid.N):
+        for d in steps:
+            values = grid.values.copy()
+            values[n] += d
+            probe = grid.with_values(values)
+            full = integrate(ocp, probe, spi, opts=opts)
+            resumed = integrate(ocp, probe, spi, opts=opts, base=base, start=n)
+            for f in dataclasses.fields(Trajectory):
+                assert _field_bytes(getattr(resumed, f.name)) == \
+                    _field_bytes(getattr(full, f.name)), (ocp.name, n, d, f.name)
+    return base
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_resumed_run_equals_full_run(name):
+    ocp, grid = get_problem(name)
+    assert_resumes_exactly(ocp, grid, 4, [1e-3, -1e-4])
+
+
+def test_resume_from_a_node_the_interval_changes():
+    """slide-exit default: the exit sits on t = 0.9, and u_5 - 1e-4 moves
+    it into interval 5.  With seeded controls interval 7 exits sliding at
+    its start, setting z of its first node to 0 after the node was stored,
+    so the restart state is not the stored node."""
+    ocp, grid = get_problem("slide-exit")
+    base = assert_resumes_exactly(ocp, grid, 8, [1e-4, -1e-4])
+    assert [r.t for r in base.transitions][-1] == 0.9
+    seeded = grid.with_values(np.random.default_rng([3, 10]).uniform(
+        ocp.u_lo, ocp.u_hi, (grid.N, ocp.m)))
+    base = assert_resumes_exactly(ocp, seeded, 8, [1e-3])
+    changed = [n for n, st in enumerate(base.starts)
+               if st.z != base.z_node[base.breakpoint_nodes[n]]]
+    assert changed == [7]
+
+
+def test_resume_from_a_node_the_interval_projects():
+    """p2-sliding with t_2 = 3e-7 before the entry time 5/12 and an event
+    tolerance above the surface tolerance: interval 2 finds the event at
+    its first node and projects that node onto the surface, after the
+    node was stored."""
+    opts = IntegratorOptions(event_tol=1e-6)
+    ocp, grid = get_problem("p2-sliding", {"N": 4, "tf": 2 * (5 / 12 - 3e-7)})
+    base = assert_resumes_exactly(ocp, grid, 4, [1e-3, -1e-3], opts=opts)
+    changed = [n for n, st in enumerate(base.starts)
+               if not np.array_equal(st.x, base.x[base.breakpoint_nodes[n]])]
+    assert changed == [2]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_resumed_chain_run_equals_full_run(seed):
+    ocp, grid = _chain_problem()(4, np.random.default_rng(seed))
+    assert_resumes_exactly(ocp, grid, 8, [1e-3])
+
+
+def test_resume_needs_a_matching_base():
+    ocp, grid = get_problem("p2-steered")
+    base = integrate(ocp, grid, 4)
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 4, start=3)
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 8, base=base, start=3)
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 4, base=base, start=grid.N)
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 4, base=base, start=0)
+    for t0, tf in [(grid.t0, 1.1 * grid.tf), (grid.t0 - 0.5, grid.tf)]:
+        with pytest.raises(ValueError):
+            integrate(ocp, ControlGrid(t0, tf, grid.values), 4, base=base, start=3)

@@ -4,9 +4,11 @@ change flagging, and the convergence-order machinery."""
 import numpy as np
 import pytest
 
+import slidoc.integrator as integrator_mod
+import slidoc.verify as verify_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import ReferenceUnconverged, ValidationError
-from slidoc.integrator import integrate
+from slidoc.errors import ChatteringLimit, ReferenceUnconverged, ValidationError
+from slidoc.integrator import IntegratorOptions, integrate
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP
 from slidoc.problems import get_problem
 from slidoc.verify import (FLAG_NONSMOOTH, QUANTITIES, fd_gradient,
@@ -78,6 +80,73 @@ def test_structure_change_flagging():
     d = chk.to_dict()
     assert d["flag"] == FLAG_NONSMOOTH
     assert len(d["flagged"]) == grid.N
+
+
+def test_failing_probe_flags_its_entry():
+    """slide-exit: u_5 - 1e-6 makes f1 exactly tangent at the exit, so
+    that probe raises TangentialAmbiguity.  Its entry is flagged and NaN,
+    and every other entry still agrees with the adjoint gradient."""
+    ocp, grid = get_problem("slide-exit")
+    chk = gradient_check(ocp, grid, 8)
+    assert chk.fd.errors == {(5, 0): "TangentialAmbiguity"}
+    assert chk.fd.flagged == [[5, 0]]
+    assert np.isnan(chk.fd.entries[5, 0])
+    assert chk.rel is not None and chk.rel <= 1e-9
+    d = chk.to_dict()
+    assert d["probe_errors"] == [[5, 0, "TangentialAmbiguity"]]
+    assert d["entries"][5] == [None]
+
+
+def test_probe_moving_a_transition_across_a_breakpoint_is_flagged():
+    """slide-exit exits on the breakpoint t = 0.9, which opens interval 6;
+    u_5 - 1e-4 moves the exit to t = 0.8999, into interval 5, with the
+    same kind sequence.  The entry is flagged: FD gives 2.5e-5 there and
+    the adjoint 0."""
+    ocp, grid = get_problem("slide-exit")
+    base = integrate(ocp, grid, 8)
+    values = grid.values.copy()
+    values[5, 0] -= 1e-4
+    probe = integrate(ocp, grid.with_values(values), 8)
+    assert probe.transition_kinds() == base.transition_kinds()
+    assert base.transition_intervals() == [2, 6]
+    assert probe.transition_intervals() == [2, 5]
+    chk = gradient_check(ocp, grid, 8, eps=1e-4)
+    assert chk.fd.flagged == [[5, 0]]
+    assert chk.fd.errors == {}
+
+
+def test_failing_base_run_still_raises():
+    ocp, grid = get_problem("slide-exit")
+    opts = IntegratorOptions(max_transitions_per_interval=0)
+    with pytest.raises(ChatteringLimit):
+        gradient_check(ocp, grid, 8, opts=opts)
+    with pytest.raises(ChatteringLimit):
+        fd_gradient(ocp, grid, 8, opts=opts)
+
+
+def test_gradient_check_resumes_every_probe(monkeypatch):
+    """One integration for the check, then 2 N m probes, each resuming
+    at the probed interval.  The step counts are exact: integrating every
+    probe from t0, as the oracle once did, takes 260 off-surface and 220
+    sliding step solves here."""
+    calls = {"integrate": 0, "step_ode": 0, "step_sliding": 0}
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(verify_mod, "integrate")
+    spy(integrator_mod, "step_ode")
+    spy(integrator_mod, "step_sliding")
+    ocp, grid = get_problem("slide-exit", {"N": 4})
+    chk = gradient_check(ocp, grid, 4)
+    assert chk.fd.base_kinds == ("EnterSliding", "ExitToF1")
+    assert calls == {"integrate": 1 + 2 * grid.N * grid.m, "step_ode": 114,
+                     "step_sliding": 142}
 
 
 HS = [0.1, 0.05, 0.025]

@@ -3,9 +3,12 @@
 Prints canonical JSON mapping each case to the sha256 of ndarray.tobytes()
 of the trajectory (x, stages_x, stages_z, z_node) and, for both adjoint
 backends and every functional of the problem, of lam, lam_g, grad, the
-jump scalars pi, nu1 and stage_lams.  A case that raises records the
-error class and message instead.  Two trees give bit-identical results
-when their outputs compare equal:
+jump scalars pi, nu1 and stage_lams.  Cases with N = 10 and 8 steps per
+interval also hash the FD oracle's report for phi (fd_gradient resuming
+the case's trajectory): its entries, its flags and the error class of
+every probe that raised.  A case that raises records the error class and
+message instead.  Two trees give bit-identical results when their
+outputs compare equal:
 
     python3 tools/identity_grid.py > a.json     # in each checkout
     cmp a.json b.json
@@ -32,7 +35,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from chain import chain_problem  # noqa: E402
 
-from slidoc import SlidocError, get_problem, integrate, problem_names, run_adjoints  # noqa: E402
+from slidoc import (SlidocError, fd_gradient, get_problem, integrate,  # noqa: E402
+                    problem_names, run_adjoints)
 
 BACKENDS = ("transformed", "matrix")
 
@@ -60,6 +64,12 @@ def _case(ocp, grid, spi: int) -> dict:
                 out[key + "pi"] = _sha([[j["pi"] for j in adj.jumps]])
                 out[key + "nu1"] = _sha([adj.nu1])
                 out[key + "stage_lams"] = _sha(adj.stage_lams)
+        if grid.N == 10 and spi == 8:
+            fd = fd_gradient(ocp, grid, spi, base=traj)
+            out["fd/entries"] = _sha([fd.entries])
+            out["fd/flags"] = _sha([fd.flags])
+            errors = json.dumps(sorted([n, j, name] for (n, j), name in fd.errors.items()))
+            out["fd/errors"] = hashlib.sha256(errors.encode()).hexdigest()
         return out
     except SlidocError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
