@@ -15,10 +15,12 @@ Jacobian of the step, dw/du_n collects -F_u^T(k) R(k) over the steps k
 of interval n.  The sweep sums these rows into AdjointTrajectory.grad,
 so no step is built a second time for the gradient.
 
-For off-surface steps the solve collapses to a stage recursion in the
-reversed-time table a~_ij = a_ji b_j / b_i (adjoint_step_transformed);
-the assembled version (adjoint_step_matrix) is kept as the oracle the
-two-route tests compare against.  There the gradient row is the stage
+Every step uses the forward scheme's table, tableau.RADAU_IIA: the
+discrete adjoint of a Runge-Kutta method is the adjoint of that one
+table.  For off-surface steps the solve collapses to a stage recursion
+in its reversed-time table a~_ij = a_ji b_j / b_i, RADAU_IIA_ADJOINT
+(adjoint_step_transformed); the assembled version (adjoint_step_matrix)
+is kept as the oracle the two-route tests compare against.  There the gradient row is the stage
 quadrature h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.
 Sliding steps use the assembled form of the index-2 stage system
 directly (there is no stage-multiplier shortcut through the algebraic
@@ -40,6 +42,12 @@ depend on which functionals share the sweep.  Every error a sweep can
 raise depends on the trajectory alone, so the lockstep sweep fails at
 the same step, with the same error, as a sweep of the first functional.
 
+The tolerances eps_tan and eps_den of a sweep are the ones the
+trajectory was integrated with (traj.opts), so the forward and the
+backward pass classify and blend with the same values; only the
+pointwise helpers transition_jump and lambda_g_pointwise take them as
+arguments.
+
 At transition nodes the multiplier jumps by pi * g_x^T.  For crossings
 and sliding entries pi is pinned by continuity of the Hamiltonian across
 the event; for sliding exits (seen backwards: off-surface to sliding) it
@@ -60,7 +68,7 @@ from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
 from .integrator import Trajectory, stage_matrix, stage_sums
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_jacobians)
-from .tableau import ButcherTableau, adjoint_tableau, radau_iia_3
+from .tableau import RADAU_IIA, RADAU_IIA_ADJOINT
 
 
 @dataclass
@@ -109,9 +117,8 @@ def _solve_columns(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
-                             u: np.ndarray, lam_plus: np.ndarray,
-                             tab: ButcherTableau, atab: ButcherTableau):
-    """Stage recursion in the reversed-time table atab = adjoint_tableau(tab).
+                             u: np.ndarray, lam_plus: np.ndarray):
+    """Stage recursion in the reversed-time table RADAU_IIA_ADJOINT.
 
     Solves   lam_i = lam_plus + h sum_j a~_ij f_x^T(x_j(k+1), u) lam_j
     and      lam_k = lam_plus + h sum_i b_i f_x^T(x_i(k+1), u) lam_i
@@ -119,26 +126,26 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
     (F, s, n), lam_k (F, n), gradient rows (F, m)).
     """
     n, m = ocp.n, ocp.m
-    s = tab.s
+    s, b = RADAU_IIA.s, RADAU_IIA.b
     F = lam_plus.shape[0]
     h = traj.h[k]
     fxs = _ode_stage_jacobians(ocp, traj, k, u)
 
     # block (i, j) of M is I delta_ij - h a~_ij f_x^T(x_j)
-    M = stage_matrix(h, atab.A, fxs.transpose(0, 2, 1))
+    M = stage_matrix(h, RADAU_IIA_ADJOINT.A, fxs.transpose(0, 2, 1))
     try:
         cols = _solve_columns(M, np.tile(lam_plus, s)).reshape(F, s, n, 1)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"transformed adjoint stage system singular at step {k}") from exc
-    lam_k = lam_plus + h * sum(tab.b[i] * (fxs[i].T @ cols[:, i])[..., 0] for i in range(s))
+    lam_k = lam_plus + h * sum(b[i] * (fxs[i].T @ cols[:, i])[..., 0] for i in range(s))
     _, _, f_u = ocp.field(traj.field_id[k])
     acc = np.zeros((F, m))
     for i in range(s):
-        acc += tab.b[i] * (f_u(traj.stages_x[k][i], u).T @ cols[:, i])[..., 0]
+        acc += b[i] * (f_u(traj.stages_x[k][i], u).T @ cols[:, i])[..., 0]
     return cols[..., 0], lam_k, h * acc
 
 
-def _step_matrices(h: float, tab: ButcherTableau, Js: np.ndarray, fus: np.ndarray,
+def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
                    gxs: Optional[np.ndarray] = None):
     """Dense F_{X+}, F_X and F_u of one step from its stage Jacobians Js
     (s, n, n), control Jacobians fus (s, n, m) and, on a sliding step,
@@ -149,16 +156,17 @@ def _step_matrices(h: float, tab: ButcherTableau, Js: np.ndarray, fus: np.ndarra
     followed by the endpoint row x(k+1) - x(k) - h sum_j b_j v_j, where
     v_j is stage j's right-hand side.
     """
+    A, b = RADAU_IIA.A, RADAU_IIA.b
     s, n = Js.shape[:2]
     d = n if gxs is None else n + 1
     re = s * d
     dim = re + n
     FXp = np.zeros((dim, dim))
-    FXp[:re, :re] = stage_matrix(h, tab.A, Js, gxs)
+    FXp[:re, :re] = stage_matrix(h, A, Js, gxs)
     end = np.zeros((n, s, d))
-    end[:, :, :n] -= (h * tab.b)[None, :, None] * Js.transpose(1, 0, 2)
+    end[:, :, :n] -= (h * b)[None, :, None] * Js.transpose(1, 0, 2)
     if gxs is not None:
-        end[:, :, n] -= (h * tab.b)[None, :] * gxs.T
+        end[:, :, n] -= (h * b)[None, :] * gxs.T
     FXp[re:, :re] = end.reshape(n, re)
     FXp[re:, re:] = np.eye(n)
 
@@ -166,7 +174,7 @@ def _step_matrices(h: float, tab: ButcherTableau, Js: np.ndarray, fus: np.ndarra
     FX[:re].reshape(s, d, dim)[:, :n, re:] = -np.eye(n)   # stage rows see -x(k)
     FX[re:, re:] = -np.eye(n)                  # endpoint row too; constraints do not
 
-    sums = -h * stage_sums(np.vstack([tab.A, tab.b]), fus)
+    sums = -h * stage_sums(np.vstack([A, b]), fus)
     Fu = np.zeros((dim, fus.shape[2]))
     Fu[:re].reshape(s, d, -1)[:, :n] = sums[:s]
     Fu[re:] = sums[s]
@@ -174,21 +182,20 @@ def _step_matrices(h: float, tab: ButcherTableau, Js: np.ndarray, fus: np.ndarra
 
 
 def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
-                               u: np.ndarray, tab: ButcherTableau):
+                               u: np.ndarray):
     """Dense F_{X+}, F_X and F_u of an off-surface step, in the block
     layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row)."""
     _, _, f_u = ocp.field(traj.field_id[k])
     fus = np.array([f_u(x_j, u) for x_j in traj.stages_x[k]])
-    return _step_matrices(traj.h[k], tab, _ode_stage_jacobians(ocp, traj, k, u), fus)
+    return _step_matrices(traj.h[k], _ode_stage_jacobians(ocp, traj, k, u), fus)
 
 
 def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
-                        u: np.ndarray, Lambda_plus: np.ndarray,
-                        tab: ButcherTableau):
+                        u: np.ndarray, Lambda_plus: np.ndarray):
     """Assembled one-step adjoint.  Lambda_plus holds one full padded
     vector ((s+1) n,) per row; returns (Lambda_k, gradient rows -F_u^T R),
     both with the same leading axis."""
-    FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u, tab)
+    FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u)
     try:
         R = _solve_columns(FXp.T, Lambda_plus)
     except np.linalg.LinAlgError as exc:
@@ -201,9 +208,9 @@ def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
-                                   u: np.ndarray, tab: ButcherTableau,
-                                   eps_den: float = 1e-12):
-    """Dense F_{X+}, F_X and F_u of a sliding step.
+                                   u: np.ndarray):
+    """Dense F_{X+}, F_X and F_u of a sliding step, blended with the
+    trajectory's eps_den.
 
     Unknown layout (x_1, z_1, ..., x_s, z_s, x(k+1)); equation layout
     (stage rows + constraint row per stage, endpoint row).  The stage
@@ -212,22 +219,22 @@ def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
     """
     Js, gxs, fus = [], [], []
     for x_j, z_j in zip(traj.stages_x[k], traj.stages_z[k]):
-        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u, eps_den=eps_den)
+        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u,
+                                                    eps_den=traj.opts.eps_den)
         Js.append(fF_x + z_j * ocp.g_xx(x_j))
         gxs.append(ocp.g_x(x_j))
         fus.append(fF_u)
-    return _step_matrices(traj.h[k], tab, np.array(Js), np.array(fus), np.array(gxs))
+    return _step_matrices(traj.h[k], np.array(Js), np.array(fus), np.array(gxs))
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
-                         u: np.ndarray, lam_plus: np.ndarray,
-                         tab: ButcherTableau, eps_den: float = 1e-12):
+                         u: np.ndarray, lam_plus: np.ndarray):
     """One backward step through the sliding stage system for every row
     of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows -F_u^T R
     (F, m)).
     """
     n = ocp.n
-    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, tab, eps_den=eps_den)
+    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u)
     dim = FXp.shape[0]
     Lam_plus = np.zeros((lam_plus.shape[0], dim))
     Lam_plus[:, dim - n:] = lam_plus
@@ -263,7 +270,7 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
 
 
 def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                        w: EndpointFunctional, eps_den: float = 1e-12):
+                        w: EndpointFunctional):
     """Multiplier start values at tf.
 
     Off the surface this is just the functional gradient.  On the surface
@@ -277,7 +284,7 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     u = grid.values[traj.ctrl[-1]]
     z = float(traj.z_node[-1])
-    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, xK, u, eps_den=eps_den)
+    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, xK, u, eps_den=traj.opts.eps_den)
     gx = ocp.g_x(xK)
     gxx = ocp.g_xx(xK)
     xdot = fF + gx * z
@@ -354,9 +361,7 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
 
 
 def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                 functionals, tab: Optional[ButcherTableau] = None,
-                 eps_tan: float = 1e-10, eps_den: float = 1e-12,
-                 backend: str = "transformed") -> list:
+                 functionals, backend: str = "transformed") -> list:
     """Backward sweep of several endpoint functionals over the whole mesh,
     in lockstep; one AdjointTrajectory per functional, in input order.
 
@@ -366,15 +371,13 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     consistency tests compare against.  Either way the sweep also yields
     the reduced gradient of each functional over the control grid.
     """
-    tab = tab if tab is not None else radau_iia_3()
     if backend not in ("transformed", "matrix"):
         raise ValueError(f"unknown adjoint backend {backend!r}")
     K = traj.K
     if grid.N != traj.breakpoint_nodes.shape[0] - 1:
         raise MeshMismatch(f"grid has {grid.N} intervals, trajectory {traj.breakpoint_nodes.shape[0] - 1}")
 
-    atab = adjoint_tableau(tab)
-    n, s = ocp.n, tab.s
+    n, s = ocp.n, RADAU_IIA.s
     F = len(functionals)
     lam = np.zeros((F, K + 1, n))
     lam_g = np.zeros((F, K + 1))
@@ -386,15 +389,14 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     def jump(k):
         rec = trans_at[k]
         for f in range(F):
-            lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[f, k], lam_g[f, k],
-                                     eps_tan, eps_den)
+            lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[f, k], lam_g[f, k])
             jumps[f].append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value, "pi": float(pi)})
             lam[f, k] = lam_minus
-            lam_g[f, k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus, eps_den)
+            lam_g[f, k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus)
 
     nu1 = []
     for f, w in enumerate(functionals):
-        lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w, eps_den)
+        lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w)
         nu1.append(nu1_f)
 
     if K in trans_at:
@@ -404,19 +406,18 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     for k in range(K - 1, -1, -1):
         u = grid.values[traj.ctrl[k]]
         if traj.mode[k] is Mode.SLIDING:
-            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1],
-                                                         tab, eps_den)
+            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1])
             for f in range(F):
                 lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
-                                                 lam[f, k], eps_den)
+                                                 lam[f, k], traj.opts.eps_den)
         elif backend == "matrix":
             Lam_plus = np.zeros((F, (s + 1) * n))
             Lam_plus[:, s * n:] = lam[:, k + 1]
-            Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, tab)
+            Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus)
             lam[:, k] = Lambda_k[:, s * n:]
         else:
             stages, lam[:, k], rows[:, k] = adjoint_step_transformed(
-                ocp, traj, k, u, lam[:, k + 1], tab, atab)
+                ocp, traj, k, u, lam[:, k + 1])
             for f in range(F):
                 stage_lams[f][k] = stages[f]
 
@@ -438,15 +439,12 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
 def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                 w: EndpointFunctional,
-                tab: Optional[ButcherTableau] = None,
-                eps_tan: float = 1e-10, eps_den: float = 1e-12,
                 backend: str = "transformed") -> AdjointTrajectory:
     """Backward sweep of one endpoint functional (see run_adjoints)."""
-    return run_adjoints(ocp, traj, grid, [w], tab=tab, eps_tan=eps_tan,
-                        eps_den=eps_den, backend=backend)[0]
+    return run_adjoints(ocp, traj, grid, [w], backend=backend)[0]
 
 
-def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan, eps_den):
+def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus):
     k = rec.k
     u_minus = grid.values[traj.ctrl[k - 1]] if k > 0 else grid.values[0]
     u_plus = grid.values[traj.ctrl[k]] if k < traj.K else grid.values[traj.ctrl[-1]]
@@ -454,10 +452,10 @@ def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus, eps_tan, eps_den):
     z_plus = float(traj.z_node[k])
     return transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
                            lam_plus, lam_g_plus, z_plus, field_before,
-                           eps_tan=eps_tan, eps_den=eps_den)
+                           eps_tan=traj.opts.eps_tan, eps_den=traj.opts.eps_den)
 
 
-def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus, eps_den):
+def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus):
     """lam_g just before the event in forward time: zero when the minus
     side is off-surface, the pointwise recovery when it is sliding."""
     k = rec.k
@@ -465,5 +463,6 @@ def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus, eps_den):
             and traj.mode[k - 1] is Mode.SLIDING:
         u_minus = grid.values[traj.ctrl[k - 1]]
         z_minus = float(traj.stages_z[k - 1][-1])
-        return lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus, eps_den)
+        return lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus,
+                                  traj.opts.eps_den)
     return 0.0

@@ -26,10 +26,10 @@ from .config import RunConfig, canonical_json, format_float, parse_config
 from .errors import SlidocError, ValidationError
 from .gradient import reduced_gradient
 from .integrator import integrate
-from .model import Mode, alpha as _blend_weight
+from .model import Mode, alpha
 from .optimizer import optimize
 from .problems import get_problem
-from .tableau import adjoint_tableau, check_conditions, radau_iia_3
+from .tableau import RADAU_IIA, RADAU_IIA_ADJOINT, check_conditions
 from .verify import gradient_check, order_study
 
 
@@ -117,7 +117,7 @@ def _cmd_simulate(args) -> int:
         mode = traj.mode[k] if k < K else traj.terminal_mode
         u = grid.values[traj.ctrl[min(k, K - 1)]]
         if mode is Mode.SLIDING:
-            a = _blend_weight(ocp, traj.x[k], u, eps_den=cfg.eps_den)
+            a = alpha(ocp, traj.x[k], u, eps_den=traj.opts.eps_den)
         else:
             a = None
         rows.append([_cell(k), _cell(traj.times[k]), mode.value]
@@ -136,8 +136,7 @@ def _cmd_adjoint(args) -> int:
     ocp, grid = _problem(cfg)
     traj = integrate(ocp, grid, cfg.steps_per_interval,
                      opts=cfg.integrator_options())
-    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional),
-                      eps_tan=cfg.eps_tan, eps_den=cfg.eps_den)
+    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
 
     header = ["k", "t"] + [f"lambda{i}" for i in range(ocp.n)] + ["lambda_g"]
     rows = [[_cell(k), _cell(traj.times[k])]
@@ -157,8 +156,7 @@ def _cmd_gradient(args) -> int:
     ocp, grid = _problem(cfg)
     traj = integrate(ocp, grid, cfg.steps_per_interval,
                      opts=cfg.integrator_options())
-    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional),
-                      eps_tan=cfg.eps_tan, eps_den=cfg.eps_den)
+    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
     grad = reduced_gradient(ocp, traj, grid, adj)
     _write(args.out, _json_text({
         "meta": cfg.meta(),
@@ -225,11 +223,10 @@ def _cmd_tableau_check(args) -> int:
                 "p": rep.p, "q": rep.q, "r": rep.r,
                 "residuals": rep.residuals}
 
-    tab = radau_iia_3()
     _write(args.out, _json_text({
         "meta": cfg.meta(),
-        "radau_iia": block(tab),
-        "adjoint": block(adjoint_tableau(tab))}))
+        "radau_iia": block(RADAU_IIA),
+        "adjoint": block(RADAU_IIA_ADJOINT)}))
     return 0
 
 

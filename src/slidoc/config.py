@@ -85,11 +85,7 @@ class RunConfig:
     # -- views consumed by the modules ------------------------------------
 
     def integrator_options(self) -> IntegratorOptions:
-        return IntegratorOptions(newton_tol=self.newton_tol,
-                                 event_tol=self.event_tol,
-                                 surface_tol=self.surface_tol,
-                                 eps_tan=self.eps_tan,
-                                 eps_den=self.eps_den)
+        return IntegratorOptions(**self.tolerances())
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(c0=self.c0, kappa=self.kappa, gamma=self.gamma,

@@ -10,15 +10,12 @@ only checks meshes and exposes the result.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .adjoint import AdjointTrajectory, run_adjoint
 from .errors import DimensionMismatch, MeshMismatch
 from .integrator import Trajectory
 from .model import ControlGrid, EndpointFunctional, HybridOCP
-from .tableau import ButcherTableau
 
 
 def reduced_gradient(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
@@ -32,11 +29,10 @@ def reduced_gradient(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
 
 def reduced_gradient_matrix(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
-                            w: EndpointFunctional,
-                            tab: Optional[ButcherTableau] = None) -> np.ndarray:
+                            w: EndpointFunctional) -> np.ndarray:
     """Gradient via the assembled matrix route on every step.  Oracle for
     the stage-form assembly; one extra backward sweep."""
-    return run_adjoint(ocp, traj, grid, w, tab=tab, backend="matrix").grad
+    return run_adjoint(ocp, traj, grid, w, backend="matrix").grad
 
 
 def directional_derivative(grad: np.ndarray, d: np.ndarray) -> float:

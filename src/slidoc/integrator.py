@@ -8,15 +8,18 @@ function is below tolerance; the located point is committed as a mesh
 node, the transition is classified and recorded, and integration resumes
 toward the same base node with the new mode.
 
-Off the surface the state advances with step_ode (stage equations of the
-3-stage Radau IIA scheme, full Newton).  On the surface it advances with
-step_sliding, which solves the index-2 stage system
+Every step uses the one table tableau.RADAU_IIA.  Off the surface the
+state advances with step_ode (stage equations of the 3-stage Radau IIA
+scheme, full Newton, at most MAX_NEWTON_ITERS iterations).  On the
+surface it advances with step_sliding, which solves the index-2 stage
+system
 
     x_i = x + h sum_j a_ij (f_F(x_j, u) + g_x(x_j)^T z_j)
     0   = g(x_i)
 
 whose multiplier z vanishes identically in exact arithmetic; its computed
-size is a diagnostic for the discretization.
+size is a diagnostic for the discretization.  step_sliding relies on the
+table being stiffly accurate: the endpoint is the last stage (c_s = 1).
 
 stage_matrix is the one place the stage block layout is written: block
 (i, j) is I delta_ij - h a_ij J_j, plus the multiplier columns and
@@ -33,6 +36,9 @@ number of committed transitions and z at node breakpoint_nodes[n]);
 integrate(..., base=traj, start=n) copies traj's committed data up to
 that node and runs intervals n..N-1 with the new controls, so it equals
 a full run bit for bit when the controls before interval n are traj's.
+The trajectory keeps the IntegratorOptions it was integrated with
+(Trajectory.opts): a resumed run must use the same ones, and the
+backward sweep reads its tolerances from there.
 The node's stored values are not always the restart state: interval n
 may exit sliding on the breakpoint (z set to 0) or project the node onto
 the surface.
@@ -49,19 +55,19 @@ from .errors import ChatteringLimit, NewtonDivergence, NoBracket, SingularIterat
 from .model import (ControlGrid, EntryKind, HybridOCP, Mode, TransitionKind,
                     alpha, entry_test, exit_kind, exit_test, filippov_jacobians,
                     normal_speeds)
-from .tableau import ButcherTableau, radau_iia_3
+from .tableau import RADAU_IIA
+
+MAX_NEWTON_ITERS = 25
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
     newton_tol: float = 1e-12
-    max_newton_iters: int = 25
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
     eps_tan: float = 1e-10
     eps_den: float = 1e-12
     max_transitions_per_interval: int = 100
-    max_event_iters: int = 80
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,8 @@ class Trajectory:
     (everything else).  stages_z[k] is None on non-sliding steps.  mode
     and field_id describe the step, ctrl[k] is the control interval the
     step belongs to, breakpoint_nodes[n] is the node index of t_n and
-    starts[n] is the state integration resumes from at interval n.
+    starts[n] is the state integration resumes from at interval n.  opts
+    are the options the run was integrated with.
     """
 
     times: np.ndarray
@@ -115,6 +122,7 @@ class Trajectory:
     starts: list
     terminal_mode: Mode
     spi: int
+    opts: IntegratorOptions
 
     @property
     def K(self) -> int:
@@ -167,24 +175,24 @@ def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
-             h: float, tab: ButcherTableau, opts: IntegratorOptions):
+             h: float, opts: IntegratorOptions):
     """One implicit Runge-Kutta step of x' = f(x, u) with f chosen by
     field_id ('f1' or 'f2').  Returns (stages, x_plus) with stages of
     shape (s, n).
     """
     n = ocp.n
-    s = tab.s
-    A, b = tab.A, tab.b
+    s = RADAU_IIA.s
+    A, b = RADAU_IIA.A, RADAU_IIA.b
     f, f_x, _ = ocp.field(field_id)
 
     Y = np.tile(x, (s, 1))
-    for it in range(opts.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         fy = np.array([f(Y[i], u) for i in range(s)])
         res = Y - x[None, :] - h * (A @ fy)
         if np.max(np.abs(res)) <= opts.newton_tol:
             x_plus = x + h * (b @ fy)
             return Y, x_plus
-        if it == opts.max_newton_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         J = stage_matrix(h, A, np.array([f_x(Y[j], u) for j in range(s)]))
         try:
@@ -193,13 +201,13 @@ def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
             raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
         Y = Y + delta.reshape(s, n)
     raise NewtonDivergence(
-        f"stage Newton stalled after {opts.max_newton_iters} iterations "
+        f"stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
         f"(h = {h:.3e}, residual = {np.max(np.abs(res)):.3e})",
         residual=float(np.max(np.abs(res))), h=h)
 
 
 def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
-                 tab: ButcherTableau, opts: IntegratorOptions):
+                 opts: IntegratorOptions):
     """One stiffly-accurate step of the sliding index-2 system.
 
     Unknowns are the stage states and stage multipliers, interleaved as
@@ -207,12 +215,12 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     z_plus); z_plus is the last stage multiplier.
     """
     n = ocp.n
-    s = tab.s
-    A, b = tab.A, tab.b
+    s = RADAU_IIA.s
+    A, b = RADAU_IIA.A, RADAU_IIA.b
 
     X = np.tile(x, (s, 1))
     Z = np.zeros(s)
-    for it in range(opts.max_newton_iters + 1):
+    for it in range(MAX_NEWTON_ITERS + 1):
         jacs = [filippov_jacobians(ocp, X[j], u, eps_den=opts.eps_den) for j in range(s)]
         gxs = np.array([ocp.g_x(X[j]) for j in range(s)])
         V = np.array([jac[0] for jac in jacs]) + gxs * Z[:, None]   # f_F + g_x^T z
@@ -222,7 +230,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         if np.max(np.abs(res)) <= opts.newton_tol:
             x_plus = x + h * stage_sums(b[None], V)[0]
             return X, Z, x_plus, float(Z[s - 1])
-        if it == opts.max_newton_iters:
+        if it == MAX_NEWTON_ITERS:
             break
         Js = np.array([jacs[j][1] + Z[j] * ocp.g_xx(X[j]) for j in range(s)])
         try:
@@ -233,7 +241,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         X = X + delta[:, :n]
         Z = Z + delta[:, n]
     raise NewtonDivergence(
-        f"sliding stage Newton stalled after {opts.max_newton_iters} iterations "
+        f"sliding stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
         f"(h = {h:.3e}, residual = {np.max(np.abs(res)):.3e})",
         residual=float(np.max(np.abs(res))), h=h)
 
@@ -316,7 +324,7 @@ def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
 class _Builder:
     """Accumulates committed steps; keeps integrate() itself readable."""
 
-    def __init__(self, t0, x0, spi):
+    def __init__(self, t0, x0, spi, opts):
         self.times = [float(t0)]
         self.xs = [np.array(x0, dtype=float)]
         self.hs = []
@@ -330,6 +338,7 @@ class _Builder:
         self.breakpoint_nodes = [0]
         self.starts = []
         self.spi = spi
+        self.opts = opts
 
     @classmethod
     def resumed(cls, base: Trajectory, n: int):
@@ -337,7 +346,7 @@ class _Builder:
         node holding the values it had when interval n began."""
         state = base.starts[n]
         k = int(base.breakpoint_nodes[n])
-        bld = cls(base.times[0], base.x[0], base.spi)
+        bld = cls(base.times[0], base.x[0], base.spi, base.opts)
         bld.times = base.times[:k].tolist() + [state.t]
         bld.xs = list(base.x[:k]) + [state.x]
         bld.hs = base.h[:k].tolist()
@@ -385,11 +394,11 @@ class _Builder:
             stages_x=self.stages_x, stages_z=self.stages_z,
             z_node=np.array(self.z_node), transitions=self.transitions,
             breakpoint_nodes=np.array(self.breakpoint_nodes, dtype=int),
-            starts=self.starts, terminal_mode=terminal_mode, spi=self.spi)
+            starts=self.starts, terminal_mode=terminal_mode, spi=self.spi,
+            opts=self.opts)
 
 
 def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
-              tab: Optional[ButcherTableau] = None,
               opts: Optional[IntegratorOptions] = None,
               base: Optional[Trajectory] = None, start: int = 0) -> Trajectory:
     """Integrate the hybrid system over [t0, tf] with piecewise-constant
@@ -397,13 +406,13 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 
     With base and start = n > 0 the run resumes base at control interval
     n: it keeps base's data up to t_n and integrates intervals n..N-1
-    only.  The result equals a full run bit for bit when base came from
-    the same problem, tab, opts and steps_per_interval, and grid's
-    controls before interval n are the ones base was integrated with.
-    A base from another mesh (steps_per_interval, N or breakpoints), or
-    a base with start = 0, raises ValueError.
+    only.  A base from another mesh (steps_per_interval, N or
+    breakpoints) or with other options, or a base with start = 0, raises
+    ValueError.  Past those checks the result equals a full run bit for
+    bit when base came from the same problem and grid's controls before
+    interval n are the ones base was integrated with; neither of these
+    is checked.
     """
-    tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
     spi = int(steps_per_interval)
     if spi < 1:
@@ -413,7 +422,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     N = grid.N
     if base is None and start == 0:
         mode = _initial_mode(ocp, ocp.x0, grid.values[0], opts)
-        bld = _Builder(grid.t0, ocp.x0, spi)
+        bld = _Builder(grid.t0, ocp.x0, spi, opts)
         x = np.array(ocp.x0, dtype=float)
         t = float(grid.t0)
     else:
@@ -423,6 +432,8 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         if (base.spi != spi or len(base.starts) != N
                 or base.starts[start].t != bp[start]):
             raise ValueError("base trajectory has a different mesh")
+        if base.opts != opts:
+            raise ValueError("base trajectory was integrated with different options")
         state = base.starts[start]
         bld = _Builder.resumed(base, start)
         t, x, mode = state.t, state.x, state.mode
@@ -462,36 +473,36 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                     bld.times[-1] = target
                     break
                 if mode is Mode.SLIDING:
-                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, n, tab, opts,
+                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, n, opts,
                                                   note_transition)
                 else:
-                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, n, mode, tab, opts,
+                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, n, mode, opts,
                                               note_transition)
         bld.breakpoint_nodes.append(len(bld.xs) - 1)
 
     return bld.finish(mode)
 
 
-def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, tab, opts, note_transition):
+def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts, note_transition):
     """Try a full step in an off-surface mode; shrink to a located event
     when the endpoint (or an internal stage) lands beyond the surface."""
     field_id = "f1" if mode is Mode.BELOW else "f2"
     sgn = -1.0 if mode is Mode.BELOW else 1.0   # interior sign of g
 
-    stages, x_try = step_ode(ocp, field_id, x, u, h, tab, opts)
+    stages, x_try = step_ode(ocp, field_id, x, u, h, opts)
     e_end = sgn * ocp.g(x_try)   # positive while we stay in our region
 
-    stage_dip = min(sgn * ocp.g(stages[i]) for i in range(tab.s))
+    stage_dip = min(sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s))
     if e_end < -opts.surface_tol or stage_dip < -opts.surface_tol:
         def eval_at(tau):
-            st, xp = step_ode(ocp, field_id, x, u, tau, tab, opts)
+            st, xp = step_ode(ocp, field_id, x, u, tau, opts)
             return (st, xp), sgn * ocp.g(xp)
 
         hi = h
         if e_end >= -opts.surface_tol:
             # the endpoint came back; bracket on the first offending stage time
             hi = None
-            for ci in tab.c:
+            for ci in RADAU_IIA.c:
                 _, e_probe = eval_at(ci * h)
                 if e_probe < -opts.surface_tol:
                     hi = ci * h
@@ -499,8 +510,7 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, tab, opts, note_transition):
             if hi is None:
                 raise NoBracket("stage values dip through the surface but no trial "
                                 "endpoint does", stage_dip=float(stage_dip))
-        tau, data, _ = locate_event(eval_at, sgn * ocp.g(x), hi,
-                                    opts.event_tol, opts.max_event_iters)
+        tau, data, _ = locate_event(eval_at, sgn * ocp.g(x), hi, opts.event_tol)
         if tau == 0.0:
             # event sits at the step start; classify without advancing
             return _process_surface_point(ocp, bld, t, x, u, mode, opts, note_transition)
@@ -534,10 +544,10 @@ def _process_surface_point(ocp, bld, t, x, u, mode, opts, note_transition):
     return t, x, new_mode
 
 
-def _advance_sliding(ocp, bld, t, x, u, h, nctrl, tab, opts, note_transition):
+def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts, note_transition):
     """Try a full sliding step; shrink to the blend-weight boundary when
     the weight leaves [0, 1]."""
-    Xs, Zs, x_try, z_try = step_sliding(ocp, x, u, h, tab, opts)
+    Xs, Zs, x_try, z_try = step_sliding(ocp, x, u, h, opts)
     a_end = alpha(ocp, x_try, u, eps_den=opts.eps_den)
 
     if 0.0 < a_end < 1.0:
@@ -549,11 +559,10 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, tab, opts, note_transition):
     orient = 1.0 if boundary == 0 else -1.0    # oriented distance into (0, 1)
 
     def eval_at(tau):
-        data = step_sliding(ocp, x, u, tau, tab, opts)
+        data = step_sliding(ocp, x, u, tau, opts)
         return data, orient * (alpha(ocp, data[2], u, eps_den=opts.eps_den) - boundary)
 
-    tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h,
-                                opts.event_tol, opts.max_event_iters)
+    tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h, opts.event_tol)
     if tau == 0.0:
         kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
         bld.record(kind, t, x, x)

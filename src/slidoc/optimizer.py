@@ -32,7 +32,6 @@ from .errors import (CFailure, LineSearchFailure, QPFailure, ValidationError)
 from .gradient import reduced_gradient
 from .integrator import IntegratorOptions, integrate
 from .model import ControlGrid, HybridOCP
-from .tableau import ButcherTableau, radau_iia_3
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,6 @@ class OptimizerConfig:
     epsilon: float = 1e-8
     max_iters: int = 200
     h_scale: float = 1.0
-    penalty_growth_cap: int = 60
-    line_search_cap: int = 60
 
     def validate(self):
         if not self.c0 > 0:
@@ -301,13 +298,11 @@ class OptimizeResult:
 
 def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
              cfg: Optional[OptimizerConfig] = None,
-             integ_opts: Optional[IntegratorOptions] = None,
-             tab: Optional[ButcherTableau] = None) -> OptimizeResult:
+             integ_opts: Optional[IntegratorOptions] = None) -> OptimizeResult:
     """Run the exact-penalty method from grid0 until the certificate
     |sigma| drops below epsilon or the iteration budget runs out."""
     cfg = (cfg if cfg is not None else OptimizerConfig()).validate()
     integ_opts = integ_opts if integ_opts is not None else IntegratorOptions()
-    tab = tab if tab is not None else radau_iia_3()
 
     N, m = grid0.N, grid0.m
     dim = N * m
@@ -324,7 +319,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
         key = uflat.tobytes()
         if key not in last:
             grid = grid0.with_values(uflat.reshape(N, m))
-            traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=integ_opts)
+            traj = integrate(ocp, grid, steps_per_interval, opts=integ_opts)
             xK = traj.x[-1]
             last.clear()
             last[key] = grid, traj, [w.value(xK) for w in functionals]
@@ -350,8 +345,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
         ineq_vals = vals[1 + len(ocp.g1):]
         M = constraint_violation(eq_vals, ineq_vals)
 
-        adjs = run_adjoints(ocp, traj, grid, functionals, tab=tab,
-                            eps_tan=integ_opts.eps_tan, eps_den=integ_opts.eps_den)
+        adjs = run_adjoints(ocp, traj, grid, functionals)
         grads = [reduced_gradient(ocp, traj, grid, a).reshape(dim)
                  for a in adjs]
         grad0 = grads[0]
@@ -362,8 +356,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
             return solve_direction(grad0, cc, H, eqs, ineqs,
                                    lo_flat - u, hi_flat - u)
 
-        c, d, beta, sigma, t_c, info, _ = adjust_penalty(
-            solve, c, cfg.kappa, grad0, M, cap=cfg.penalty_growth_cap)
+        c, d, beta, sigma, t_c, info, _ = adjust_penalty(solve, c, cfg.kappa, grad0, M)
 
         rec = IterateRecord(k=it, F0=float(F0), M=float(M), c=float(c),
                             sigma=float(sigma), t_c=float(t_c), beta=float(beta),
@@ -378,7 +371,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
 
         merit = merit_factory(c)
         a, u_new, F_new, _ = line_search(merit, rec.penalty_before, u, d, sigma,
-                                         cfg.gamma, cfg.eta, cap=cfg.line_search_cap)
+                                         cfg.gamma, cfg.eta)
         rec.alpha = float(a)
         rec.penalty_after = float(F_new)
         history.append(rec)

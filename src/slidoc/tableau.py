@@ -5,9 +5,12 @@ Backward sweeps use the reversed-time table obtained from the transform
 
     a~_ij = a_ji * b_j / b_i,   b~_i = b_i,   c~_i = 1 - c_i,
 
-which requires every weight b_i to be nonzero.  check_conditions measures
-the classical simplifying conditions B(p), C(q), D(r) numerically so that
-both tables can be certified at runtime instead of trusted.
+which requires every weight b_i to be nonzero.  The discrete adjoint of
+a Runge-Kutta method is the adjoint of that one table, so neither table
+is a choice: both are built once, at import, as RADAU_IIA and
+RADAU_IIA_ADJOINT.  check_conditions measures the classical simplifying
+conditions B(p), C(q), D(r) numerically so that both tables can be
+certified at runtime instead of trusted.
 """
 
 from __future__ import annotations
@@ -86,6 +89,10 @@ def adjoint_tableau(tab: ButcherTableau) -> ButcherTableau:
                          index=idx)
     A_adj = tab.A.T * b[None, :] / b[:, None]
     return ButcherTableau(A_adj, b.copy(), 1.0 - tab.c, name=tab.name + "-adjoint")
+
+
+RADAU_IIA = radau_iia_3()
+RADAU_IIA_ADJOINT = adjoint_tableau(RADAU_IIA)
 
 
 @dataclass(frozen=True)

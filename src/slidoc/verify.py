@@ -33,7 +33,7 @@ from .errors import ReferenceUnconverged, SlidocError, ValidationError
 from .gradient import reduced_gradient
 from .integrator import IntegratorOptions, Trajectory, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
-from .tableau import ButcherTableau, radau_iia_3
+from .tableau import RADAU_IIA
 
 FLAG_NONSMOOTH = "NonSmoothAcrossEvent"
 
@@ -75,24 +75,23 @@ def _structure(traj: Trajectory) -> tuple:
 def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                 functional: Optional[EndpointFunctional] = None,
                 eps: float = 1e-6,
-                tab: Optional[ButcherTableau] = None,
                 opts: Optional[IntegratorOptions] = None,
                 base: Optional[Trajectory] = None) -> FDReport:
     """Central differences of w(x(tf)) in every control entry.
 
     The probe size is eps scaled by max(1, |u_nj|).  base is the
-    unperturbed run (integrated here when None); a probe of u_n resumes
-    it at interval n, event location included.  A failure of the base
-    run raises; a failing probe flags its entry.
+    unperturbed run (integrated here when None) and must have been
+    integrated with opts; a probe of u_n resumes it at interval n, event
+    location included.  A failure of the base run raises; a failing
+    probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
-    tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
 
     if base is None:
-        base = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
+        base = integrate(ocp, grid, steps_per_interval, opts=opts)
     base_structure = _structure(base)
 
     N, m = grid.N, grid.m
@@ -105,7 +104,7 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         class name of the error that stopped the run)."""
         try:
             traj = integrate(ocp, grid.with_values(values), steps_per_interval,
-                             tab=tab, opts=opts, base=base if n else None, start=n)
+                             opts=opts, base=base if n else None, start=n)
         except SlidocError as exc:
             return None, None, type(exc).__name__
         return functional.value(traj.x[-1]), _structure(traj), None
@@ -153,7 +152,6 @@ class GradientCheck:
 def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                    functional: Optional[EndpointFunctional] = None,
                    eps: float = 1e-6,
-                   tab: Optional[ButcherTableau] = None,
                    opts: Optional[IntegratorOptions] = None) -> GradientCheck:
     """Reduced gradient vs the FD oracle.
 
@@ -162,14 +160,12 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
     gradients from inflating the ratio.
     """
     functional = functional if functional is not None else ocp.phi
-    tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
 
-    traj = integrate(ocp, grid, steps_per_interval, tab=tab, opts=opts)
-    adj = run_adjoint(ocp, traj, grid, functional, tab=tab, eps_tan=opts.eps_tan,
-                      eps_den=opts.eps_den)
+    traj = integrate(ocp, grid, steps_per_interval, opts=opts)
+    adj = run_adjoint(ocp, traj, grid, functional)
     grad = reduced_gradient(ocp, traj, grid, adj)
-    fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, tab, opts, base=traj)
+    fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, opts, base=traj)
 
     keep = ~fd.flags
     if not np.any(keep):
@@ -215,9 +211,9 @@ def _lagrange_eval(nodes, vals, tau):
 class _RunData:
     """One study run plus whatever the requested quantity needs."""
 
-    def __init__(self, ocp, grid, spi, quantity, functional, tab, opts):
+    def __init__(self, ocp, grid, spi, quantity, functional, opts):
         self.spi = spi
-        self.traj = integrate(ocp, grid, spi, tab=tab, opts=opts)
+        self.traj = integrate(ocp, grid, spi, opts=opts)
         if self.traj.transitions:
             kinds = ", ".join(self.traj.transition_kinds())
             raise ValidationError(
@@ -226,13 +222,12 @@ class _RunData:
         self.adj = None
         self.grad = None
         if quantity in ("adjoint_endpoint", "adjoint_stage", "gradient"):
-            self.adj = run_adjoint(ocp, self.traj, grid, functional, tab=tab,
-                                   eps_tan=opts.eps_tan, eps_den=opts.eps_den)
+            self.adj = run_adjoint(ocp, self.traj, grid, functional)
         if quantity == "gradient":
             self.grad = reduced_gradient(ocp, self.traj, grid, self.adj)
 
 
-def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:
+def _measure(quantity: str, run: _RunData, ref: _RunData) -> float:
     """Max-norm error of the run against the reference.
 
     Meshes nest, so node comparisons go by index; stage comparisons
@@ -255,7 +250,7 @@ def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:
         idx = np.arange(K + 1) * ratio
         return float(np.max(np.abs(run.adj.lam - ref.adj.lam[idx])))
 
-    c = tab.c
+    c = RADAU_IIA.c
     nodes = (0.0, *c[:-1], 1.0)
     err = 0.0
     for k in range(K):
@@ -277,7 +272,6 @@ def _measure(quantity: str, run: _RunData, ref: _RunData, tab) -> float:
 
 def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
                 functional: Optional[EndpointFunctional] = None,
-                tab: Optional[ButcherTableau] = None,
                 opts: Optional[IntegratorOptions] = None,
                 ref_factor: Optional[int] = None) -> OrderReport:
     """Self-convergence study of one quantity over a ladder of step sizes.
@@ -306,7 +300,6 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
             raise ValidationError(f"h: must be strictly decreasing, got {a} before {b}",
                                   field="h")
     functional = functional if functional is not None else ocp.phi
-    tab = tab if tab is not None else radau_iia_3()
     opts = opts if opts is not None else IntegratorOptions()
 
     span = (grid.tf - grid.t0) / grid.N
@@ -325,9 +318,9 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
             raise ValidationError(f"h: {h} does not nest into the reference mesh",
                                   field="h")
 
-    ref = _RunData(ocp, grid, spi_ref, quantity, functional, tab, opts)
-    ref2 = _RunData(ocp, grid, 2 * spi_ref, quantity, functional, tab, opts)
-    gap = _measure(quantity, ref, ref2, tab)
+    ref = _RunData(ocp, grid, spi_ref, quantity, functional, opts)
+    ref2 = _RunData(ocp, grid, 2 * spi_ref, quantity, functional, opts)
+    gap = _measure(quantity, ref, ref2)
     if gap > 1e-12:
         raise ReferenceUnconverged(
             f"references at {spi_ref} and {2 * spi_ref} steps per interval "
@@ -335,8 +328,8 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
 
     errors = []
     for spi in spis:
-        run = _RunData(ocp, grid, spi, quantity, functional, tab, opts)
-        err = _measure(quantity, run, ref, tab)
+        run = _RunData(ocp, grid, spi, quantity, functional, opts)
+        err = _measure(quantity, run, ref)
         if not err > 0.0:
             raise ValidationError(
                 f"h: error at h={span/spi} is exactly zero; no resolution dependence "

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import slidoc.adjoint as adjoint_mod
+import slidoc.tableau as tableau_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             assemble_ode_step_matrices,
                             assemble_sliding_step_matrices, run_adjoint,
                             run_adjoints, terminal_conditions, transition_jump)
 from slidoc.errors import SingularJumpSystem
+from slidoc.gradient import reduced_gradient_matrix
 from slidoc.integrator import IntegratorOptions, integrate
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           TransitionKind)
@@ -90,7 +92,7 @@ def test_sliding_step_is_exact_in_one_step():
     k = traj.transitions[0].k + 1          # a fully sliding step
     u = grid.values[traj.ctrl[k]]
     lam_plus = np.array([1.0, 0.7])
-    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None], TAB)
+    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None])
     assert lam_k.shape == (1, ocp.n)
     assert lam_k[0] == pytest.approx([1.0, 0.0], abs=1e-13)
     assert row.shape == (1, ocp.m)
@@ -115,7 +117,7 @@ def test_matrix_backend_keeps_stage_slots_empty():
         u = grid.values[traj.ctrl[k]]
         Lam_plus = np.zeros((s + 1) * n)
         Lam_plus[s * n:] = adj.lam[k + 1]
-        Lam_k, _ = adjoint_step_matrix(ocp, traj, k, u, Lam_plus[None], TAB)
+        Lam_k, _ = adjoint_step_matrix(ocp, traj, k, u, Lam_plus[None])
         assert np.all(Lam_k[0, :s * n] == 0.0)
         assert np.array_equal(Lam_k[0, s * n:], adj.lam[k])
 
@@ -249,7 +251,7 @@ def test_step_jacobians_match_central_differences(case):
     if case == "off-surface":
         k = 0
         assert traj.mode[k] is Mode.BELOW
-        FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u, TAB)
+        FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u)
         stages = traj.stages_x[k]
     else:
         k = traj.transitions[0].k + 1
@@ -257,7 +259,7 @@ def test_step_jacobians_match_central_differences(case):
         if case == "sliding-unconverged":
             traj.stages_x[k] = traj.stages_x[k] + np.array([[0.02, -0.01]])
             traj.stages_z[k] = np.array([0.5, -0.45, 0.4])
-        FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u, TAB)
+        FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u)
         stages = np.column_stack([traj.stages_x[k], traj.stages_z[k]])
     sliding = case != "off-surface"
     h, xk = traj.h[k], traj.x[k]
@@ -326,12 +328,13 @@ def test_run_adjoints_matches_single_sweeps():
 
 
 def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
-    """Three functionals, one sweep: one batched solve per step and one
-    reversed-time table per sweep."""
+    """Three functionals, one sweep: one batched solve per step, and no
+    reversed-time table is built (the one of tableau.py serves every
+    sweep)."""
     ocp, grid = get_problem("constrained-toy", {"N": 4})
     traj = integrate(ocp, grid, 4)
     counts = {"solve": 0, "table": 0}
-    solve, table = np.linalg.solve, adjoint_mod.adjoint_tableau
+    solve, table = np.linalg.solve, tableau_mod.adjoint_tableau
 
     def counted_solve(*args, **kwargs):
         counts["solve"] += 1
@@ -342,16 +345,18 @@ def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
         return table(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(adjoint_mod, "adjoint_tableau", counted_table)
+    monkeypatch.setattr(tableau_mod, "adjoint_tableau", counted_table)
     run_adjoints(ocp, traj, grid, [ocp.phi, ocp.g1[0], ocp.g2[0]])
     assert traj.K == 16 and not traj.transitions
-    assert counts == {"solve": traj.K, "table": 1}
+    assert counts == {"solve": traj.K, "table": 0}
 
 
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
     """The backward sweep evaluates the Filippov Jacobians with the
-    configured eps_den at all four sites: the sliding step assembly, the
-    pointwise lam_g, the terminal system and the entry jump."""
+    eps_den the trajectory was integrated with at all four sites: the
+    sliding step assembly, the pointwise lam_g, the terminal system and
+    the entry jump.  Neither sweep is given a tolerance; the matrix
+    oracle of reduced_gradient_matrix reads it from the trajectory too."""
     seen = []
     original = adjoint_mod.filippov_jacobians
 
@@ -360,10 +365,12 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(adjoint_mod, "filippov_jacobians", spy)
+    opts = IntegratorOptions(eps_den=3e-13)
     for name in ("p2-sliding", "slide-exit"):
         ocp, grid = get_problem(name)
-        traj = integrate(ocp, grid, 8)
-        run_adjoint(ocp, traj, grid, ocp.phi, eps_den=3e-13)
+        traj = integrate(ocp, grid, 8, opts=opts)
+        run_adjoint(ocp, traj, grid, ocp.phi)
+        reduced_gradient_matrix(ocp, traj, grid, ocp.phi)
     assert {site for site, _ in seen} == {
         "assemble_sliding_step_matrices", "lambda_g_pointwise",
         "terminal_conditions", "transition_jump"}

@@ -19,9 +19,7 @@ from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_
                                step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
-from slidoc.tableau import radau_iia_3
 
-TAB = radau_iia_3()
 OPTS = IntegratorOptions()
 
 
@@ -55,7 +53,7 @@ def test_linear_decay_single_step():
     approximation of exp(-0.1) is accurate to its fifth-order error term,
     far below 1e-8."""
     ocp = scalar_ocp(lambda x, u: -0.1 * x, lambda x, u: np.array([[-0.1]]))
-    _, x1 = step_ode(ocp, "f1", np.array([1.0]), np.zeros(1), 1.0, TAB, OPTS)
+    _, x1 = step_ode(ocp, "f1", np.array([1.0]), np.zeros(1), 1.0, OPTS)
     assert abs(float(x1[0]) - math.exp(-0.1)) <= 1e-8
 
 
@@ -155,7 +153,7 @@ def test_newton_divergence_is_reported():
     ocp = scalar_ocp(lambda x, u: x ** 3,
                      lambda x, u: np.array([[3.0 * x[0] ** 2]]), x0=2.0)
     with pytest.raises(NewtonDivergence):
-        step_ode(ocp, "f1", np.array([2.0]), np.zeros(1), 1.0, TAB, OPTS)
+        step_ode(ocp, "f1", np.array([2.0]), np.zeros(1), 1.0, OPTS)
 
 
 def test_chattering_guard():
@@ -281,3 +279,10 @@ def test_resume_needs_a_matching_base():
     for t0, tf in [(grid.t0, 1.1 * grid.tf), (grid.t0 - 0.5, grid.tf)]:
         with pytest.raises(ValueError):
             integrate(ocp, ControlGrid(t0, tf, grid.values), 4, base=base, start=3)
+    # a base integrated with other options would give a mixed trajectory
+    loose = integrate(ocp, grid, 4, opts=IntegratorOptions(newton_tol=1e-6, eps_den=1e-6))
+    assert loose.opts != OPTS and base.opts == OPTS
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 4, base=loose, start=3)
+    with pytest.raises(ValueError):
+        integrate(ocp, grid, 4, opts=loose.opts, base=base, start=3)

@@ -13,6 +13,7 @@ from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP
 from slidoc.problems import get_problem
 from slidoc.verify import (FLAG_NONSMOOTH, QUANTITIES, fd_gradient,
                            gradient_check, order_study)
+from test_adjoint import _circle_slide
 
 
 def quadratic_cost_ocp():
@@ -62,9 +63,15 @@ def test_gradient_check_agrees_on_smooth_problem():
     assert chk.fd.flagged == []
 
 
-def test_gradient_check_agrees_through_sliding():
-    ocp, grid = get_problem("p2-steered")
+@pytest.mark.parametrize("name", ["p2-steered", "circle-slide"])
+def test_gradient_check_agrees_through_sliding(name):
+    """p2-steered slides on a flat surface; circle-slide slides along a
+    curved one (g_xx = 2 I) up to tf, so the g_xx terms of the sliding
+    step Jacobians are nonzero."""
+    ocp, grid = _circle_slide() if name == "circle-slide" else get_problem(name)
     chk = gradient_check(ocp, grid, 8)
+    assert "EnterSliding" in chk.fd.base_kinds
+    assert chk.fd.flagged == []
     assert chk.rel is not None and chk.rel <= 1e-5
 
 
