@@ -67,7 +67,8 @@ from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
                      SingularTerminalSystem)
 from .integrator import Trajectory, stage_matrix, stage_sums
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                    TransitionKind, filippov_jacobians)
+                    TransitionKind, filippov_jacobians, filippov_state_jacobian,
+                    filippov_values)
 from .tableau import RADAU_IIA, RADAU_IIA_ADJOINT
 
 
@@ -257,10 +258,11 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
 
     with x' = f_F + g_x^T z the sliding velocity.
     """
-    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, x, u, eps_den=eps_den)
-    gx = ocp.g_x(x)
+    v = filippov_values(ocp, x, u, eps_den=eps_den)
+    gx = v.gx
     gxx = ocp.g_xx(x)
-    xdot = fF + gx * z
+    fF_x, _ = filippov_state_jacobian(ocp, v, x, u, gxx)
+    xdot = v.fF + gx * z
     den = float(gx @ gx)
     if den < 1e-30:
         raise SingularTerminalSystem("g_x vanishes; algebraic multiplier undefined")
@@ -284,10 +286,11 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     u = grid.values[traj.ctrl[-1]]
     z = float(traj.z_node[-1])
-    fF, fF_x, _, _, _, _ = filippov_jacobians(ocp, xK, u, eps_den=traj.opts.eps_den)
-    gx = ocp.g_x(xK)
+    v = filippov_values(ocp, xK, u, eps_den=traj.opts.eps_den)
+    gx = v.gx
     gxx = ocp.g_xx(xK)
-    xdot = fF + gx * z
+    fF_x, _ = filippov_state_jacobian(ocp, v, xK, u, gxx)
+    xdot = v.fF + gx * z
 
     n = ocp.n
     M = np.zeros((n + 2, n + 2))
@@ -339,7 +342,7 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
         raise SingularJumpSystem(f"field before a {kind.value} event cannot be {field_before!r}")
 
     if kind is TransitionKind.ENTER_SLIDING:
-        fF, _, _, _, _, _ = filippov_jacobians(ocp, x_star, u_plus, eps_den=eps_den)
+        fF = filippov_values(ocp, x_star, u_plus, eps_den=eps_den).fF
         rhs_H = float(lam_plus @ fF) + z_plus * float(lam_plus @ gx) \
             - lam_g_plus * ocp.g(x_star)
     else:

@@ -36,12 +36,12 @@ class RunConfig:
     u_lo: Optional[object] = None
     u_hi: Optional[object] = None
     steps_per_interval: int = 8
-    # integrator tolerances
-    newton_tol: float = 1e-12
-    event_tol: float = 1e-10
-    surface_tol: float = 1e-9
-    eps_tan: float = 1e-10
-    eps_den: float = 1e-12
+    # integrator tolerances, defaulting to the library's
+    newton_tol: float = IntegratorOptions.newton_tol
+    event_tol: float = IntegratorOptions.event_tol
+    surface_tol: float = IntegratorOptions.surface_tol
+    eps_tan: float = IntegratorOptions.eps_tan
+    eps_den: float = IntegratorOptions.eps_den
     # optimizer parameters
     c0: float = 1.0
     kappa: float = 2.0

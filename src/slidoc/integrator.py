@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import ChatteringLimit, NewtonDivergence, NoBracket, SingularIteration
 from .model import (ControlGrid, EntryKind, HybridOCP, Mode, TransitionKind,
-                    alpha, entry_test, exit_kind, exit_test, filippov_jacobians,
-                    normal_speeds)
+                    alpha, entry_test, exit_kind, exit_test, filippov_state_jacobian,
+                    filippov_values, normal_speeds)
 from .tableau import RADAU_IIA
 
 MAX_NEWTON_ITERS = 25
@@ -152,16 +152,27 @@ def stage_matrix(h: float, A: np.ndarray, Js: np.ndarray,
     unknowns interleave as (x_1, z_1, ..., x_s, z_s), the z_j column of
     stage i's rows is -h a_ij g_x(x_j)^T, and stage i ends with the
     constraint row g_x(x_i).
+
+    The products h a_ij J_j (and h a_ij g_x(x_j)^T) are written straight
+    into one zeroed (s, d, s, d) buffer P, which then becomes M = I - P
+    in place: 0 - P, then + 1 on the diagonal, rounds exactly as I - P.
+    At large n a second array of M's size (a broadcast temporary or the
+    identity) would double the memory the call touches, which the
+    allocator returns to the system and faults in again on every call.
     """
     s, n = Js.shape[:2]
     d = n if gxs is None else n + 1
-    M = np.eye(s * d)
-    blocks = M.reshape(s, d, s, d)
-    blocks[:, :n, :, :n] -= (h * A)[:, None, :, None] * Js.transpose(1, 0, 2)[None]
+    hA = h * A
+    P = np.zeros((s, d, s, d))
+    np.multiply(hA[:, None, :, None], Js.transpose(1, 0, 2)[None], out=P[:, :n, :, :n])
     if gxs is not None:
-        blocks[:, :n, :, n] -= (h * A)[:, None, :] * gxs.T[None]
-        blocks[:, n] = 0.0
-        blocks[np.arange(s), n, np.arange(s), :n] = gxs
+        np.multiply(hA[:, None, :], gxs.T[None], out=P[:, :n, :, n])
+    M = P.reshape(s * d, s * d)
+    np.subtract(0.0, M, out=M)
+    M.ravel()[::s * d + 1] += 1.0
+    if gxs is not None:
+        P[:, n] = 0.0
+        P[np.arange(s), n, np.arange(s), :n] = gxs
     return M
 
 
@@ -213,6 +224,11 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     Unknowns are the stage states and stage multipliers, interleaved as
     (x_1, z_1, ..., x_s, z_s).  Returns (stages_x, stages_z, x_plus,
     z_plus); z_plus is the last stage multiplier.
+
+    Every iteration evaluates the Filippov values at the s stages, which
+    is all its residual and x_plus read; the state part fF_x + z g_xx is
+    formed only when the iteration goes on to factor stage_matrix, and
+    the control part never.
     """
     n = ocp.n
     s = RADAU_IIA.s
@@ -221,9 +237,9 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     X = np.tile(x, (s, 1))
     Z = np.zeros(s)
     for it in range(MAX_NEWTON_ITERS + 1):
-        jacs = [filippov_jacobians(ocp, X[j], u, eps_den=opts.eps_den) for j in range(s)]
-        gxs = np.array([ocp.g_x(X[j]) for j in range(s)])
-        V = np.array([jac[0] for jac in jacs]) + gxs * Z[:, None]   # f_F + g_x^T z
+        vals = [filippov_values(ocp, X[j], u, eps_den=opts.eps_den) for j in range(s)]
+        gxs = np.array([v.gx for v in vals])
+        V = np.array([v.fF for v in vals]) + gxs * Z[:, None]   # f_F + g_x^T z
         res = np.empty((s, n + 1))
         res[:, :n] = X - x - h * stage_sums(A, V)
         res[:, n] = [ocp.g(X[i]) for i in range(s)]
@@ -232,7 +248,10 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
             return X, Z, x_plus, float(Z[s - 1])
         if it == MAX_NEWTON_ITERS:
             break
-        Js = np.array([jacs[j][1] + Z[j] * ocp.g_xx(X[j]) for j in range(s)])
+        Js = np.empty((s, n, n))
+        for j in range(s):
+            gxx = ocp.g_xx(X[j])
+            Js[j] = filippov_state_jacobian(ocp, vals[j], X[j], u, gxx)[0] + Z[j] * gxx
         try:
             delta = np.linalg.solve(stage_matrix(h, A, Js, gxs), -res.reshape(-1))
         except np.linalg.LinAlgError as exc:

@@ -7,6 +7,17 @@ algebra on the surface: the convex combination weight alpha, the sliding
 field, its Jacobians, and the sign tests that classify what happens when
 a trajectory meets the surface.
 
+The Filippov calculus comes in three pieces, each computed once per
+point and only by a caller that reads it: the values (filippov_values:
+g_x, f1, f2, w1, w2, alpha, f_F), the state part (fF_x and a_x, with the
+g_xx terms) and the control part (fF_u and a_u), both built from the
+values by one derivative of the quotient (_blend_derivative).
+filippov_field and filippov_jacobians compose them.  The sliding Newton
+iteration of the integrator evaluates the values at every iterate and
+the state part only before it factors a matrix; the backward sweep's
+transition jump reads the values, lam_g and the terminal system add the
+state part, and the step assembly takes all three (filippov_jacobians).
+
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.
 """
@@ -15,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,53 +181,87 @@ def alpha(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
     return _blend_weight(*normal_speeds(ocp, x, u), eps_den)
 
 
+class FilippovValues(NamedTuple):
+    """The blend at one point (x, u): g_x(x), f1, f2, the normal speeds
+    w1 = g_x f1 and w2 = g_x f2, the weight alpha and the sliding field
+    f_F.  Both Jacobian parts are built from these values."""
+
+    gx: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    w1: float
+    w2: float
+    a: float
+    fF: np.ndarray
+
+
+def filippov_values(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
+                    eps_den: float = 1e-12) -> FilippovValues:
+    """Values of the sliding field f_F = (1 - alpha) f1 + alpha f2 at
+    (x, u), with what its Jacobians need.  Raises DegenerateDenominator
+    as alpha does."""
+    gx = ocp.g_x(x)
+    f1v, f2v = ocp.f1(x, u), ocp.f2(x, u)
+    w1 = float(gx @ f1v)
+    w2 = float(gx @ f2v)
+    a = _blend_weight(w1, w2, eps_den)
+    return FilippovValues(gx, f1v, f2v, w1, w2, a, (1.0 - a) * f1v + a * f2v)
+
+
+def _blend_derivative(v: FilippovValues, d1: np.ndarray, d2: np.ndarray,
+                      dw1: np.ndarray, dw2: np.ndarray):
+    """Derivative of f_F and alpha in x or u from the derivatives d1, d2
+    of f1, f2 and the rows dw1, dw2 of w1, w2:
+
+        a' = (dw1 - a (dw1 - dw2)) / (w1 - w2)
+        f_F' = (1 - a) d1 + a d2 + (f2 - f1) a'
+
+    Returns (f_F', a')."""
+    a = v.a
+    a_d = (dw1 - a * (dw1 - dw2)) / (v.w1 - v.w2)
+    return (1.0 - a) * d1 + a * d2 + np.outer(v.f2 - v.f1, a_d), a_d
+
+
+def filippov_state_jacobian(ocp: HybridOCP, v: FilippovValues, x: np.ndarray,
+                            u: np.ndarray, gxx: np.ndarray):
+    """(fF_x, a_x) at (x, u) from its values v and gxx = g_xx(x), which
+    the callers need for their own z g_xx terms:
+
+        dw_i/dx = f_i^T g_xx + g_x f_i,x      (row)
+    """
+    f1x, f2x = ocp.f1_x(x, u), ocp.f2_x(x, u)
+    return _blend_derivative(v, f1x, f2x, v.f1 @ gxx + v.gx @ f1x, v.f2 @ gxx + v.gx @ f2x)
+
+
+def filippov_control_jacobian(ocp: HybridOCP, v: FilippovValues, x: np.ndarray,
+                              u: np.ndarray):
+    """(fF_u, a_u) at (x, u) from its values v; dw_i/du = g_x f_i,u (g_xx
+    does not enter)."""
+    f1u, f2u = ocp.f1_u(x, u), ocp.f2_u(x, u)
+    return _blend_derivative(v, f1u, f2u, v.gx @ f1u, v.gx @ f2u)
+
+
 def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
                    eps_den: float = 1e-12):
     """Sliding vector field f_F = (1 - alpha) f1 + alpha f2 and alpha.
 
     By construction g_x f_F = 0: the field is tangent to the surface.
     """
-    a = alpha(ocp, x, u, eps_den=eps_den)
-    fF = (1.0 - a) * ocp.f1(x, u) + a * ocp.f2(x, u)
-    return fF, a
+    v = filippov_values(ocp, x, u, eps_den=eps_den)
+    return v.fF, v.a
 
 
 def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
                        eps_den: float = 1e-12):
-    """Sliding field with its state and control Jacobians.
+    """Sliding field with its state and control Jacobians: the values,
+    the state part and the control part at one point.
 
-    Returns (fF, fF_x, fF_u, a, a_x, a_u).  Differentiating the quotient
-    alpha = w1 / (w1 - w2) with w_i = g_x(x) f_i(x, u):
-
-        dw_i/dx = f_i^T g_xx + g_x f_i,x      (row)
-        a_x = (dw1/dx - a (dw1/dx - dw2/dx)) / (w1 - w2)
-
-    and analogously in u (where g_xx does not enter).
+    Returns (fF, fF_x, fF_u, a, a_x, a_u).
     """
-    gx = ocp.g_x(x)
-    gxx = ocp.g_xx(x)
-    f1v, f2v = ocp.f1(x, u), ocp.f2(x, u)
-    f1x, f2x = ocp.f1_x(x, u), ocp.f2_x(x, u)
-    f1u, f2u = ocp.f1_u(x, u), ocp.f2_u(x, u)
-
-    w1 = float(gx @ f1v)
-    w2 = float(gx @ f2v)
-    a = _blend_weight(w1, w2, eps_den)
-    den = w1 - w2
-
-    dw1_dx = f1v @ gxx + gx @ f1x
-    dw2_dx = f2v @ gxx + gx @ f2x
-    a_x = (dw1_dx - a * (dw1_dx - dw2_dx)) / den
-
-    dw1_du = gx @ f1u
-    dw2_du = gx @ f2u
-    a_u = (dw1_du - a * (dw1_du - dw2_du)) / den
-
-    fF = (1.0 - a) * f1v + a * f2v
-    diff = f2v - f1v
-    fF_x = (1.0 - a) * f1x + a * f2x + np.outer(diff, a_x)
-    fF_u = (1.0 - a) * f1u + a * f2u + np.outer(diff, a_u)
-    return fF, fF_x, fF_u, a, a_x, a_u
+    v = filippov_values(ocp, x, u, eps_den=eps_den)
+    fF_x, a_x = filippov_state_jacobian(ocp, v, x, u, ocp.g_xx(x))
+    fF_u, a_u = filippov_control_jacobian(ocp, v, x, u)
+    return v.fF, fF_x, fF_u, v.a, a_x, a_u
 
 
 def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,

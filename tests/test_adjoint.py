@@ -352,19 +352,22 @@ def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
 
 
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
-    """The backward sweep evaluates the Filippov Jacobians with the
-    eps_den the trajectory was integrated with at all four sites: the
-    sliding step assembly, the pointwise lam_g, the terminal system and
-    the entry jump.  Neither sweep is given a tolerance; the matrix
-    oracle of reduced_gradient_matrix reads it from the trajectory too."""
+    """The backward sweep blends with the eps_den the trajectory was
+    integrated with at all four sites: the sliding step assembly
+    (filippov_jacobians), the pointwise lam_g, the terminal system and
+    the entry jump (filippov_values, the piece that computes alpha).
+    Neither sweep is given a tolerance; the matrix oracle of
+    reduced_gradient_matrix reads it from the trajectory too."""
     seen = []
-    original = adjoint_mod.filippov_jacobians
 
-    def spy(*args, **kwargs):
-        seen.append((sys._getframe(1).f_code.co_name, kwargs.get("eps_den")))
-        return original(*args, **kwargs)
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            seen.append((sys._getframe(1).f_code.co_name, kwargs.get("eps_den")))
+            return original(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(adjoint_mod, "filippov_jacobians", spy)
+    for entry in ("filippov_jacobians", "filippov_values"):
+        monkeypatch.setattr(adjoint_mod, entry, spy(getattr(adjoint_mod, entry)))
     opts = IntegratorOptions(eps_den=3e-13)
     for name in ("p2-sliding", "slide-exit"):
         ocp, grid = get_problem(name)

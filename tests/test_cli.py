@@ -11,8 +11,9 @@ import pytest
 
 import slidoc
 from slidoc.cli import main
-from slidoc.config import canonical_json, parse_config
+from slidoc.config import RunConfig, canonical_json, parse_config
 from slidoc.errors import ParseError, ValidationError
+from slidoc.integrator import IntegratorOptions
 
 
 def run(*argv):
@@ -247,6 +248,13 @@ def test_config_hash_is_stable(tmp_path):
     # a changed setting must change the hash
     cfgp.write_text('{"problem": "p2-sliding", "N": 4}')
     assert parse_config(str(cfgp)).config_hash() != a
+
+
+def test_config_defaults_are_the_integrator_defaults():
+    """RunConfig takes its tolerance defaults from IntegratorOptions, so
+    the CLI and the library integrate alike unless a config says
+    otherwise."""
+    assert RunConfig().integrator_options() == IntegratorOptions()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_
                                step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
+from slidoc.tableau import RADAU_IIA
+from test_adjoint import _circle_slide
 
 OPTS = IntegratorOptions()
 
@@ -286,3 +288,42 @@ def test_resume_needs_a_matching_base():
         integrate(ocp, grid, 4, base=loose, start=3)
     with pytest.raises(ValueError):
         integrate(ocp, grid, 4, opts=loose.opts, base=base, start=3)
+
+
+# ---------------------------------------------------------------------------
+# work counts
+
+
+def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
+    """On the curved circle-slide case (g_xx = 2 I; below the surface,
+    then sliding to tf) every sliding Newton solve follows exactly s
+    state-Jacobian evaluations, one per stage, and the converging
+    iteration evaluates none; control Jacobians are never evaluated.
+    The off-surface steps use f1 alone, so f2_x and g_xx count sliding
+    work only and f1_x counts s per solve of either kind."""
+    calls = {"f1_x": 0, "f2_x": 0, "g_xx": 0, "f1_u": 0, "f2_u": 0}
+    solves = {"ode": 0, "sliding": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    ocp, grid = _circle_slide()
+    ocp = dataclasses.replace(ocp, **{name: counted(name, getattr(ocp, name)) for name in calls})
+    s, n = RADAU_IIA.s, ocp.n
+    solve = np.linalg.solve
+
+    def counted_solve(M, rhs):
+        solves["sliding" if M.shape[0] == s * (n + 1) else "ode"] += 1
+        return solve(M, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    traj = integrate(ocp, grid, 4)
+    assert traj.transition_kinds() == ["EnterSliding"]
+    assert traj.terminal_mode is Mode.SLIDING
+    assert solves["sliding"] > 0 and solves["ode"] > 0
+    assert calls == {"f1_x": s * (solves["ode"] + solves["sliding"]),
+                     "f2_x": s * solves["sliding"], "g_xx": s * solves["sliding"],
+                     "f1_u": 0, "f2_u": 0}

@@ -131,6 +131,34 @@ def test_failing_base_run_still_raises():
         fd_gradient(ocp, grid, 8, opts=opts)
 
 
+def test_fd_oracle_takes_its_options_from_the_base(monkeypatch):
+    """A p2-steered base integrated at newton_tol = 1e-10: without opts
+    every probe runs with the base's options and gives the report of
+    those options given explicitly; other options raise ValueError
+    before any probe runs."""
+    ocp, grid = get_problem("p2-steered")
+    opts = IntegratorOptions(newton_tol=1e-10)
+    base = integrate(ocp, grid, 8, opts=opts)
+    seen = []
+    original = verify_mod.integrate
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["opts"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "integrate", spy)
+    own = fd_gradient(ocp, grid, 8, base=base)
+    assert len(seen) == 2 * grid.N * grid.m and set(seen) == {opts}
+    given = fd_gradient(ocp, grid, 8, opts=opts, base=base)
+    assert own.errors == {} and given.errors == {}
+    assert np.array_equal(own.entries, given.entries)
+    assert np.array_equal(own.flags, given.flags)
+    seen.clear()
+    with pytest.raises(ValueError, match="different options"):
+        fd_gradient(ocp, grid, 8, opts=IntegratorOptions(), base=base)
+    assert seen == []
+
+
 def test_gradient_check_resumes_every_probe(monkeypatch):
     """One integration for the check, then 2 N m probes, each resuming
     at the probed interval.  The step counts are exact: integrating every

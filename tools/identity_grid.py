@@ -16,8 +16,15 @@ outputs compare equal:
 The grid: the five built-in problems x N in {10, 20} x steps per
 interval in {2, 8, 16} x (default control + 2 seeded uniform controls
 in the control box), plus chain-n (benchmarks/chain.py, imported
-read-only) with n in {4, 16, 64} x seeds 1-3 at 8 steps per interval;
-99 cases.  slidoc is imported from this checkout's src/.
+read-only) with n in {4, 16, 64} x seeds 1-3 at 8 steps per interval,
+plus circle-slide (tests/test_adjoint.py, imported read-only) x N in
+{4, 10} x steps per interval in {2, 8, 16} x (constant u = 0.4 + 2
+seeded uniform controls); 117 cases.  Every surface of the built-ins
+and of chain-n is affine; circle-slide's is the unit circle (g_xx =
+2 I), and every one of its cases enters sliding, so the g_xx terms of
+the sliding Newton matrix and of the sweep are hashed too.  slidoc is
+imported from this checkout's src/; to compare two trees, run this
+script from each.
 """
 
 from __future__ import annotations
@@ -30,13 +37,15 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from chain import chain_problem  # noqa: E402
+from test_adjoint import _circle_slide  # noqa: E402
 
-from slidoc import (SlidocError, fd_gradient, get_problem, integrate,  # noqa: E402
-                    problem_names, run_adjoints)
+from slidoc import (ControlGrid, SlidocError, fd_gradient, get_problem,  # noqa: E402
+                    integrate, problem_names, run_adjoints)
 
 BACKENDS = ("transformed", "matrix")
 
@@ -90,6 +99,15 @@ def cases():
         for seed in (1, 2, 3):
             ocp, grid = chain_problem(n, np.random.default_rng(seed))
             yield f"chain-{n}/seed{seed}", ocp, grid, 8
+    ocp, grid = _circle_slide()
+    for N in (4, 10):
+        rng = np.random.default_rng([len(problem_names()), N])
+        controls = [("default", ControlGrid(grid.t0, grid.tf, np.full((N, 1), 0.4)))] + [
+            (f"seed{i}", ControlGrid(grid.t0, grid.tf, rng.uniform(ocp.u_lo, ocp.u_hi, (N, 1))))
+            for i in (1, 2)]
+        for spi in (2, 8, 16):
+            for label, g in controls:
+                yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi
 
 
 def main() -> int:
