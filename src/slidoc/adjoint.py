@@ -15,20 +15,19 @@ Jacobian of the step, dw/du_n collects -F_u^T(k) R(k) over the steps k
 of interval n.  The sweep sums these rows into AdjointTrajectory.grad,
 so no step is built a second time for the gradient.
 
-Every step uses the forward scheme's table, tableau.RADAU_IIA: the
-discrete adjoint of a Runge-Kutta method is the adjoint of that one
-table.  For off-surface steps the solve collapses to a stage recursion
-in its reversed-time table a~_ij = a_ji b_j / b_i, RADAU_IIA_ADJOINT
-(adjoint_step_transformed); the assembled version (adjoint_step_matrix)
-is kept as the oracle the two-route tests compare against.  There the gradient row is the stage
-quadrature h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.
-Sliding steps use the assembled form of the index-2 stage system
-directly (there is no stage-multiplier shortcut through the algebraic
-rows).  Both assemble_*_step_matrices gather the stage Jacobians and
-call one layout function, _step_matrices, whose stage block is
-integrator.stage_matrix, the matrix the forward Newton iteration
-factors; adjoint_step_transformed builds its M with the same function
-from the reversed-time table and the transposed Jacobians.
+One kernel (_step_adjoint) serves off-surface and sliding steps alike.
+F_{X+} is block lower triangular, [[M, 0], [-W, I]], where M is
+integrator.stage_matrix, the matrix the forward Newton iteration factors
+(with the constraint rows on a sliding step), so the step's adjoint is
+one solve with M^T and no dense F_{X+} or F_X is built.  Off the surface
+the stage multipliers it yields are exactly those of the reversed-time
+table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
+adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
+never builds that table.  The gradient row is the stage quadrature
+h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.  The dense
+assembly (_step_matrices, adjoint_step_matrix) is kept as the oracle of
+backend 'matrix' for both modes, which the two-route tests compare
+against.
 
 run_adjoints sweeps F functionals in lockstep.  The step matrices depend
 only on the trajectory, so each step builds its stage Jacobians and its
@@ -69,7 +68,7 @@ from .integrator import Trajectory, stage_matrix, stage_sums
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_jacobians, filippov_state_jacobian,
                     filippov_values)
-from .tableau import RADAU_IIA, RADAU_IIA_ADJOINT
+from .tableau import RADAU_IIA
 
 
 @dataclass
@@ -79,10 +78,11 @@ class AdjointTrajectory:
     lam[k] is the multiplier at node k; at a transition node it is the
     minus-side value (the one step k-1 continues from), with the jump
     size recorded in jumps.  lam_g[k] is the algebraic multiplier on
-    sliding nodes, zero elsewhere.  stage_lams[k] holds the transformed
-    stage multipliers on off-surface steps and None on sliding steps
-    (and on every step of the matrix backend).  grad[n] is dw/du_n, the
-    reduced gradient over the control grid, shape (N, m).
+    sliding nodes, zero elsewhere.  stage_lams[k] holds the stage
+    multipliers (s, n) of an off-surface step, which satisfy the
+    reversed-table recursion, and None on sliding steps (and on every
+    step of the matrix backend).  grad[n] is dw/du_n, the reduced
+    gradient over the control grid, shape (N, m).
     """
 
     functional: str
@@ -100,57 +100,92 @@ class AdjointTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# single-step sweeps, off-surface
+# single-step sweeps
 
 
-def _ode_stage_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray):
-    _, f_x, _ = ocp.field(traj.field_id[k])
-    return np.array([f_x(x_j, u) for x_j in traj.stages_x[k]])
+def _step_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
+                    sliding: bool):
+    """Stage Jacobians Js (s, n, n), control Jacobians fus (s, n, m) and
+    surface gradients gxs (s, n) of step k (None off the surface).  On a
+    sliding step J_j = fF_x(x_j, u) + z_j g_xx(x_j), the derivative of
+    f_F + g_x^T z, blended with the trajectory's eps_den."""
+    xs = traj.stages_x[k]
+    if not sliding:
+        _, f_x, f_u = ocp.field(traj.field_id[k])
+        return (np.array([f_x(x_j, u) for x_j in xs]),
+                np.array([f_u(x_j, u) for x_j in xs]), None)
+    Js, fus, gxs = [], [], []
+    for x_j, z_j in zip(xs, traj.stages_z[k]):
+        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u,
+                                                    eps_den=traj.opts.eps_den)
+        Js.append(fF_x + z_j * ocp.g_xx(x_j))
+        gxs.append(ocp.g_x(x_j))
+        fus.append(fF_u)
+    return np.array(Js), np.array(fus), np.array(gxs)
 
 
-def _solve_columns(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np.ndarray:
+    """W (n, s d), the derivative of the endpoint increment h sum_j b_j v_j
+    by the stage unknowns: block j is h b_j (J_j, g_x(x_j)^T)."""
+    b = RADAU_IIA.b
+    s, n = Js.shape[:2]
+    W = np.empty((n, s, n if gxs is None else n + 1))
+    W[:, :, :n] = (h * b)[None, :, None] * Js.transpose(1, 0, 2)
+    if gxs is not None:
+        W[:, :, n] = (h * b)[None, :] * gxs.T
+    return W.reshape(n, -1)
+
+
+def _solve_columns(M: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
     """Solve M y_f = rhs[f] for every row f of rhs (F, d); returns the
     solutions as columns (F, d, 1).  A batch of single-RHS LU solves,
     bit-identical to solving each row on its own.  Products of a matrix
     with these columns are likewise one matrix-vector product per row."""
     F, d = rhs.shape
-    return np.linalg.solve(np.broadcast_to(M, (F, d, d)), rhs.reshape(F, d, 1))
+    try:
+        return np.linalg.solve(np.broadcast_to(M, (F, d, d)), rhs.reshape(F, d, 1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"adjoint system singular at step {k}") from exc
+
+
+def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
+                  gxs: Optional[np.ndarray], lam_plus: np.ndarray):
+    """The backward step of either mode for every row of lam_plus (F, n):
+    R_end = lam_plus, M^T R_s = W^T lam_plus, lam_k = lam_plus + sum_i
+    R_s,i (x parts), stage multipliers lam_i = lam_plus + sum_j a_ji
+    R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  Returns
+    (stage multipliers (F, s, n), lam_k (F, n), gradient rows (F, m))."""
+    A, b = RADAU_IIA.A, RADAU_IIA.b
+    s, n = Js.shape[:2]
+    h = traj.h[k]
+    rhs = (_endpoint_weights(h, Js, gxs).T @ lam_plus[..., None])[..., 0]
+    R = _solve_columns(stage_matrix(h, A, Js, gxs).T, rhs, k)
+    Rx = R.reshape(lam_plus.shape[0], s, -1)[..., :n]
+    lam_k = lam_plus + sum(Rx[:, i] for i in range(s))
+    stages = lam_plus[:, None] + (A.T @ Rx) / b[:, None]
+    fuT_lam = (fus.transpose(0, 2, 1) @ stages[..., None])[..., 0]
+    return stages, lam_k, h * sum(b[i] * fuT_lam[:, i] for i in range(s))
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
                              u: np.ndarray, lam_plus: np.ndarray):
-    """Stage recursion in the reversed-time table RADAU_IIA_ADJOINT.
+    """One backward off-surface step for every row of lam_plus (F, n).
+    Returns (stage multipliers (F, s, n), lam_k (F, n), gradient rows
+    (F, m)); the stage multipliers are those of the reversed-time table."""
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, False), lam_plus)
 
-    Solves   lam_i = lam_plus + h sum_j a~_ij f_x^T(x_j(k+1), u) lam_j
-    and      lam_k = lam_plus + h sum_i b_i f_x^T(x_i(k+1), u) lam_i
-    for every row of lam_plus (F, n).  Returns (stage multipliers
-    (F, s, n), lam_k (F, n), gradient rows (F, m)).
-    """
-    n, m = ocp.n, ocp.m
-    s, b = RADAU_IIA.s, RADAU_IIA.b
-    F = lam_plus.shape[0]
-    h = traj.h[k]
-    fxs = _ode_stage_jacobians(ocp, traj, k, u)
 
-    # block (i, j) of M is I delta_ij - h a~_ij f_x^T(x_j)
-    M = stage_matrix(h, RADAU_IIA_ADJOINT.A, fxs.transpose(0, 2, 1))
-    try:
-        cols = _solve_columns(M, np.tile(lam_plus, s)).reshape(F, s, n, 1)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"transformed adjoint stage system singular at step {k}") from exc
-    lam_k = lam_plus + h * sum(b[i] * (fxs[i].T @ cols[:, i])[..., 0] for i in range(s))
-    _, _, f_u = ocp.field(traj.field_id[k])
-    acc = np.zeros((F, m))
-    for i in range(s):
-        acc += b[i] * (f_u(traj.stages_x[k][i], u).T @ cols[:, i])[..., 0]
-    return cols[..., 0], lam_k, h * acc
+def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
+                         u: np.ndarray, lam_plus: np.ndarray):
+    """One backward step through the sliding stage system for every row
+    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m))."""
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus)[1:]
 
 
 def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
-                   gxs: Optional[np.ndarray] = None):
-    """Dense F_{X+}, F_X and F_u of one step from its stage Jacobians Js
-    (s, n, n), control Jacobians fus (s, n, m) and, on a sliding step,
-    surface gradients gxs (s, n).
+                   gxs: Optional[np.ndarray]):
+    """Dense F_{X+}, F_X and F_u of one step from its Jacobians (see
+    _step_jacobians), for the oracle.
 
     Unknowns are the stage unknowns of stage_matrix followed by x(k+1);
     the equations are the stage equations (with their constraint rows)
@@ -164,11 +199,7 @@ def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
     dim = re + n
     FXp = np.zeros((dim, dim))
     FXp[:re, :re] = stage_matrix(h, A, Js, gxs)
-    end = np.zeros((n, s, d))
-    end[:, :, :n] -= (h * b)[None, :, None] * Js.transpose(1, 0, 2)
-    if gxs is not None:
-        end[:, :, n] -= (h * b)[None, :] * gxs.T
-    FXp[re:, :re] = end.reshape(n, re)
+    FXp[re:, :re] = -_endpoint_weights(h, Js, gxs)
     FXp[re:, re:] = np.eye(n)
 
     FX = np.zeros((dim, dim))
@@ -186,64 +217,28 @@ def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
                                u: np.ndarray):
     """Dense F_{X+}, F_X and F_u of an off-surface step, in the block
     layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row)."""
-    _, _, f_u = ocp.field(traj.field_id[k])
-    fus = np.array([f_u(x_j, u) for x_j in traj.stages_x[k]])
-    return _step_matrices(traj.h[k], _ode_stage_jacobians(ocp, traj, k, u), fus)
-
-
-def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
-                        u: np.ndarray, Lambda_plus: np.ndarray):
-    """Assembled one-step adjoint.  Lambda_plus holds one full padded
-    vector ((s+1) n,) per row; returns (Lambda_k, gradient rows -F_u^T R),
-    both with the same leading axis."""
-    FXp, FX, Fu = assemble_ode_step_matrices(ocp, traj, k, u)
-    try:
-        R = _solve_columns(FXp.T, Lambda_plus)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"matrix-form adjoint system singular at step {k}") from exc
-    return (-FX.T @ R)[..., 0], -(Fu.T @ R)[..., 0]
-
-
-# ---------------------------------------------------------------------------
-# single-step sweep, sliding
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, False))
 
 
 def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
                                    u: np.ndarray):
-    """Dense F_{X+}, F_X and F_u of a sliding step, blended with the
-    trajectory's eps_den.
-
-    Unknown layout (x_1, z_1, ..., x_s, z_s, x(k+1)); equation layout
-    (stage rows + constraint row per stage, endpoint row).  The stage
-    state Jacobian is J_j = fF_x(x_j, u) + z_j g_xx(x_j), the derivative
-    of f_F + g_x^T z through both arguments.
-    """
-    Js, gxs, fus = [], [], []
-    for x_j, z_j in zip(traj.stages_x[k], traj.stages_z[k]):
-        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u,
-                                                    eps_den=traj.opts.eps_den)
-        Js.append(fF_x + z_j * ocp.g_xx(x_j))
-        gxs.append(ocp.g_x(x_j))
-        fus.append(fF_u)
-    return _step_matrices(traj.h[k], np.array(Js), np.array(fus), np.array(gxs))
+    """Dense F_{X+}, F_X and F_u of a sliding step, in the block layout
+    (x_1, z_1, ..., x_s, z_s, x(k+1)) by (stage rows + constraint row per
+    stage, endpoint row)."""
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, True))
 
 
-def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
-                         u: np.ndarray, lam_plus: np.ndarray):
-    """One backward step through the sliding stage system for every row
-    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows -F_u^T R
-    (F, m)).
-    """
-    n = ocp.n
-    FXp, FX, Fu = assemble_sliding_step_matrices(ocp, traj, k, u)
-    dim = FXp.shape[0]
-    Lam_plus = np.zeros((lam_plus.shape[0], dim))
-    Lam_plus[:, dim - n:] = lam_plus
-    try:
-        R = _solve_columns(FXp.T, Lam_plus)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"sliding adjoint system singular at step {k}") from exc
-    return (-FX.T @ R)[:, dim - n:, 0], -(Fu.T @ R)[..., 0]
+def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
+                        u: np.ndarray, Lambda_plus: np.ndarray):
+    """Assembled one-step adjoint of either mode, the oracle.  Lambda_plus
+    holds one full padded vector per row, (s d + n,) with d = n off the
+    surface and n + 1 on it; returns (Lambda_k, gradient rows -F_u^T R),
+    both with the same leading axis."""
+    assemble = (assemble_sliding_step_matrices if traj.mode[k] is Mode.SLIDING
+                else assemble_ode_step_matrices)
+    FXp, FX, Fu = assemble(ocp, traj, k, u)
+    R = _solve_columns(FXp.T, Lambda_plus, k)
+    return (-FX.T @ R)[..., 0], -(Fu.T @ R)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +246,7 @@ def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
-                       lam_f: np.ndarray, eps_den: float = 1e-12) -> float:
+                       lam_f: np.ndarray, eps_den: float) -> float:
     """Algebraic multiplier recovered from the state multiplier:
 
         lam_g = (g_x fF_x^T lam + z g_x g_xx lam - (g_xx x')^T lam) / (g_x g_x^T)
@@ -314,8 +309,7 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
                     u_minus: np.ndarray, u_plus: np.ndarray,
                     lam_plus: np.ndarray, lam_g_plus: float, z_plus: float,
-                    field_before: str, eps_tan: float = 1e-10,
-                    eps_den: float = 1e-12):
+                    field_before: str, eps_tan: float, eps_den: float):
     """Backward jump at a transition node: lam_minus = lam_plus - pi g_x^T.
 
     kind refers to the forward-time event.  field_before names the field
@@ -368,11 +362,11 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     """Backward sweep of several endpoint functionals over the whole mesh,
     in lockstep; one AdjointTrajectory per functional, in input order.
 
-    backend 'transformed' uses the reversed-table stage recursion on
-    off-surface steps (the implementation of record); 'matrix' solves the
-    assembled one-step systems instead, the oracle the two-route
-    consistency tests compare against.  Either way the sweep also yields
-    the reduced gradient of each functional over the control grid.
+    backend 'transformed' solves each step, off the surface or sliding,
+    with the transposed stage matrix (the implementation of record);
+    'matrix' solves the assembled one-step systems of both modes instead,
+    the oracle the two-route consistency tests compare against.  Either
+    way the sweep also yields the reduced gradient of each functional.
     """
     if backend not in ("transformed", "matrix"):
         raise ValueError(f"unknown adjoint backend {backend!r}")
@@ -408,21 +402,24 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     for k in range(K - 1, -1, -1):
         u = grid.values[traj.ctrl[k]]
-        if traj.mode[k] is Mode.SLIDING:
-            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1])
-            for f in range(F):
-                lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
-                                                 lam[f, k], traj.opts.eps_den)
-        elif backend == "matrix":
-            Lam_plus = np.zeros((F, (s + 1) * n))
-            Lam_plus[:, s * n:] = lam[:, k + 1]
+        sliding = traj.mode[k] is Mode.SLIDING
+        if backend == "matrix":
+            re = s * (n + 1 if sliding else n)
+            Lam_plus = np.zeros((F, re + n))
+            Lam_plus[:, re:] = lam[:, k + 1]
             Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus)
-            lam[:, k] = Lambda_k[:, s * n:]
+            lam[:, k] = Lambda_k[:, re:]
+        elif sliding:
+            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1])
         else:
             stages, lam[:, k], rows[:, k] = adjoint_step_transformed(
                 ocp, traj, k, u, lam[:, k + 1])
             for f in range(F):
                 stage_lams[f][k] = stages[f]
+        if sliding:
+            for f in range(F):
+                lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
+                                                 lam[f, k], traj.opts.eps_den)
 
         if k in trans_at and k > 0:
             jump(k)

@@ -29,7 +29,7 @@ from .integrator import integrate
 from .model import Mode, alpha
 from .optimizer import optimize
 from .problems import get_problem
-from .tableau import RADAU_IIA, RADAU_IIA_ADJOINT, check_conditions
+from .tableau import RADAU_IIA, adjoint_tableau, check_conditions
 from .verify import gradient_check, order_study
 
 
@@ -226,7 +226,7 @@ def _cmd_tableau_check(args) -> int:
     _write(args.out, _json_text({
         "meta": cfg.meta(),
         "radau_iia": block(RADAU_IIA),
-        "adjoint": block(RADAU_IIA_ADJOINT)}))
+        "adjoint": block(adjoint_tableau(RADAU_IIA))}))
     return 0
 
 

@@ -1,16 +1,18 @@
 """Runge-Kutta coefficient tables and order-condition checks.
 
-The integrator is built around the 3-stage Radau IIA collocation scheme.
-Backward sweeps use the reversed-time table obtained from the transform
+The integrator is built around the 3-stage Radau IIA collocation scheme,
+built once at import as RADAU_IIA.  The discrete adjoint of a
+Runge-Kutta step is a step of the adjoint equation in the reversed-time
+table
 
     a~_ij = a_ji * b_j / b_i,   b~_i = b_i,   c~_i = 1 - c_i,
 
-which requires every weight b_i to be nonzero.  The discrete adjoint of
-a Runge-Kutta method is the adjoint of that one table, so neither table
-is a choice: both are built once, at import, as RADAU_IIA and
-RADAU_IIA_ADJOINT.  check_conditions measures the classical simplifying
-conditions B(p), C(q), D(r) numerically so that both tables can be
-certified at runtime instead of trusted.
+which requires every weight b_i to be nonzero.  The backward sweep never
+builds it (it solves with the transposed forward stage matrix, see
+adjoint.py); adjoint_tableau serves the tests and `slidoc tableau-check`.
+check_conditions measures the classical simplifying conditions B(p),
+C(q), D(r) numerically so that both tables can be certified at runtime
+instead of trusted.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ def adjoint_tableau(tab: ButcherTableau) -> ButcherTableau:
 
 
 RADAU_IIA = radau_iia_3()
-RADAU_IIA_ADJOINT = adjoint_tableau(RADAU_IIA)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 import slidoc.adjoint as adjoint_mod
 import slidoc.tableau as tableau_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
-                            assemble_ode_step_matrices,
+                            adjoint_step_transformed, assemble_ode_step_matrices,
                             assemble_sliding_step_matrices, run_adjoint,
                             run_adjoints, terminal_conditions, transition_jump)
 from slidoc.errors import SingularJumpSystem
@@ -98,12 +98,52 @@ def test_sliding_step_is_exact_in_one_step():
     assert row.shape == (1, ocp.m)
 
 
-def test_two_backends_agree_on_a_smooth_problem():
-    ocp, grid = get_problem("smooth-linear")
+@pytest.mark.parametrize("name", ["smooth-linear", "p2-sliding", "slide-exit",
+                                  "circle-slide"])
+def test_two_backends_agree(name):
+    """The transposed-stage-matrix kernel and the dense oracle are two
+    derivations of the same step adjoint, off the surface and sliding:
+    lam, lam_g, the gradient and every jump pi agree."""
+    ocp, grid = _circle_slide() if name == "circle-slide" else get_problem(name)
     traj = integrate(ocp, grid, 6)
+    assert (Mode.SLIDING in traj.mode) == (name != "smooth-linear")
     a1 = run_adjoint(ocp, traj, grid, ocp.phi, backend="transformed")
     a2 = run_adjoint(ocp, traj, grid, ocp.phi, backend="matrix")
-    assert np.max(np.abs(a1.lam - a2.lam)) <= 1e-12 * max(1.0, np.max(np.abs(a1.lam)))
+    for got, ref in ((a1.lam, a2.lam), (a1.lam_g, a2.lam_g), (a1.grad, a2.grad),
+                     ([j["pi"] for j in a1.jumps], [j["pi"] for j in a2.jumps])):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape
+        if ref.size:
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", ["smooth-linear", "constrained-toy"])
+def test_stage_multipliers_satisfy_the_reversed_table_recursion(name):
+    """Off the surface the stage multipliers of the transposed solve are
+    those of the reversed-time table a~ = adjoint_tableau(A):
+    lam_i = lam_plus + h sum_j a~_ij f_x^T(x_j) lam_j, and
+    lam_k = lam_plus + h sum_i b_i f_x^T(x_i) lam_i."""
+    ocp, grid = get_problem(name)
+    traj = integrate(ocp, grid, 4)
+    adj_tab = adjoint_tableau(TAB)
+    rng = np.random.default_rng(7)
+    for k in range(traj.K):
+        assert traj.mode[k] is not Mode.SLIDING
+        u = grid.values[traj.ctrl[k]]
+        h = traj.h[k]
+        lam_plus = rng.normal(size=(2, ocp.n))
+        stages, lam_k, _ = adjoint_step_transformed(ocp, traj, k, u, lam_plus)
+        _, f_x, _ = ocp.field(traj.field_id[k])
+        fxT = [f_x(x_j, u).T for x_j in traj.stages_x[k]]
+        for f in range(2):
+            lam = stages[f]
+            scale = max(1.0, float(np.max(np.abs(lam))))
+            for i in range(TAB.s):
+                rec = lam_plus[f] + h * sum(adj_tab.A[i, j] * fxT[j] @ lam[j]
+                                            for j in range(TAB.s))
+                assert np.max(np.abs(lam[i] - rec)) <= 1e-13 * scale
+            end = lam_plus[f] + h * sum(TAB.b[i] * fxT[i] @ lam[i] for i in range(TAB.s))
+            assert np.max(np.abs(lam_k[f] - end)) <= 1e-13 * scale
 
 
 def test_matrix_backend_keeps_stage_slots_empty():
@@ -138,9 +178,10 @@ def test_crossing_jump_hand_case():
                     u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
     u = np.zeros(1)
     lam_plus = np.array([0.0, 1.0])
+    opts = IntegratorOptions()
     lam_minus, pi = transition_jump(ocp, TransitionKind.CROSS_12,
                                     np.array([0.5, 0.0]), u, u, lam_plus,
-                                    0.0, 0.0, "f1")
+                                    0.0, 0.0, "f1", opts.eps_tan, opts.eps_den)
     assert pi == pytest.approx((2.0 - 0.5) / 2.0, abs=1e-14)
     assert lam_minus == pytest.approx([0.0, 0.25], abs=1e-14)
 
@@ -159,9 +200,11 @@ def test_crossing_jump_singular_when_tangent():
                     phi=w, x0=np.array([0.0, -0.5]), t0=0.0, tf=1.0,
                     u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
     u = np.zeros(1)
+    opts = IntegratorOptions()
     with pytest.raises(SingularJumpSystem):
         transition_jump(ocp, TransitionKind.CROSS_12, np.array([0.5, 0.0]),
-                        u, u, np.array([0.0, 1.0]), 0.0, 0.0, "f1")
+                        u, u, np.array([0.0, 1.0]), 0.0, 0.0, "f1",
+                        opts.eps_tan, opts.eps_den)
 
 
 def test_exit_jump_projects_onto_the_tangent_space():
@@ -329,8 +372,8 @@ def test_run_adjoints_matches_single_sweeps():
 
 def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
     """Three functionals, one sweep: one batched solve per step, and no
-    reversed-time table is built (the one of tableau.py serves every
-    sweep)."""
+    reversed-time table is built (the sweep solves with the transposed
+    forward stage matrix)."""
     ocp, grid = get_problem("constrained-toy", {"N": 4})
     traj = integrate(ocp, grid, 4)
     counts = {"solve": 0, "table": 0}
@@ -353,8 +396,9 @@ def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
 
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
     """The backward sweep blends with the eps_den the trajectory was
-    integrated with at all four sites: the sliding step assembly
-    (filippov_jacobians), the pointwise lam_g, the terminal system and
+    integrated with at all four sites: the Jacobians of a sliding step
+    (filippov_jacobians, which the kernel and the dense oracle share), the
+    pointwise lam_g, the terminal system and
     the entry jump (filippov_values, the piece that computes alpha).
     Neither sweep is given a tolerance; the matrix oracle of
     reduced_gradient_matrix reads it from the trajectory too."""
@@ -375,7 +419,7 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
         run_adjoint(ocp, traj, grid, ocp.phi)
         reduced_gradient_matrix(ocp, traj, grid, ocp.phi)
     assert {site for site, _ in seen} == {
-        "assemble_sliding_step_matrices", "lambda_g_pointwise",
+        "_step_jacobians", "lambda_g_pointwise",
         "terminal_conditions", "transition_jump"}
     assert {eps for _, eps in seen} == {3e-13}
 

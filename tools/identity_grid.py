@@ -25,10 +25,23 @@ and of chain-n is affine; circle-slide's is the unit circle (g_xx =
 the sliding Newton matrix and of the sweep are hashed too.  slidoc is
 imported from this checkout's src/; to compare two trees, run this
 script from each.
+
+A change that is meant to round differently cannot be bit-identical.
+For it, --npz PATH also writes the hashed arrays (plus each case's
+transition sequence and error) to an .npz, and --compare reports the
+largest relative difference max|a - b| / max(|b|_inf, 1e-300) of every
+(problem, backend, array) between two such files:
+
+    python3 tools/identity_grid.py --npz new.npz > new.json
+    python3 tools/identity_grid.py --compare new.npz old.npz
+
+It exits nonzero when a difference exceeds 1e-12, when a transition
+sequence or an error differs, or when the files hold different arrays.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -48,6 +61,7 @@ from slidoc import (ControlGrid, SlidocError, fd_gradient, get_problem,  # noqa:
                     integrate, problem_names, run_adjoints)
 
 BACKENDS = ("transformed", "matrix")
+REL_TOL = 1e-12
 
 
 def _sha(parts) -> str:
@@ -57,30 +71,46 @@ def _sha(parts) -> str:
     return digest.hexdigest()
 
 
-def _case(ocp, grid, spi: int) -> dict:
+def _flat(parts) -> np.ndarray:
+    """The floats _sha hashes, as one array; None parts are skipped."""
+    return np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts
+                           if p is not None] or [np.empty(0)])
+
+
+def _case(ocp, grid, spi: int, arrays: dict) -> dict:
+    """Hashes of one case; the hashed arrays go into arrays as well."""
+    def put(key, parts):
+        arrays[key] = _flat(parts)
+        return _sha(parts)
+
     try:
         traj = integrate(ocp, grid, spi)
-        out = {"x": _sha([traj.x]), "stages_x": _sha(traj.stages_x),
-               "stages_z": _sha(traj.stages_z), "z_node": _sha([traj.z_node])}
+        arrays["transitions"] = np.array(traj.transition_kinds(), dtype=str)
+        out = {"x": put("x", [traj.x]), "stages_x": put("stages_x", traj.stages_x),
+               "stages_z": put("stages_z", traj.stages_z),
+               "z_node": put("z_node", [traj.z_node])}
         functionals = [ocp.phi, *ocp.g1, *ocp.g2]
         for backend in BACKENDS:
             for w, adj in zip(functionals, run_adjoints(ocp, traj, grid, functionals,
                                                         backend=backend)):
                 key = f"{backend}/{w.name}/"
-                out[key + "lam"] = _sha([adj.lam])
-                out[key + "lam_g"] = _sha([adj.lam_g])
-                out[key + "grad"] = _sha([adj.grad])
-                out[key + "pi"] = _sha([[j["pi"] for j in adj.jumps]])
-                out[key + "nu1"] = _sha([adj.nu1])
-                out[key + "stage_lams"] = _sha(adj.stage_lams)
+                out[key + "lam"] = put(key + "lam", [adj.lam])
+                out[key + "lam_g"] = put(key + "lam_g", [adj.lam_g])
+                out[key + "grad"] = put(key + "grad", [adj.grad])
+                out[key + "pi"] = put(key + "pi", [[j["pi"] for j in adj.jumps]])
+                out[key + "nu1"] = put(key + "nu1", [adj.nu1])
+                out[key + "stage_lams"] = put(key + "stage_lams", adj.stage_lams)
         if grid.N == 10 and spi == 8:
             fd = fd_gradient(ocp, grid, spi, base=traj)
-            out["fd/entries"] = _sha([fd.entries])
-            out["fd/flags"] = _sha([fd.flags])
+            out["fd/entries"] = put("fd/entries", [fd.entries])
+            out["fd/flags"] = put("fd/flags", [fd.flags])
             errors = json.dumps(sorted([n, j, name] for (n, j), name in fd.errors.items()))
+            arrays["fd/errors"] = np.array(errors, dtype=str)
             out["fd/errors"] = hashlib.sha256(errors.encode()).hexdigest()
         return out
     except SlidocError as exc:
+        arrays.clear()
+        arrays["error"] = np.array(f"{type(exc).__name__}: {exc}", dtype=str)
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -110,10 +140,60 @@ def cases():
                 yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi
 
 
+def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        return float("inf")
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+
+
+def compare(new_path: str, old_path: str) -> int:
+    """Print the worst relative difference per (problem, backend, array)
+    of new against old; nonzero exit on any difference above REL_TOL or
+    any mismatch of keys, transition sequences or errors."""
+    with np.load(new_path) as new, np.load(old_path) as old:
+        bad = sorted(set(new.files) ^ set(old.files))
+        for key in bad:
+            print(f"only in {'new' if key in new.files else 'old'}: {key}")
+        worst: dict = {}
+        for key in sorted(set(new.files) & set(old.files)):
+            case, field = key.split("|")
+            a, b = new[key], old[key]
+            if a.dtype.kind == "U":
+                if not np.array_equal(a, b):
+                    print(f"{key} differs: {a} vs {b}")
+                    bad.append(key)
+                continue
+            parts = field.split("/")
+            group = (case.split("/")[0], parts[0] if len(parts) > 1 else "traj", parts[-1])
+            rel = _rel_diff(a, b)
+            if rel > worst.get(group, (-1.0,))[0]:
+                worst[group] = (rel, case)
+    for (problem, backend, array), (rel, case) in sorted(worst.items()):
+        print(f"{problem:16s} {backend:12s} {array:11s} {rel:.2e}  {case}")
+    top = max(worst.values(), default=(0.0, "-"))
+    print(f"worst {top[0]:.2e} ({top[1]}); {len(bad)} mismatches")
+    return 1 if bad or top[0] > REL_TOL else 0
+
+
 def main() -> int:
-    report = {key: _case(ocp, grid, spi) for key, ocp, grid, spi in cases()}
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--npz", help="also write the hashed arrays to this .npz")
+    ap.add_argument("--compare", nargs=2, metavar=("NEW", "OLD"),
+                    help="compare two .npz files written by --npz and exit")
+    args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    report, arrays = {}, {}
+    for key, ocp, grid, spi in cases():
+        case_arrays: dict = {}
+        report[key] = _case(ocp, grid, spi, case_arrays)
+        arrays.update({f"{key}|{field}": a for field, a in case_arrays.items()})
     json.dump(report, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
+    if args.npz:
+        np.savez_compressed(args.npz, **arrays)
     print(f"{len(report)} cases", file=sys.stderr)
     return 0
 
