@@ -20,6 +20,11 @@ system
 whose multiplier z vanishes identically in exact arithmetic; its computed
 size is a diagnostic for the discretization.  step_sliding relies on the
 table being stiffly accurate: the endpoint is the last stage (c_s = 1).
+Both Newton iterations start from the standard iterate, every stage at
+the step start x (and z = 0), so the first iteration evaluates the model
+once, at x, and repeats each value for the s stages (_at_stages); later
+iterations evaluate it at every stage.  The repeated values are the
+bytes an evaluation at each stage would give.
 
 stage_matrix is the one place the stage block layout is written: block
 (i, j) is I delta_ij - h a_ij J_j, plus the multiplier columns and
@@ -52,9 +57,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChatteringLimit, NewtonDivergence, NoBracket, SingularIteration
-from .model import (ControlGrid, EntryKind, HybridOCP, Mode, TransitionKind,
-                    alpha, entry_test, exit_kind, exit_test, filippov_state_jacobian,
-                    filippov_values, normal_speeds)
+from .model import (EPS_DEN, EPS_TAN, ControlGrid, EntryKind, HybridOCP, Mode,
+                    TransitionKind, alpha, entry_test, exit_kind, exit_test,
+                    filippov_state_jacobian, filippov_values, normal_speeds)
 from .tableau import RADAU_IIA
 
 MAX_NEWTON_ITERS = 25
@@ -65,8 +70,8 @@ class IntegratorOptions:
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
-    eps_tan: float = 1e-10
-    eps_den: float = 1e-12
+    eps_tan: float = EPS_TAN
+    eps_den: float = EPS_DEN
     max_transitions_per_interval: int = 100
 
 
@@ -185,27 +190,39 @@ def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _at_stages(values: list, s: int) -> np.ndarray:
+    """The (s, ...) array of per-stage values.  A single value comes from
+    the first Newton iterate, which puts every stage at the step start,
+    and is repeated for all s stages."""
+    V = np.array(values)
+    return V if len(V) == s else np.repeat(V, s, axis=0)
+
+
 def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
              h: float, opts: IntegratorOptions):
     """One implicit Runge-Kutta step of x' = f(x, u) with f chosen by
     field_id ('f1' or 'f2').  Returns (stages, x_plus) with stages of
     shape (s, n).
+
+    The first iterate has every stage at x, so f and f_x are evaluated
+    there once; later iterates evaluate them at each stage.
     """
     n = ocp.n
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
     f, f_x, _ = ocp.field(field_id)
 
-    Y = np.tile(x, (s, 1))
+    Y = np.repeat(x[None], s, axis=0)
     for it in range(MAX_NEWTON_ITERS + 1):
-        fy = np.array([f(Y[i], u) for i in range(s)])
+        m = 1 if it == 0 else s
+        fy = _at_stages([f(Y[i], u) for i in range(m)], s)
         res = Y - x[None, :] - h * (A @ fy)
-        if np.max(np.abs(res)) <= opts.newton_tol:
+        if np.abs(res).max() <= opts.newton_tol:
             x_plus = x + h * (b @ fy)
             return Y, x_plus
         if it == MAX_NEWTON_ITERS:
             break
-        J = stage_matrix(h, A, np.array([f_x(Y[j], u) for j in range(s)]))
+        J = stage_matrix(h, A, _at_stages([f_x(Y[j], u) for j in range(m)], s))
         try:
             delta = np.linalg.solve(J, -res.reshape(s * n))
         except np.linalg.LinAlgError as exc:
@@ -213,8 +230,8 @@ def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
         Y = Y + delta.reshape(s, n)
     raise NewtonDivergence(
         f"stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
-        f"(h = {h:.3e}, residual = {np.max(np.abs(res)):.3e})",
-        residual=float(np.max(np.abs(res))), h=h)
+        f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
+        residual=float(np.abs(res).max()), h=h)
 
 
 def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
@@ -225,35 +242,38 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     (x_1, z_1, ..., x_s, z_s).  Returns (stages_x, stages_z, x_plus,
     z_plus); z_plus is the last stage multiplier.
 
-    Every iteration evaluates the Filippov values at the s stages, which
-    is all its residual and x_plus read; the state part fF_x + z g_xx is
-    formed only when the iteration goes on to factor stage_matrix, and
-    the control part never.
+    Every iteration evaluates the Filippov values and g at the s stages,
+    which is all its residual and x_plus read; the state part fF_x + z
+    g_xx is formed only when the iteration goes on to factor
+    stage_matrix, and the control part never.  The first iterate puts
+    every stage at x with z = 0, so it evaluates each of these once, at
+    x, and repeats the value for the s stages.
     """
     n = ocp.n
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
 
-    X = np.tile(x, (s, 1))
+    X = np.repeat(x[None], s, axis=0)
     Z = np.zeros(s)
     for it in range(MAX_NEWTON_ITERS + 1):
-        vals = [filippov_values(ocp, X[j], u, eps_den=opts.eps_den) for j in range(s)]
-        gxs = np.array([v.gx for v in vals])
-        V = np.array([v.fF for v in vals]) + gxs * Z[:, None]   # f_F + g_x^T z
+        m = 1 if it == 0 else s
+        vals = [filippov_values(ocp, X[j], u, eps_den=opts.eps_den) for j in range(m)]
+        gxs = _at_stages([v.gx for v in vals], s)
+        V = _at_stages([v.fF for v in vals], s) + gxs * Z[:, None]   # f_F + g_x^T z
         res = np.empty((s, n + 1))
         res[:, :n] = X - x - h * stage_sums(A, V)
-        res[:, n] = [ocp.g(X[i]) for i in range(s)]
-        if np.max(np.abs(res)) <= opts.newton_tol:
+        res[:, n] = [ocp.g(X[i]) for i in range(m)]
+        if np.abs(res).max() <= opts.newton_tol:
             x_plus = x + h * stage_sums(b[None], V)[0]
             return X, Z, x_plus, float(Z[s - 1])
         if it == MAX_NEWTON_ITERS:
             break
-        Js = np.empty((s, n, n))
-        for j in range(s):
+        Js = np.empty((m, n, n))
+        for j in range(m):
             gxx = ocp.g_xx(X[j])
             Js[j] = filippov_state_jacobian(ocp, vals[j], X[j], u, gxx)[0] + Z[j] * gxx
         try:
-            delta = np.linalg.solve(stage_matrix(h, A, Js, gxs), -res.reshape(-1))
+            delta = np.linalg.solve(stage_matrix(h, A, _at_stages(Js, s), gxs), -res.reshape(-1))
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
         delta = delta.reshape(s, n + 1)
@@ -261,8 +281,8 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         Z = Z + delta[:, n]
     raise NewtonDivergence(
         f"sliding stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
-        f"(h = {h:.3e}, residual = {np.max(np.abs(res)):.3e})",
-        residual=float(np.max(np.abs(res))), h=h)
+        f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
+        residual=float(np.abs(res).max()), h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +529,8 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts, note_transition):
     sgn = -1.0 if mode is Mode.BELOW else 1.0   # interior sign of g
 
     stages, x_try = step_ode(ocp, field_id, x, u, h, opts)
-    e_end = sgn * ocp.g(x_try)   # positive while we stay in our region
+    g_end = ocp.g(x_try)
+    e_end = sgn * g_end   # positive while we stay in our region
 
     stage_dip = min(sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s))
     if e_end < -opts.surface_tol or stage_dip < -opts.surface_tol:
@@ -538,7 +559,7 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts, note_transition):
         return _process_surface_point(ocp, bld, t + tau, xp, u, mode, opts, note_transition)
 
     bld.commit(t + h, x_try, h, mode, field_id, nctrl, stages, None, 0.0)
-    if abs(ocp.g(x_try)) <= opts.surface_tol:
+    if abs(g_end) <= opts.surface_tol:
         # grazed onto the surface exactly at the node
         return _process_surface_point(ocp, bld, t + h, x_try, u, mode, opts, note_transition)
     return t + h, x_try, mode

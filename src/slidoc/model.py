@@ -13,10 +13,11 @@ g_x, f1, f2, w1, w2, alpha, f_F), the state part (fF_x and a_x, with the
 g_xx terms) and the control part (fF_u and a_u), both built from the
 values by one derivative of the quotient (_blend_derivative).
 filippov_field and filippov_jacobians compose them.  The sliding Newton
-iteration of the integrator evaluates the values at every iterate and
-the state part only before it factors a matrix; the backward sweep's
-transition jump reads the values, lam_g and the terminal system add the
-state part, and the step assembly takes all three (filippov_jacobians).
+iteration of the integrator evaluates the values at every iterate (once,
+at the step start, for the first iterate) and the state part only
+before it factors a matrix; the backward sweep's transition jump reads
+the values, lam_g and the terminal system add the state part, and the
+step assembly takes all three (filippov_jacobians).
 
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.
@@ -31,6 +32,12 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
+
+# Default tolerances of the surface tests: normal speeds within EPS_TAN
+# of zero cannot be classified, and the quotient alpha needs
+# |w1 - w2| > EPS_DEN max(1, |w1| + |w2|).  IntegratorOptions reads both.
+EPS_TAN = 1e-10
+EPS_DEN = 1e-12
 
 
 class Mode(enum.Enum):
@@ -172,7 +179,7 @@ def _blend_weight(w1: float, w2: float, eps_den: float) -> float:
 
 
 def alpha(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-          eps_den: float = 1e-12) -> float:
+          eps_den: float = EPS_DEN) -> float:
     """Convex weight alpha = g_x f1 / (g_x (f1 - f2)) of the sliding field.
 
     Raises DegenerateDenominator when the two normal speeds are too close
@@ -196,7 +203,7 @@ class FilippovValues(NamedTuple):
 
 
 def filippov_values(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                    eps_den: float = 1e-12) -> FilippovValues:
+                    eps_den: float = EPS_DEN) -> FilippovValues:
     """Values of the sliding field f_F = (1 - alpha) f1 + alpha f2 at
     (x, u), with what its Jacobians need.  Raises DegenerateDenominator
     as alpha does."""
@@ -242,7 +249,7 @@ def filippov_control_jacobian(ocp: HybridOCP, v: FilippovValues, x: np.ndarray,
 
 
 def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                   eps_den: float = 1e-12):
+                   eps_den: float = EPS_DEN):
     """Sliding vector field f_F = (1 - alpha) f1 + alpha f2 and alpha.
 
     By construction g_x f_F = 0: the field is tangent to the surface.
@@ -252,7 +259,7 @@ def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                       eps_den: float = 1e-12):
+                       eps_den: float = EPS_DEN):
     """Sliding field with its state and control Jacobians: the values,
     the state part and the control part at one point.
 
@@ -265,7 +272,7 @@ def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-               eps_tan: float = 1e-10) -> EntryKind:
+               eps_tan: float = EPS_TAN) -> EntryKind:
     """Classify arrival at the surface from the normal speeds w1, w2.
 
     Same nonzero sign on both: the trajectory crosses.  Opposite signs
@@ -290,8 +297,8 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-              eps_den: float = 1e-12,
-              eps_tan: float = 1e-10) -> Optional[TransitionKind]:
+              eps_den: float = EPS_DEN,
+              eps_tan: float = EPS_TAN) -> Optional[TransitionKind]:
     """Decide whether sliding has ended at (x, u).
 
     Returns None while alpha stays inside (0, 1); otherwise the verdict
@@ -305,7 +312,7 @@ def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def exit_kind(w1: float, w2: float, boundary: int,
-              eps_tan: float = 1e-10) -> TransitionKind:
+              eps_tan: float = EPS_TAN) -> TransitionKind:
     """Where sliding goes once the blend weight has reached boundary 0 or 1.
 
     At alpha <= 0 the blend has degenerated to f1; sliding ends towards

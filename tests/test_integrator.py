@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slidoc.integrator as integrator_mod
 from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket
 from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
                                step_ode)
@@ -294,13 +295,30 @@ def test_resume_needs_a_matching_base():
 # work counts
 
 
+def _count_steps(monkeypatch):
+    """Count the step_ode and step_sliding calls of the integrator."""
+    steps = {"ode": 0, "sliding": 0}
+    for kind in steps:
+        fn = getattr(integrator_mod, f"step_{kind}")
+
+        def counted(*args, _fn=fn, _kind=kind):
+            steps[_kind] += 1
+            return _fn(*args)
+        monkeypatch.setattr(integrator_mod, f"step_{kind}", counted)
+    return steps
+
+
 def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     """On the curved circle-slide case (g_xx = 2 I; below the surface,
-    then sliding to tf) every sliding Newton solve follows exactly s
-    state-Jacobian evaluations, one per stage, and the converging
-    iteration evaluates none; control Jacobians are never evaluated.
-    The off-surface steps use f1 alone, so f2_x and g_xx count sliding
-    work only and f1_x counts s per solve of either kind."""
+    then sliding to tf) a sliding step's first solve follows one
+    state-Jacobian evaluation, at the step start where its first iterate
+    puts every stage; every later solve follows s of them, one per
+    stage, and the converging iteration evaluates none; control
+    Jacobians are never evaluated.  The off-surface steps use f1 alone,
+    which is linear, so each converges after its first solve; f2_x and
+    g_xx count sliding work only and f1_x counts the Jacobians of solves
+    of either kind.  Evaluating every stage of the first iterate, as the
+    step once did, takes 162 f1_x and 81 f2_x and g_xx calls here."""
     calls = {"f1_x": 0, "f2_x": 0, "g_xx": 0, "f1_u": 0, "f2_u": 0}
     solves = {"ode": 0, "sliding": 0}
 
@@ -320,10 +338,35 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
         return solve(M, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    steps = _count_steps(monkeypatch)
     traj = integrate(ocp, grid, 4)
     assert traj.transition_kinds() == ["EnterSliding"]
     assert traj.terminal_mode is Mode.SLIDING
-    assert solves["sliding"] > 0 and solves["ode"] > 0
-    assert calls == {"f1_x": s * (solves["ode"] + solves["sliding"]),
-                     "f2_x": s * solves["sliding"], "g_xx": s * solves["sliding"],
+    assert steps == {"ode": 27, "sliding": 9} and solves == {"ode": 27, "sliding": 27}
+    jacobians = {kind: steps[kind] + s * (solves[kind] - steps[kind]) for kind in steps}
+    assert jacobians == {"ode": 27, "sliding": 63}
+    assert calls == {"f1_x": jacobians["ode"] + jacobians["sliding"],
+                     "f2_x": jacobians["sliding"], "g_xx": jacobians["sliding"],
                      "f1_u": 0, "f2_u": 0}
+
+
+def test_ode_newton_evaluates_the_start_iterate_once(monkeypatch):
+    """On smooth-linear (f1 linear, the surface never reached) Newton
+    converges in one solve: the first iterate, every stage at the step
+    start, costs one f and one f_x call, and the converged iterate s f
+    calls.  So each step makes one f_x call and 1 + s f calls."""
+    calls = {"f1": 0, "f1_x": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    ocp, grid = get_problem("smooth-linear")
+    ocp = dataclasses.replace(ocp, **{name: counted(name, getattr(ocp, name)) for name in calls})
+    steps = _count_steps(monkeypatch)
+    traj = integrate(ocp, grid, 4)
+    assert traj.transitions == [] and steps == {"ode": traj.K, "sliding": 0}
+    assert traj.K == 4 * grid.N
+    assert calls == {"f1": (1 + RADAU_IIA.s) * traj.K, "f1_x": traj.K}
