@@ -42,34 +42,29 @@ class RunConfig:
     surface_tol: float = IntegratorOptions.surface_tol
     eps_tan: float = IntegratorOptions.eps_tan
     eps_den: float = IntegratorOptions.eps_den
-    # optimizer parameters
-    c0: float = 1.0
-    kappa: float = 2.0
-    gamma: float = 0.1
-    eta: float = 0.5
-    epsilon: float = 1e-8
-    max_iters: int = 200
-    h_scale: float = 1.0
+    # optimizer parameters, defaulting to the library's
+    c0: float = OptimizerConfig.c0
+    kappa: float = OptimizerConfig.kappa
+    gamma: float = OptimizerConfig.gamma
+    eta: float = OptimizerConfig.eta
+    epsilon: float = OptimizerConfig.epsilon
+    max_iters: int = OptimizerConfig.max_iters
+    h_scale: float = OptimizerConfig.h_scale
     # oracle / functional selection
     functional: str = "phi"
     eps: float = 1e-6
 
     def validate(self) -> "RunConfig":
         for key in ("newton_tol", "event_tol", "surface_tol", "eps_tan",
-                    "eps_den", "eps", "c0", "epsilon", "h_scale"):
+                    "eps_den", "eps"):
             v = getattr(self, key)
             if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0):
                 raise ValidationError(f"{key}: must be > 0, got {v!r}", field=key)
-        for key in ("N", "steps_per_interval", "max_iters"):
+        for key in ("N", "steps_per_interval"):
             v = getattr(self, key)
             if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
                 raise ValidationError(f"{key}: must be an integer >= 1, got {v!r}", field=key)
-        for key in ("gamma", "eta"):
-            v = getattr(self, key)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < 1):
-                raise ValidationError(f"{key}: must be in (0, 1), got {v!r}", field=key)
-        if not (isinstance(self.kappa, (int, float)) and self.kappa > 1):
-            raise ValidationError(f"kappa: must be > 1, got {self.kappa!r}", field="kappa")
+        self.optimizer_config().validate()
         if not re.fullmatch(r"phi|g1:\d+|g2:\d+", self.functional):
             raise ValidationError(
                 f"functional: expected phi, g1:i or g2:j, got {self.functional!r}",

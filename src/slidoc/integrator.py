@@ -8,6 +8,12 @@ function is below tolerance; the located point is committed as a mesh
 node, the transition is classified and recorded, and integration resumes
 toward the same base node with the new mode.
 
+Every transition (a sliding exit at a breakpoint, an entry or crossing
+at a surface event, an exit at a blend-weight boundary) goes through
+_Builder.transition, which records it, gives the node the plus-side
+state and z = 0, counts it against the per-interval cap and returns the
+next mode from _NEXT_MODE.
+
 Every step uses the one table tableau.RADAU_IIA.  Off the surface the
 state advances with step_ode (stage equations of the 3-stage Radau IIA
 scheme, full Newton, at most MAX_NEWTON_ITERS iterations).  On the
@@ -63,10 +69,14 @@ from .model import (EPS_DEN, EPS_TAN, ControlGrid, EntryKind, HybridOCP, Mode,
 from .tableau import RADAU_IIA
 
 MAX_NEWTON_ITERS = 25
+MAX_EVENT_ITERS = 80
 
 
 @dataclass(frozen=True)
 class IntegratorOptions:
+    """An entry node with |g| > surface_tol is projected onto the surface.
+    A located event has |g| <= 10 event_tol, so that needs event_tol >
+    surface_tol / 10 and never happens at the defaults."""
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
@@ -290,7 +300,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
 
 
 def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
-                 event_tol: float, max_iters: int = 80):
+                 event_tol: float):
     """Find tau in (0, h] where the oriented event function crosses zero.
 
     eval_at(tau) -> (step_data, e) evaluates a trial step of size tau.
@@ -299,7 +309,8 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
     (tau, step_data, e) of an accepted trial with |e| <= event_tol, or
     (0.0, None, e0) when the event already sits at the step start.
     Safeguarded secant: every iterate stays inside the current bracket,
-    falling back to bisection when the secant point leaves it.
+    falling back to bisection when the secant point leaves it; at most
+    MAX_EVENT_ITERS trials after the first.
     """
     if abs(e0) <= event_tol:
         return 0.0, None, e0
@@ -315,7 +326,7 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
         raise NoBracket(f"no sign change over the step (e(h) = {e_hi:.3e})", e_h=e_hi)
 
     best = (hi, data_hi, e_hi)
-    for _ in range(max_iters):
+    for _ in range(MAX_EVENT_ITERS):
         span = hi - lo
         tau = lo - e_lo * span / (e_hi - e_lo)  # secant through bracket ends
         if not (lo + 0.01 * span <= tau <= hi - 0.01 * span):
@@ -360,6 +371,11 @@ def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
     return x - gx * (ocp.g(x) / float(gx @ gx))
 
 
+_NEXT_MODE = {TransitionKind.CROSS_12: Mode.ABOVE, TransitionKind.EXIT_TO_F2: Mode.ABOVE,
+              TransitionKind.CROSS_21: Mode.BELOW, TransitionKind.EXIT_TO_F1: Mode.BELOW,
+              TransitionKind.ENTER_SLIDING: Mode.SLIDING}
+
+
 class _Builder:
     """Accumulates committed steps; keeps integrate() itself readable."""
 
@@ -376,6 +392,7 @@ class _Builder:
         self.transitions = []
         self.breakpoint_nodes = [0]
         self.starts = []
+        self.interval_transitions = 0
         self.spi = spi
         self.opts = opts
 
@@ -405,6 +422,7 @@ class _Builder:
         return len(self.hs)
 
     def begin_interval(self, t, x, mode):
+        self.interval_transitions = 0
         self.starts.append(IntervalStart(t=t, x=x, mode=mode,
                                          transitions=len(self.transitions),
                                          z=self.z_node[-1]))
@@ -420,11 +438,22 @@ class _Builder:
         self.stages_z.append(None if zstages is None else np.array(zstages, dtype=float))
         self.z_node.append(float(z_new))
 
-    def record(self, kind, t, x_minus, x_plus):
+    def transition(self, kind, t, x_minus, x_plus) -> Mode:
+        """Record a transition at the last node, which takes x_plus and
+        z = 0, count it against the per-interval cap; return the next mode."""
         self.transitions.append(TransitionRecord(
             kind=kind, t=float(t), k=len(self.xs) - 1,
             x_minus=np.array(x_minus, dtype=float),
             x_plus=np.array(x_plus, dtype=float)))
+        self.xs[-1] = np.array(x_plus, dtype=float)
+        self.z_node[-1] = 0.0
+        self.interval_transitions += 1
+        cap = self.opts.max_transitions_per_interval
+        if self.interval_transitions > cap:
+            n = len(self.starts) - 1
+            raise ChatteringLimit(f"more than {cap} transitions in control interval {n}",
+                                  interval=n)
+        return _NEXT_MODE[kind]
 
     def finish(self, terminal_mode) -> Trajectory:
         return Trajectory(
@@ -481,25 +510,13 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         bld.begin_interval(t, x, mode)
         u = grid.values[n]
         nodes = np.linspace(bp[n], bp[n + 1], spi + 1)
-        n_transitions = 0
-
-        def note_transition():
-            nonlocal n_transitions
-            n_transitions += 1
-            if n_transitions > opts.max_transitions_per_interval:
-                raise ChatteringLimit(
-                    f"more than {opts.max_transitions_per_interval} transitions in "
-                    f"control interval {n}", interval=n)
 
         # a control jump can throw the blend weight out of [0, 1] at the
         # very start of the interval: exit immediately at the breakpoint
         if mode is Mode.SLIDING:
             verdict = exit_test(ocp, x, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
             if verdict is not None:
-                bld.record(verdict, t, x, x)
-                bld.z_node[-1] = 0.0
-                note_transition()
-                mode = Mode.BELOW if verdict is TransitionKind.EXIT_TO_F1 else Mode.ABOVE
+                mode = bld.transition(verdict, t, x, x)
 
         for j in range(spi):
             target = nodes[j + 1]
@@ -512,17 +529,15 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                     bld.times[-1] = target
                     break
                 if mode is Mode.SLIDING:
-                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, n, opts,
-                                                  note_transition)
+                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, n, opts)
                 else:
-                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, n, mode, opts,
-                                              note_transition)
+                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, n, mode, opts)
         bld.breakpoint_nodes.append(len(bld.xs) - 1)
 
     return bld.finish(mode)
 
 
-def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts, note_transition):
+def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
     """Try a full step in an off-surface mode; shrink to a located event
     when the endpoint (or an internal stage) lands beyond the surface."""
     field_id = "f1" if mode is Mode.BELOW else "f2"
@@ -551,40 +566,32 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts, note_transition):
                 raise NoBracket("stage values dip through the surface but no trial "
                                 "endpoint does", stage_dip=float(stage_dip))
         tau, data, _ = locate_event(eval_at, sgn * ocp.g(x), hi, opts.event_tol)
-        if tau == 0.0:
-            # event sits at the step start; classify without advancing
-            return _process_surface_point(ocp, bld, t, x, u, mode, opts, note_transition)
-        st, xp = data
-        bld.commit(t + tau, xp, tau, mode, field_id, nctrl, st, None, 0.0)
-        return _process_surface_point(ocp, bld, t + tau, xp, u, mode, opts, note_transition)
+        if tau > 0.0:   # tau = 0: the event sits at the step start
+            st, x = data
+            t = t + tau
+            bld.commit(t, x, tau, mode, field_id, nctrl, st, None, 0.0)
+        return _process_surface_point(ocp, bld, t, x, u, mode, opts)
 
     bld.commit(t + h, x_try, h, mode, field_id, nctrl, stages, None, 0.0)
     if abs(g_end) <= opts.surface_tol:
         # grazed onto the surface exactly at the node
-        return _process_surface_point(ocp, bld, t + h, x_try, u, mode, opts, note_transition)
+        return _process_surface_point(ocp, bld, t + h, x_try, u, mode, opts)
     return t + h, x_try, mode
 
 
-def _process_surface_point(ocp, bld, t, x, u, mode, opts, note_transition):
+def _process_surface_point(ocp, bld, t, x, u, mode, opts):
     """Classify and record what happens at a state sitting on the surface."""
-    verdict = entry_test(ocp, x, u, eps_tan=opts.eps_tan)
-    if verdict is EntryKind.ENTER_SLIDING:
-        x_new = x
+    x_new = x
+    if entry_test(ocp, x, u, eps_tan=opts.eps_tan) is EntryKind.ENTER_SLIDING:
+        kind = TransitionKind.ENTER_SLIDING
         if abs(ocp.g(x)) > opts.surface_tol:
             x_new = _project_to_surface(ocp, x)
-        bld.xs[-1] = np.array(x_new, dtype=float)
-        bld.z_node[-1] = 0.0
-        bld.record(TransitionKind.ENTER_SLIDING, t, x, x_new)
-        note_transition()
-        return t, x_new, Mode.SLIDING
-    kind = TransitionKind.CROSS_12 if mode is Mode.BELOW else TransitionKind.CROSS_21
-    bld.record(kind, t, x, x)
-    note_transition()
-    new_mode = Mode.ABOVE if mode is Mode.BELOW else Mode.BELOW
-    return t, x, new_mode
+    else:
+        kind = TransitionKind.CROSS_12 if mode is Mode.BELOW else TransitionKind.CROSS_21
+    return t, x_new, bld.transition(kind, t, x, x_new)
 
 
-def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts, note_transition):
+def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     """Try a full sliding step; shrink to the blend-weight boundary when
     the weight leaves [0, 1]."""
     Xs, Zs, x_try, z_try = step_sliding(ocp, x, u, h, opts)
@@ -603,17 +610,9 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts, note_transition):
         return data, orient * (alpha(ocp, data[2], u, eps_den=opts.eps_den) - boundary)
 
     tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h, opts.event_tol)
-    if tau == 0.0:
-        kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
-        bld.record(kind, t, x, x)
-        bld.z_node[-1] = 0.0
-        note_transition()
-        return t, x, Mode.BELOW if kind is TransitionKind.EXIT_TO_F1 else Mode.ABOVE
-
-    Xs, Zs, xp, zp = data
-    bld.commit(t + tau, xp, tau, Mode.SLIDING, "fF", nctrl, Xs, Zs, zp)
-    kind = exit_kind(*normal_speeds(ocp, xp, u), boundary, opts.eps_tan)
-    bld.record(kind, t + tau, xp, xp)
-    note_transition()
-    bld.z_node[-1] = 0.0
-    return t + tau, xp, Mode.BELOW if kind is TransitionKind.EXIT_TO_F1 else Mode.ABOVE
+    if tau > 0.0:   # tau = 0: the weight sits on its boundary at the step start
+        Xs, Zs, x, zp = data
+        t = t + tau
+        bld.commit(t, x, tau, Mode.SLIDING, "fF", nctrl, Xs, Zs, zp)
+    kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
+    return t, x, bld.transition(kind, t, x, x)

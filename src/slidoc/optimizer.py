@@ -34,6 +34,15 @@ from .integrator import IntegratorOptions, integrate
 from .model import ControlGrid, HybridOCP
 
 
+# (field, rule, check) for OptimizerConfig.validate; every value must be
+# a real number first
+_RULES = (("c0", "> 0", lambda v: v > 0), ("kappa", "> 1", lambda v: v > 1),
+          ("gamma", "in (0, 1)", lambda v: 0 < v < 1), ("eta", "in (0, 1)", lambda v: 0 < v < 1),
+          ("epsilon", "> 0", lambda v: v > 0),
+          ("max_iters", "an integer >= 1", lambda v: isinstance(v, int) and v >= 1),
+          ("h_scale", "> 0", lambda v: v > 0))
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     c0: float = 1.0
@@ -44,21 +53,13 @@ class OptimizerConfig:
     max_iters: int = 200
     h_scale: float = 1.0
 
-    def validate(self):
-        if not self.c0 > 0:
-            raise ValidationError(f"optimizer.c0: must be > 0, got {self.c0}", field="optimizer.c0")
-        if not self.kappa > 1:
-            raise ValidationError(f"optimizer.kappa: must be > 1, got {self.kappa}", field="optimizer.kappa")
-        if not 0 < self.gamma < 1:
-            raise ValidationError(f"optimizer.gamma: must be in (0, 1), got {self.gamma}", field="optimizer.gamma")
-        if not 0 < self.eta < 1:
-            raise ValidationError(f"optimizer.eta: must be in (0, 1), got {self.eta}", field="optimizer.eta")
-        if not self.epsilon > 0:
-            raise ValidationError(f"optimizer.epsilon: must be > 0, got {self.epsilon}", field="optimizer.epsilon")
-        if self.max_iters < 1:
-            raise ValidationError(f"optimizer.max_iters: must be >= 1, got {self.max_iters}", field="optimizer.max_iters")
-        if not self.h_scale > 0:
-            raise ValidationError(f"optimizer.h_scale: must be > 0, got {self.h_scale}", field="optimizer.h_scale")
+    def validate(self) -> "OptimizerConfig":
+        """Raise ValidationError naming the first field of the wrong type
+        or out of range (RunConfig keeps the same key for each)."""
+        for key, rule, ok in _RULES:
+            v = getattr(self, key)
+            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)):
+                raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)
         return self
 
 
@@ -66,8 +67,8 @@ def make_hessian(dim: int, h_scale: float):
     """Scaled-identity QP Hessian H = h_scale I with its spectral bounds
     nu1 = nu2 = h_scale; returns (H, nu1, nu2)."""
     if not h_scale > 0:
-        raise ValidationError(f"optimizer.h_scale: Hessian not positive definite (min eig {h_scale:.3e})",
-                              field="optimizer.h_scale")
+        raise ValidationError(f"h_scale: Hessian not positive definite (min eig {h_scale:.3e})",
+                              field="h_scale")
     return h_scale * np.eye(dim), float(h_scale), float(h_scale)
 
 
@@ -87,6 +88,8 @@ def penalty_value(F0: float, c: float, M: float) -> float:
 # ---------------------------------------------------------------------------
 # direction-finding QP
 
+KKT_TOL = 1e-8   # largest KKT residual solve_direction accepts
+
 
 @dataclass
 class QPInfo:
@@ -96,8 +99,7 @@ class QPInfo:
 
 
 def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
-                    eqs, ineqs, lo: np.ndarray, hi: np.ndarray,
-                    kkt_tol: float = 1e-8):
+                    eqs, ineqs, lo: np.ndarray, hi: np.ndarray):
     """Primal active-set solve of the direction-finding QP.
 
     eqs and ineqs are sequences of (value, gradient) pairs; lo and hi
@@ -187,8 +189,8 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
                 comp = max((abs(mu_by_row[l] * (A[l] @ y - bvec[l])) for l in work),
                            default=0.0)
                 res = max(stat, feas, comp)
-                if res > kkt_tol:
-                    raise QPFailure(f"KKT residual {res:.3e} above {kkt_tol:.1e}",
+                if res > KKT_TOL:
+                    raise QPFailure(f"KKT residual {res:.3e} above {KKT_TOL:.1e}",
                                     kkt_residual=float(res))
                 beta = max(0.0, float(y[dim]))   # beta >= 0 is a row; scrub roundoff
                 return y[:dim].copy(), beta, QPInfo(float(res), it, sorted(work))

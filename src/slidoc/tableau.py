@@ -94,6 +94,8 @@ def adjoint_tableau(tab: ButcherTableau) -> ButcherTableau:
 
 
 RADAU_IIA = radau_iia_3()
+CONDITION_ORDERS = 8       # check_conditions measures orders 1..8
+CONDITION_TOL = 1e-12      # and counts a defect up to this as satisfied
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,8 @@ class ConditionReport:
     residuals: dict = field(default_factory=dict)
 
 
-def check_conditions(tab: ButcherTableau, max_order: int = 8,
-                     tol: float = 1e-12) -> ConditionReport:
-    """Measure B, C and D condition residuals up to max_order.
+def check_conditions(tab: ButcherTableau) -> ConditionReport:
+    """Measure B, C and D condition residuals up to CONDITION_ORDERS.
 
     B(l):  sum_i b_i c_i^(l-1)        = 1/l
     C(l):  sum_j a_ij c_j^(l-1)       = c_i^l / l     for every i
@@ -122,7 +123,7 @@ def check_conditions(tab: ButcherTableau, max_order: int = 8,
     """
     A, b, c = tab.A, tab.b, tab.c
     residuals: dict[str, float] = {}
-    for l in range(1, max_order + 1):
+    for l in range(1, CONDITION_ORDERS + 1):
         cl = c ** (l - 1)
         residuals[f"B{l}"] = abs(float(b @ cl) - 1.0 / l)
         residuals[f"C{l}"] = float(np.max(np.abs(A @ cl - c ** l / l)))
@@ -130,12 +131,12 @@ def check_conditions(tab: ButcherTableau, max_order: int = 8,
 
     def run_length(prefix: str) -> int:
         n = 0
-        for l in range(1, max_order + 1):
-            if residuals[f"{prefix}{l}"] <= tol:
+        for l in range(1, CONDITION_ORDERS + 1):
+            if residuals[f"{prefix}{l}"] <= CONDITION_TOL:
                 n = l
             else:
                 break
         return n
 
     return ConditionReport(p=run_length("B"), q=run_length("C"), r=run_length("D"),
-                           tol=tol, residuals=residuals)
+                           tol=CONDITION_TOL, residuals=residuals)

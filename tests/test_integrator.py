@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 import slidoc.integrator as integrator_mod
+from slidoc.adjoint import run_adjoint
 from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket
 from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
                                step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
+from slidoc.verify import gradient_check
 from test_adjoint import _circle_slide
 
 OPTS = IntegratorOptions()
@@ -166,18 +168,61 @@ def test_chattering_guard():
         integrate(ocp, grid, 8, opts=opts)
 
 
+def _mirrored_slide_exit():
+    """slide-exit mirrored in x1 = 0: it starts above the surface, f2
+    pushes down until x0 = 0.9 + u, and the blend weight drifts to 1, so
+    sliding ends towards g > 0 (ExitToF2)."""
+    ocp, grid = get_problem("slide-exit")
+    down_u = lambda x, u: np.array([[0.0], [-1.0]])
+    return dataclasses.replace(
+        ocp, name="slide-exit-mirrored", x0=np.array([0.0, 0.25]),
+        f1=lambda x, u: np.array([1.0, 1.0 - u[0]]),
+        f1_x=lambda x, u: np.zeros((2, 2)), f1_u=down_u,
+        f2=lambda x, u: np.array([1.0, x[0] - 0.9 - u[0]]),
+        f2_x=lambda x, u: np.array([[0.0, 0.0], [1.0, 0.0]]), f2_u=down_u), grid
+
+
+def test_exit_to_f2_end_to_end():
+    """The mirrored slide-exit leaves the surface upwards at x0 = 0.9;
+    its gradient agrees with the FD oracle through both jumps, and the
+    two adjoint backends agree."""
+    ocp, grid = _mirrored_slide_exit()
+    traj = integrate(ocp, grid, 8)
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF2"]
+    assert traj.terminal_mode is Mode.ABOVE
+    chk = gradient_check(ocp, grid, 8)
+    assert chk.rel is not None and chk.rel <= 1e-6
+    a1 = run_adjoint(ocp, traj, grid, ocp.phi, backend="transformed")
+    a2 = run_adjoint(ocp, traj, grid, ocp.phi, backend="matrix")
+    for got, ref in ((a1.lam, a2.lam), (a1.lam_g, a2.lam_g), (a1.grad, a2.grad),
+                     ([j["pi"] for j in a1.jumps], [j["pi"] for j in a2.jumps])):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_chattering_cap_counts_per_interval():
+    """With these controls the mirrored slide-exit exits and re-enters
+    sliding in control interval 5, its only interval with two
+    transitions: a cap of 1 stops the run there, a cap of 2 does not."""
+    ocp, grid = _mirrored_slide_exit()
+    grid = grid.with_values(np.random.default_rng(1).uniform(-0.5, 0.5, (grid.N, 1)))
+    with pytest.raises(ChatteringLimit) as exc:
+        integrate(ocp, grid, 8, opts=IntegratorOptions(max_transitions_per_interval=1))
+    assert exc.value.payload["interval"] == 5
+    traj = integrate(ocp, grid, 8, opts=IntegratorOptions(max_transitions_per_interval=2))
+    assert traj.transition_intervals() == [1, 4, 5, 5, 6, 7]
+
+
 def test_locate_event_brackets_a_root():
     # e(tau) = 1 - 5 tau: root at exactly 0.2
-    tau, _, e = locate_event(lambda t: (None, 1.0 - 5.0 * t), 1.0, 1.0,
-                             event_tol=1e-12, max_iters=80)
+    tau, _, e = locate_event(lambda t: (None, 1.0 - 5.0 * t), 1.0, 1.0, event_tol=1e-12)
     assert tau == pytest.approx(0.2, abs=1e-12)
     assert abs(e) <= 1e-12
 
 
 def test_locate_event_no_sign_change():
     with pytest.raises(NoBracket):
-        locate_event(lambda t: (None, 1.0 + t), 1.0, 1.0,
-                     event_tol=1e-12, max_iters=80)
+        locate_event(lambda t: (None, 1.0 + t), 1.0, 1.0, event_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

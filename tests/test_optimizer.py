@@ -39,6 +39,18 @@ def test_config_validation():
     OptimizerConfig().validate()
 
 
+def test_ill_typed_config_is_a_validation_error():
+    """A value of the wrong type fails as a ValidationError naming its
+    field, in validate and in optimize, not as a bare TypeError."""
+    with pytest.raises(ValidationError) as exc:
+        OptimizerConfig(gamma="0.5").validate()
+    assert exc.value.payload["field"] == "gamma"
+    ocp, grid = get_problem("constrained-toy")
+    with pytest.raises(ValidationError) as exc:
+        optimize(ocp, grid, 8, cfg=OptimizerConfig(max_iters=2.5))
+    assert exc.value.payload["field"] == "max_iters"
+
+
 def test_qp_unconstrained_is_scaled_steepest_descent():
     g = np.array([0.7, -0.4])
     H, _, _ = make_hessian(2, 1.0)

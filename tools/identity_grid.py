@@ -19,12 +19,17 @@ in the control box), plus chain-n (benchmarks/chain.py, imported
 read-only) with n in {4, 16, 64} x seeds 1-3 at 8 steps per interval,
 plus circle-slide (tests/test_adjoint.py, imported read-only) x N in
 {4, 10} x steps per interval in {2, 8, 16} x (constant u = 0.4 + 2
-seeded uniform controls); 117 cases.  Every surface of the built-ins
-and of chain-n is affine; circle-slide's is the unit circle (g_xx =
-2 I), and every one of its cases enters sliding, so the g_xx terms of
-the sliding Newton matrix and of the sweep are hashed too.  slidoc is
-imported from this checkout's src/; to compare two trees, run this
-script from each.
+seeded uniform controls), plus the transition cases of
+_transition_cases (30, with their own integrator options where they
+need them); 147 cases.  Every surface of the built-ins and of chain-n
+is affine; circle-slide's is the unit circle (g_xx = 2 I), and every
+one of its cases enters sliding, so the g_xx terms of the sliding
+Newton matrix and of the sweep are hashed too.  The built-ins reach
+only EnterSliding and ExitToF1; the transition cases reach Cross12,
+Cross21 and ExitToF2, the entry projection (on an interval start and on
+node 0) and a ChatteringLimit.  Their problems are defined here, so the
+script runs unchanged in an older checkout.  slidoc is imported from
+this checkout's src/; to compare two trees, run this script from each.
 
 A change that is meant to round differently cannot be bit-identical.
 For it, --npz PATH also writes the hashed arrays (plus each case's
@@ -42,6 +47,7 @@ sequence or an error differs, or when the files hold different arrays.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -57,8 +63,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from chain import chain_problem  # noqa: E402
 from test_adjoint import _circle_slide  # noqa: E402
 
-from slidoc import (ControlGrid, SlidocError, fd_gradient, get_problem,  # noqa: E402
-                    integrate, problem_names, run_adjoints)
+from slidoc import (ControlGrid, IntegratorOptions, SlidocError, fd_gradient,  # noqa: E402
+                    get_problem, integrate, problem_names, run_adjoints)
 
 BACKENDS = ("transformed", "matrix")
 REL_TOL = 1e-12
@@ -77,14 +83,15 @@ def _flat(parts) -> np.ndarray:
                            if p is not None] or [np.empty(0)])
 
 
-def _case(ocp, grid, spi: int, arrays: dict) -> dict:
-    """Hashes of one case; the hashed arrays go into arrays as well."""
+def _case(ocp, grid, spi: int, opts, arrays: dict) -> dict:
+    """Hashes of one case, integrated with opts (None: the defaults); the
+    hashed arrays go into arrays as well."""
     def put(key, parts):
         arrays[key] = _flat(parts)
         return _sha(parts)
 
     try:
-        traj = integrate(ocp, grid, spi)
+        traj = integrate(ocp, grid, spi, opts=opts)
         arrays["transitions"] = np.array(traj.transition_kinds(), dtype=str)
         out = {"x": put("x", [traj.x]), "stages_x": put("stages_x", traj.stages_x),
                "stages_z": put("stages_z", traj.stages_z),
@@ -124,11 +131,11 @@ def cases():
                 for i in (1, 2)]
             for spi in (2, 8, 16):
                 for label, g in controls:
-                    yield f"{name}/N{N}/spi{spi}/{label}", ocp, g, spi
+                    yield f"{name}/N{N}/spi{spi}/{label}", ocp, g, spi, None
     for n in (4, 16, 64):
         for seed in (1, 2, 3):
             ocp, grid = chain_problem(n, np.random.default_rng(seed))
-            yield f"chain-{n}/seed{seed}", ocp, grid, 8
+            yield f"chain-{n}/seed{seed}", ocp, grid, 8, None
     ocp, grid = _circle_slide()
     for N in (4, 10):
         rng = np.random.default_rng([len(problem_names()), N])
@@ -137,7 +144,63 @@ def cases():
             for i in (1, 2)]
         for spi in (2, 8, 16):
             for label, g in controls:
-                yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi
+                yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi, None
+    yield from _transition_cases()
+
+
+def _const(mat):
+    arr = np.array(mat, dtype=float)
+    return lambda x, u: arr
+
+
+def _transition_problems():
+    """Problems whose runs reach the transitions no built-in reaches at
+    its defaults: p2-sliding with both fields pushing up (Cross12), a
+    variant started above the surface with both pushing down (Cross21),
+    and slide-exit mirrored in x1 = 0, whose blend weight drifts to 1
+    (ExitToF2)."""
+    p2, _ = get_problem("p2-sliding")
+    exit_f1, _ = get_problem("slide-exit")
+    zero = _const(np.zeros((2, 2)))
+    return {
+        "cross12": dataclasses.replace(
+            p2, f2=lambda x, u: np.array([1.0, 0.5 + u[0]]), f2_x=zero),
+        "cross21": dataclasses.replace(
+            p2, x0=np.array([0.0, 0.5]),
+            f1=lambda x, u: np.array([1.0, -0.5 + u[0]]), f1_x=zero,
+            f2=lambda x, u: np.array([1.0, -1.0 + u[0]]), f2_x=zero),
+        "exit-to-f2": dataclasses.replace(
+            exit_f1, name="exit-to-f2", x0=np.array([0.0, 0.25]),
+            f1=lambda x, u: np.array([1.0, 1.0 - u[0]]), f1_x=zero,
+            f1_u=_const([[0.0], [-1.0]]),
+            f2=lambda x, u: np.array([1.0, x[0] - 0.9 - u[0]]),
+            f2_x=_const([[0.0, 0.0], [1.0, 0.0]]), f2_u=_const([[0.0], [-1.0]])),
+    }
+
+
+def _transition_cases():
+    """The transition problems x steps per interval in {2, 8, 16} x
+    (u = 0 + 2 seeded uniform controls) at N = 10; the entry projection,
+    which needs event_tol above surface_tol / 10, on an interval start
+    and on node 0; and a ChatteringLimit raised by the second transition
+    of one control interval at a cap of 1."""
+    problems = _transition_problems()
+    for p, (name, ocp) in enumerate(problems.items()):
+        rng = np.random.default_rng([len(problem_names()) + 1 + p])
+        controls = [("default", np.zeros((10, 1)))] + [
+            (f"seed{i}", rng.uniform(ocp.u_lo, ocp.u_hi, (10, 1))) for i in (1, 2)]
+        for spi in (2, 8, 16):
+            for label, values in controls:
+                grid = ControlGrid(ocp.t0, ocp.tf, values)
+                yield f"{name}/N10/spi{spi}/{label}", ocp, grid, spi, None
+    loose = IntegratorOptions(event_tol=1e-6)
+    ocp, grid = get_problem("p2-sliding", {"N": 4, "tf": 2 * (5 / 12 - 3e-7)})
+    yield "projection/interval-start", ocp, grid, 4, loose
+    ocp, grid = get_problem("p2-sliding", {"x0": [0.0, -5e-7]})
+    yield "projection/node-0", ocp, grid, 8, loose
+    ocp = problems["exit-to-f2"]
+    grid = ControlGrid(ocp.t0, ocp.tf, np.random.default_rng(1).uniform(-0.5, 0.5, (10, 1)))
+    yield "chattering/cap1", ocp, grid, 8, IntegratorOptions(max_transitions_per_interval=1)
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -186,9 +249,9 @@ def main() -> int:
     if args.compare:
         return compare(*args.compare)
     report, arrays = {}, {}
-    for key, ocp, grid, spi in cases():
+    for key, ocp, grid, spi, opts in cases():
         case_arrays: dict = {}
-        report[key] = _case(ocp, grid, spi, case_arrays)
+        report[key] = _case(ocp, grid, spi, opts, case_arrays)
         arrays.update({f"{key}|{field}": a for field, a in case_arrays.items()})
     json.dump(report, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
