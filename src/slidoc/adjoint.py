@@ -52,7 +52,10 @@ and sliding entries pi is pinned by continuity of the Hamiltonian across
 the event; for sliding exits (seen backwards: off-surface to sliding) it
 is pinned by the algebraic condition g_x lambda = 0 on the sliding side,
 and Hamiltonian continuity then holds automatically because g_x f_j = 0
-at the blend-weight boundary.
+at the blend-weight boundary.  A run that ends on the surface starts
+from the same projection (_tangent_projection) of the functional
+gradient, with nu1 = -pi, and takes its lam_g from lambda_g_pointwise
+like every sliding node.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _step_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
     f_F + g_x^T z, blended with the trajectory's eps_den."""
     xs = traj.stages_x[k]
     if not sliding:
-        _, f_x, f_u = ocp.field(traj.field_id[k])
+        _, f_x, f_u = ocp.field(traj.mode[k])
         return (np.array([f_x(x_j, u) for x_j in xs]),
                 np.array([f_u(x_j, u) for x_j in xs]), None)
     Js, fus, gxs = [], [], []
@@ -266,55 +269,46 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
     return num / den
 
 
+def _tangent_projection(gx: np.ndarray, lam: np.ndarray, error, where: str):
+    """(lam - pi g_x^T, pi) with pi = g_x lam / |g_x|^2: the part of lam
+    tangent to the surface, as g_x lam = 0 asks on the sliding side.
+    Raises error when g_x vanishes."""
+    den = float(gx @ gx)
+    if den < 1e-30:
+        raise error(f"g_x vanishes at {where}")
+    pi = float(gx @ lam) / den
+    return lam - pi * gx, pi
+
+
 def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                         w: EndpointFunctional):
-    """Multiplier start values at tf.
+    """Multiplier start values (lam_f, lam_g, nu1) at tf.
 
-    Off the surface this is just the functional gradient.  On the surface
-    lam_f is w_x^T + nu1 g_x^T restricted to the tangent space, found
-    from the (n+2) system in (lam_f, lam_g, nu1).
+    Off the surface lam_f is the functional gradient w_x, lam_g = 0 and
+    nu1 is None.  On the surface lam_f = w_x + nu1 g_x^T is w_x projected
+    onto the tangent space, as at an exit, so nu1 = -pi; lam_g is
+    lambda_g_pointwise of lam_f.
     """
     xK = traj.x[-1]
     wx = np.asarray(w.grad(xK), dtype=float)
     if traj.terminal_mode is not Mode.SLIDING:
         return wx, 0.0, None
-
-    u = grid.values[traj.ctrl[-1]]
-    z = float(traj.z_node[-1])
-    v = filippov_values(ocp, xK, u, eps_den=traj.opts.eps_den)
-    gx = v.gx
-    gxx = ocp.g_xx(xK)
-    fF_x, _ = filippov_state_jacobian(ocp, v, xK, u, gxx)
-    xdot = v.fF + gx * z
-
-    n = ocp.n
-    M = np.zeros((n + 2, n + 2))
-    rhs = np.zeros(n + 2)
-    M[:n, :n] = np.eye(n)
-    M[:n, n + 1] = -gx
-    rhs[:n] = wx
-    M[n, :n] = gx
-    M[n + 1, :n] = -(gx @ fF_x.T) - z * (gx @ gxx) + (gxx @ xdot)
-    M[n + 1, n] = float(gx @ gx)
-    if float(gx @ gx) < 1e-30:
-        raise SingularTerminalSystem("g_x vanishes at the final state")
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularTerminalSystem("terminal system singular") from exc
-    lam_f = sol[:n]
-    return lam_f, float(sol[n]), float(sol[n + 1])
+    lam_f, pi = _tangent_projection(ocp.g_x(xK), wx, SingularTerminalSystem,
+                                    "the final state")
+    lam_g = lambda_g_pointwise(ocp, xK, grid.values[traj.ctrl[-1]], float(traj.z_node[-1]),
+                               lam_f, traj.opts.eps_den)
+    return lam_f, lam_g, 0.0 - pi   # 0.0 - pi is never -0.0
 
 
 def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
                     u_minus: np.ndarray, u_plus: np.ndarray,
                     lam_plus: np.ndarray, lam_g_plus: float, z_plus: float,
-                    field_before: str, eps_tan: float, eps_den: float):
+                    mode_before: Mode, eps_tan: float, eps_den: float):
     """Backward jump at a transition node: lam_minus = lam_plus - pi g_x^T.
 
-    kind refers to the forward-time event.  field_before names the field
-    active just before the event in forward time ('f1', 'f2' or 'fF').
-    Returns (lam_minus, pi).
+    kind refers to the forward-time event.  mode_before is the mode just
+    before the event in forward time; off the surface it names the field
+    (f1 below, f2 above).  Returns (lam_minus, pi).
     """
     gx = ocp.g_x(x_star)
 
@@ -322,18 +316,11 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
         # sliding before the event: pi enforces the algebraic condition
         # g_x lam = 0 on the sliding side; Hamiltonian continuity is
         # automatic at the blend-weight boundary
-        den = float(gx @ gx)
-        if den < 1e-30:
-            raise SingularJumpSystem("g_x vanishes at an exit node")
-        pi = float(gx @ lam_plus) / den
-        return lam_plus - pi * gx, pi
+        return _tangent_projection(gx, lam_plus, SingularJumpSystem, "an exit node")
 
-    if field_before == "f1":
-        f_b = ocp.f1(x_star, u_minus)
-    elif field_before == "f2":
-        f_b = ocp.f2(x_star, u_minus)
-    else:
-        raise SingularJumpSystem(f"field before a {kind.value} event cannot be {field_before!r}")
+    if mode_before is Mode.SLIDING:
+        raise SingularJumpSystem(f"a {kind.value} event cannot follow a sliding step")
+    f_b = ocp.field(mode_before)[0](x_star, u_minus)
 
     if kind is TransitionKind.ENTER_SLIDING:
         fF = filippov_values(ocp, x_star, u_plus, eps_den=eps_den).fF
@@ -351,6 +338,27 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
             g_x_f=gfb)
     pi = (float(lam_plus @ f_b) - rhs_H) / gfb
     return lam_plus - pi * gx, pi
+
+
+def _jump(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid, rec,
+          lam_plus: np.ndarray, lam_g_plus: float):
+    """Backward through the transition rec at node k > 0: (lam, lam_g)
+    just before the event in forward time, and pi.  That lam_g is zero
+    when step k - 1 is off the surface and the pointwise recovery when
+    it slides (an exit)."""
+    k = rec.k
+    u_minus = grid.values[traj.ctrl[k - 1]]
+    u_plus = grid.values[traj.ctrl[min(k, traj.K - 1)]]
+    mode_before = traj.mode[k - 1]
+    lam_minus, pi = transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
+                                    lam_plus, lam_g_plus, float(traj.z_node[k]),
+                                    mode_before, eps_tan=traj.opts.eps_tan,
+                                    eps_den=traj.opts.eps_den)
+    if mode_before is not Mode.SLIDING:
+        return lam_minus, 0.0, pi
+    z_minus = float(traj.stages_z[k - 1][-1])
+    return lam_minus, lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus,
+                                         traj.opts.eps_den), pi
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +391,22 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     jumps: list = [[] for _ in range(F)]
     trans_at = {rec.k: rec for rec in traj.transitions}
 
-    def jump(k):
-        rec = trans_at[k]
-        for f in range(F):
-            lam_minus, pi = _jump_at(ocp, traj, grid, rec, lam[f, k], lam_g[f, k])
-            jumps[f].append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value, "pi": float(pi)})
-            lam[f, k] = lam_minus
-            lam_g[f, k] = _minus_side_lam_g(ocp, traj, grid, rec, lam_minus)
-
     nu1 = []
     for f, w in enumerate(functionals):
         lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w)
         nu1.append(nu1_f)
 
-    if K in trans_at:
-        # trajectory ends exactly on a transition: jump before any step
-        jump(K)
-
     for k in range(K - 1, -1, -1):
+        if k + 1 in trans_at:
+            # back through the transition at node k + 1 before step k;
+            # none at node 0, which no step precedes
+            rec = trans_at[k + 1]
+            for f in range(F):
+                lam[f, k + 1], lam_g[f, k + 1], pi = _jump(ocp, traj, grid, rec,
+                                                           lam[f, k + 1], lam_g[f, k + 1])
+                jumps[f].append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value,
+                                 "pi": float(pi)})
+
         u = grid.values[traj.ctrl[k]]
         sliding = traj.mode[k] is Mode.SLIDING
         if backend == "matrix":
@@ -421,9 +427,6 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                 lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
                                                  lam[f, k], traj.opts.eps_den)
 
-        if k in trans_at and k > 0:
-            jump(k)
-
     out = []
     for f, w in enumerate(functionals):
         jumps[f].reverse()
@@ -442,27 +445,3 @@ def run_adjoint(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
                 backend: str = "transformed") -> AdjointTrajectory:
     """Backward sweep of one endpoint functional (see run_adjoints)."""
     return run_adjoints(ocp, traj, grid, [w], backend=backend)[0]
-
-
-def _jump_at(ocp, traj, grid, rec, lam_plus, lam_g_plus):
-    k = rec.k
-    u_minus = grid.values[traj.ctrl[k - 1]] if k > 0 else grid.values[0]
-    u_plus = grid.values[traj.ctrl[k]] if k < traj.K else grid.values[traj.ctrl[-1]]
-    field_before = traj.field_id[k - 1] if k > 0 else "f1"
-    z_plus = float(traj.z_node[k])
-    return transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
-                           lam_plus, lam_g_plus, z_plus, field_before,
-                           eps_tan=traj.opts.eps_tan, eps_den=traj.opts.eps_den)
-
-
-def _minus_side_lam_g(ocp, traj, grid, rec, lam_minus):
-    """lam_g just before the event in forward time: zero when the minus
-    side is off-surface, the pointwise recovery when it is sliding."""
-    k = rec.k
-    if rec.kind in (TransitionKind.EXIT_TO_F1, TransitionKind.EXIT_TO_F2) and k > 0 \
-            and traj.mode[k - 1] is Mode.SLIDING:
-        u_minus = grid.values[traj.ctrl[k - 1]]
-        z_minus = float(traj.stages_z[k - 1][-1])
-        return lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus,
-                                  traj.opts.eps_den)
-    return 0.0

@@ -19,9 +19,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import ParseError, ValidationError
+from .errors import COUNT, POSITIVE, ParseError, ValidationError, check_fields
 from .integrator import IntegratorOptions
 from .optimizer import OptimizerConfig
+
+
+# (field, rule, check) for the keys RunConfig.validate checks itself;
+# the integrator and optimizer options check their own
+_RULES = [("eps", *POSITIVE), ("N", *COUNT), ("steps_per_interval", *COUNT)]
 
 
 @dataclass(frozen=True)
@@ -55,15 +60,8 @@ class RunConfig:
     eps: float = 1e-6
 
     def validate(self) -> "RunConfig":
-        for key in ("newton_tol", "event_tol", "surface_tol", "eps_tan",
-                    "eps_den", "eps"):
-            v = getattr(self, key)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0):
-                raise ValidationError(f"{key}: must be > 0, got {v!r}", field=key)
-        for key in ("N", "steps_per_interval"):
-            v = getattr(self, key)
-            if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-                raise ValidationError(f"{key}: must be an integer >= 1, got {v!r}", field=key)
+        self.integrator_options()   # checks the tolerances
+        check_fields(self, _RULES)
         self.optimizer_config().validate()
         if not re.fullmatch(r"phi|g1:\d+|g2:\d+", self.functional):
             raise ValidationError(

@@ -33,7 +33,8 @@ class SingularSystem(SlidocError):
 
 
 class SingularTerminalSystem(SlidocError):
-    """The terminal system for sliding-mode adjoint start values is singular."""
+    """g_x vanishes where the sweep projects its start values at tf onto
+    the surface or recovers the algebraic multiplier lam_g."""
 
 
 class SingularJumpSystem(SlidocError):
@@ -105,3 +106,18 @@ class ParseError(SlidocError):
 
 class ValidationError(SlidocError):
     """Input parsed but violates a constraint; message carries the field path."""
+
+
+# (rule text, check) pairs that check_fields rules share
+POSITIVE = ("> 0", lambda v: v > 0)
+COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+
+
+def check_fields(obj, rules) -> None:
+    """Raise ValidationError naming the first field of obj that is not a
+    real number (bools are not) or breaks its rule; rules holds (field,
+    rule text, check) triples."""
+    for key, rule, ok in rules:
+        v = getattr(obj, key)
+        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)):
+            raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)

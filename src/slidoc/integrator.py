@@ -62,7 +62,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChatteringLimit, NewtonDivergence, NoBracket, SingularIteration
+from .errors import (COUNT, POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
+                     SingularIteration, check_fields)
 from .model import (EPS_DEN, EPS_TAN, ControlGrid, EntryKind, HybridOCP, Mode,
                     TransitionKind, alpha, entry_test, exit_kind, exit_test,
                     filippov_state_jacobian, filippov_values, normal_speeds)
@@ -72,17 +73,28 @@ MAX_NEWTON_ITERS = 25
 MAX_EVENT_ITERS = 80
 
 
+# (field, rule, check) for IntegratorOptions (check_fields)
+_RULES = [(key, *POSITIVE) for key in ("newton_tol", "event_tol", "surface_tol",
+                                       "eps_tan", "eps_den")] + [
+    ("max_transitions_per_interval", *COUNT)]
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     """An entry node with |g| > surface_tol is projected onto the surface.
     A located event has |g| <= 10 event_tol, so that needs event_tol >
-    surface_tol / 10 and never happens at the defaults."""
+    surface_tol / 10 and never happens at the defaults.  Every tolerance
+    must be a number > 0 and the cap an integer >= 1; anything else
+    raises ValidationError naming the field."""
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
     eps_tan: float = EPS_TAN
     eps_den: float = EPS_DEN
     max_transitions_per_interval: int = 100
+
+    def __post_init__(self):
+        check_fields(self, _RULES)
 
 
 @dataclass(frozen=True)
@@ -116,9 +128,10 @@ class Trajectory:
     """Committed mesh with endpoint states, stage data and transitions.
 
     Arrays are indexed by node k = 0..K (states) and step k = 0..K-1
-    (everything else).  stages_z[k] is None on non-sliding steps.  mode
-    and field_id describe the step, ctrl[k] is the control interval the
-    step belongs to, breakpoint_nodes[n] is the node index of t_n and
+    (everything else).  stages_z[k] is None on non-sliding steps.  mode[k]
+    is the mode of step k (off the surface it names the field,
+    ocp.field(mode[k])), ctrl[k] is the control interval the step
+    belongs to, breakpoint_nodes[n] is the node index of t_n and
     starts[n] is the state integration resumes from at interval n.  opts
     are the options the run was integrated with.
     """
@@ -127,7 +140,6 @@ class Trajectory:
     x: np.ndarray
     h: np.ndarray
     mode: list
-    field_id: list
     ctrl: np.ndarray
     stages_x: list
     stages_z: list
@@ -208,11 +220,11 @@ def _at_stages(values: list, s: int) -> np.ndarray:
     return V if len(V) == s else np.repeat(V, s, axis=0)
 
 
-def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
+def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
              h: float, opts: IntegratorOptions):
-    """One implicit Runge-Kutta step of x' = f(x, u) with f chosen by
-    field_id ('f1' or 'f2').  Returns (stages, x_plus) with stages of
-    shape (s, n).
+    """One implicit Runge-Kutta step of x' = f(x, u) with f the field of
+    the off-surface mode (ocp.field: f1 below, f2 above).  Returns
+    (stages, x_plus) with stages of shape (s, n).
 
     The first iterate has every stage at x, so f and f_x are evaluated
     there once; later iterates evaluate them at each stage.
@@ -220,7 +232,7 @@ def step_ode(ocp: HybridOCP, field_id: str, x: np.ndarray, u: np.ndarray,
     n = ocp.n
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
-    f, f_x, _ = ocp.field(field_id)
+    f, f_x, _ = ocp.field(mode)
 
     Y = np.repeat(x[None], s, axis=0)
     for it in range(MAX_NEWTON_ITERS + 1):
@@ -384,7 +396,6 @@ class _Builder:
         self.xs = [np.array(x0, dtype=float)]
         self.hs = []
         self.modes = []
-        self.fields = []
         self.ctrl = []
         self.stages_x = []
         self.stages_z = []
@@ -407,7 +418,6 @@ class _Builder:
         bld.xs = list(base.x[:k]) + [state.x]
         bld.hs = base.h[:k].tolist()
         bld.modes = base.mode[:k]
-        bld.fields = base.field_id[:k]
         bld.ctrl = base.ctrl[:k].tolist()
         bld.stages_x = base.stages_x[:k]
         bld.stages_z = base.stages_z[:k]
@@ -427,12 +437,11 @@ class _Builder:
                                          transitions=len(self.transitions),
                                          z=self.z_node[-1]))
 
-    def commit(self, t_new, x_new, h, mode, field_id, nctrl, stages, zstages, z_new):
+    def commit(self, t_new, x_new, h, mode, nctrl, stages, zstages, z_new):
         self.times.append(float(t_new))
         self.xs.append(np.array(x_new, dtype=float))
         self.hs.append(float(h))
         self.modes.append(mode)
-        self.fields.append(field_id)
         self.ctrl.append(nctrl)
         self.stages_x.append(np.array(stages, dtype=float))
         self.stages_z.append(None if zstages is None else np.array(zstages, dtype=float))
@@ -458,7 +467,7 @@ class _Builder:
     def finish(self, terminal_mode) -> Trajectory:
         return Trajectory(
             times=np.array(self.times), x=np.array(self.xs), h=np.array(self.hs),
-            mode=self.modes, field_id=self.fields, ctrl=np.array(self.ctrl, dtype=int),
+            mode=self.modes, ctrl=np.array(self.ctrl, dtype=int),
             stages_x=self.stages_x, stages_z=self.stages_z,
             z_node=np.array(self.z_node), transitions=self.transitions,
             breakpoint_nodes=np.array(self.breakpoint_nodes, dtype=int),
@@ -540,17 +549,16 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
     """Try a full step in an off-surface mode; shrink to a located event
     when the endpoint (or an internal stage) lands beyond the surface."""
-    field_id = "f1" if mode is Mode.BELOW else "f2"
     sgn = -1.0 if mode is Mode.BELOW else 1.0   # interior sign of g
 
-    stages, x_try = step_ode(ocp, field_id, x, u, h, opts)
+    stages, x_try = step_ode(ocp, mode, x, u, h, opts)
     g_end = ocp.g(x_try)
     e_end = sgn * g_end   # positive while we stay in our region
 
     stage_dip = min(sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s))
     if e_end < -opts.surface_tol or stage_dip < -opts.surface_tol:
         def eval_at(tau):
-            st, xp = step_ode(ocp, field_id, x, u, tau, opts)
+            st, xp = step_ode(ocp, mode, x, u, tau, opts)
             return (st, xp), sgn * ocp.g(xp)
 
         hi = h
@@ -569,10 +577,10 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
         if tau > 0.0:   # tau = 0: the event sits at the step start
             st, x = data
             t = t + tau
-            bld.commit(t, x, tau, mode, field_id, nctrl, st, None, 0.0)
+            bld.commit(t, x, tau, mode, nctrl, st, None, 0.0)
         return _process_surface_point(ocp, bld, t, x, u, mode, opts)
 
-    bld.commit(t + h, x_try, h, mode, field_id, nctrl, stages, None, 0.0)
+    bld.commit(t + h, x_try, h, mode, nctrl, stages, None, 0.0)
     if abs(g_end) <= opts.surface_tol:
         # grazed onto the surface exactly at the node
         return _process_surface_point(ocp, bld, t + h, x_try, u, mode, opts)
@@ -598,7 +606,7 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     a_end = alpha(ocp, x_try, u, eps_den=opts.eps_den)
 
     if 0.0 < a_end < 1.0:
-        bld.commit(t + h, x_try, h, Mode.SLIDING, "fF", nctrl, Xs, Zs, z_try)
+        bld.commit(t + h, x_try, h, Mode.SLIDING, nctrl, Xs, Zs, z_try)
         return t + h, x_try, Mode.SLIDING
 
     boundary = 0 if a_end <= 0.0 else 1
@@ -613,6 +621,6 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     if tau > 0.0:   # tau = 0: the weight sits on its boundary at the step start
         Xs, Zs, x, zp = data
         t = t + tau
-        bld.commit(t, x, tau, Mode.SLIDING, "fF", nctrl, Xs, Zs, zp)
+        bld.commit(t, x, tau, Mode.SLIDING, nctrl, Xs, Zs, zp)
     kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
     return t, x, bld.transition(kind, t, x, x)

@@ -16,8 +16,8 @@ filippov_field and filippov_jacobians compose them.  The sliding Newton
 iteration of the integrator evaluates the values at every iterate (once,
 at the step start, for the first iterate) and the state part only
 before it factors a matrix; the backward sweep's transition jump reads
-the values, lam_g and the terminal system add the state part, and the
-step assembly takes all three (filippov_jacobians).
+the values, lam_g adds the state part, and the step assembly takes all
+three (filippov_jacobians).
 
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.
@@ -114,13 +114,14 @@ class HybridOCP:
         if self.u_lo.shape != (self.m,) or self.u_hi.shape != (self.m,):
             raise DimensionMismatch("control box shape does not match m")
 
-    def field(self, which: str):
-        """Return (f, f_x, f_u) for field id 'f1' or 'f2'."""
-        if which == "f1":
+    def field(self, mode: Mode):
+        """Return (f, f_x, f_u) of the field that flows in an off-surface
+        mode: f1 in Mode.BELOW, f2 in Mode.ABOVE."""
+        if mode is Mode.BELOW:
             return self.f1, self.f1_x, self.f1_u
-        if which == "f2":
+        if mode is Mode.ABOVE:
             return self.f2, self.f2_x, self.f2_u
-        raise ValueError(f"unknown field id {which!r}")
+        raise ValueError(f"no single field flows in mode {mode!r}")
 
 
 @dataclass(frozen=True)

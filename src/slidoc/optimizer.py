@@ -28,19 +28,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adjoint import run_adjoints
-from .errors import (CFailure, LineSearchFailure, QPFailure, ValidationError)
+from .errors import (COUNT, POSITIVE, CFailure, LineSearchFailure, QPFailure,
+                     ValidationError, check_fields)
 from .gradient import reduced_gradient
 from .integrator import IntegratorOptions, integrate
 from .model import ControlGrid, HybridOCP
 
 
-# (field, rule, check) for OptimizerConfig.validate; every value must be
-# a real number first
-_RULES = (("c0", "> 0", lambda v: v > 0), ("kappa", "> 1", lambda v: v > 1),
+# (field, rule, check) for OptimizerConfig.validate (check_fields)
+_RULES = (("c0", *POSITIVE), ("kappa", "> 1", lambda v: v > 1),
           ("gamma", "in (0, 1)", lambda v: 0 < v < 1), ("eta", "in (0, 1)", lambda v: 0 < v < 1),
-          ("epsilon", "> 0", lambda v: v > 0),
-          ("max_iters", "an integer >= 1", lambda v: isinstance(v, int) and v >= 1),
-          ("h_scale", "> 0", lambda v: v > 0))
+          ("epsilon", *POSITIVE), ("max_iters", *COUNT), ("h_scale", *POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,7 @@ class OptimizerConfig:
     def validate(self) -> "OptimizerConfig":
         """Raise ValidationError naming the first field of the wrong type
         or out of range (RunConfig keeps the same key for each)."""
-        for key, rule, ok in _RULES:
-            v = getattr(self, key)
-            if not (isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)):
-                raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)
+        check_fields(self, _RULES)
         return self
 
 

@@ -2,8 +2,10 @@
 equivalence of the transformed and assembled formulations."""
 
 import dataclasses
+import importlib.util
 import itertools
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ import slidoc.tableau as tableau_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             adjoint_step_transformed, assemble_ode_step_matrices,
                             assemble_sliding_step_matrices, run_adjoint,
-                            run_adjoints, terminal_conditions, transition_jump)
+                            lambda_g_pointwise, run_adjoints, terminal_conditions,
+                            transition_jump)
 from slidoc.errors import SingularJumpSystem
 from slidoc.gradient import reduced_gradient_matrix
 from slidoc.integrator import IntegratorOptions, integrate
-from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                          TransitionKind)
+from slidoc.model import (EPS_DEN, ControlGrid, EndpointFunctional, HybridOCP, Mode,
+                          TransitionKind, filippov_jacobians, filippov_values)
 from slidoc.problems import get_problem
 from slidoc.tableau import adjoint_tableau, radau_iia_3
 
@@ -133,7 +136,7 @@ def test_stage_multipliers_satisfy_the_reversed_table_recursion(name):
         h = traj.h[k]
         lam_plus = rng.normal(size=(2, ocp.n))
         stages, lam_k, _ = adjoint_step_transformed(ocp, traj, k, u, lam_plus)
-        _, f_x, _ = ocp.field(traj.field_id[k])
+        _, f_x, _ = ocp.field(traj.mode[k])
         fxT = [f_x(x_j, u).T for x_j in traj.stages_x[k]]
         for f in range(2):
             lam = stages[f]
@@ -181,7 +184,7 @@ def test_crossing_jump_hand_case():
     opts = IntegratorOptions()
     lam_minus, pi = transition_jump(ocp, TransitionKind.CROSS_12,
                                     np.array([0.5, 0.0]), u, u, lam_plus,
-                                    0.0, 0.0, "f1", opts.eps_tan, opts.eps_den)
+                                    0.0, 0.0, Mode.BELOW, opts.eps_tan, opts.eps_den)
     assert pi == pytest.approx((2.0 - 0.5) / 2.0, abs=1e-14)
     assert lam_minus == pytest.approx([0.0, 0.25], abs=1e-14)
 
@@ -203,7 +206,7 @@ def test_crossing_jump_singular_when_tangent():
     opts = IntegratorOptions()
     with pytest.raises(SingularJumpSystem):
         transition_jump(ocp, TransitionKind.CROSS_12, np.array([0.5, 0.0]),
-                        u, u, np.array([0.0, 1.0]), 0.0, 0.0, "f1",
+                        u, u, np.array([0.0, 1.0]), 0.0, 0.0, Mode.BELOW,
                         opts.eps_tan, opts.eps_den)
 
 
@@ -243,19 +246,95 @@ def _circle_slide():
     return ocp, ControlGrid(0.0, 1.0, np.full((4, 1), 0.4))
 
 
-def _step_residual(ocp, sliding, field_id, h, Xp, xk, u):
-    """F(X(k+1), x(k), u) of one step, written out from the scheme: the
-    stage rows x_i - x(k) - h sum_j a_ij v_j (each followed by g(x_i) when
-    sliding), then the endpoint row x(k+1) - x(k) - h sum_j b_j v_j, with
-    v_j = f(x_j, u) off the surface and the Filippov field plus
-    g_x^T(x_j) z_j on it."""
+def _chain_problem():
+    """chain-n of the benchmark, loaded from benchmarks/chain.py as is."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "chain.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_chain", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.chain_problem
+
+
+def _terminal_system(ocp, traj, grid, w):
+    """(lam_f, lam_g, nu1) at tf from one dense (n+2) solve of the
+    conditions on the surface: lam_f - nu1 g_x^T = w_x, g_x lam_f = 0 and
+    |g_x|^2 lam_g = (g_x fF_x^T + z g_x g_xx - (g_xx x')^T) lam_f, with
+    x' = f_F + z g_x^T."""
+    xK, n = traj.x[-1], ocp.n
+    u, z = grid.values[traj.ctrl[-1]], float(traj.z_node[-1])
+    fF, fF_x = filippov_jacobians(ocp, xK, u, eps_den=traj.opts.eps_den)[:2]
+    gx, gxx = ocp.g_x(xK), ocp.g_xx(xK)
+    M = np.zeros((n + 2, n + 2))
+    rhs = np.zeros(n + 2)
+    M[:n, :n] = np.eye(n)
+    M[:n, n + 1] = -gx
+    rhs[:n] = w.grad(xK)
+    M[n, :n] = gx
+    M[n + 1, :n] = -(gx @ fF_x.T) - z * (gx @ gxx) + gxx @ (fF + z * gx)
+    M[n + 1, n] = gx @ gx
+    sol = np.linalg.solve(M, rhs)
+    return sol[:n], sol[n], sol[n + 1]
+
+
+@pytest.mark.parametrize("z", [None, 0.5])
+@pytest.mark.parametrize("name", ["circle-slide", "chain-4"])
+def test_terminal_conditions_solve_the_terminal_system(name, z):
+    """Ending on the surface, the projected w_x, its pointwise lam_g and
+    nu1 = -pi solve the dense (n+2) terminal system, on a curved and a
+    flat surface, at the converged z(tf) and at z(tf) = 0.5."""
+    if name == "circle-slide":
+        ocp, grid = _circle_slide()
+    else:
+        ocp, grid = _chain_problem()(4, np.random.default_rng(1))
+    traj = integrate(ocp, grid, 8)
+    assert traj.terminal_mode is Mode.SLIDING
+    if z is not None:
+        traj.z_node[-1] = z
+    c = np.arange(1.0, ocp.n + 1)
+    tilted = EndpointFunctional(value=lambda x: float(c @ x), grad=lambda x: c)
+    for w in (ocp.phi, tilted):
+        got = terminal_conditions(ocp, traj, grid, w)
+        ref = _terminal_system(ocp, traj, grid, w)
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(1e-300, np.max(np.abs(ref[0])),
+                                                         abs(ref[1]), abs(ref[2]))
+    assert ref[2] != 0.0   # the tilted functional has a normal part
+
+
+def test_lambda_g_is_the_bracket_of_the_normal_and_the_sliding_field():
+    """lambda_g_pointwise's numerator is lam . [N, F], the Lie bracket of
+    N = g_x^T and F = f_F + z g_x^T, checked against the central
+    difference (F(x + eN) - F(x - eN) - N(x + eF) + N(x - eF)) / 2e on
+    the circle, at z = 0.5 and a lam with a normal part, so that both
+    g_xx terms count."""
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 8)
+    x, u, z = traj.x[-1], grid.values[-1], 0.5
+    lam = np.array([0.7, -1.3])
+
+    def F(y):
+        return filippov_values(ocp, y, u).fF + z * ocp.g_x(y)
+
+    N, e = ocp.g_x, 1e-5
+    bracket = (F(x + e * N(x)) - F(x - e * N(x)) - N(x + e * F(x)) + N(x - e * F(x))) / (2 * e)
+    ref = float(lam @ bracket) / float(N(x) @ N(x))
+    assert abs(lambda_g_pointwise(ocp, x, u, z, lam, EPS_DEN) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _step_residual(ocp, mode, h, Xp, xk, u):
+    """F(X(k+1), x(k), u) of one step in mode, written out from the
+    scheme: the stage rows x_i - x(k) - h sum_j a_ij v_j (each followed
+    by g(x_i) when sliding), then the endpoint row x(k+1) - x(k) - h
+    sum_j b_j v_j, with v_j = f(x_j, u) off the surface and the Filippov
+    field plus g_x^T(x_j) z_j on it."""
     n, s = ocp.n, TAB.s
+    sliding = mode is Mode.SLIDING
     d = n + 1 if sliding else n
     stages = Xp[:s * d].reshape(s, d)
 
     def v(x, z):
         if not sliding:
-            return ocp.field(field_id)[0](x, u)
+            return ocp.field(mode)[0](x, u)
         gx = ocp.g_x(x)
         f1, f2 = ocp.f1(x, u), ocp.f2(x, u)
         a = (gx @ f1) / (gx @ f1 - gx @ f2)
@@ -311,7 +390,7 @@ def test_step_jacobians_match_central_differences(case):
     assert FXp.shape == FX.shape == (dim, dim) and Fu.shape == (dim, ocp.m)
 
     def F(Xp=Xp, xk=xk, u=u):
-        return _step_residual(ocp, sliding, traj.field_id[k], h, Xp, xk, u)
+        return _step_residual(ocp, traj.mode[k], h, Xp, xk, u)
 
     fd_FXp = _central_differences(lambda v: F(Xp=v), Xp)
     fd_FX = np.zeros((dim, dim))   # only the endpoint slot of X(k) enters
@@ -396,10 +475,10 @@ def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
 
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
     """The backward sweep blends with the eps_den the trajectory was
-    integrated with at all four sites: the Jacobians of a sliding step
+    integrated with at all three sites: the Jacobians of a sliding step
     (filippov_jacobians, which the kernel and the dense oracle share), the
-    pointwise lam_g, the terminal system and
-    the entry jump (filippov_values, the piece that computes alpha).
+    pointwise lam_g (which the terminal values use too) and the entry
+    jump (filippov_values, the piece that computes alpha).
     Neither sweep is given a tolerance; the matrix oracle of
     reduced_gradient_matrix reads it from the trajectory too."""
     seen = []
@@ -419,8 +498,7 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
         run_adjoint(ocp, traj, grid, ocp.phi)
         reduced_gradient_matrix(ocp, traj, grid, ocp.phi)
     assert {site for site, _ in seen} == {
-        "_step_jacobians", "lambda_g_pointwise",
-        "terminal_conditions", "transition_jump"}
+        "_step_jacobians", "lambda_g_pointwise", "transition_jump"}
     assert {eps for _, eps in seen} == {3e-13}
 
 

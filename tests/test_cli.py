@@ -214,6 +214,19 @@ def test_config_validation_failures(tmp_path, capsys):
         assert doc["field"] == field
 
 
+@pytest.mark.parametrize("key, value", [("newton_tol", 0), ("surface_tol", -1),
+                                        ("eps_den", -1), ("eps_tan", "1e-10"),
+                                        ("eps", 0), ("steps_per_interval", 1.5)])
+def test_config_tolerance_failures_name_the_field(tmp_path, key, value):
+    """The config refuses a bad tolerance with the integrator's own check,
+    and the error names the config key."""
+    cfgp = tmp_path / "bad.json"
+    cfgp.write_text(json.dumps({"problem": "p2-sliding", key: value}))
+    with pytest.raises(ValidationError) as exc:
+        parse_config(str(cfgp))
+    assert exc.value.to_dict()["field"] == key
+
+
 def test_params_grouping_alias(tmp_path):
     cfgp = tmp_path / "c.json"
     cfgp.write_text('{"problem": "p2-sliding", "params": {"N": 4}}')

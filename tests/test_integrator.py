@@ -7,23 +7,21 @@ values, not self-consistency.
 
 import dataclasses
 import enum
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket
+from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket, ValidationError
 from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
                                step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
 from slidoc.verify import gradient_check
-from test_adjoint import _circle_slide
+from test_adjoint import _chain_problem, _circle_slide
 
 OPTS = IntegratorOptions()
 
@@ -58,7 +56,7 @@ def test_linear_decay_single_step():
     approximation of exp(-0.1) is accurate to its fifth-order error term,
     far below 1e-8."""
     ocp = scalar_ocp(lambda x, u: -0.1 * x, lambda x, u: np.array([[-0.1]]))
-    _, x1 = step_ode(ocp, "f1", np.array([1.0]), np.zeros(1), 1.0, OPTS)
+    _, x1 = step_ode(ocp, Mode.BELOW, np.array([1.0]), np.zeros(1), 1.0, OPTS)
     assert abs(float(x1[0]) - math.exp(-0.1)) <= 1e-8
 
 
@@ -158,14 +156,31 @@ def test_newton_divergence_is_reported():
     ocp = scalar_ocp(lambda x, u: x ** 3,
                      lambda x, u: np.array([[3.0 * x[0] ** 2]]), x0=2.0)
     with pytest.raises(NewtonDivergence):
-        step_ode(ocp, "f1", np.array([2.0]), np.zeros(1), 1.0, OPTS)
+        step_ode(ocp, Mode.BELOW, np.array([2.0]), np.zeros(1), 1.0, OPTS)
 
 
 def test_chattering_guard():
-    ocp, grid = get_problem("p2-sliding")
-    opts = IntegratorOptions(max_transitions_per_interval=0)
-    with pytest.raises(ChatteringLimit):
+    """On one control interval slide-exit enters and leaves sliding; a
+    cap of 1 stops the run at the second transition."""
+    ocp, grid = get_problem("slide-exit", {"N": 1})
+    opts = IntegratorOptions(max_transitions_per_interval=1)
+    with pytest.raises(ChatteringLimit) as exc:
         integrate(ocp, grid, 8, opts=opts)
+    assert exc.value.payload["interval"] == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("newton_tol", 0), ("surface_tol", -1), ("eps_den", -1), ("eps_tan", "1e-10"),
+    ("event_tol", float("nan")), ("max_transitions_per_interval", 0),
+    ("max_transitions_per_interval", 2.0), ("max_transitions_per_interval", True)])
+def test_options_reject_bad_values(field, value):
+    """A tolerance that is not a number > 0, or a cap that is not an
+    integer >= 1, is refused when the options are built, with a
+    ValidationError naming the field, instead of failing inside a run."""
+    with pytest.raises(ValidationError) as exc:
+        IntegratorOptions(**{field: value})
+    assert exc.value.payload["field"] == field
+    assert str(exc.value).startswith(f"{field}: must be ")
 
 
 def _mirrored_slide_exit():
@@ -227,15 +242,6 @@ def test_locate_event_no_sign_change():
 
 # ---------------------------------------------------------------------------
 # resumed runs
-
-
-def _chain_problem():
-    """chain-n of the benchmark, loaded from benchmarks/chain.py as is."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "chain.py"
-    spec = importlib.util.spec_from_file_location("_benchmark_chain", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.chain_problem
 
 
 def _field_bytes(value) -> bytes:

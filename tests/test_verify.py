@@ -123,8 +123,8 @@ def test_probe_moving_a_transition_across_a_breakpoint_is_flagged():
 
 
 def test_failing_base_run_still_raises():
-    ocp, grid = get_problem("slide-exit")
-    opts = IntegratorOptions(max_transitions_per_interval=0)
+    ocp, grid = get_problem("slide-exit", {"N": 1})
+    opts = IntegratorOptions(max_transitions_per_interval=1)
     with pytest.raises(ChatteringLimit):
         gradient_check(ocp, grid, 8, opts=opts)
     with pytest.raises(ChatteringLimit):

@@ -40,8 +40,12 @@ largest relative difference max|a - b| / max(|b|_inf, 1e-300) of every
     python3 tools/identity_grid.py --npz new.npz > new.json
     python3 tools/identity_grid.py --compare new.npz old.npz
 
-It exits nonzero when a difference exceeds 1e-12, when a transition
-sequence or an error differs, or when the files hold different arrays.
+NaN entries (flagged FD entries) must sit at the same positions; the
+difference is taken over the finite ones.  An array whose bytes differ
+although its values compare equal (a -0.0 for a 0.0, which the CLI
+would print as -0) is reported too.  It exits nonzero when a difference
+exceeds 1e-12, when such an array, a transition sequence or an error
+differs, or when the files hold different arrays.
 """
 
 from __future__ import annotations
@@ -204,8 +208,16 @@ def _transition_cases():
 
 
 def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max(|b|_inf, 1e-300) over the finite entries of b; inf
+    when the shapes differ or a non-finite entry (a flagged FD entry is
+    NaN) is not matched exactly, at the same position, in a."""
     if a.shape != b.shape:
         return float("inf")
+    fin = np.isfinite(b)
+    if not (np.array_equal(fin, np.isfinite(a))
+            and np.array_equal(a[~fin], b[~fin], equal_nan=True)):
+        return float("inf")
+    a, b = a[fin], b[fin]
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
@@ -213,13 +225,16 @@ def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 def compare(new_path: str, old_path: str) -> int:
     """Print the worst relative difference per (problem, backend, array)
-    of new against old; nonzero exit on any difference above REL_TOL or
-    any mismatch of keys, transition sequences or errors."""
+    of new against old, and every array whose bytes differ although its
+    values compare equal (a -0.0 for a 0.0); nonzero exit on any
+    difference above REL_TOL, any such array or any mismatch of keys,
+    transition sequences or errors."""
     with np.load(new_path) as new, np.load(old_path) as old:
         bad = sorted(set(new.files) ^ set(old.files))
         for key in bad:
             print(f"only in {'new' if key in new.files else 'old'}: {key}")
         worst: dict = {}
+        differing = set()
         for key in sorted(set(new.files) & set(old.files)):
             case, field = key.split("|")
             a, b = new[key], old[key]
@@ -231,12 +246,18 @@ def compare(new_path: str, old_path: str) -> int:
             parts = field.split("/")
             group = (case.split("/")[0], parts[0] if len(parts) > 1 else "traj", parts[-1])
             rel = _rel_diff(a, b)
+            if rel == 0.0 and a.tobytes() != b.tobytes():
+                print(f"{key}: values equal, bytes differ (signed zeros)")
+                bad.append(key)
+            if rel != 0.0 or a.tobytes() != b.tobytes():
+                differing.add(case)
             if rel > worst.get(group, (-1.0,))[0]:
                 worst[group] = (rel, case)
     for (problem, backend, array), (rel, case) in sorted(worst.items()):
         print(f"{problem:16s} {backend:12s} {array:11s} {rel:.2e}  {case}")
     top = max(worst.values(), default=(0.0, "-"))
-    print(f"worst {top[0]:.2e} ({top[1]}); {len(bad)} mismatches")
+    print(f"worst {top[0]:.2e} ({top[1]}); {len(differing)} cases differ; "
+          f"{len(bad)} mismatches")
     return 1 if bad or top[0] > REL_TOL else 0
 
 
