@@ -18,6 +18,23 @@ c grows geometrically.  An Armijo backtracking line search on F_c
 finishes the iteration.  The QP is solved by a primal active-set method:
 the problems are small and the method produces sharp KKT residuals,
 which the iterate records keep for audit.
+
+The metric H is damped BFGS (Powell 1978), started at h_scale I and
+kept inside nu1 I <= H <= nu2 I with nu1 = 1e-2 h_scale and
+nu2 = 1e2 h_scale, the bounds the exact-penalty convergence argument
+asks of H.  Each accepted step u -> u+ updates it with s = u+ - u and
+y = grad L(u+, mu) - grad L(u, mu), where
+
+    L = F0 + sum_i (mu_i+ - mu_i-) g1_i + sum_j mu_j g2_j
+
+and mu are the multipliers of the step's direction QP: the QP models
+the constraints to first order only, so their curvature has to reach
+the step through H.  The box and beta rows are linear in (d, beta) and
+carry none.  When s^T y < 0.2 s^T H s, y is replaced by
+theta y + (1 - theta) H s with theta = 0.8 s^T H s / (s^T H s - s^T y),
+which keeps H positive definite.  Two Cholesky factorizations, of
+H - nu1 I and nu2 I - H, test the bounds; only when one fails are the
+eigenvalues clipped to [nu1, nu2].
 """
 
 from __future__ import annotations
@@ -58,13 +75,42 @@ class OptimizerConfig:
         return self
 
 
+# the metric's spectral bounds, as multiples of h_scale
+NU1_FACTOR = 1e-2
+NU2_FACTOR = 1e2
+
+
 def make_hessian(dim: int, h_scale: float):
-    """Scaled-identity QP Hessian H = h_scale I with its spectral bounds
-    nu1 = nu2 = h_scale; returns (H, nu1, nu2)."""
+    """Starting metric H0 = h_scale I with its spectral bounds
+    nu1 = NU1_FACTOR h_scale and nu2 = NU2_FACTOR h_scale; returns
+    (H0, nu1, nu2)."""
     if not h_scale > 0:
         raise ValidationError(f"h_scale: Hessian not positive definite (min eig {h_scale:.3e})",
                               field="h_scale")
-    return h_scale * np.eye(dim), float(h_scale), float(h_scale)
+    return h_scale * np.eye(dim), NU1_FACTOR * float(h_scale), NU2_FACTOR * float(h_scale)
+
+
+def update_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray,
+                   nu1: float, nu2: float) -> np.ndarray:
+    """Damped BFGS update of H along the step s with gradient change y,
+    returned inside [nu1, nu2] (see the module docstring)."""
+    Hs = H @ s
+    sHs = float(s @ Hs)
+    sy = float(s @ y)
+    if sy < 0.2 * sHs:
+        theta = 0.8 * sHs / (sHs - sy)
+        y = theta * y + (1.0 - theta) * Hs
+        sy = float(s @ y)
+    H = H - np.outer(Hs, Hs) / sHs + np.outer(y, y) / sy
+    eye = np.eye(H.shape[0])
+    try:
+        np.linalg.cholesky(H - nu1 * eye)
+        np.linalg.cholesky(nu2 * eye - H)
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(H)
+        H = (V * np.clip(w, nu1, nu2)) @ V.T
+        H = 0.5 * (H + H.T)   # the product rounds asymmetrically
+    return H
 
 
 def constraint_violation(eq_vals, ineq_vals) -> float:
@@ -88,9 +134,13 @@ KKT_TOL = 1e-8   # largest KKT residual solve_direction accepts
 
 @dataclass
 class QPInfo:
+    """mu holds one multiplier per QP row, in row order: each equality's
+    pair (value + <grad, d> <= beta, then its negation), each inequality,
+    beta >= 0, then each coordinate's (upper, lower) box pair."""
     kkt_residual: float
     iterations: int
     active: list
+    mu: np.ndarray
 
 
 def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
@@ -188,7 +238,7 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
                     raise QPFailure(f"KKT residual {res:.3e} above {KKT_TOL:.1e}",
                                     kkt_residual=float(res))
                 beta = max(0.0, float(y[dim]))   # beta >= 0 is a row; scrub roundoff
-                return y[:dim].copy(), beta, QPInfo(float(res), it, sorted(work))
+                return y[:dim].copy(), beta, QPInfo(float(res), it, sorted(work), mu_by_row.copy())
             _, drop_i = min(neg)
             work.pop(drop_i)
             continue
@@ -211,6 +261,13 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
         elif not has_beta:
             raise QPFailure("unbounded beta descent; no blocking row found")
     raise QPFailure(f"active-set iteration cap {cap} reached", iterations=cap)
+
+
+def lagrangian_weights(mu: np.ndarray, n_eq: int, n_ineq: int) -> np.ndarray:
+    """Weights of the gradients of (F0, g1..., g2...) in grad L, from a
+    QPInfo.mu: 1, then mu+ - mu- per equality, then mu per inequality."""
+    eq = mu[0:2 * n_eq:2] - mu[1:2 * n_eq:2]
+    return np.concatenate([[1.0], eq, mu[2 * n_eq:2 * n_eq + n_ineq]])
 
 
 def descent_measures(grad0: np.ndarray, d: np.ndarray, beta: float,
@@ -303,10 +360,11 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
 
     N, m = grid0.N, grid0.m
     dim = N * m
-    H, _, _ = make_hessian(dim, cfg.h_scale)
+    H, nu1, nu2 = make_hessian(dim, cfg.h_scale)
     lo_flat = np.tile(ocp.u_lo, N)
     hi_flat = np.tile(ocp.u_hi, N)
     functionals = [ocp.phi, *ocp.g1, *ocp.g2]
+    n_eq, n_ineq = len(ocp.g1), len(ocp.g2)
     # the last evaluation, keyed by the control's bytes: the next
     # iteration starts from the accepted line-search trial, which the
     # line search has just integrated
@@ -326,7 +384,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
         def merit(uflat):
             _, _, vals = evaluate(uflat)
             F0 = vals[0]
-            M = constraint_violation(vals[1:1 + len(ocp.g1)], vals[1 + len(ocp.g1):])
+            M = constraint_violation(vals[1:1 + n_eq], vals[1 + n_eq:])
             return penalty_value(F0, c, M)
         return merit
 
@@ -334,20 +392,25 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
     c = cfg.c0
     history: list[IterateRecord] = []
     status = "max_iters"
+    # the last accepted step: (s, gradients before it, Lagrangian weights)
+    step = None
 
     for it in range(cfg.max_iters):
         grid, traj, vals = evaluate(u)
         F0 = vals[0]
-        eq_vals = vals[1:1 + len(ocp.g1)]
-        ineq_vals = vals[1 + len(ocp.g1):]
+        eq_vals = vals[1:1 + n_eq]
+        ineq_vals = vals[1 + n_eq:]
         M = constraint_violation(eq_vals, ineq_vals)
 
         adjs = run_adjoints(ocp, traj, grid, functionals)
-        grads = [reduced_gradient(ocp, traj, grid, a).reshape(dim)
-                 for a in adjs]
+        grads = np.array([reduced_gradient(ocp, traj, grid, a).reshape(dim)
+                          for a in adjs])
+        if step is not None:
+            s, grads_before, weights = step
+            H = update_hessian(H, s, weights @ (grads - grads_before), nu1, nu2)
         grad0 = grads[0]
-        eqs = list(zip(eq_vals, grads[1:1 + len(ocp.g1)]))
-        ineqs = list(zip(ineq_vals, grads[1 + len(ocp.g1):]))
+        eqs = list(zip(eq_vals, grads[1:1 + n_eq]))
+        ineqs = list(zip(ineq_vals, grads[1 + n_eq:]))
 
         def solve(cc):
             return solve_direction(grad0, cc, H, eqs, ineqs,
@@ -372,7 +435,9 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
         rec.alpha = float(a)
         rec.penalty_after = float(F_new)
         history.append(rec)
-        u = np.clip(u_new, lo_flat, hi_flat)
+        u_new = np.clip(u_new, lo_flat, hi_flat)
+        step = u_new - u, grads, lagrangian_weights(info.mu, n_eq, n_ineq)
+        u = u_new
 
     return OptimizeResult(grid=grid0.with_values(u.reshape(N, m)),
                           history=history, status=status)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import slidoc
-from slidoc.cli import main
+from slidoc.cli import _write, main
 from slidoc.config import RunConfig, canonical_json, parse_config
 from slidoc.errors import ParseError, ValidationError
 from slidoc.integrator import IntegratorOptions
@@ -149,6 +149,44 @@ def test_module_entry_points_run_the_cli(tmp_path, module):
                          env=env, capture_output=True, text=True, timeout=120)
     assert bad.returncode == 1
     assert json.loads(bad.stderr.splitlines()[-1])["error"] == "ValidationError"
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+
+def test_rewrite_leaves_exactly_the_shorter_text(tmp_path):
+    """Outputs are overwritten in place: a shorter text written over a
+    longer one leaves no tail of the old one."""
+    out = tmp_path / "o.json"
+    _write(str(out), "x" * 5000 + "\n")
+    _write(str(out), "é short\n")
+    assert out.read_bytes() == "é short\n".encode("utf-8")
+    _write(str(out), "longer again\n")
+    assert out.read_bytes() == b"longer again\n"
+
+
+def test_rewrite_through_a_symlink_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("an older and longer text\n")
+    link.symlink_to(target)
+    _write(str(link), "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+
+
+def test_out_to_dev_stdout_through_a_pipe(tmp_path):
+    """--out /dev/stdout writes to a pipe, which cannot seek or be
+    truncated, and gives the same bytes as a file."""
+    env = dict(os.environ)
+    src = str(Path(slidoc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "t.json"
+    done = subprocess.run([sys.executable, "-m", "slidoc", "tableau-check", "--out",
+                           "/dev/stdout"], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert run("tableau-check", "--out", str(out)) == 0
+    assert done.stdout == out.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import slidoc.optimizer as optimizer_mod
 from slidoc.errors import CFailure, LineSearchFailure, ValidationError
 from slidoc.optimizer import (OptimizerConfig, adjust_penalty,
                               constraint_violation, descent_measures,
-                              line_search, make_hessian, optimize,
-                              penalty_value, solve_direction)
+                              lagrangian_weights, line_search, make_hessian,
+                              optimize, penalty_value, solve_direction,
+                              update_hessian)
 from slidoc.problems import get_problem
 
 WIDE = 10.0 * np.ones(2)
@@ -25,10 +26,111 @@ def test_constraint_violation_cases():
 
 def test_hessian_spectral_bounds():
     H, nu1, nu2 = make_hessian(4, 2.5)
-    assert nu1 == pytest.approx(2.5)
-    assert nu2 == pytest.approx(2.5)
+    assert np.array_equal(H, 2.5 * np.eye(4))
+    assert nu1 == pytest.approx(1e-2 * 2.5)
+    assert nu2 == pytest.approx(1e2 * 2.5)
     with pytest.raises(ValidationError):
         make_hessian(3, 0.0)
+
+
+def _spd(rng, dim, lo, hi):
+    """A random symmetric matrix with eigenvalues drawn from [lo, hi]."""
+    Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    A = (Q * rng.uniform(lo, hi, dim)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_metric_update_satisfies_the_secant_equation():
+    """With enough curvature along s no damping applies, and the update
+    maps s to y exactly (H+ s = y)."""
+    rng = np.random.default_rng(3)
+    H0, nu1, nu2 = make_hessian(5, 1.0)
+    H = _spd(rng, 5, 0.5, 2.0)
+    s = rng.normal(size=5)
+    y = _spd(rng, 5, 0.5, 2.0) @ s
+    assert s @ y >= 0.2 * (s @ H @ s)
+    Hp = update_hessian(H, s, y, nu1, nu2)
+    assert np.max(np.abs(Hp @ s - y)) <= 1e-12
+    assert np.array_equal(Hp, Hp.T)
+
+
+def test_metric_update_damps_negative_curvature():
+    """s^T y < 0 would make plain BFGS indefinite; Powell's damping
+    keeps s^T H+ s = 0.2 s^T H s > 0."""
+    rng = np.random.default_rng(4)
+    _, nu1, nu2 = make_hessian(4, 1.0)
+    H = _spd(rng, 4, 0.5, 2.0)
+    s = rng.normal(size=4)
+    y = -s
+    assert s @ y < 0
+    Hp = update_hessian(H, s, y, nu1, nu2)
+    sHs = float(s @ H @ s)
+    assert float(s @ Hp @ s) > 0
+    assert float(s @ Hp @ s) == pytest.approx(0.2 * sHs, rel=1e-12)
+    assert np.min(np.linalg.eigvalsh(Hp)) > 0
+
+
+def test_metric_update_is_kept_inside_the_bounds():
+    """A curvature of 1e4 along s would push H past nu2 = 100; the
+    eigenvalue clip brings it back inside [nu1, nu2]."""
+    rng = np.random.default_rng(5)
+    H, nu1, nu2 = make_hessian(3, 1.0)
+    s = rng.normal(size=3)
+    Hp = update_hessian(H, s, 1e4 * s, nu1, nu2)
+    w = np.linalg.eigvalsh(Hp)
+    assert w.max() <= nu2 * (1 + 1e-12)
+    assert w.min() >= nu1 * (1 - 1e-12)
+    assert w.max() == pytest.approx(nu2, rel=1e-12)
+    assert np.array_equal(Hp, Hp.T)
+    # an update that stays inside is not touched by the clip
+    assert np.array_equal(update_hessian(H, s, 2.0 * s, nu1, nu2),
+                          H - np.outer(s, s) / (s @ s) + np.outer(2 * s, 2 * s) / (2 * s @ s))
+
+
+def _qp_stationarity(grad0, c, H, eqs, ineqs, d, mu):
+    """Largest residual of the QP's stationarity conditions in d and in
+    beta, from QPInfo.mu in its documented row order."""
+    dim = grad0.shape[0]
+    neq, nineq = len(eqs), len(ineqs)
+    r_d = H @ d + grad0
+    r_beta = c - mu[2 * neq + nineq]
+    for i, (_, g) in enumerate(eqs):
+        r_d = r_d + (mu[2 * i] - mu[2 * i + 1]) * g
+        r_beta -= mu[2 * i] + mu[2 * i + 1]
+    for j, (_, g) in enumerate(ineqs):
+        r_d = r_d + mu[2 * neq + j] * g
+        r_beta -= mu[2 * neq + j]
+    box = mu[2 * neq + nineq + 1:]
+    assert box.shape == (2 * dim,)
+    r_d = r_d + box[0::2] - box[1::2]
+    return max(float(np.max(np.abs(r_d))), abs(r_beta))
+
+
+def test_qp_multipliers_satisfy_stationarity_with_inequality_and_box():
+    """The case of test_qp_hand_case_with_inequality_and_box: d2 = -0.3
+    is held by the inequality (mu = 0.3), and beta = 0 by beta >= 0
+    (mu = c - 0.3)."""
+    H, _, _ = make_hessian(2, 1.0)
+    grad0, ineqs = np.array([1.0, 0.0]), [(0.3, np.array([0.0, 1.0]))]
+    d, beta, info = solve_direction(grad0, 10.0, H, [], ineqs,
+                                    np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    assert np.all(info.mu >= 0)
+    assert _qp_stationarity(grad0, 10.0, H, [], ineqs, d, info.mu) <= 1e-10
+    assert info.mu[0] == pytest.approx(0.3, abs=1e-10)
+    assert info.mu[1] == pytest.approx(9.7, abs=1e-10)
+    assert lagrangian_weights(info.mu, 0, 1) == pytest.approx([1.0, 0.3], abs=1e-10)
+
+
+def test_qp_multipliers_satisfy_stationarity_with_equality():
+    """The case of test_qp_equality_hand_case: the equality's pair of
+    rows nets mu+ - mu- = 0.5 against d = -0.5."""
+    H, _, _ = make_hessian(1, 1.0)
+    grad0, eqs = np.zeros(1), [(0.5, np.array([1.0]))]
+    d, beta, info = solve_direction(grad0, 100.0, H, eqs, [],
+                                    np.array([-10.0]), np.array([10.0]))
+    assert np.all(info.mu >= 0)
+    assert _qp_stationarity(grad0, 100.0, H, eqs, [], d, info.mu) <= 1e-10
+    assert lagrangian_weights(info.mu, 1, 0) == pytest.approx([1.0, 0.5], abs=1e-10)
 
 
 def test_config_validation():
@@ -227,3 +329,32 @@ def test_iterate_record_serializes():
                 "penalty_before", "penalty_after", "kkt_residual", "u", "d"):
         assert key in d
     assert isinstance(d["u"], list) and isinstance(d["u"][0], list)
+
+
+# iterations (history records, the last one stationary) each built-in
+# needs at N = 10, spi 8; the damped-BFGS metric measured 6, 11, 27, 3
+# and 1 (H = h_scale I took 22, 32, > 200, 5 and 1)
+BUDGETS = {"constrained-toy": 8, "smooth-linear": 14, "p2-steered": 35,
+           "slide-exit": 5, "p2-sliding": 1}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETS))
+def test_every_builtin_is_stationary_within_its_budget(monkeypatch, name):
+    """Every built-in stops 'stationary' within its budget, and every
+    metric the direction QP receives lies in [nu1, nu2]."""
+    _, nu1, nu2 = make_hessian(1, OptimizerConfig().h_scale)
+    spectra = []
+    solve = optimizer_mod.solve_direction
+
+    def spy(grad0, c, H, *args):
+        spectra.append(np.linalg.eigvalsh(H))
+        return solve(grad0, c, H, *args)
+
+    monkeypatch.setattr(optimizer_mod, "solve_direction", spy)
+    ocp, grid = get_problem(name)
+    res = optimize(ocp, grid, 8)
+    assert res.status == "stationary"
+    assert len(res.history) <= BUDGETS[name]
+    assert spectra
+    assert min(w.min() for w in spectra) >= nu1 * (1 - 1e-12)
+    assert max(w.max() for w in spectra) <= nu2 * (1 + 1e-12)
