@@ -15,7 +15,6 @@ files live next to each CSV, same name with the suffix swapped.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -39,19 +38,11 @@ from .verify import gradient_check, order_study
 
 
 def _write(path: Optional[str], text: str):
-    """Write text to path (stdout when None), overwriting the file in
-    place: write from offset 0, then cut what an older, longer text
-    left.  Truncating to zero before writing instead makes ext4
-    (auto_da_alloc) start write-back on close, and the next rewrite of
-    the same file waits for it.  The file is never deleted first, so
-    --out /dev/stdout, pipes and symlinks keep working."""
     if path is None:
         sys.stdout.write(text)
-        return
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if fh.seekable():
-            fh.truncate()
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _sidecar(out: str) -> str:

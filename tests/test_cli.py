@@ -156,8 +156,8 @@ def test_module_entry_points_run_the_cli(tmp_path, module):
 
 
 def test_rewrite_leaves_exactly_the_shorter_text(tmp_path):
-    """Outputs are overwritten in place: a shorter text written over a
-    longer one leaves no tail of the old one."""
+    """A shorter text written over a longer one leaves no tail of the
+    old one."""
     out = tmp_path / "o.json"
     _write(str(out), "x" * 5000 + "\n")
     _write(str(out), "é short\n")
@@ -176,8 +176,8 @@ def test_rewrite_through_a_symlink_keeps_the_link(tmp_path):
 
 
 def test_out_to_dev_stdout_through_a_pipe(tmp_path):
-    """--out /dev/stdout writes to a pipe, which cannot seek or be
-    truncated, and gives the same bytes as a file."""
+    """--out /dev/stdout writes to a pipe and gives the same bytes as
+    a file."""
     env = dict(os.environ)
     src = str(Path(slidoc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

@@ -1,11 +1,14 @@
 """Exact-penalty machinery: QP hand cases, penalty adjustment, Armijo
 search, and the full loop on the constrained toy problem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import slidoc.optimizer as optimizer_mod
 from slidoc.errors import CFailure, LineSearchFailure, ValidationError
+from slidoc.model import EndpointFunctional
 from slidoc.optimizer import (OptimizerConfig, adjust_penalty,
                               constraint_violation, descent_measures,
                               lagrangian_weights, line_search, make_hessian,
@@ -358,3 +361,32 @@ def test_every_builtin_is_stationary_within_its_budget(monkeypatch, name):
     assert spectra
     assert min(w.min() for w in spectra) >= nu1 * (1 - 1e-12)
     assert max(w.max() for w in spectra) <= nu2 * (1 + 1e-12)
+
+
+def _circle_toy():
+    """constrained-toy with min x1 - 2 x2 over endpoints on the unit
+    circle: the endpoint is linear in u, so F0 is linear and all the
+    curvature is the constraint's.  The optimum is -sqrt(5)."""
+    ocp, grid = get_problem("constrained-toy")
+    phi = EndpointFunctional(value=lambda x: float(x[0] - 2.0 * x[1]),
+                             grad=lambda x: np.array([1.0, -2.0]), name="phi")
+    circle = EndpointFunctional(value=lambda x: float(x[0] ** 2 + x[1] ** 2 - 1.0),
+                                grad=lambda x: 2.0 * np.asarray(x, dtype=float),
+                                name="g1:0")
+    return replace(ocp, phi=phi, g1=(circle,), g2=()), grid
+
+
+def test_lagrangian_metric_carries_the_constraint_curvature(monkeypatch):
+    """With F0 linear, grad F0 changes by nothing along a step, so a
+    metric updated from grad F0 alone sees no curvature and the descent
+    crawls along the circle (113 iterations).  grad L adds the
+    constraint's curvature through its multiplier: 12 iterations."""
+    ocp, grid = _circle_toy()
+    res = optimize(ocp, grid, 8)
+    assert res.status == "stationary"
+    assert len(res.history) <= 15
+    assert res.history[-1].F0 == pytest.approx(-np.sqrt(5.0), abs=1e-6)
+
+    monkeypatch.setattr(optimizer_mod, "lagrangian_weights",
+                        lambda mu, n_eq, n_ineq: np.eye(1 + n_eq + n_ineq)[0])
+    assert len(optimize(ocp, grid, 8).history) > 50
