@@ -166,15 +166,6 @@ def test_rewrite_leaves_exactly_the_shorter_text(tmp_path):
     assert out.read_bytes() == b"longer again\n"
 
 
-def test_rewrite_through_a_symlink_keeps_the_link(tmp_path):
-    target, link = tmp_path / "target.json", tmp_path / "link.json"
-    target.write_text("an older and longer text\n")
-    link.symlink_to(target)
-    _write(str(link), "new\n")
-    assert link.is_symlink()
-    assert target.read_text() == "new\n"
-
-
 def test_out_to_dev_stdout_through_a_pipe(tmp_path):
     """--out /dev/stdout writes to a pipe and gives the same bytes as
     a file."""
