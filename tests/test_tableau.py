@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidoc.errors import ZeroWeight
-from slidoc.tableau import ButcherTableau, adjoint_tableau, check_conditions, radau_iia_3
+from slidoc.tableau import (RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV,
+                            ButcherTableau, adjoint_tableau, check_conditions, radau_iia_3)
 
 SQRT6 = math.sqrt(6.0)
 
@@ -140,3 +141,25 @@ def test_tableau_arrays_are_frozen():
     tab = radau_iia_3()
     with pytest.raises(ValueError):
         tab.A[0, 0] = 0.0
+
+
+def test_eigenbasis_literals_rebuild_from_a():
+    """The stored A = T diag(lambda) T^-1 agrees with np.linalg.eig of
+    A: the same eigenvalues in the same order (the real one, then the
+    pair with positive imaginary part first), eigenvectors scaled to end
+    in 1, and T^-1 the inverse of T, all to a few ulps."""
+    A = RADAU_IIA.A
+    lam, V = np.linalg.eig(A)
+    order = sorted(range(3), key=lambda i: (abs(lam[i].imag) > 0, -lam[i].imag))
+    lam, V = lam[order], V[:, order]
+    assert np.abs(RADAU_IIA_EIGVALS - lam).max() <= 1e-15
+    assert np.abs(RADAU_IIA_T - V / V[-1]).max() <= 1e-14
+    assert np.abs(RADAU_IIA_TINV - np.linalg.inv(V / V[-1])).max() <= 1e-13
+    assert np.abs(RADAU_IIA_T @ np.diag(RADAU_IIA_EIGVALS) @ RADAU_IIA_TINV - A).max() <= 1e-15
+    assert np.abs(RADAU_IIA_T @ RADAU_IIA_TINV - np.eye(3)).max() <= 1e-15
+    # the real eigenvalue's column and row are real, the pair's conjugate
+    assert RADAU_IIA_EIGVALS[0].imag == 0 and not RADAU_IIA_T[:, 0].imag.any()
+    assert not RADAU_IIA_TINV[0].imag.any()
+    assert np.array_equal(RADAU_IIA_T[:, 2], RADAU_IIA_T[:, 1].conj())
+    assert np.array_equal(RADAU_IIA_TINV[2], RADAU_IIA_TINV[1].conj())
+    assert RADAU_IIA_EIGVALS[2] == RADAU_IIA_EIGVALS[1].conjugate()

@@ -1,10 +1,19 @@
 """Write a root BENCH_<n>.json: parent vs change, counts and paired times.
 
-    python3 tools/bench_record.py --parent PARENT_CHECKOUT --out BENCH_8.json
+    mkdir -p /tmp/bench/p /tmp/bench/c
+    git archive PARENT_COMMIT | tar -x -C /tmp/bench/p
+    git archive CHANGE_COMMIT | tar -x -C /tmp/bench/c
+    python3 tools/bench_record.py --parent /tmp/bench/p --change /tmp/bench/c \
+        --out BENCH_<n>.json
 
-PARENT_CHECKOUT is a copy of the parent commit (`git clone` or
-`git archive`); the change is the checkout holding this script.  For
-every workload of BENCHMARK.json the record holds the result of
+Both sides run from `git archive` exports of their commits, never from a
+working checkout, and from root paths of equal length; the script
+refuses trees whose root paths differ in length or that hold a
+`__pycache__` directory.  A working checkout carries bytecode from
+earlier runs, which imports faster than a fresh export compiles (8-10
+ms of `setup_s`), and a longer root path alone moves `peak_rss_mb` by
+0.2-0.3 MB; either would show as a difference the change did not make.
+For every workload of BENCHMARK.json the record holds the result of
 `benchmarks/run.py --seed 1 --seconds 0 --trace 1` in both trees (the
 per-layer counts are deterministic; the times in it are one noisy
 sample) and PAIRS interleaved `--trace 0` runs of the benchmark's
@@ -23,7 +32,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 
@@ -34,6 +42,20 @@ def bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> d
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def check_trees(trees: dict) -> str:
+    """Why the two trees cannot be compared, or '' when they can."""
+    if len(str(trees["parent"])) != len(str(trees["change"])):
+        return (f"root paths differ in length ({trees['parent']}, {trees['change']}); "
+                "export both sides to paths of equal length")
+    for side, tree in trees.items():
+        if not (tree / "benchmarks" / "run.py").is_file():
+            return f"{side} tree {tree} has no benchmarks/run.py"
+        cached = next(tree.rglob("__pycache__"), None)
+        if cached is not None:
+            return f"{side} tree holds {cached}; run from a fresh git archive export"
+    return ""
 
 
 def summary(pairs: list, spec: list) -> dict:
@@ -53,13 +75,17 @@ def summary(pairs: list, spec: list) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, type=Path)
+    p.add_argument("--parent", required=True, type=Path, help="export of the parent commit")
+    p.add_argument("--change", required=True, type=Path, help="export of the change")
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    problem = check_trees(trees)
+    if problem:
+        p.error(problem)
+    spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    trees = {"parent": args.parent.resolve(), "change": ROOT}
     traced, paired = {}, {}
     for wl in spec["workloads"]:
         name = wl["name"]

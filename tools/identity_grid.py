@@ -35,7 +35,8 @@ A change that is meant to round differently cannot be bit-identical.
 For it, --npz PATH also writes the hashed arrays (plus each case's
 transition sequence and error) to an .npz, and --compare reports the
 largest relative difference max|a - b| / max(|b|_inf, 1e-300) of every
-(problem, backend, array) between two such files:
+(problem, backend, array) between two such files, next to the largest
+absolute difference max|a - b|:
 
     python3 tools/identity_grid.py --npz new.npz > new.json
     python3 tools/identity_grid.py --compare new.npz old.npz
@@ -207,33 +208,40 @@ def _transition_cases():
     yield "chattering/cap1", ocp, grid, 8, IntegratorOptions(max_transitions_per_interval=1)
 
 
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| / max(|b|_inf, 1e-300) over the finite entries of b; inf
-    when the shapes differ or a non-finite entry (a flagged FD entry is
-    NaN) is not matched exactly, at the same position, in a."""
+def _diff(a: np.ndarray, b: np.ndarray):
+    """(max|a - b| / max(|b|_inf, 1e-300), max|a - b|) over the finite
+    entries of b; both inf when the shapes differ or a non-finite entry
+    (a flagged FD entry is NaN) is not matched exactly, at the same
+    position, in a."""
     if a.shape != b.shape:
-        return float("inf")
+        return float("inf"), float("inf")
     fin = np.isfinite(b)
     if not (np.array_equal(fin, np.isfinite(a))
             and np.array_equal(a[~fin], b[~fin], equal_nan=True)):
-        return float("inf")
+        return float("inf"), float("inf")
     a, b = a[fin], b[fin]
     if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)) / max(float(np.max(np.abs(b))), 1e-300))
+        return 0.0, 0.0
+    err = float(np.max(np.abs(a - b)))
+    return err / max(float(np.max(np.abs(b))), 1e-300), err
 
 
 def compare(new_path: str, old_path: str) -> int:
     """Print the worst relative difference per (problem, backend, array)
-    of new against old, and every array whose bytes differ although its
-    values compare equal (a -0.0 for a 0.0); nonzero exit on any
-    difference above REL_TOL, any such array or any mismatch of keys,
-    transition sequences or errors."""
+    of new against old, with the case it occurs in, next to the largest
+    absolute difference max|a - b| over the same cases (it judges arrays
+    that are zero in exact arithmetic, such as stages_z, whose relative
+    difference compares rounding noise with rounding noise); print every
+    array whose bytes differ although its values compare equal (a -0.0
+    for a 0.0).  Nonzero exit on any relative difference above REL_TOL,
+    any such array or any mismatch of keys, transition sequences or
+    errors."""
     with np.load(new_path) as new, np.load(old_path) as old:
         bad = sorted(set(new.files) ^ set(old.files))
         for key in bad:
             print(f"only in {'new' if key in new.files else 'old'}: {key}")
         worst: dict = {}
+        worst_abs: dict = {}
         differing = set()
         for key in sorted(set(new.files) & set(old.files)):
             case, field = key.split("|")
@@ -245,7 +253,8 @@ def compare(new_path: str, old_path: str) -> int:
                 continue
             parts = field.split("/")
             group = (case.split("/")[0], parts[0] if len(parts) > 1 else "traj", parts[-1])
-            rel = _rel_diff(a, b)
+            rel, err = _diff(a, b)
+            worst_abs[group] = max(err, worst_abs.get(group, 0.0))
             if rel == 0.0 and a.tobytes() != b.tobytes():
                 print(f"{key}: values equal, bytes differ (signed zeros)")
                 bad.append(key)
@@ -253,8 +262,10 @@ def compare(new_path: str, old_path: str) -> int:
                 differing.add(case)
             if rel > worst.get(group, (-1.0,))[0]:
                 worst[group] = (rel, case)
-    for (problem, backend, array), (rel, case) in sorted(worst.items()):
-        print(f"{problem:16s} {backend:12s} {array:11s} {rel:.2e}  {case}")
+    print(f"{'problem':16s} {'backend':12s} {'array':11s} {'rel':8s}  {'abs':8s}  worst-rel case")
+    for group, (rel, case) in sorted(worst.items()):
+        print(f"{group[0]:16s} {group[1]:12s} {group[2]:11s} {rel:.2e}  "
+              f"{worst_abs[group]:.2e}  {case}")
     top = max(worst.values(), default=(0.0, "-"))
     print(f"worst {top[0]:.2e} ({top[1]}); {len(differing)} cases differ; "
           f"{len(bad)} mismatches")
