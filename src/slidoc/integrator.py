@@ -306,7 +306,6 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
     there once and its solve is the eigenbasis one; later iterates
     evaluate them at each stage and factor the dense stage matrix.
     """
-    n = ocp.n
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
     f, f_x, _ = ocp.field(mode)

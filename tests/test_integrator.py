@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import slidoc.adjoint as adjoint_mod
 import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
 from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket, ValidationError
@@ -491,7 +492,6 @@ def _solve_paths(monkeypatch):
     (stage_matrix).  Returns (forward, backward): forward lists one
     list of solve kinds per step_ode / step_sliding call, backward maps
     (mode of step k, kind) to a count."""
-    import slidoc.adjoint as adjoint_mod
     forward, backward, current = [], {}, []
 
     for mod in (integrator_mod, adjoint_mod):
