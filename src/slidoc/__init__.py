@@ -15,8 +15,8 @@ from .errors import SlidocError
 from .gradient import directional_derivative, reduced_gradient, reduced_gradient_matrix
 from .integrator import (IntegratorOptions, Trajectory, TransitionRecord,
                          integrate, step_ode, step_sliding)
-from .model import (ControlGrid, EndpointFunctional, EntryKind, HybridOCP,
-                    Mode, TransitionKind, alpha, entry_test, exit_test,
+from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
+                    TransitionKind, alpha, entry_test, exit_test,
                     filippov_field, filippov_jacobians)
 from .optimizer import (IterateRecord, OptimizeResult, OptimizerConfig,
                         adjust_penalty, constraint_violation, line_search,

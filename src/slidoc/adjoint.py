@@ -19,15 +19,16 @@ One kernel (_step_adjoint) serves off-surface and sliding steps alike.
 F_{X+} is block lower triangular, [[M, 0], [-W, I]], where M is the
 stage Newton matrix of the forward step (integrator.stage_pencil, with
 the constraint rows on a sliding step), so the step's adjoint is one
-solve with M^T and no dense F_{X+} or F_X is built.  When the step's
-stage Jacobians (and g_x rows) are bit for bit equal, as on every
-off-surface step of a field with constant f_x, that solve is
-integrator.eigen_stage_solve with transpose, in the eigenbasis of A;
-otherwise integrator.stage_matrix lays M out densely and it is
-factored.  Blended sliding Jacobians that differ only by rounding take
-the dense solve.  Off the surface
-the stage multipliers it yields are exactly those of the reversed-time
-table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
+solve with M^T and no dense F_{X+} or F_X is built.  The forward
+Newton correction and this solve share their kernel: the stage
+Jacobians fF_x + z g_xx of a sliding step come from
+integrator.sliding_jacobians (from the Filippov values at the stored
+stages) and the solve is integrator.solve_stages, whose one rule picks
+the eigenbasis solve for steps whose stage Jacobians and g_x rows are
+bit for bit equal, as every off-surface step of a field with constant
+f_x, and the dense stage matrix otherwise.  Off the surface the stage
+multipliers it yields are exactly those of the reversed-time table
+a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
 never builds that table.  The gradient row is the stage quadrature
 h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.  The dense
@@ -74,9 +75,10 @@ import numpy as np
 
 from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
                      SingularTerminalSystem)
-from .integrator import Trajectory, eigen_stage_solve, stage_matrix, stage_sums
+from .integrator import (Trajectory, sliding_jacobians, solve_stages, stage_matrix,
+                         stage_sums)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                    TransitionKind, filippov_jacobians, filippov_state_jacobian,
+                    TransitionKind, filippov_control_jacobian, filippov_state_jacobian,
                     filippov_values)
 from .tableau import RADAU_IIA
 
@@ -124,14 +126,13 @@ def _step_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
         _, f_x, f_u = ocp.field(traj.mode[k])
         return (np.array([f_x(x_j, u) for x_j in xs]),
                 np.array([f_u(x_j, u) for x_j in xs]), None)
-    Js, fus, gxs = [], [], []
-    for x_j, z_j in zip(xs, traj.stages_z[k]):
-        _, fF_x, fF_u, _, _, _ = filippov_jacobians(ocp, x_j, u,
-                                                    eps_den=traj.opts.eps_den)
-        Js.append(fF_x + z_j * ocp.g_xx(x_j))
-        gxs.append(ocp.g_x(x_j))
-        fus.append(fF_u)
-    return np.array(Js), np.array(fus), np.array(gxs)
+    vals = []
+    for x_j in xs:
+        vals.append(filippov_values(ocp, x_j, u, eps_den=traj.opts.eps_den))
+    return (sliding_jacobians(ocp, vals, xs, traj.stages_z[k], u),
+            np.array([filippov_control_jacobian(ocp, v, x_j, u)[0]
+                      for v, x_j in zip(vals, xs)]),
+            np.array([v.gx for v in vals]))
 
 
 def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np.ndarray:
@@ -146,45 +147,23 @@ def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np
     return W.reshape(n, -1)
 
 
-def _solve_columns(M: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    """Solve M y_f = rhs[f] for every row f of rhs (F, d); returns the
-    solutions as columns (F, d, 1).  A batch of single-RHS LU solves,
-    bit-identical to solving each row on its own.  Products of a matrix
-    with these columns are likewise one matrix-vector product per row."""
-    F, d = rhs.shape
-    try:
-        return np.linalg.solve(np.broadcast_to(M, (F, d, d)), rhs.reshape(F, d, 1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"adjoint system singular at step {k}") from exc
-
-
-def _shared(V: np.ndarray) -> bool:
-    """Whether every stage value V[j] equals V[0] bit for bit."""
-    return V.tobytes() == V[0].tobytes() * V.shape[0]
-
-
 def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
                   gxs: Optional[np.ndarray], lam_plus: np.ndarray):
     """The backward step of either mode for every row of lam_plus (F, n):
     R_end = lam_plus, M^T R_s = W^T lam_plus, lam_k = lam_plus + sum_i
     R_s,i (x parts), stage multipliers lam_i = lam_plus + sum_j a_ji
     R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  The M^T
-    solve is the eigenbasis one when every stage has the same Jacobian
-    and g_x row, the dense one otherwise.  Returns (stage multipliers
+    solve is integrator.solve_stages.  Returns (stage multipliers
     (F, s, n), lam_k (F, n), gradient rows (F, m))."""
     A, b = RADAU_IIA.A, RADAU_IIA.b
     s, n = Js.shape[:2]
     h = traj.h[k]
     rhs = (_endpoint_weights(h, Js, gxs).T @ lam_plus[..., None])[..., 0]
-    if _shared(Js) and (gxs is None or _shared(gxs)):
-        try:
-            R = eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0],
-                                  rhs.reshape(lam_plus.shape[0], s, -1), transpose=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(f"adjoint system singular at step {k}") from exc
-    else:
-        R = _solve_columns(stage_matrix(h, A, Js, gxs).T, rhs, k)
-    Rx = R.reshape(lam_plus.shape[0], s, -1)[..., :n]
+    try:
+        R = solve_stages(h, Js, gxs, rhs.reshape(lam_plus.shape[0], s, -1), transpose=True)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"adjoint system singular at step {k}") from exc
+    Rx = R[..., :n]
     lam_k = lam_plus + sum(Rx[:, i] for i in range(s))
     stages = lam_plus[:, None] + (A.T @ Rx) / b[:, None]
     fuT_lam = (fus.transpose(0, 2, 1) @ stages[..., None])[..., 0]
@@ -261,7 +240,12 @@ def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
     assemble = (assemble_sliding_step_matrices if traj.mode[k] is Mode.SLIDING
                 else assemble_ode_step_matrices)
     FXp, FX, Fu = assemble(ocp, traj, k, u)
-    R = _solve_columns(FXp.T, Lambda_plus, k)
+    # one single-RHS solve per row, as each row's own solve would give
+    F, d = Lambda_plus.shape
+    try:
+        R = np.linalg.solve(np.broadcast_to(FXp.T, (F, d, d)), Lambda_plus.reshape(F, d, 1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"adjoint system singular at step {k}") from exc
     return (-FX.T @ R)[..., 0], -(Fu.T @ R)[..., 0]
 
 

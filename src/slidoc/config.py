@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -81,9 +81,7 @@ class RunConfig:
         return IntegratorOptions(**self.tolerances())
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(c0=self.c0, kappa=self.kappa, gamma=self.gamma,
-                               eta=self.eta, epsilon=self.epsilon,
-                               max_iters=self.max_iters, h_scale=self.h_scale)
+        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
 
     def overrides(self) -> dict:
         out = {"N": self.N}
@@ -94,9 +92,10 @@ class RunConfig:
         return out
 
     def tolerances(self) -> dict:
-        return {"newton_tol": self.newton_tol, "event_tol": self.event_tol,
-                "surface_tol": self.surface_tol, "eps_tan": self.eps_tan,
-                "eps_den": self.eps_den}
+        # every field of IntegratorOptions but the transition cap, which
+        # is no config key
+        return {f.name: getattr(self, f.name) for f in fields(IntegratorOptions)
+                if f.name in _FIELDS}
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(asdict(self)).encode("utf-8")).hexdigest()

@@ -36,20 +36,20 @@ stage_pencil is the one place the stage blocks are written: stage i's
 rows of the Newton matrix are P_i y_i - h sum_j a_ij Q_j y_j, with P = I
 and Q = J off the surface, and on it the bordered P = [[I, 0], [g_x, 0]]
 (the constraint row) and Q = [[J, g_x^T], [0, 0]] (the multiplier
-column).  Two solvers use it.  When every stage has the same Jacobian
-(and g_x row) the matrix is I_s (x) P - h A (x) Q, and eigen_stage_solve
-splits it in the eigenbasis of A (T^-1 A T = diag(gamma, alpha +- i
-beta), tableau.RADAU_IIA_T) into one real and one complex d x d solve,
-d = n off the surface and n + 1 on it.  Every Newton first iterate takes
-it, since it puts every stage at x, and so does every backward step
-whose stage Jacobians are bit for bit equal.  Otherwise stage_matrix
-lays the blocks out densely (s d x s d) and np.linalg.solve factors it:
-later Newton iterates, backward steps with unequal stage Jacobians, and
-the dense step Jacobian F_{X+} of the backward sweep's matrix oracle.
-The two solves agree to rounding, not bit for bit.  The stage sums of
-the sliding residual, of x_plus and of the control Jacobian add their
-terms over j in order (stage_sums): A @ V or einsum may round
-differently, which would change results in the last bit.
+column), J = fF_x + z g_xx (sliding_jacobians).  solve_stages solves
+every stage system, M forward and M^T backward, by one rule.  When
+every stage has the same Jacobian and g_x row bit for bit, the matrix is
+I_s (x) P - h A (x) Q, and eigen_stage_solve splits it in the eigenbasis
+of A (T^-1 A T = diag(gamma, alpha +- i beta), tableau.RADAU_IIA_T) into
+one real and one complex d x d solve, d = n off the surface and n + 1 on
+it: every Newton first iterate, which puts every stage at x, and every
+backward step of a field with constant f_x.  Otherwise stage_matrix lays
+the blocks out densely (s d x s d) and np.linalg.solve factors it, as
+the sweep's matrix oracle does inside its dense F_{X+}.  The two solves
+agree to rounding, not bit for bit.  The stage sums of the sliding
+residual, of x_plus and of the control Jacobian add their terms over j
+in order (stage_sums): A @ V or einsum may round differently, which
+would change results in the last bit.
 
 A run is resumable at any control breakpoint.  The interval loop records
 what it holds when interval n begins (IntervalStart: t, x, mode, the
@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import (COUNT, POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
                      SingularIteration, check_fields)
-from .model import (EPS_DEN, EPS_TAN, ControlGrid, EntryKind, HybridOCP, Mode,
+from .model import (EPS_DEN, EPS_TAN, ControlGrid, HybridOCP, Mode,
                     TransitionKind, alpha, entry_test, exit_kind, exit_test,
                     filippov_state_jacobian, filippov_values, normal_speeds)
 from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
@@ -283,17 +283,41 @@ def _at_stages(values: list, s: int) -> np.ndarray:
     return V if len(V) == s else np.repeat(V, s, axis=0)
 
 
-def _newton_update(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
-                   res: np.ndarray) -> np.ndarray:
-    """The Newton correction -M^-1 res (s, d) of a stage iteration.  Js
-    (m, n, n) and gxs (m, n) hold one value per stage, or a single one
-    (m = 1) on the first iterate, which puts every stage at the step
-    start; that one takes the eigenbasis solve, the others the dense
-    stage matrix."""
-    if Js.shape[0] == 1:
-        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], -res)
+def _shared(V: np.ndarray) -> bool:
+    """Whether every stage value V[j] equals V[0] bit for bit; a single
+    value (a first iterate) is shared without a look at its bytes."""
+    return V.shape[0] == 1 or V.tobytes() == V[0].tobytes() * V.shape[0]
+
+
+def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
+                 r: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Solve M y = r (M^T y = r with transpose) for the stage pencil of
+    Js (m, n, n) and gxs (m, n), None off the surface, holding one value
+    per stage or one (m = 1) for all s; r and y are (..., s, d).  The one
+    choice of solve: eigen_stage_solve when the stages share Js and gxs
+    bit for bit, else np.linalg.solve of stage_matrix, one single-RHS
+    solve per leading index of r.  Raises np.linalg.LinAlgError when the
+    system is singular."""
+    if (gxs is None or _shared(gxs)) and _shared(Js):
+        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose)
     M = stage_matrix(h, RADAU_IIA.A, Js, gxs)
-    return np.linalg.solve(M, -res.reshape(-1)).reshape(res.shape)
+    if transpose:
+        M = M.T
+    lead = r.shape[:-2]
+    return np.linalg.solve(np.broadcast_to(M, lead + M.shape),
+                           r.reshape(lead + (-1, 1))).reshape(r.shape)
+
+
+def sliding_jacobians(ocp: HybridOCP, vals: list, X: np.ndarray, Z: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+    """The stage Jacobians fF_x(x_j, u) + z_j g_xx(x_j) (m, n, n), the
+    derivative of f_F + g_x^T z, of the first m = len(vals) stages of X
+    and Z from their Filippov values vals (filippov_values)."""
+    Js = np.empty((len(vals), ocp.n, ocp.n))
+    for j, v in enumerate(vals):
+        gxx = ocp.g_xx(X[j])
+        Js[j] = filippov_state_jacobian(ocp, v, X[j], u, gxx)[0] + Z[j] * gxx
+    return Js
 
 
 def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
@@ -321,7 +345,7 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
         if it == MAX_NEWTON_ITERS:
             break
         try:
-            delta = _newton_update(h, np.array([f_x(Y[j], u) for j in range(m)]), None, res)
+            delta = solve_stages(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
         Y = Y + delta
@@ -368,12 +392,8 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
             return X, Z, x_plus, float(Z[s - 1]), vals[-1].a
         if it == MAX_NEWTON_ITERS:
             break
-        Js = np.empty((m, n, n))
-        for j in range(m):
-            gxx = ocp.g_xx(X[j])
-            Js[j] = filippov_state_jacobian(ocp, vals[j], X[j], u, gxx)[0] + Z[j] * gxx
         try:
-            delta = _newton_update(h, Js, gxs[:m], res)
+            delta = solve_stages(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
         X = X + delta[:, :n]
@@ -448,11 +468,7 @@ def _initial_mode(ocp: HybridOCP, x0: np.ndarray, u: np.ndarray,
         return Mode.BELOW
     if g0 > opts.surface_tol:
         return Mode.ABOVE
-    verdict = entry_test(ocp, x0, u, eps_tan=opts.eps_tan)
-    if verdict is EntryKind.ENTER_SLIDING:
-        return Mode.SLIDING
-    w1 = float(ocp.g_x(x0) @ ocp.f1(x0, u))
-    return Mode.ABOVE if w1 > 0.0 else Mode.BELOW
+    return entry_test(ocp, x0, u, eps_tan=opts.eps_tan)
 
 
 def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
@@ -669,7 +685,7 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
 def _process_surface_point(ocp, bld, t, x, u, mode, opts):
     """Classify and record what happens at a state sitting on the surface."""
     x_new = x
-    if entry_test(ocp, x, u, eps_tan=opts.eps_tan) is EntryKind.ENTER_SLIDING:
+    if entry_test(ocp, x, u, eps_tan=opts.eps_tan) is Mode.SLIDING:
         kind = TransitionKind.ENTER_SLIDING
         if abs(ocp.g(x)) > opts.surface_tol:
             x_new = _project_to_surface(ocp, x)

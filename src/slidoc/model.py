@@ -15,9 +15,11 @@ values by one derivative of the quotient (_blend_derivative).
 filippov_field and filippov_jacobians compose them.  The sliding Newton
 iteration of the integrator evaluates the values at every iterate (once,
 at the step start, for the first iterate) and the state part only
-before it factors a matrix; the backward sweep's transition jump reads
-the values, lam_g adds the state part, and the step assembly takes all
-three (filippov_jacobians).
+before it solves; the backward sweep's transition jump reads the
+values, lam_g adds the state part, and the step Jacobians of the sweep
+take the values at each stage, then the state part from them
+(integrator.sliding_jacobians, which the Newton iteration uses too) and
+the control part.
 
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.
@@ -55,14 +57,6 @@ class TransitionKind(enum.Enum):
     ENTER_SLIDING = "EnterSliding"
     EXIT_TO_F1 = "ExitToF1"
     EXIT_TO_F2 = "ExitToF2"
-
-
-class EntryKind(enum.Enum):
-    """Verdict of entry_test: either the trajectory passes through the
-    surface or it is captured."""
-
-    CROSS = "cross"
-    ENTER_SLIDING = "enter_sliding"
 
 
 @dataclass(frozen=True)
@@ -273,13 +267,15 @@ def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-               eps_tan: float = EPS_TAN) -> EntryKind:
-    """Classify arrival at the surface from the normal speeds w1, w2.
+               eps_tan: float = EPS_TAN) -> Mode:
+    """Classify arrival at the surface from the normal speeds w1, w2:
+    the mode the arrival leads to.
 
-    Same nonzero sign on both: the trajectory crosses.  Opposite signs
-    with w1 pushing up and w2 pushing down: both fields point at the
-    surface and sliding starts.  Speeds within eps_tan of zero cannot be
-    classified and raise TangentialAmbiguity.
+    Both speeds up: the trajectory crosses into Mode.ABOVE; both down:
+    into Mode.BELOW.  w1 pushing up and w2 pushing down: both fields
+    point at the surface and sliding starts (Mode.SLIDING).  Speeds
+    within eps_tan of zero cannot be classified and raise
+    TangentialAmbiguity.
     """
     w1, w2 = normal_speeds(ocp, x, u)
     if abs(w1) <= eps_tan or abs(w2) <= eps_tan:
@@ -287,11 +283,11 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
             f"normal speeds w1 = {w1:.3e}, w2 = {w2:.3e} within eps_tan = {eps_tan:.1e}",
             w1=w1, w2=w2)
     if w1 > 0.0 and w2 > 0.0:
-        return EntryKind.CROSS
+        return Mode.ABOVE
     if w1 < 0.0 and w2 < 0.0:
-        return EntryKind.CROSS
+        return Mode.BELOW
     if w1 > 0.0 and w2 < 0.0:
-        return EntryKind.ENTER_SLIDING
+        return Mode.SLIDING
     # w1 < 0 < w2: both fields leave the surface; the solution is not unique.
     raise TangentialAmbiguity(
         f"repulsive surface: w1 = {w1:.3e} < 0 < w2 = {w2:.3e}", w1=w1, w2=w2)

@@ -82,14 +82,17 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     The probe size is eps scaled by max(1, |u_nj|).  base is the
     unperturbed run (integrated here when None); a probe of u_n resumes
     it at interval n, event location included.  With a base, opts
-    defaults to the options base was integrated with, and other opts
-    raise ValueError before any probe runs.  A failure of the base run
-    raises; a failing probe flags its entry.
+    defaults to the options base was integrated with; other opts, or a
+    base from another mesh (steps_per_interval or N), raise ValueError
+    before any probe runs.  A failure of the base run raises; a failing
+    probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
     if base is not None:
+        if steps_per_interval != base.spi or len(base.starts) != grid.N:
+            raise ValueError("base trajectory has a different mesh")
         if opts is not None and opts != base.opts:
             raise ValueError("base trajectory was integrated with different options")
         opts = base.opts

@@ -17,7 +17,7 @@ import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
 from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket, ValidationError
 from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
-                               step_ode)
+                               solve_stages, step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
@@ -486,6 +486,85 @@ def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
                 assert np.abs(y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("sliding", [False, True])
+def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding):
+    """solve_stages gives the bytes of eigen_stage_solve when every stage
+    repeats one Jacobian and g_x row (or a single value stands for all
+    s), and the bytes of np.linalg.solve of stage_matrix, one solve per
+    leading index of r, when a stage differs in the last bit of its
+    Jacobian or of its g_x row; for M and M^T, and r with leading axes
+    () and (3,)."""
+    rng = np.random.default_rng([18, sliding])
+    s, n, h = RADAU_IIA.s, 4, 0.05
+    d = n + 1 if sliding else n
+    J = rng.standard_normal((n, n))
+    gx = rng.standard_normal(n) if sliding else None
+    Js = np.repeat(J[None], s, axis=0)
+    gxs = None if gx is None else np.repeat(gx[None], s, axis=0)
+    Js_off = Js.copy()
+    Js_off[1, 0, 0] = np.nextafter(Js_off[1, 0, 0], np.inf)
+    unequal = [(Js_off, gxs)]
+    if sliding:
+        gxs_off = gxs.copy()
+        gxs_off[2, 1] = np.nextafter(gxs_off[2, 1], np.inf)
+        unequal.append((Js, gxs_off))
+    for transpose in (False, True):
+        for lead in ((), (3,)):
+            r = rng.standard_normal(lead + (s, d))
+            eigen = integrator_mod.eigen_stage_solve(h, J, gx, r, transpose=transpose)
+            assert solve_stages(h, Js, gxs, r, transpose).tobytes() == eigen.tobytes()
+            assert solve_stages(h, J[None], None if gx is None else gx[None], r,
+                                transpose).tobytes() == eigen.tobytes()
+            for Js_u, gxs_u in unequal:
+                M = integrator_mod.stage_matrix(h, RADAU_IIA.A, Js_u, gxs_u)
+                M = M.T if transpose else M
+                dense = np.array([np.linalg.solve(M, ri.reshape(-1))
+                                  for ri in r.reshape(-1, s * d)]).reshape(r.shape)
+                y = solve_stages(h, Js_u, gxs_u, r, transpose)
+                assert y.shape == r.shape and y.tobytes() == dense.tobytes()
+                assert not np.array_equal(y, eigen)
+
+
+def test_solve_stages_raises_on_a_singular_system():
+    """A vanishing g_x row leaves the bordered pencil a zero row (a zero
+    column in M^T): both the eigenbasis and the dense route raise
+    LinAlgError."""
+    s, n, h = RADAU_IIA.s, 2, 0.1
+    Js = np.repeat(np.eye(n)[None], s, axis=0)
+    Js_off = Js.copy()
+    Js_off[0, 0, 1] = 1e-3
+    gxs = np.zeros((s, n))
+    r = np.ones((s, n + 1))
+    for stage_Js in (Js, Js_off):
+        for transpose in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_stages(h, stage_Js, gxs, r, transpose)
+
+
+def test_sweep_calls_g_x_and_g_xx_once_per_sliding_stage():
+    """The backward sweep on circle-slide takes g_x(x_j) from the
+    Filippov values of each sliding stage and evaluates g_xx(x_j) once
+    there, for the stage Jacobian; the lam_g recoveries and the jumps
+    add their own.  27 sliding stages: 40 g_x and 37 g_xx calls, where
+    a second evaluation of each per stage would make 67 and 64."""
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 4)
+    assert sum(mode is Mode.SLIDING for mode in traj.mode) * RADAU_IIA.s == 27
+    calls = {"g_x": 0, "g_xx": 0}
+
+    def counted(name):
+        fn = getattr(ocp, name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    counting = dataclasses.replace(ocp, g_x=counted("g_x"), g_xx=counted("g_xx"))
+    run_adjoint(counting, traj, grid, ocp.phi)
+    assert calls == {"g_x": 40, "g_xx": 37}
+
+
 def _solve_paths(monkeypatch):
     """Record, per forward step call and per backward step, which stage
     solves it makes: 'eigen' (eigen_stage_solve) or 'dense'
@@ -494,13 +573,12 @@ def _solve_paths(monkeypatch):
     (mode of step k, kind) to a count."""
     forward, backward, current = [], {}, []
 
-    for mod in (integrator_mod, adjoint_mod):
-        for kind, name in (("eigen", "eigen_stage_solve"), ("dense", "stage_matrix")):
-            def recorded(*args, _fn=getattr(mod, name), _kind=kind, **kw):
-                if current:
-                    current[-1].append(_kind)
-                return _fn(*args, **kw)
-            monkeypatch.setattr(mod, name, recorded)
+    for kind, name in (("eigen", "eigen_stage_solve"), ("dense", "stage_matrix")):
+        def recorded(*args, _fn=getattr(integrator_mod, name), _kind=kind, **kw):
+            if current:
+                current[-1].append(_kind)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(integrator_mod, name, recorded)
     for name in ("step_ode", "step_sliding"):
         def step(*args, _fn=getattr(integrator_mod, name)):
             current.append([])

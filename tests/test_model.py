@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slidoc.errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
-from slidoc.model import (ControlGrid, EndpointFunctional, EntryKind, HybridOCP,
+from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           TransitionKind, alpha, entry_test, exit_test,
                           filippov_field, filippov_jacobians)
 from slidoc.problems import get_problem
@@ -75,14 +75,14 @@ def test_jacobian_consistency_fd():
 
 def test_entry_attractive_is_captured():
     ocp = const_fields_ocp([1.0, 1.0], [1.0, -0.5])  # pushes in from both sides
-    assert entry_test(ocp, X, U) is EntryKind.ENTER_SLIDING
+    assert entry_test(ocp, X, U) is Mode.SLIDING
 
 
 def test_entry_transversal_crossings():
     up = const_fields_ocp([1.0, 1.0], [1.0, 0.5])    # both upward: pass through
-    assert entry_test(up, X, U) is EntryKind.CROSS
+    assert entry_test(up, X, U) is Mode.ABOVE
     down = const_fields_ocp([1.0, -1.0], [1.0, -0.5])
-    assert entry_test(down, X, U) is EntryKind.CROSS
+    assert entry_test(down, X, U) is Mode.BELOW
 
 
 def test_entry_repulsive_is_ambiguous():

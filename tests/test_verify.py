@@ -159,6 +159,24 @@ def test_fd_oracle_takes_its_options_from_the_base(monkeypatch):
     assert seen == []
 
 
+def test_fd_oracle_rejects_a_base_from_another_mesh(monkeypatch):
+    """A base at 8 steps per interval and a call at 4 raise ValueError
+    before any probe runs.  With N = 1 every probe is of u_0, which
+    integrates from t0 instead of resuming the base, so no later check
+    would notice: the report would hold the differences at 4 steps per
+    interval as if they were the base's.  A grid of another N raises
+    the same way."""
+    ocp, grid = get_problem("smooth-linear", {"N": 1})
+    base = integrate(ocp, grid, 8)
+    seen = []
+    monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
+    with pytest.raises(ValueError, match="different mesh"):
+        fd_gradient(ocp, grid, 4, base=base)
+    with pytest.raises(ValueError, match="different mesh"):
+        fd_gradient(ocp, grid.with_values(np.zeros((2, grid.m))), 8, base=base)
+    assert seen == []
+
+
 def test_gradient_check_resumes_every_probe(monkeypatch):
     """One integration for the check, then 2 N m probes, each resuming
     at the probed interval.  The step counts are exact: integrating every
