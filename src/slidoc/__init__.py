@@ -20,7 +20,7 @@ from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     filippov_field, filippov_jacobians)
 from .optimizer import (IterateRecord, OptimizeResult, OptimizerConfig,
                         adjust_penalty, constraint_violation, line_search,
-                        optimize, penalty_value, solve_direction)
+                        optimize, solve_direction)
 from .problems import get_problem, problem_names
 from .tableau import ButcherTableau, adjoint_tableau, check_conditions, radau_iia_3
 from .verify import (FDReport, GradientCheck, OrderReport, fd_gradient,

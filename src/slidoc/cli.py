@@ -6,6 +6,15 @@ output goes through one canonical serializer (sorted keys, floats at
 full precision), so identical configs give byte-identical files.  Domain
 failures exit 1 with a one-line JSON error on stderr; bad usage exits 2.
 
+There is one output path.  main parses the arguments, loads the config
+with the subcommand's flags as overrides, builds the problem (every
+subcommand but tableau-check needs one) and calls the subcommand, which
+returns its document and, where it has one, its CSV text.  main adds
+the meta block and writes: simulate and adjoint put the CSV at --out
+and the document in the sidecar; the others put the document at --out
+(stdout when --out is absent), then optimize's history CSV at
+--history-csv.
+
 CSV files carry plus-side values at every mesh node: at a transition
 node the row shows the state after the jump, z after leaving the
 surface is 0, and alpha is empty off the sliding mode.  Sidecar JSON
@@ -24,7 +33,6 @@ import numpy as np
 from .adjoint import run_adjoint
 from .config import RunConfig, canonical_json, format_float, parse_config
 from .errors import SlidocError, ValidationError
-from .gradient import reduced_gradient
 from .integrator import integrate
 from .model import Mode, alpha
 from .optimizer import optimize
@@ -45,19 +53,8 @@ def _write(path: Optional[str], text: str):
             fh.write(text)
 
 
-def _sidecar(out: str) -> str:
-    return str(Path(out).with_suffix(".json"))
-
-
-def _json_text(obj) -> str:
-    return canonical_json(obj) + "\n"
-
-
 def _csv_text(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
 
 
 def _cell(v) -> str:
@@ -71,19 +68,9 @@ def _cell(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# shared setup
-
-
-def _load(args, **flag_overrides) -> RunConfig:
-    cfg = parse_config(getattr(args, "config", None), flag_overrides)
-    return cfg
-
-
-def _problem(cfg: RunConfig):
-    if cfg.problem is None:
-        raise ValidationError("problem: required (set --problem or the config key)",
-                              field="problem")
-    return get_problem(cfg.problem, cfg.overrides())
+# subcommands: each takes (cfg, problem, args), problem being the
+# (ocp, grid) pair (None for tableau-check), and returns (document, CSV
+# text or None)
 
 
 def _functional(ocp, selector: str):
@@ -99,14 +86,15 @@ def _functional(ocp, selector: str):
     return pool[i]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _sweep(cfg: RunConfig, problem):
+    """Integrate, then sweep back for the configured functional."""
+    ocp, grid = problem
+    traj = integrate(ocp, grid, cfg.steps_per_interval, opts=cfg.integrator_options())
+    return traj, run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args, problem=args.problem,
-                steps_per_interval=args.steps_per_interval)
-    ocp, grid = _problem(cfg)
+def _cmd_simulate(cfg, problem, args):
+    ocp, grid = problem
     traj = integrate(ocp, grid, cfg.steps_per_interval,
                      opts=cfg.integrator_options())
 
@@ -116,118 +104,73 @@ def _cmd_simulate(args) -> int:
     for k in range(K + 1):
         mode = traj.mode[k] if k < K else traj.terminal_mode
         u = grid.values[traj.ctrl[min(k, K - 1)]]
-        if mode is Mode.SLIDING:
-            a = alpha(ocp, traj.x[k], u, eps_den=traj.opts.eps_den)
-        else:
-            a = None
+        a = (alpha(ocp, traj.x[k], u, eps_den=traj.opts.eps_den)
+             if mode is Mode.SLIDING else None)
         rows.append([_cell(k), _cell(traj.times[k]), mode.value]
                     + [_cell(v) for v in traj.x[k]]
                     + [_cell(traj.z_node[k]), _cell(ocp.g(traj.x[k])), _cell(a)])
-    _write(args.out, _csv_text(header, rows))
-    _write(_sidecar(args.out), _json_text({
-        "meta": cfg.meta(),
-        "transitions": [rec.to_dict() for rec in traj.transitions]}))
-    return 0
+    doc = {"transitions": [rec.to_dict() for rec in traj.transitions]}
+    return doc, _csv_text(header, rows)
 
 
-def _cmd_adjoint(args) -> int:
-    cfg = _load(args, problem=args.problem, functional=args.functional,
-                steps_per_interval=args.steps_per_interval)
-    ocp, grid = _problem(cfg)
-    traj = integrate(ocp, grid, cfg.steps_per_interval,
-                     opts=cfg.integrator_options())
-    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
-
-    header = ["k", "t"] + [f"lambda{i}" for i in range(ocp.n)] + ["lambda_g"]
+def _cmd_adjoint(cfg, problem, args):
+    traj, adj = _sweep(cfg, problem)
+    header = ["k", "t"] + [f"lambda{i}" for i in range(adj.lam.shape[1])] + ["lambda_g"]
     rows = [[_cell(k), _cell(traj.times[k])]
             + [_cell(v) for v in adj.lam[k]] + [_cell(adj.lam_g[k])]
             for k in range(traj.K + 1)]
-    _write(args.out, _csv_text(header, rows))
-    _write(_sidecar(args.out), _json_text({
-        "meta": cfg.meta(),
-        "nu1": adj.nu1,
-        "jumps": [{"t_t": j["t_t"], "pi": j["pi"]} for j in adj.jumps]}))
-    return 0
+    doc = {"nu1": adj.nu1,
+           "jumps": [{"t_t": j["t_t"], "pi": j["pi"]} for j in adj.jumps]}
+    return doc, _csv_text(header, rows)
 
 
-def _cmd_gradient(args) -> int:
-    cfg = _load(args, problem=args.problem, functional=args.functional,
-                steps_per_interval=args.steps_per_interval)
-    ocp, grid = _problem(cfg)
-    traj = integrate(ocp, grid, cfg.steps_per_interval,
-                     opts=cfg.integrator_options())
-    adj = run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
-    grad = reduced_gradient(ocp, traj, grid, adj)
-    _write(args.out, _json_text({
-        "meta": cfg.meta(),
-        "functional": cfg.functional,
-        "grad": [[float(v) for v in row] for row in grad]}))
-    return 0
+def _cmd_gradient(cfg, problem, args):
+    _, adj = _sweep(cfg, problem)
+    return {"functional": cfg.functional, "grad": adj.grad}, None
 
 
-def _cmd_check_gradient(args) -> int:
-    cfg = _load(args, problem=args.problem, functional=args.functional,
-                eps=args.eps, steps_per_interval=args.steps_per_interval)
-    ocp, grid = _problem(cfg)
+def _cmd_check_gradient(cfg, problem, args):
+    ocp, grid = problem
     chk = gradient_check(ocp, grid, cfg.steps_per_interval,
                          _functional(ocp, cfg.functional), eps=cfg.eps,
                          opts=cfg.integrator_options())
-    out = chk.to_dict()
-    out["meta"] = cfg.meta()
-    out["functional"] = cfg.functional
-    _write(args.out, _json_text(out))
-    return 0
+    return {**chk.to_dict(), "functional": cfg.functional}, None
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _load(args, problem=args.problem)
-    ocp, grid = _problem(cfg)
+def _cmd_optimize(cfg, problem, args):
+    ocp, grid = problem
     res = optimize(ocp, grid, cfg.steps_per_interval,
                    cfg=cfg.optimizer_config(),
                    integ_opts=cfg.integrator_options())
-    _write(args.out, _json_text({
-        "meta": cfg.meta(),
-        "status": res.status,
-        "converged": res.converged,
-        "u": [[float(v) for v in row] for row in res.grid.values],
-        "history": [rec.to_dict() for rec in res.history]}))
+    doc = {"status": res.status,
+           "converged": res.converged,
+           "u": res.grid.values,
+           "history": [rec.to_dict() for rec in res.history]}
+    csv = None
     if args.history_csv:
-        header = ["k", "F0", "M", "c", "sigma", "alpha"]
-        rows = [[_cell(r.k), _cell(r.F0), _cell(r.M), _cell(r.c),
-                 _cell(r.sigma), _cell(r.alpha)] for r in res.history]
-        _write(args.history_csv, _csv_text(header, rows))
-    return 0
+        rows = [[_cell(v) for v in (r.k, r.F0, r.M, r.c, r.sigma, r.alpha)]
+                for r in res.history]
+        csv = _csv_text(["k", "F0", "M", "c", "sigma", "alpha"], rows)
+    return doc, csv
 
 
-def _cmd_verify_orders(args) -> int:
-    cfg = _load(args, problem=args.problem, functional=args.functional)
-    ocp, grid = _problem(cfg)
+def _cmd_verify_orders(cfg, problem, args):
+    ocp, grid = problem
     rep = order_study(ocp, grid, args.quantity, args.h,
                       functional=_functional(ocp, cfg.functional),
                       opts=cfg.integrator_options())
-    out = rep.to_dict()
-    out["meta"] = cfg.meta()
-    _write(args.out, _json_text(out))
-    return 0
+    return rep.to_dict(), None
 
 
-def _cmd_tableau_check(args) -> int:
-    cfg = _load(args, problem=args.problem)
-
+def _cmd_tableau_check(cfg, problem, args):
     def block(tab):
         rep = check_conditions(tab)
-        return {"name": tab.name,
-                "A": [[float(v) for v in row] for row in tab.A],
-                "b": [float(v) for v in tab.b],
-                "c": [float(v) for v in tab.c],
+        return {"name": tab.name, "A": tab.A, "b": tab.b, "c": tab.c,
                 "p": rep.p, "q": rep.q, "r": rep.r,
                 "residuals": rep.residuals}
 
-    _write(args.out, _json_text({
-        "meta": cfg.meta(),
-        "radau_iia": block(RADAU_IIA),
-        "adjoint": block(adjoint_tableau(RADAU_IIA))}))
-    return 0
+    return {"radau_iia": block(RADAU_IIA),
+            "adjoint": block(adjoint_tableau(RADAU_IIA))}, None
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +241,28 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        flags = {k: getattr(args, k, None)
+                 for k in ("problem", "functional", "eps", "steps_per_interval")}
+        cfg = parse_config(args.config, flags)
+        problem = None
+        if args.command != "tableau-check":
+            if cfg.problem is None:
+                raise ValidationError("problem: required (set --problem or the config key)",
+                                      field="problem")
+            problem = get_problem(cfg.problem, cfg.overrides())
+        doc, csv = args.func(cfg, problem, args)
     except SlidocError as exc:
         sys.stderr.write(canonical_json(exc.to_dict()) + "\n")
         return 1
+    doc["meta"] = cfg.meta()
+    if args.command in ("simulate", "adjoint"):     # the sidecar: --out's name, .json
+        _write(args.out, csv)
+        _write(str(Path(args.out).with_suffix(".json")), canonical_json(doc) + "\n")
+    else:
+        _write(args.out, canonical_json(doc) + "\n")
+        if csv is not None:
+            _write(args.history_csv, csv)
+    return 0
 
 
 if __name__ == "__main__":

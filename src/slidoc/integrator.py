@@ -568,6 +568,18 @@ class _Builder:
             opts=self.opts)
 
 
+def check_base(base: Trajectory, grid: ControlGrid, steps_per_interval: int,
+               opts: IntegratorOptions):
+    """Raise ValueError unless base was integrated on grid's mesh (steps
+    per interval, N and every breakpoint t_0..t_N) with opts."""
+    if (base.spi != steps_per_interval or len(base.starts) != grid.N
+            or not np.array_equal([st.t for st in base.starts] + [base.times[-1]],
+                                  grid.breakpoints())):
+        raise ValueError("base trajectory has a different mesh")
+    if base.opts != opts:
+        raise ValueError("base trajectory was integrated with different options")
+
+
 def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
               opts: Optional[IntegratorOptions] = None,
               base: Optional[Trajectory] = None, start: int = 0) -> Trajectory:
@@ -599,11 +611,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         if base is None or not 0 < start < N:
             raise ValueError(f"resuming at interval {start} needs a base trajectory "
                              f"and 0 < start < N = {N}")
-        if (base.spi != spi or len(base.starts) != N
-                or base.starts[start].t != bp[start]):
-            raise ValueError("base trajectory has a different mesh")
-        if base.opts != opts:
-            raise ValueError("base trajectory was integrated with different options")
+        check_base(base, grid, spi, opts)
         state = base.starts[start]
         bld = _Builder.resumed(base, start)
         t, x, mode = state.t, state.x, state.mode

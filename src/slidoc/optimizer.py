@@ -122,10 +122,6 @@ def constraint_violation(eq_vals, ineq_vals) -> float:
     return m
 
 
-def penalty_value(F0: float, c: float, M: float) -> float:
-    return F0 + c * M
-
-
 # ---------------------------------------------------------------------------
 # direction-finding QP
 
@@ -356,7 +352,6 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
     """Run the exact-penalty method from grid0 until the certificate
     |sigma| drops below epsilon or the iteration budget runs out."""
     cfg = (cfg if cfg is not None else OptimizerConfig()).validate()
-    integ_opts = integ_opts if integ_opts is not None else IntegratorOptions()
 
     N, m = grid0.N, grid0.m
     dim = N * m
@@ -385,7 +380,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
             _, _, vals = evaluate(uflat)
             F0 = vals[0]
             M = constraint_violation(vals[1:1 + n_eq], vals[1 + n_eq:])
-            return penalty_value(F0, c, M)
+            return F0 + c * M
         return merit
 
     u = grid0.values.reshape(dim).copy()
@@ -420,7 +415,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
 
         rec = IterateRecord(k=it, F0=float(F0), M=float(M), c=float(c),
                             sigma=float(sigma), t_c=float(t_c), beta=float(beta),
-                            alpha=None, penalty_before=penalty_value(F0, c, M),
+                            alpha=None, penalty_before=F0 + c * M,
                             penalty_after=None, kkt_residual=info.kkt_residual,
                             u=u.reshape(N, m).copy(), d=d.reshape(N, m).copy())
 

@@ -31,7 +31,7 @@ import numpy as np
 from .adjoint import run_adjoint
 from .errors import ReferenceUnconverged, SlidocError, ValidationError
 from .gradient import reduced_gradient
-from .integrator import IntegratorOptions, Trajectory, integrate
+from .integrator import IntegratorOptions, Trajectory, check_base, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 from .tableau import RADAU_IIA
 
@@ -83,23 +83,18 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     unperturbed run (integrated here when None); a probe of u_n resumes
     it at interval n, event location included.  With a base, opts
     defaults to the options base was integrated with; other opts, or a
-    base from another mesh (steps_per_interval or N), raise ValueError
-    before any probe runs.  A failure of the base run raises; a failing
-    probe flags its entry.
+    base from another mesh (steps_per_interval, N or any breakpoint),
+    raise ValueError before any probe runs.  A failure of the base run
+    raises; a failing probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
-    if base is not None:
-        if steps_per_interval != base.spi or len(base.starts) != grid.N:
-            raise ValueError("base trajectory has a different mesh")
-        if opts is not None and opts != base.opts:
-            raise ValueError("base trajectory was integrated with different options")
-        opts = base.opts
-    opts = opts if opts is not None else IntegratorOptions()
-
     if base is None:
         base = integrate(ocp, grid, steps_per_interval, opts=opts)
+    else:
+        check_base(base, grid, steps_per_interval, opts if opts is not None else base.opts)
+    opts = base.opts
     base_structure = _structure(base)
 
     N, m = grid.N, grid.m
@@ -168,7 +163,6 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
     gradients from inflating the ratio.
     """
     functional = functional if functional is not None else ocp.phi
-    opts = opts if opts is not None else IntegratorOptions()
 
     traj = integrate(ocp, grid, steps_per_interval, opts=opts)
     adj = run_adjoint(ocp, traj, grid, functional)
@@ -308,7 +302,6 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
             raise ValidationError(f"h: must be strictly decreasing, got {a} before {b}",
                                   field="h")
     functional = functional if functional is not None else ocp.phi
-    opts = opts if opts is not None else IntegratorOptions()
 
     span = (grid.tf - grid.t0) / grid.N
     spis = []

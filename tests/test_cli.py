@@ -275,10 +275,52 @@ def test_malformed_config_reports_position(tmp_path):
     assert d["line"] == 2 and d["column"] >= 1
 
 
+# the flags each subcommand needs besides --out
+NEEDS = {"simulate": [], "adjoint": [], "gradient": [], "check-gradient": [],
+         "optimize": [], "verify-orders": ["--quantity", "state_endpoint", "--h", "0.1,0.05"]}
+
+
 def test_missing_problem_everywhere(tmp_path, capsys):
-    rc = run("simulate", "--out", str(tmp_path / "x.csv"))
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+    """Every subcommand but tableau-check refuses to run without a
+    problem, and writes nothing."""
+    for command, flags in NEEDS.items():
+        out = tmp_path / "x.csv"
+        assert run(command, *flags, "--out", str(out)) == 1, command
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "ValidationError" and doc["field"] == "problem"
+        assert not out.exists()
+
+
+# per subcommand: its own flags, the overrides they stand for, and where
+# the document lands (a sidecar for the CSV writers); the config's N = 4
+# makes each control interval 0.25 long
+OVERRIDDEN = {
+    "simulate": (["--steps-per-interval", "2"], {"steps_per_interval": 2}, "t.json"),
+    "adjoint": (["--functional", "g2:0", "--steps-per-interval", "2"],
+                {"functional": "g2:0", "steps_per_interval": 2}, "t.json"),
+    "gradient": (["--functional", "g1:0"], {"functional": "g1:0"}, "t.csv"),
+    "check-gradient": (["--eps", "1e-5", "--steps-per-interval", "2"],
+                       {"eps": 1e-5, "steps_per_interval": 2}, "t.csv"),
+    "optimize": ([], {}, "t.csv"),
+    "verify-orders": (["--functional", "g1:0", "--quantity", "state_endpoint",
+                       "--h", "0.125,0.0625"], {"functional": "g1:0"}, "t.csv"),
+    "tableau-check": ([], {}, "t.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERRIDDEN))
+def test_every_document_hashes_the_effective_config(tmp_path, command):
+    """Each subcommand's document carries the hash of the config file
+    with its flags applied, --problem among them."""
+    flags, overrides, doc_name = OVERRIDDEN[command]
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"problem": "smooth-linear", "N": 4}')
+    assert run(command, "--config", str(cfgp), "--problem", "constrained-toy", *flags,
+               "--out", str(tmp_path / "t.csv")) == 0
+    meta = json.loads(read(tmp_path / doc_name))["meta"]
+    effective = parse_config(str(cfgp), {"problem": "constrained-toy", **overrides})
+    assert meta["config_hash"] == effective.config_hash()
+    assert meta["config_hash"] != parse_config(str(cfgp)).config_hash()
 
 
 def test_config_hash_is_stable(tmp_path):

@@ -12,7 +12,7 @@ from slidoc.model import EndpointFunctional
 from slidoc.optimizer import (OptimizerConfig, adjust_penalty,
                               constraint_violation, descent_measures,
                               lagrangian_weights, line_search, make_hessian,
-                              optimize, penalty_value, solve_direction,
+                              optimize, solve_direction,
                               update_hessian)
 from slidoc.problems import get_problem
 
@@ -24,7 +24,6 @@ def test_constraint_violation_cases():
     assert constraint_violation([-0.3], []) == 0.3
     assert constraint_violation([0.1], [-5.0]) == 0.1     # inactive inequality
     assert constraint_violation([0.1], [0.4]) == 0.4
-    assert penalty_value(2.0, 10.0, 0.25) == 4.5
 
 
 def test_hessian_spectral_bounds():
@@ -267,7 +266,8 @@ def test_line_search_failure_on_ascent():
 def test_optimize_constrained_toy_contract():
     """Every iterate must certify descent (sigma <= 0, t_c <= 0), the
     penalty weight may only grow, and each accepted step satisfies the
-    Armijo inequality at its own weight."""
+    Armijo inequality at its own weight.  The merit before each step is
+    the exact penalty F0 + c M at the iterate's weight."""
     ocp, grid = get_problem("constrained-toy")
     cfg = OptimizerConfig()
     res = optimize(ocp, grid, 8, cfg=cfg)
@@ -275,6 +275,7 @@ def test_optimize_constrained_toy_contract():
     assert res.converged
     h = res.history
     assert len(h) <= 60
+    assert all(r.penalty_before == r.F0 + r.c * r.M for r in h)
     assert max(r.sigma for r in h) <= 1e-10
     assert max(r.t_c for r in h) <= 1e-10
     cs = [r.c for r in h]

@@ -177,6 +177,22 @@ def test_fd_oracle_rejects_a_base_from_another_mesh(monkeypatch):
     assert seen == []
 
 
+@pytest.mark.parametrize("N", [1, 2])
+def test_fd_oracle_rejects_a_base_on_another_time_span(monkeypatch, N):
+    """A base integrated on [0, 1] and a grid on [0, 2] of the same N
+    and steps per interval raise ValueError before any probe runs.
+    With N = 1 no probe resumes the base, so nothing later would notice;
+    with N = 2 the u_0 probes would run before the first resume failed."""
+    ocp, grid = get_problem("smooth-linear", {"N": N})
+    base = integrate(ocp, grid, 8)
+    wide = ControlGrid(grid.t0, 2.0 * grid.tf, grid.values)
+    seen = []
+    monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
+    with pytest.raises(ValueError, match="different mesh"):
+        fd_gradient(ocp, wide, 8, base=base)
+    assert seen == []
+
+
 def test_gradient_check_resumes_every_probe(monkeypatch):
     """One integration for the check, then 2 N m probes, each resuming
     at the probed interval.  The step counts are exact: integrating every

@@ -47,15 +47,34 @@ although its values compare equal (a -0.0 for a 0.0, which the CLI
 would print as -0) is reported too.  It exits nonzero when a difference
 exceeds 1e-12, when such an array, a transition sequence or an error
 differs, or when the files hold different arrays.
+
+--cli hashes the command line instead: it runs the cases of
+_cli_cases through slidoc.cli.main in process, each in its own
+temporary directory, and prints the sha256 of every file a case writes
+(and of its stdout, when it writes any), its exit code, and its stderr
+when that is not empty.  The cases: simulate, adjoint, gradient and
+check-gradient on the five built-ins, gradient of g2:0 on
+constrained-toy, optimize on constrained-toy (with --history-csv) and
+on slide-exit, verify-orders on smooth-linear for four quantities, and
+tableau-check to stdout and to --out (40 outputs); plus three error
+paths, two domain errors (exit 1) and one usage error (exit 2).  To
+compare two trees, run the script of this tree from each checkout's
+tools/ directory:
+
+    python3 tools/identity_grid.py --cli > a.json
+    cmp a.json b.json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -272,14 +291,75 @@ def compare(new_path: str, old_path: str) -> int:
     return 1 if bad or top[0] > REL_TOL else 0
 
 
+def _cli_cases():
+    """(name, argv) of every CLI case; {d} stands for the case's own
+    directory."""
+    for name in problem_names():
+        yield f"simulate/{name}", ["simulate", "--problem", name, "--out", "{d}/traj.csv"]
+        yield f"adjoint/{name}", ["adjoint", "--problem", name, "--out", "{d}/adj.csv"]
+        yield f"gradient/{name}", ["gradient", "--problem", name, "--out", "{d}/grad.json"]
+        yield f"check-gradient/{name}", ["check-gradient", "--problem", name,
+                                         "--out", "{d}/check.json"]
+    yield "gradient/constrained-toy/g2:0", ["gradient", "--problem", "constrained-toy",
+                                            "--functional", "g2:0", "--out", "{d}/grad.json"]
+    yield "optimize/constrained-toy", ["optimize", "--problem", "constrained-toy",
+                                       "--out", "{d}/run.json", "--history-csv", "{d}/hist.csv"]
+    yield "optimize/slide-exit", ["optimize", "--problem", "slide-exit", "--out", "{d}/run.json"]
+    for quantity in ("state_endpoint", "state_stage", "adjoint_endpoint", "gradient"):
+        yield f"verify-orders/{quantity}", ["verify-orders", "--problem", "smooth-linear",
+                                            "--quantity", quantity, "--h", "0.05,0.025",
+                                            "--out", "{d}/orders.json"]
+    yield "tableau-check/stdout", ["tableau-check"]
+    yield "tableau-check/out", ["tableau-check", "--out", "{d}/tableau.json"]
+    yield "error/no-problem", ["simulate", "--out", "{d}/x.csv"]
+    yield "error/functional-range", ["gradient", "--problem", "constrained-toy",
+                                     "--functional", "g1:5", "--out", "{d}/grad.json"]
+    yield "error/no-out", ["simulate", "--problem", "p2-sliding"]
+
+
+def cli_report() -> dict:
+    """Exit code, output hashes and stderr of every case of _cli_cases."""
+    from slidoc.cli import main as cli_main
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (key, argv) in enumerate(_cli_cases()):
+            d = Path(tmp) / str(i)
+            d.mkdir()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli_main([a.replace("{d}", str(d)) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            entry = {"exit": code}
+            for f in sorted(d.iterdir()):
+                entry[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
+            if out.getvalue():
+                entry["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            if err.getvalue():
+                entry["stderr"] = err.getvalue()
+            report[key] = entry
+    return report
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--npz", help="also write the hashed arrays to this .npz")
     ap.add_argument("--compare", nargs=2, metavar=("NEW", "OLD"),
                     help="compare two .npz files written by --npz and exit")
+    ap.add_argument("--cli", action="store_true",
+                    help="hash the outputs of the CLI cases instead of the grid")
     args = ap.parse_args()
     if args.compare:
         return compare(*args.compare)
+    if args.cli:
+        report = cli_report()
+        json.dump(report, sys.stdout, sort_keys=True, indent=1)
+        sys.stdout.write("\n")
+        outputs = sum(len(e) - 1 - ("stderr" in e) for e in report.values())
+        print(f"{outputs} outputs, {sum(e['exit'] != 0 for e in report.values())} "
+              f"error paths", file=sys.stderr)
+        return 0
     report, arrays = {}, {}
     for key, ocp, grid, spi, opts in cases():
         case_arrays: dict = {}
