@@ -24,9 +24,14 @@ Newton correction and this solve share their kernel: the stage
 Jacobians fF_x + z g_xx of a sliding step come from
 integrator.sliding_jacobians (from the Filippov values at the stored
 stages) and the solve is integrator.solve_stages, whose one rule picks
-the eigenbasis solve for steps whose stage Jacobians and g_x rows are
-bit for bit equal, as every off-surface step of a field with constant
-f_x, and the dense stage matrix otherwise.  Off the surface the stage
+the eigenbasis solve for steps whose stage Jacobians and g_x rows agree
+to a few ulps (integrator.STAGE_SPREAD_ULPS), as every off-surface step
+of a field with constant f_x and every sliding step whose blended
+Jacobians differ only by rounding (an affine blend weight, as on
+chain-n), and the dense stage matrix otherwise (a curved surface's
+z g_xx terms).  The eigenbasis solve then solves exactly a matrix within
+h |A| c eps |J| of M^T, the backward error the dense LU already makes.
+Off the surface the stage
 multipliers it yields are exactly those of the reversed-time table
 a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep

@@ -4,7 +4,10 @@ Seven subcommands over the library: simulate, adjoint, gradient,
 check-gradient, optimize, verify-orders, tableau-check.  All numerical
 output goes through one canonical serializer (sorted keys, floats at
 full precision), so identical configs give byte-identical files.  Domain
-failures exit 1 with a one-line JSON error on stderr; bad usage exits 2.
+failures exit 1 with a one-line JSON error on stderr, and so does an
+output that cannot be written (OutputError, naming the path) or an
+--out that is its own sidecar (ValidationError on out, raised before
+anything runs); bad usage exits 2.
 
 There is one output path.  main parses the arguments, loads the config
 with the subcommand's flags as overrides, builds the problem (every
@@ -32,7 +35,7 @@ import numpy as np
 
 from .adjoint import run_adjoint
 from .config import RunConfig, canonical_json, format_float, parse_config
-from .errors import SlidocError, ValidationError
+from .errors import OutputError, SlidocError, ValidationError
 from .integrator import integrate
 from .model import Mode, alpha
 from .optimizer import optimize
@@ -46,11 +49,16 @@ from .verify import gradient_check, order_study
 
 
 def _write(path: Optional[str], text: str):
+    """Write text to path (stdout when None); an OSError becomes an
+    OutputError naming the path."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"{path}: cannot write: {exc.strerror or exc}", path=path) from exc
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -241,6 +249,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        sidecar = None
+        if args.command in ("simulate", "adjoint"):     # the sidecar: --out's name, .json
+            sidecar = Path(args.out).with_suffix(".json")
+            if sidecar == Path(args.out):
+                raise ValidationError(f"out: {args.out!r} is its own .json sidecar; "
+                                      f"give the CSV another suffix", field="out")
         flags = {k: getattr(args, k, None)
                  for k in ("problem", "functional", "eps", "steps_per_interval")}
         cfg = parse_config(args.config, flags)
@@ -251,19 +265,18 @@ def main(argv=None) -> int:
                                       field="problem")
             problem = get_problem(cfg.problem, cfg.overrides())
         doc, csv = args.func(cfg, problem, args)
+        doc["meta"] = cfg.meta()
+        if sidecar is not None:
+            _write(args.out, csv)
+            _write(str(sidecar), canonical_json(doc) + "\n")
+        else:
+            _write(args.out, canonical_json(doc) + "\n")
+            if csv is not None:
+                _write(args.history_csv, csv)
     except SlidocError as exc:
         sys.stderr.write(canonical_json(exc.to_dict()) + "\n")
         return 1
-    doc["meta"] = cfg.meta()
-    if args.command in ("simulate", "adjoint"):     # the sidecar: --out's name, .json
-        _write(args.out, csv)
-        _write(str(Path(args.out).with_suffix(".json")), canonical_json(doc) + "\n")
-    else:
-        _write(args.out, canonical_json(doc) + "\n")
-        if csv is not None:
-            _write(args.history_csv, csv)
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

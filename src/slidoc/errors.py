@@ -108,6 +108,10 @@ class ValidationError(SlidocError):
     """Input parsed but violates a constraint; message carries the field path."""
 
 
+class OutputError(SlidocError):
+    """An output file could not be written; the payload's path names it."""
+
+
 # (rule text, check) pairs that check_fields rules share
 POSITIVE = ("> 0", lambda v: v > 0)
 COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)

@@ -38,15 +38,22 @@ and Q = J off the surface, and on it the bordered P = [[I, 0], [g_x, 0]]
 (the constraint row) and Q = [[J, g_x^T], [0, 0]] (the multiplier
 column), J = fF_x + z g_xx (sliding_jacobians).  solve_stages solves
 every stage system, M forward and M^T backward, by one rule.  When
-every stage has the same Jacobian and g_x row bit for bit, the matrix is
-I_s (x) P - h A (x) Q, and eigen_stage_solve splits it in the eigenbasis
-of A (T^-1 A T = diag(gamma, alpha +- i beta), tableau.RADAU_IIA_T) into
-one real and one complex d x d solve, d = n off the surface and n + 1 on
-it: every Newton first iterate, which puts every stage at x, and every
-backward step of a field with constant f_x.  Otherwise stage_matrix lays
-the blocks out densely (s d x s d) and np.linalg.solve factors it, as
-the sweep's matrix oracle does inside its dense F_{X+}.  The two solves
-agree to rounding, not bit for bit.  The stage sums of the sliding
+every stage's Jacobian and g_x row agree with stage 0's to a few ulps,
+max_j |V_j - V_0| <= c eps max|V_0| with c = STAGE_SPREAD_ULPS, the
+solve takes the matrix I_s (x) P - h A (x) Q of stage 0's pencil, and
+eigen_stage_solve splits it in the eigenbasis of A (T^-1 A T =
+diag(gamma, alpha +- i beta), tableau.RADAU_IIA_T) into one real and one
+complex d x d solve, d = n off the surface and n + 1 on it: every Newton
+first iterate, which puts every stage at x, every backward step of a
+field with constant f_x, and every sliding step whose blended Jacobians
+differ only by rounding (chain-n, whose blend weight is affine in x).
+That matrix lies within h |A| c eps |J| of M, the backward error the LU
+of M already makes, so the rule adds no approximation beyond rounding.
+Otherwise (a curved surface's z g_xx terms, a nonlinear field's later
+iterates, a NaN) stage_matrix lays the blocks out densely (s d x s d)
+and np.linalg.solve factors it, as the sweep's matrix oracle does
+inside its dense F_{X+}.  The two solves agree to rounding, not bit for
+bit.  The stage sums of the sliding
 residual, of x_plus and of the control Jacobian add their terms over j
 in order (stage_sums): A @ V or einsum may round differently, which
 would change results in the last bit.
@@ -82,6 +89,10 @@ from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 
 MAX_NEWTON_ITERS = 25
 MAX_EVENT_ITERS = 80
+# c of the solve rule: solve_stages treats the stage Jacobians (and g_x
+# rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
+# eigenbasis solve then errs by no more than the dense LU's rounding
+STAGE_SPREAD_ULPS = 4
 
 
 # (field, rule, check) for IntegratorOptions (check_fields)
@@ -255,11 +266,15 @@ def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
     real block and one block of the pair go to one np.linalg.solve call
     on a complex (2, d, d) batch, broadcast over r's leading axes as one
     single-RHS solve each, so every leading index gets the bytes its own
-    solve would give; the pair's other block is the conjugate.  Raises
+    solve would give; the pair's other block is the conjugate.  The
+    blocks are formed in place, h lambda_k Q then P - that: as in
+    stage_matrix, a second temporary of their size would be freed and
+    faulted in again on every call at large d.  Raises
     np.linalg.LinAlgError when a block is singular.
     """
     P, Q = stage_pencil(J[None], None if gx is None else gx[None])
-    blocks = P[0] - (h * _EIG) * Q[0]
+    blocks = (h * _EIG) * Q[0]
+    np.subtract(P[0], blocks, out=blocks)
     if transpose:
         blocks = blocks.transpose(0, 2, 1)
     into, back = _SOLVE[transpose]
@@ -284,9 +299,14 @@ def _at_stages(values: list, s: int) -> np.ndarray:
 
 
 def _shared(V: np.ndarray) -> bool:
-    """Whether every stage value V[j] equals V[0] bit for bit; a single
-    value (a first iterate) is shared without a look at its bytes."""
-    return V.shape[0] == 1 or V.tobytes() == V[0].tobytes() * V.shape[0]
+    """Whether every stage value V[j] agrees with V[0] to rounding:
+    max_j |V[j] - V[0]| <= STAGE_SPREAD_ULPS * eps * max|V[0]|, entrywise
+    maxima.  A single value (a first iterate) is shared without a look,
+    equal bytes without arithmetic; a NaN spread is not shared."""
+    if V.shape[0] == 1 or V.tobytes() == V[0].tobytes() * V.shape[0]:
+        return True
+    spread = np.abs(V[1:] - V[0]).max()
+    return bool(spread <= STAGE_SPREAD_ULPS * np.finfo(float).eps * np.abs(V[0]).max())
 
 
 def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
@@ -294,10 +314,13 @@ def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
     """Solve M y = r (M^T y = r with transpose) for the stage pencil of
     Js (m, n, n) and gxs (m, n), None off the surface, holding one value
     per stage or one (m = 1) for all s; r and y are (..., s, d).  The one
-    choice of solve: eigen_stage_solve when the stages share Js and gxs
-    bit for bit, else np.linalg.solve of stage_matrix, one single-RHS
-    solve per leading index of r.  Raises np.linalg.LinAlgError when the
-    system is singular."""
+    choice of solve: eigen_stage_solve on stage 0's values when every
+    stage's Js and gxs agree with them to STAGE_SPREAD_ULPS ulps of their
+    largest entry (_shared), else np.linalg.solve of stage_matrix, one
+    single-RHS solve per leading index of r.  The eigenbasis solve then
+    solves exactly a matrix within h |A| STAGE_SPREAD_ULPS eps |J| of M,
+    the backward error class of the LU itself.  Raises
+    np.linalg.LinAlgError when the system is singular."""
     if (gxs is None or _shared(gxs)) and _shared(Js):
         return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose)
     M = stage_matrix(h, RADAU_IIA.A, Js, gxs)
@@ -328,7 +351,8 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
 
     The first iterate has every stage at x, so f and f_x are evaluated
     there once and its solve is the eigenbasis one; later iterates
-    evaluate them at each stage and factor the dense stage matrix.
+    evaluate them at each stage and factor the dense stage matrix unless
+    the stage Jacobians agree to rounding (solve_stages).
     """
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b

@@ -194,6 +194,41 @@ def test_domain_error_is_exit_1(tmp_path, capsys):
     assert doc["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("command", ["simulate", "adjoint"])
+def test_out_that_is_its_own_sidecar_is_refused(tmp_path, capsys, command):
+    """An --out ending in .json would be overwritten by its sidecar: the
+    run is refused with a ValidationError naming out, and nothing is
+    written."""
+    rc = run(command, "--problem", "p2-sliding", "--out", str(tmp_path / "traj.json"))
+    assert rc == 1 and list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError" and doc["field"] == "out"
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (["simulate", "--problem", "p2-sliding", "--out", "{d}/nodir/traj.csv"],
+     "{d}/nodir/traj.csv"),
+    (["adjoint", "--problem", "p2-sliding", "--out", "{d}/adj.csv"], "{d}/adj.json"),
+    (["tableau-check", "--out", "{d}/nodir/t.json"], "{d}/nodir/t.json"),
+    (["optimize", "--problem", "constrained-toy", "--out", "{d}/run.json",
+      "--history-csv", "{d}/nodir/hist.csv"], "{d}/nodir/hist.csv"),
+])
+def test_unwritable_output_is_a_one_line_error(tmp_path, capsys, argv, failing):
+    """An output that cannot be written (--out or --history-csv in a
+    directory that does not exist, a sidecar whose path is a directory)
+    ends the run with exit 1 and an OutputError that carries the path,
+    not a traceback."""
+    (tmp_path / "adj.json").mkdir()
+    rc = run(*[a.replace("{d}", str(tmp_path)) for a in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "OutputError" and doc["path"] == failing.replace("{d}", str(tmp_path))
+
+
 def test_usage_errors_are_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")

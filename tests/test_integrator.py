@@ -487,13 +487,16 @@ def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
 
 
 @pytest.mark.parametrize("sliding", [False, True])
-def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding):
-    """solve_stages gives the bytes of eigen_stage_solve when every stage
-    repeats one Jacobian and g_x row (or a single value stands for all
-    s), and the bytes of np.linalg.solve of stage_matrix, one solve per
-    leading index of r, when a stage differs in the last bit of its
-    Jacobian or of its g_x row; for M and M^T, and r with leading axes
-    () and (3,)."""
+def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding, monkeypatch):
+    """solve_stages gives the bytes of eigen_stage_solve on stage 0's
+    Jacobian and g_x row when every stage repeats them (or a single value
+    stands for all s), or when one stage differs from them by one ulp or
+    by (c - 1) eps max|V_0|, c = STAGE_SPREAD_ULPS.  It gives the bytes of
+    np.linalg.solve of stage_matrix, one solve per leading index of r,
+    when one stage's Jacobian or g_x row differs by (c + 1) eps max|V_0|
+    or by 1e-10 relative, and when it holds a NaN (the eigenbasis solve
+    is not called then).  For M and M^T, and r with leading axes () and
+    (3,)."""
     rng = np.random.default_rng([18, sliding])
     s, n, h = RADAU_IIA.s, 4, 0.05
     d = n + 1 if sliding else n
@@ -501,28 +504,50 @@ def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding):
     gx = rng.standard_normal(n) if sliding else None
     Js = np.repeat(J[None], s, axis=0)
     gxs = None if gx is None else np.repeat(gx[None], s, axis=0)
-    Js_off = Js.copy()
-    Js_off[1, 0, 0] = np.nextafter(Js_off[1, 0, 0], np.inf)
-    unequal = [(Js_off, gxs)]
-    if sliding:
-        gxs_off = gxs.copy()
-        gxs_off[2, 1] = np.nextafter(gxs_off[2, 1], np.inf)
-        unequal.append((Js, gxs_off))
+    c, eps = integrator_mod.STAGE_SPREAD_ULPS, np.finfo(float).eps
+
+    def moved(V, idx, to):
+        """V with entry idx set to to(V[idx], eps max|V_0|)."""
+        W = V.copy()
+        W[idx] = to(W[idx], eps * np.abs(V[0]).max())
+        return W
+
+    def variants(*moves):
+        """(Js, gxs) with one entry of a stage moved, for each move: in
+        the Jacobian of stage 1, and on the surface in the g_x row of
+        stage 2."""
+        for to in moves:
+            yield moved(Js, (1, 0, 0), to), gxs
+            if sliding:
+                yield Js, moved(gxs, (2, 1), to)
+
+    shared = [(Js, gxs), (J[None], None if gx is None else gx[None])] + list(variants(
+        lambda v, e: np.nextafter(v, np.inf),
+        lambda v, e: v + (c - 1) * e))
+    spread = list(variants(lambda v, e: v + (c + 1) * e,
+                           lambda v, e: v * (1 + 1e-10)))
+    nan = list(variants(lambda v, e: np.nan))
+    for Js_v, gxs_v in spread + nan:
+        assert not integrator_mod._shared(Js_v) or not integrator_mod._shared(gxs_v)
+    eigen_calls = []
+    eigen_stage_solve = integrator_mod.eigen_stage_solve
+    monkeypatch.setattr(integrator_mod, "eigen_stage_solve",
+                        lambda *args: eigen_calls.append(1) or eigen_stage_solve(*args))
     for transpose in (False, True):
         for lead in ((), (3,)):
             r = rng.standard_normal(lead + (s, d))
-            eigen = integrator_mod.eigen_stage_solve(h, J, gx, r, transpose=transpose)
-            assert solve_stages(h, Js, gxs, r, transpose).tobytes() == eigen.tobytes()
-            assert solve_stages(h, J[None], None if gx is None else gx[None], r,
-                                transpose).tobytes() == eigen.tobytes()
-            for Js_u, gxs_u in unequal:
-                M = integrator_mod.stage_matrix(h, RADAU_IIA.A, Js_u, gxs_u)
+            eigen = eigen_stage_solve(h, J, gx, r, transpose)
+            for Js_v, gxs_v in shared:
+                assert solve_stages(h, Js_v, gxs_v, r, transpose).tobytes() == eigen.tobytes()
+            for Js_v, gxs_v in spread + nan:
+                M = integrator_mod.stage_matrix(h, RADAU_IIA.A, Js_v, gxs_v)
                 M = M.T if transpose else M
                 dense = np.array([np.linalg.solve(M, ri.reshape(-1))
                                   for ri in r.reshape(-1, s * d)]).reshape(r.shape)
-                y = solve_stages(h, Js_u, gxs_u, r, transpose)
+                eigen_calls.clear()
+                y = solve_stages(h, Js_v, gxs_v, r, transpose)
                 assert y.shape == r.shape and y.tobytes() == dense.tobytes()
-                assert not np.array_equal(y, eigen)
+                assert not eigen_calls and not np.array_equal(y, eigen)
 
 
 def test_solve_stages_raises_on_a_singular_system():
@@ -619,6 +644,28 @@ def test_first_iterates_and_off_surface_sweeps_take_the_eigenbasis_solve(monkeyp
     assert off > 0 and backward.get((Mode.BELOW, "eigen"), 0) \
         + backward.get((Mode.ABOVE, "eigen"), 0) == off
     assert sum(backward.values()) == traj.K
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_sliding_sweeps_on_chain_n_take_the_eigenbasis_solve(monkeypatch, n):
+    """On chain-n the blend weight is affine in x and g_x is constant, so
+    the stage Jacobians fF_x of a sliding step differ only by rounding:
+    every sliding backward step takes the eigenbasis solve, some of them
+    with stage Jacobians whose bytes differ."""
+    forward, backward = _solve_paths(monkeypatch)
+    unequal = []
+    solve = adjoint_mod.solve_stages
+
+    def recorded(h, Js, gxs, r, transpose=False):
+        unequal.append(Js.tobytes() != Js[0].tobytes() * Js.shape[0])
+        return solve(h, Js, gxs, r, transpose)
+    monkeypatch.setattr(adjoint_mod, "solve_stages", recorded)
+    ocp, grid = _chain_problem()(n, np.random.default_rng(1))
+    traj = integrate(ocp, grid, 4)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    sliding = sum(mode is Mode.SLIDING for mode in traj.mode)
+    assert sliding > 0 and backward.get((Mode.SLIDING, "eigen"), 0) == sliding
+    assert sum(backward.values()) == traj.K and any(unequal)
 
 
 def test_sliding_sweeps_on_a_curved_surface_take_the_dense_solve(monkeypatch):

@@ -1,0 +1,115 @@
+"""Time integrate + run_adjoints on chain-n as the state dimension grows.
+
+For each n (default 4, 16, 64, 256) the script builds chain-n
+(benchmarks/chain.py, imported read-only) from seed 1 with N = 10
+control intervals and integrates it at 8 steps per interval, as the
+benchmark's chain-64 workload does, then sweeps back for phi.  It
+prints one markdown table row per n:
+
+- ms: the minimum over k calls of the wall time of integrate +
+  run_adjoints (after one warm-up call);
+- faults: minor page faults (getrusage ru_minflt) per call, averaged
+  over the k timed calls;
+- the stage solves of one call, per pass: how many took the eigenbasis
+  solve (integrator.eigen_stage_solve) and how many factored the dense
+  stage matrix (integrator.stage_matrix), forward (integrate) and
+  backward (run_adjoints), counted in a separate untimed call.
+
+slidoc is imported from this checkout's src/.  To compare two trees, run
+the script of this tree from each checkout's tools/ directory:
+
+    python3 tools/chain_scaling.py
+    python3 tools/chain_scaling.py --n 64 256 --k 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT / "src"))
+
+from chain import chain_problem  # noqa: E402
+
+import slidoc.integrator as integrator_mod  # noqa: E402
+from slidoc import integrate, run_adjoints  # noqa: E402
+
+SEED, N, SPI = 1, 10, 8
+
+
+def call(ocp, grid):
+    """One integrate + run_adjoints; returns the trajectory."""
+    traj = integrate(ocp, grid, SPI)
+    run_adjoints(ocp, traj, grid, [ocp.phi])
+    return traj
+
+
+def solve_counts(ocp, grid) -> dict:
+    """Eigenbasis and dense stage solves of one call, per pass."""
+    counts = {}
+    phase = ["forward"]
+    saved = {name: getattr(integrator_mod, name)
+             for name in ("eigen_stage_solve", "stage_matrix")}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kw):
+            key = (phase[0], kind)
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kw)
+        return wrapper
+
+    integrator_mod.eigen_stage_solve = counted("eigen", saved["eigen_stage_solve"])
+    integrator_mod.stage_matrix = counted("dense", saved["stage_matrix"])
+    try:
+        traj = integrate(ocp, grid, SPI)
+        phase[0] = "backward"
+        run_adjoints(ocp, traj, grid, [ocp.phi])
+    finally:
+        for name, fn in saved.items():
+            setattr(integrator_mod, name, fn)
+    return counts
+
+
+def row(n: int, k: int) -> str:
+    ocp, grid = chain_problem(n, np.random.default_rng(SEED), N)
+    traj = call(ocp, grid)
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(k):
+        t0 = time.perf_counter()
+        call(ocp, grid)
+        times.append(time.perf_counter() - t0)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / k
+    counts = solve_counts(ocp, grid)
+    sliding = sum(mode.value == "sliding" for mode in traj.mode)
+    cells = [n, f"{traj.K} ({sliding})", f"{1e3 * min(times):.1f}", f"{faults:.0f}"]
+    cells += [counts.get((p, kind), 0) for p in ("forward", "backward")
+              for kind in ("eigen", "dense")]
+    return "| " + " | ".join(map(str, cells)) + " |"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--n", type=int, nargs="+", default=[4, 16, 64, 256],
+                    help="state dimensions (>= 3)")
+    ap.add_argument("--k", type=int, default=15, help="timed calls per n")
+    args = ap.parse_args()
+    print(f"chain-n, seed {SEED}, N = {N}, {SPI} steps per interval, "
+          f"min of {args.k} calls of integrate + run_adjoints")
+    print("| n | steps (sliding) | ms | faults/call | fwd eigen | fwd dense "
+          "| bwd eigen | bwd dense |")
+    print("|---|---|---|---|---|---|---|---|")
+    for n in args.n:
+        print(row(n, args.k), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

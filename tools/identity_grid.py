@@ -56,10 +56,13 @@ when that is not empty.  The cases: simulate, adjoint, gradient and
 check-gradient on the five built-ins, gradient of g2:0 on
 constrained-toy, optimize on constrained-toy (with --history-csv) and
 on slide-exit, verify-orders on smooth-linear for four quantities, and
-tableau-check to stdout and to --out (40 outputs); plus three error
-paths, two domain errors (exit 1) and one usage error (exit 2).  To
-compare two trees, run the script of this tree from each checkout's
-tools/ directory:
+tableau-check to stdout and to --out (40 outputs); plus five error
+paths: two domain errors and two output errors (an --out that is its
+own sidecar, an --out in a directory that does not exist), each exit 1,
+and one usage error (exit 2).  A case's directory reads {d} in its
+stderr; an exception that main lets through is recorded as the exit
+"raised <class>".  To compare two trees, run the script of this tree
+from each checkout's tools/ directory:
 
     python3 tools/identity_grid.py --cli > a.json
     cmp a.json b.json
@@ -315,6 +318,9 @@ def _cli_cases():
     yield "error/functional-range", ["gradient", "--problem", "constrained-toy",
                                      "--functional", "g1:5", "--out", "{d}/grad.json"]
     yield "error/no-out", ["simulate", "--problem", "p2-sliding"]
+    yield "error/out-is-sidecar", ["simulate", "--problem", "p2-sliding", "--out", "{d}/traj.json"]
+    yield "error/out-dir-missing", ["simulate", "--problem", "p2-sliding",
+                                    "--out", "{d}/nodir/traj.csv"]
 
 
 def cli_report() -> dict:
@@ -331,13 +337,15 @@ def cli_report() -> dict:
                     code = cli_main([a.replace("{d}", str(d)) for a in argv])
                 except SystemExit as exc:
                     code = exc.code
+                except Exception as exc:    # an error main let through
+                    code = f"raised {type(exc).__name__}"
             entry = {"exit": code}
             for f in sorted(d.iterdir()):
                 entry[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
             if out.getvalue():
                 entry["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
             if err.getvalue():
-                entry["stderr"] = err.getvalue()
+                entry["stderr"] = err.getvalue().replace(str(d), "{d}")
             report[key] = entry
     return report
 
