@@ -6,8 +6,8 @@ output goes through one canonical serializer (sorted keys, floats at
 full precision), so identical configs give byte-identical files.  Domain
 failures exit 1 with a one-line JSON error on stderr, and so does an
 output that cannot be written (OutputError, naming the path) or an
---out that is its own sidecar (ValidationError on out, raised before
-anything runs); bad usage exits 2.
+--out that leaves its sidecar no other name (ValidationError on out,
+raised before anything runs); bad usage exits 2.
 
 There is one output path.  main parses the arguments, loads the config
 with the subcommand's flags as overrides, builds the problem (every
@@ -251,10 +251,11 @@ def main(argv=None) -> int:
     try:
         sidecar = None
         if args.command in ("simulate", "adjoint"):     # the sidecar: --out's name, .json
-            sidecar = Path(args.out).with_suffix(".json")
-            if sidecar == Path(args.out):
-                raise ValidationError(f"out: {args.out!r} is its own .json sidecar; "
-                                      f"give the CSV another suffix", field="out")
+            out = Path(args.out)
+            sidecar = out.with_suffix(".json") if out.name else out
+            if sidecar == out:
+                raise ValidationError(f"out: {args.out!r} leaves no other name for the .json "
+                                      f"sidecar; name the CSV with another suffix", field="out")
         flags = {k: getattr(args, k, None)
                  for k in ("problem", "functional", "eps", "steps_per_interval")}
         cfg = parse_config(args.config, flags)
@@ -277,6 +278,7 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_json(exc.to_dict()) + "\n")
         return 1
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -53,10 +53,10 @@ Otherwise (a curved surface's z g_xx terms, a nonlinear field's later
 iterates, a NaN) stage_matrix lays the blocks out densely (s d x s d)
 and np.linalg.solve factors it, as the sweep's matrix oracle does
 inside its dense F_{X+}.  The two solves agree to rounding, not bit for
-bit.  The stage sums of the sliding
-residual, of x_plus and of the control Jacobian add their terms over j
-in order (stage_sums): A @ V or einsum may round differently, which
-would change results in the last bit.
+bit.  The stage sums of the sliding residual, of x_plus and of the
+control Jacobian add their terms over j in order (stage_sums): A @ V or
+einsum may round differently, which would change results in the last
+bit.
 
 A run is resumable at any control breakpoint.  The interval loop records
 what it holds when interval n begins (IntervalStart: t, x, mode, the

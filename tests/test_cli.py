@@ -195,11 +195,12 @@ def test_domain_error_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "adjoint"])
-def test_out_that_is_its_own_sidecar_is_refused(tmp_path, capsys, command):
-    """An --out ending in .json would be overwritten by its sidecar: the
-    run is refused with a ValidationError naming out, and nothing is
-    written."""
-    rc = run(command, "--problem", "p2-sliding", "--out", str(tmp_path / "traj.json"))
+@pytest.mark.parametrize("out", ["{d}/traj.json", "/"])
+def test_out_that_is_its_own_sidecar_is_refused(tmp_path, capsys, command, out):
+    """An --out ending in .json would be overwritten by its sidecar, and
+    one with no file name has no sidecar name: the run is refused with a
+    ValidationError naming out, and nothing is written."""
+    rc = run(command, "--problem", "p2-sliding", "--out", out.replace("{d}", str(tmp_path)))
     assert rc == 1 and list(tmp_path.iterdir()) == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1

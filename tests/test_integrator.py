@@ -629,9 +629,10 @@ def _solve_paths(monkeypatch):
 @pytest.mark.parametrize("n", [4, 16])
 def test_first_iterates_and_off_surface_sweeps_take_the_eigenbasis_solve(monkeypatch, n):
     """On chain-n every Newton first iterate has every stage at the step
-    start and takes the eigenbasis solve (later iterates factor the
-    dense matrix), and so does every backward step off the surface,
-    whose stage Jacobians are the constant f_x."""
+    start and takes the eigenbasis solve (the fields are affine on and
+    off the surface, so no step solves a later iterate), and so does
+    every backward step off the surface, whose stage Jacobians are the
+    constant f_x."""
     forward, backward = _solve_paths(monkeypatch)
     ocp, grid = _chain_problem()(n, np.random.default_rng(1))
     traj = integrate(ocp, grid, 4)
