@@ -31,7 +31,12 @@ Jacobians differ only by rounding (an affine blend weight, as on
 chain-n), and the dense stage matrix otherwise (a curved surface's
 z g_xx terms).  The eigenbasis solve then solves exactly a matrix within
 h |A| c eps |J| of M^T, the backward error the dense LU already makes.
-Off the surface the stage
+run_adjoints gives its steps one integrator.StageStore: a step whose
+eigenbasis blocks lie within c eps max|B| of blocks an earlier step of
+the same call factored applies their stored inverse instead of a new
+LU (unless their condition exceeds integrator.COND_BOUND).  The store
+lives for one call, so which steps reuse depends on the trajectory
+alone.  Off the surface the stage
 multipliers it yields are exactly those of the reversed-time table
 a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
@@ -46,13 +51,15 @@ only on the trajectory, so each step builds its stage Jacobians and its
 matrix once and carries F multipliers of length n; terminal values, jump
 scalars and lam_g stay per functional.  The F right-hand sides go to one
 np.linalg.solve call on the matrix broadcast to (F, s d, s d), or on
-the eigenbasis blocks broadcast to (F, 2, d, d): a batch of single-RHS
-LU solves, which gives each functional bit for bit what its own solve
-gives.  One solve with a (d, F) right-hand side would not: the
-multi-RHS triangular solves round differently, so the result would
-depend on which functionals share the sweep.  Every error a sweep can
-raise depends on the trajectory alone, so the lockstep sweep fails at
-the same step, with the same error, as a sweep of the first functional.
+the eigenbasis blocks broadcast to (F, 2, d, d), or to one product with
+a stored inverse broadcast the same way: a batch of single-RHS solves
+or matrix-vector products, which gives each functional bit for bit
+what its own solve gives.  One solve with a (d, F) right-hand side
+would not: the multi-RHS triangular solves round differently, so the
+result would depend on which functionals share the sweep.  Every error
+a sweep can raise depends on the trajectory alone, so the lockstep
+sweep fails at the same step, with the same error, as a sweep of the
+first functional.
 
 The tolerances eps_tan and eps_den of a sweep are the ones the
 trajectory was integrated with (traj.opts), so the forward and the
@@ -80,8 +87,8 @@ import numpy as np
 
 from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
                      SingularTerminalSystem)
-from .integrator import (Trajectory, sliding_jacobians, solve_stages, stage_matrix,
-                         stage_sums)
+from .integrator import (StageStore, Trajectory, sliding_jacobians, solve_stages,
+                         stage_matrix, stage_sums)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_control_jacobian, filippov_state_jacobian,
                     filippov_values)
@@ -153,7 +160,8 @@ def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np
 
 
 def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
-                  gxs: Optional[np.ndarray], lam_plus: np.ndarray):
+                  gxs: Optional[np.ndarray], lam_plus: np.ndarray,
+                  store: Optional[StageStore] = None):
     """The backward step of either mode for every row of lam_plus (F, n):
     R_end = lam_plus, M^T R_s = W^T lam_plus, lam_k = lam_plus + sum_i
     R_s,i (x parts), stage multipliers lam_i = lam_plus + sum_j a_ji
@@ -165,7 +173,7 @@ def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
     h = traj.h[k]
     rhs = (_endpoint_weights(h, Js, gxs).T @ lam_plus[..., None])[..., 0]
     try:
-        R = solve_stages(h, Js, gxs, rhs.reshape(lam_plus.shape[0], s, -1), transpose=True)
+        R = solve_stages(h, Js, gxs, rhs.reshape(lam_plus.shape[0], s, -1), True, store)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"adjoint system singular at step {k}") from exc
     Rx = R[..., :n]
@@ -176,18 +184,21 @@ def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
-                             u: np.ndarray, lam_plus: np.ndarray):
+                             u: np.ndarray, lam_plus: np.ndarray,
+                             store: Optional[StageStore] = None):
     """One backward off-surface step for every row of lam_plus (F, n).
     Returns (stage multipliers (F, s, n), lam_k (F, n), gradient rows
     (F, m)); the stage multipliers are those of the reversed-time table."""
-    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, False), lam_plus)
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, False), lam_plus, store)
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
-                         u: np.ndarray, lam_plus: np.ndarray):
+                         u: np.ndarray, lam_plus: np.ndarray,
+                         store: Optional[StageStore] = None):
     """One backward step through the sliding stage system for every row
     of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m))."""
-    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus)[1:]
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus,
+                         store)[1:]
 
 
 def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
@@ -381,7 +392,9 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     in lockstep; one AdjointTrajectory per functional, in input order.
 
     backend 'transformed' solves each step, off the surface or sliding,
-    with the transposed stage matrix (the implementation of record);
+    with the transposed stage matrix (the implementation of record),
+    reusing the eigenbasis factors of earlier steps of this call
+    (integrator.StageStore);
     'matrix' solves the assembled one-step systems of both modes instead,
     the oracle the two-route consistency tests compare against.  Either
     way the sweep also yields the reduced gradient of each functional.
@@ -400,6 +413,7 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     rows = np.zeros((F, K, ocp.m))
     jumps: list = [[] for _ in range(F)]
     trans_at = {rec.k: rec for rec in traj.transitions}
+    store = StageStore()
 
     nu1 = []
     for f, w in enumerate(functionals):
@@ -426,10 +440,11 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
             Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus)
             lam[:, k] = Lambda_k[:, re:]
         elif sliding:
-            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1])
+            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1],
+                                                         store)
         else:
             stages, lam[:, k], rows[:, k] = adjoint_step_transformed(
-                ocp, traj, k, u, lam[:, k + 1])
+                ocp, traj, k, u, lam[:, k + 1], store)
             for f in range(F):
                 stage_lams[f][k] = stages[f]
         if sliding:

@@ -24,7 +24,10 @@ system
     0   = g(x_i)
 
 whose multiplier z vanishes identically in exact arithmetic; its computed
-size is a diagnostic for the discretization.  step_sliding relies on the
+size is a diagnostic for the discretization.  The Newton iteration stops
+on its residual, which cannot see an error in z below about eps |x| /
+(h a_ii |g_x|), so z is reproducible only to about 1e-13 (circle-slide)
+when a change rounds differently.  step_sliding relies on the
 table being stiffly accurate: the endpoint is the last stage (c_s = 1).
 Both Newton iterations start from the standard iterate, every stage at
 the step start x (and z = 0), so the first iteration evaluates the model
@@ -53,7 +56,25 @@ Otherwise (a curved surface's z g_xx terms, a nonlinear field's later
 iterates, a NaN) stage_matrix lays the blocks out densely (s d x s d)
 and np.linalg.solve factors it, as the sweep's matrix oracle does
 inside its dense F_{X+}.  The two solves agree to rounding, not bit for
-bit.  The stage sums of the sliding residual, of x_plus and of the
+bit.
+
+A backward sweep also reuses factors across its steps, as RADAU5 keeps
+its factorization while h and J do not change (Hairer & Wanner, IV.8):
+run_adjoints hands every step's solve one StageStore, in which
+eigen_stage_solve keeps the blocks it has factored (at most STORE_SIZE,
+most recently used first).  A later step whose h, J and g_x move a
+stored entry's blocks by at most c eps max|B|, the rule _shared applies
+across stages, forms no blocks and applies the entry's inverse, which
+np.linalg.inv computes on the first reuse (numpy keeps no LU factors).
+An inverse applied to a matrix within c eps of its own errs by about
+||B||_1 ||B^-1||_1 (c + 1) eps relative, so blocks whose condition
+exceeds COND_BOUND are never inverted and steps that match them solve
+their own blocks.  On chain-n a sweep of 81 steps factors four sets of
+blocks and inverts two.  The forward pass keeps no store: integrate(...,
+base, start=n) must equal a full run bit for bit, so a store would have
+to be emptied at every control interval, and one emptied so saved
+nothing at n = 64 (its inversions cost what its reuse saved).  The
+stage sums of the sliding residual, of x_plus and of the
 control Jacobian add their terms over j in order (stage_sums): A @ V or
 einsum may round differently, which would change results in the last
 bit.
@@ -93,6 +114,13 @@ MAX_EVENT_ITERS = 80
 # rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
 # eigenbasis solve then errs by no more than the dense LU's rounding
 STAGE_SPREAD_ULPS = 4
+# A backward sweep keeps at most STORE_SIZE factored eigenbasis blocks
+# (StageStore) and reuses them as an explicit inverse only while
+# ||B||_1 ||B^-1||_1 <= COND_BOUND: an inverse applied to the blocks of a
+# step that moved them by c eps max|B| errs by about COND_BOUND (c + 1)
+# eps relative, 1.1e-11 at the bound
+STORE_SIZE = 8
+COND_BOUND = 1e4
 
 
 # (field, rule, check) for IntegratorOptions (check_fields)
@@ -254,31 +282,124 @@ _SOLVE = {False: (RADAU_IIA_TINV[:2], RADAU_IIA_T[:, :2] * np.array([1.0, 2.0]))
           True: (RADAU_IIA_T[:, :2].T, RADAU_IIA_TINV[:2].T * np.array([1.0, 2.0]))}
 
 
+def _eigen_blocks(h: float, J: np.ndarray, gx: Optional[np.ndarray],
+                  transpose: bool) -> np.ndarray:
+    """The complex (2, d, d) blocks P - h lambda_k Q of the pencil of J
+    and gx, transposed with transpose.  They are formed in place, h
+    lambda_k Q then P - that: as in stage_matrix, a second temporary of
+    their size would be freed and faulted in again on every call at
+    large d."""
+    P, Q = stage_pencil(J[None], None if gx is None else gx[None])
+    blocks = (h * _EIG) * Q[0]
+    np.subtract(P[0], blocks, out=blocks)
+    return blocks.transpose(0, 2, 1) if transpose else blocks
+
+
+# |lambda_k| bounds how far a change of h or Q moves the blocks
+_EIG_MAX = float(np.abs(RADAU_IIA_EIGVALS).max())
+
+
+class _Factored:
+    """Blocks one solve factored: the h, J, gx and transpose they were
+    formed from, the match tolerance c eps max|B| (c =
+    STAGE_SPREAD_ULPS) and, once a later solve reuses them, their
+    inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND)."""
+
+    def __init__(self, h, J, gx, transpose, blocks):
+        self.h, self.J, self.transpose = h, J.copy(), transpose
+        self.gx = None if gx is None else gx.copy()
+        self.tol = STAGE_SPREAD_ULPS * np.finfo(float).eps * float(np.abs(blocks).max())
+        self.qmax = float(np.abs(J).max()) if gx is None else \
+            max(float(np.abs(J).max()), float(np.abs(gx).max()))
+        self.inverted, self.inv = False, None
+
+    def matches(self, h, J, gx, transpose) -> bool:
+        """Whether the blocks of (h, J, gx) lie within tol of these,
+        entrywise.  The gx row of P moves by dg = max|gx - gx0|, and
+        every entry of h lambda_k Q by at most |lambda|max (|h - h0|
+        (max|Q0| + dQ) + h0 dQ), dQ = max(max|J - J0|, dg).  A NaN
+        matches nothing."""
+        if (transpose != self.transpose or (gx is None) != (self.gx is None)
+                or J.shape != self.J.shape):
+            return False
+        dh = abs(h - self.h)
+        if not _EIG_MAX * dh * self.qmax <= self.tol:
+            return False
+        dg = 0.0 if gx is None else float(np.abs(gx - self.gx).max())
+        dQ = max(float(np.abs(J - self.J).max()), dg)
+        return dg <= self.tol and _EIG_MAX * (dh * (self.qmax + dQ) + self.h * dQ) <= self.tol
+
+    def inverse(self) -> Optional[np.ndarray]:
+        """The inverse of the blocks, computed on the first call from
+        the same bytes the first solve factored; None when a block's
+        ||B||_1 ||B^-1||_1 exceeds COND_BOUND (or is not finite)."""
+        if not self.inverted:
+            self.inverted = True
+            blocks = _eigen_blocks(self.h, self.J, self.gx, self.transpose)
+            inv = np.linalg.inv(blocks)
+            cond = (np.abs(blocks).sum(axis=1).max(axis=1)
+                    * np.abs(inv).sum(axis=1).max(axis=1)).max()
+            self.inv = inv if cond <= COND_BOUND else None
+        return self.inv
+
+
+class StageStore:
+    """The eigenbasis blocks one backward sweep has factored, most
+    recently used first, at most STORE_SIZE of them.  run_adjoints makes
+    one per call and hands it to every step's solve (eigen_stage_solve),
+    so nothing carries over between calls."""
+
+    def __init__(self):
+        self.entries: list = []
+
+    def find(self, h, J, gx, transpose) -> Optional[_Factored]:
+        for i, entry in enumerate(self.entries):
+            if entry.matches(h, J, gx, transpose):
+                self.entries.insert(0, self.entries.pop(i))
+                return entry
+        return None
+
+    def add(self, entry: _Factored):
+        self.entries.insert(0, entry)
+        del self.entries[STORE_SIZE:]
+
+
 def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
-                      r: np.ndarray, transpose: bool = False) -> np.ndarray:
+                      r: np.ndarray, transpose: bool = False,
+                      store: Optional[StageStore] = None) -> np.ndarray:
     """Solve the stage system M y = r (M^T y = r with transpose) when
     every stage has the same Jacobian J (n, n) and, on the surface, the
     same gradient row gx (n,); r and y are (..., s, d), stage-major.
 
     M = I_s (x) P - h A (x) Q for the pencil (P, Q) of J (stage_pencil).
     With A = T diag(lambda) T^-1 (tableau.RADAU_IIA_T) it splits into the
-    blocks P - h lambda_k Q: one real block and a conjugate pair.  The
-    real block and one block of the pair go to one np.linalg.solve call
-    on a complex (2, d, d) batch, broadcast over r's leading axes as one
-    single-RHS solve each, so every leading index gets the bytes its own
-    solve would give; the pair's other block is the conjugate.  The
-    blocks are formed in place, h lambda_k Q then P - that: as in
-    stage_matrix, a second temporary of their size would be freed and
-    faulted in again on every call at large d.  Raises
-    np.linalg.LinAlgError when a block is singular.
+    blocks P - h lambda_k Q (_eigen_blocks): one real block and a
+    conjugate pair.  The real block and one block of the pair go to one
+    np.linalg.solve call on a complex (2, d, d) batch, broadcast over
+    r's leading axes as one single-RHS solve each, so every leading
+    index gets the bytes its own solve would give; the pair's other
+    block is the conjugate.
+
+    With a store (a backward sweep's StageStore) the solve first looks
+    for blocks factored before whose h, J and gx move them by at most
+    STAGE_SPREAD_ULPS eps max|B| (_Factored.matches), the rule _shared
+    applies across stages.  On a match it forms no blocks and applies
+    their stored inverse (computed on the first reuse) as a matrix-vector
+    product per leading index; blocks whose ||B||_1 ||B^-1||_1 exceeds
+    COND_BOUND are not inverted, and a match on them solves as without
+    a store.  Without a match it solves as above and stores the blocks.
+    Raises np.linalg.LinAlgError when a block is singular.
     """
-    P, Q = stage_pencil(J[None], None if gx is None else gx[None])
-    blocks = (h * _EIG) * Q[0]
-    np.subtract(P[0], blocks, out=blocks)
-    if transpose:
-        blocks = blocks.transpose(0, 2, 1)
     into, back = _SOLVE[transpose]
-    return (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
+    entry = None if store is None else store.find(h, J, gx, transpose)
+    inv = None if entry is None else entry.inverse()
+    if inv is not None:
+        return (back @ (inv @ (into @ r)[..., None])[..., 0]).real
+    blocks = _eigen_blocks(h, J, gx, transpose)
+    y = (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
+    if store is not None and entry is None:
+        store.add(_Factored(h, J, gx, transpose, blocks))
+    return y
 
 
 def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -310,7 +431,8 @@ def _shared(V: np.ndarray) -> bool:
 
 
 def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
-                 r: np.ndarray, transpose: bool = False) -> np.ndarray:
+                 r: np.ndarray, transpose: bool = False,
+                 store: Optional[StageStore] = None) -> np.ndarray:
     """Solve M y = r (M^T y = r with transpose) for the stage pencil of
     Js (m, n, n) and gxs (m, n), None off the surface, holding one value
     per stage or one (m = 1) for all s; r and y are (..., s, d).  The one
@@ -322,7 +444,8 @@ def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
     the backward error class of the LU itself.  Raises
     np.linalg.LinAlgError when the system is singular."""
     if (gxs is None or _shared(gxs)) and _shared(Js):
-        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose)
+        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose,
+                                 store)
     M = stage_matrix(h, RADAU_IIA.A, Js, gxs)
     if transpose:
         M = M.T
@@ -705,7 +828,13 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
             st, x = data
             t = t + tau
             bld.commit(t, x, tau, mode, nctrl, st, None, 0.0)
-        return _process_surface_point(ocp, bld, t, x, u, mode, opts)
+        t, x, next_mode = _process_surface_point(ocp, bld, t, x, u, mode, opts)
+        if tau == 0.0 and next_mode is mode:
+            # a graze at the step start whose step still dips through
+            # the surface: retrying the step would loop forever
+            raise NoBracket("the step dips through the surface from a graze at its start",
+                            stage_dip=float(stage_dip))
+        return t, x, next_mode
 
     bld.commit(t + h, x_try, h, mode, nctrl, stages, None, 0.0)
     if abs(g_end) <= opts.surface_tol:
@@ -715,9 +844,14 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
 
 
 def _process_surface_point(ocp, bld, t, x, u, mode, opts):
-    """Classify and record what happens at a state sitting on the surface."""
+    """Classify and record what happens at a state sitting on the surface.
+    When entry_test sends the trajectory back to the side it came from,
+    the node is a graze: nothing is recorded and the mode stays."""
     x_new = x
-    if entry_test(ocp, x, u, eps_tan=opts.eps_tan) is Mode.SLIDING:
+    verdict = entry_test(ocp, x, u, eps_tan=opts.eps_tan)
+    if verdict is mode:
+        return t, x, mode
+    if verdict is Mode.SLIDING:
         kind = TransitionKind.ENTER_SLIDING
         if abs(ocp.g(x)) > opts.surface_tol:
             x_new = _project_to_surface(ocp, x)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import slidoc.adjoint as adjoint_mod
+import slidoc.integrator as integrator_mod
 import slidoc.tableau as tableau_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             adjoint_step_transformed, assemble_ode_step_matrices,
@@ -417,6 +418,9 @@ def test_stability_function_is_preserved_by_the_transform():
 def _lockstep_cases():
     ocp, grid = get_problem("constrained-toy")
     yield ocp, grid, [ocp.phi, ocp.g1[0], ocp.g2[0]]
+    # chain-16: sliding steps whose solves reuse stored eigenbasis blocks
+    ocp, grid = _chain_problem()(16, np.random.default_rng(1))
+    yield ocp, grid, [ocp.phi, _chain_linear(ocp.n)]
     # sliding steps, an entry jump and an exit jump, two functionals
     ocp, grid = get_problem("slide-exit")
     w = EndpointFunctional(value=lambda x: float(x[0] + 3.0 * x[1] ** 2),
@@ -424,9 +428,18 @@ def _lockstep_cases():
     yield ocp, grid, [ocp.phi, w]
 
 
+def _chain_linear(n: int) -> EndpointFunctional:
+    """w = x_0 + 2 x_{n-2} on chain-n: a second functional whose
+    gradient is nonzero."""
+    c = np.zeros(n)
+    c[0], c[n - 2] = 1.0, 2.0
+    return EndpointFunctional(value=lambda x: float(c @ x), grad=lambda x: c, name="w")
+
+
 def test_run_adjoints_matches_single_sweeps():
     """The lockstep sweep gives every functional bit for bit what a sweep
-    of that functional alone gives, on both backends."""
+    of that functional alone gives, on both backends, also when its
+    steps reuse stored eigenbasis blocks (chain-16)."""
     for (ocp, grid, ws), backend in itertools.product(_lockstep_cases(),
                                                       ("transformed", "matrix")):
         traj = integrate(ocp, grid, 8)
@@ -444,33 +457,99 @@ def test_run_adjoints_matches_single_sweeps():
             assert np.array_equal([j["pi"] for j in adj.jumps],
                                   [j["pi"] for j in solo.jumps])
             assert adj.nu1 == solo.nu1
+            assert np.abs(adj.grad).max() > 0.0
     # the last case swept sliding steps and both jumps in lockstep
     assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
     assert [len(adj.jumps) for adj in batch] == [2, 2]
 
 
+def _count_factorizations(monkeypatch) -> dict:
+    """Count np.linalg.solve and np.linalg.inv calls from here on."""
+    counts = {"solve": 0, "inv": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def test_lockstep_sweep_shares_each_step_solve(monkeypatch):
-    """Three functionals, one sweep: one batched solve per step, and no
-    reversed-time table is built (the sweep solves with the transposed
-    forward stage matrix)."""
+    """Three functionals, one sweep, 16 off-surface steps with the one
+    Jacobian f1_x and one step size: the first step
+    factors its eigenbasis blocks (one batched solve for the three
+    functionals), the second inverts them and every later step applies
+    that inverse.  No reversed-time table is built (the sweep solves
+    with the transposed forward stage matrix)."""
     ocp, grid = get_problem("constrained-toy", {"N": 4})
     traj = integrate(ocp, grid, 4)
-    counts = {"solve": 0, "table": 0}
-    solve, table = np.linalg.solve, tableau_mod.adjoint_tableau
-
-    def counted_solve(*args, **kwargs):
-        counts["solve"] += 1
-        return solve(*args, **kwargs)
-
-    def counted_table(*args, **kwargs):
-        counts["table"] += 1
-        return table(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(tableau_mod, "adjoint_tableau", counted_table)
+    table = tableau_mod.adjoint_tableau
+    tables = []
+    monkeypatch.setattr(tableau_mod, "adjoint_tableau",
+                        lambda *args, **kwargs: tables.append(1) or table(*args, **kwargs))
+    counts = _count_factorizations(monkeypatch)
     run_adjoints(ocp, traj, grid, [ocp.phi, ocp.g1[0], ocp.g2[0]])
     assert traj.K == 16 and not traj.transitions
-    assert counts == {"solve": traj.K, "table": 0}
+    assert counts == {"solve": 1, "inv": 1} and not tables
+
+
+def _chain16():
+    ocp, grid = _chain_problem()(16, np.random.default_rng(1))
+    traj = integrate(ocp, grid, 8)
+    assert traj.K == 81 and sum(mode is Mode.SLIDING for mode in traj.mode) == 59
+    return ocp, grid, traj
+
+
+def test_chain_sweep_factors_four_blocks(monkeypatch):
+    """chain-16 (seed 1, 8 steps per interval): 81 backward steps, 22 off
+    the surface and 59 sliding, with 9 distinct step sizes: full steps a
+    few ulps apart on either side, the located entry step (off) and the
+    rest of its step (sliding).  The sweep factors four sets of
+    eigenbasis blocks, one per side and size, and inverts the two of
+    full steps, which later steps reuse; every other step applies a
+    stored inverse."""
+    ocp, grid, traj = _chain16()
+    assert len(set(traj.h)) == 9
+    counts = _count_factorizations(monkeypatch)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    assert counts == {"solve": 4, "inv": 2}
+
+
+def test_reruns_of_a_sweep_are_byte_identical():
+    """Each sweep starts with an empty store, so a second run_adjoints
+    gives the bytes of the first."""
+    ocp, grid, traj = _chain16()
+    ws = [ocp.phi, _chain_linear(ocp.n)]
+    first, second = (run_adjoints(ocp, traj, grid, ws) for _ in range(2))
+    for a, b in zip(first, second):
+        for name in ("lam", "lam_g", "grad"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert [j["pi"] for j in a.jumps] == [j["pi"] for j in b.jumps]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.stage_lams, b.stage_lams)
+                   if x is not None)
+
+
+def test_ill_conditioned_blocks_are_solved_not_inverted(monkeypatch):
+    """With COND_BOUND forced below every block's ||B||_1 ||B^-1||_1 no
+    stored inverse is applied: every step factors its own blocks and
+    gives the bytes of eigen_stage_solve on them, without a store."""
+    ocp, grid, traj = _chain16()
+    monkeypatch.setattr(integrator_mod, "COND_BOUND", 0.5)
+    solve, checked = adjoint_mod.solve_stages, []
+
+    def recorded(h, Js, gxs, r, transpose=False, store=None):
+        y = solve(h, Js, gxs, r, transpose, store)
+        own = integrator_mod.eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0],
+                                               r, transpose)
+        checked.append(store is not None and y.tobytes() == own.tobytes())
+        return y
+    monkeypatch.setattr(adjoint_mod, "solve_stages", recorded)
+    counts = _count_factorizations(monkeypatch)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    assert len(checked) == traj.K and all(checked)
+    # the K own solves of the check, the sweep's K solves and its two
+    # rejected inversions
+    assert counts == {"solve": 2 * traj.K, "inv": 2}
 
 
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):

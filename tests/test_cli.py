@@ -87,9 +87,10 @@ def test_check_gradient_returns_json_on_every_problem(tmp_path, problem):
     assert run("check-gradient", "--problem", problem, "--out", str(out)) == 0
     doc = json.loads(read(out))
     assert doc["rel"] <= 1e-6
-    expected = [[5, 0, "TangentialAmbiguity"]] if problem == "slide-exit" else []
-    assert doc["probe_errors"] == expected
-    assert doc["flagged"] == [e[:2] for e in expected]
+    assert doc["probe_errors"] == []
+    # slide-exit's u_5 - 1e-6 probe moves its exit across the breakpoint
+    # t = 0.9, so that entry is flagged; no probe raises
+    assert doc["flagged"] == ([[5, 0]] if problem == "slide-exit" else [])
 
 
 def test_optimize_outputs(tmp_path):

@@ -229,6 +229,28 @@ def test_chattering_cap_counts_per_interval():
     assert traj.transition_intervals() == [1, 4, 5, 5, 6, 7]
 
 
+def test_graze_at_a_step_start_that_dips_raises():
+    """x = (t, y), g = y, starting on the surface with both fields
+    pointing down (y' = t - 1e-3 below, t - 1e-3 - 1 above): the start
+    is a graze, so nothing is recorded and the run stays below.  The
+    first step then rises through the surface at t = 2e-3, but its start
+    is within event_tol of the surface, so the event sits at tau = 0
+    and the node would be a graze again on every retry: the run raises
+    NoBracket instead of looping."""
+    J = lambda x, u: np.array([[0.0, 0.0], [1.0, 0.0]])
+    B = lambda x, u: np.zeros((2, 1))
+    ocp = HybridOCP(name="graze", n=2, m=1,
+                    f1=lambda x, u: np.array([1.0, x[0] - 1e-3]), f1_x=J, f1_u=B,
+                    f2=lambda x, u: np.array([1.0, x[0] - 1e-3 - 1.0]), f2_x=J, f2_u=B,
+                    g=lambda x: float(x[1]), g_x=lambda x: np.array([0.0, 1.0]),
+                    g_xx=lambda x: np.zeros((2, 2)),
+                    phi=EndpointFunctional(value=lambda x: float(x[1]),
+                                           grad=lambda x: np.array([0.0, 1.0])),
+                    x0=np.zeros(2), t0=0.0, tf=1.0, u_lo=-np.ones(1), u_hi=np.ones(1))
+    with pytest.raises(NoBracket):
+        integrate(ocp, ControlGrid(0.0, 1.0, np.zeros((2, 1))), 4)
+
+
 def test_locate_event_brackets_a_root():
     # e(tau) = 1 - 5 tau: root at exactly 0.2
     tau, _, e = locate_event(lambda t: (None, 1.0 - 5.0 * t), 1.0, 1.0, event_tol=1e-12)
@@ -657,9 +679,9 @@ def test_sliding_sweeps_on_chain_n_take_the_eigenbasis_solve(monkeypatch, n):
     unequal = []
     solve = adjoint_mod.solve_stages
 
-    def recorded(h, Js, gxs, r, transpose=False):
+    def recorded(h, Js, gxs, r, transpose=False, store=None):
         unequal.append(Js.tobytes() != Js[0].tobytes() * Js.shape[0])
-        return solve(h, Js, gxs, r, transpose)
+        return solve(h, Js, gxs, r, transpose, store)
     monkeypatch.setattr(adjoint_mod, "solve_stages", recorded)
     ocp, grid = _chain_problem()(n, np.random.default_rng(1))
     traj = integrate(ocp, grid, 4)

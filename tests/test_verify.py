@@ -7,9 +7,10 @@ import pytest
 import slidoc.integrator as integrator_mod
 import slidoc.verify as verify_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import ChatteringLimit, ReferenceUnconverged, ValidationError
+from slidoc.errors import (ChatteringLimit, ReferenceUnconverged, TangentialAmbiguity,
+                           ValidationError)
 from slidoc.integrator import IntegratorOptions, integrate
-from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP
+from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem
 from slidoc.verify import (FLAG_NONSMOOTH, QUANTITIES, fd_gradient,
                            gradient_check, order_study)
@@ -89,12 +90,35 @@ def test_structure_change_flagging():
     assert len(d["flagged"]) == grid.N
 
 
-def test_failing_probe_flags_its_entry():
-    """slide-exit: u_5 - 1e-6 makes f1 exactly tangent at the exit, so
-    that probe raises TangentialAmbiguity.  Its entry is flagged and NaN,
-    and every other entry still agrees with the adjoint gradient."""
+def test_failing_probe_flags_its_entry(monkeypatch):
+    """slide-exit: the probe u_5 - 1e-6 ends an interval at the
+    breakpoint t = 0.9 on a graze (|g| below surface_tol, both fields
+    pointing back below); it integrates, with the exit moved across the
+    breakpoint into interval 5, so its entry is flagged without an
+    error.  A probe that raises (here the same probe, made to raise
+    TangentialAmbiguity) flags its entry too: NaN, the error class
+    named, and every other entry still agrees with the adjoint
+    gradient."""
     ocp, grid = get_problem("slide-exit")
     chk = gradient_check(ocp, grid, 8)
+    assert chk.fd.errors == {}
+    assert chk.fd.flagged == [[5, 0]]
+    assert np.isfinite(chk.fd.entries).all()
+    assert chk.rel is not None and chk.rel <= 1e-9
+    values = grid.values.copy()
+    values[5, 0] -= 1e-6
+    probe = integrate(ocp, grid.with_values(values), 8)
+    assert probe.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    assert probe.transition_intervals() == [2, 5]
+
+    integrate_ = verify_mod.integrate
+
+    def failing(ocp, grid, *args, **kwargs):
+        if grid.values[5, 0] == values[5, 0]:
+            raise TangentialAmbiguity("probe made to fail", w1=0.0, w2=-1.0)
+        return integrate_(ocp, grid, *args, **kwargs)
+    monkeypatch.setattr(verify_mod, "integrate", failing)
+    chk = gradient_check(ocp, get_problem("slide-exit")[1], 8)
     assert chk.fd.errors == {(5, 0): "TangentialAmbiguity"}
     assert chk.fd.flagged == [[5, 0]]
     assert np.isnan(chk.fd.entries[5, 0])
@@ -102,6 +126,27 @@ def test_failing_probe_flags_its_entry():
     d = chk.to_dict()
     assert d["probe_errors"] == [[5, 0, "TangentialAmbiguity"]]
     assert d["entries"][5] == [None]
+
+
+def test_perturbed_slide_exit_grazes_a_breakpoint_without_crossing():
+    """The fd-check benchmark's seed-5 perturbed slide-exit input (N =
+    10, 8 steps per interval) exits just before the breakpoint t = 0.9,
+    and the short step to it ends on a graze: |g| below surface_tol
+    with both fields pointing back below.  No crossing is recorded, the
+    run goes on below the surface, and the gradient agrees with FD."""
+    rng = np.random.default_rng([5, 1])
+    for name in ("p2-sliding", "p2-steered", "slide-exit"):
+        ocp, grid = get_problem(name, {"N": 10})
+        u = grid.values + rng.uniform(-0.1, 0.1, grid.values.shape)
+    grid = grid.with_values(np.clip(u, ocp.u_lo, ocp.u_hi))
+    traj = integrate(ocp, grid, 8)
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    k = int(traj.breakpoint_nodes[6])
+    assert traj.times[k] == 0.9 and traj.transitions[1].t < 0.9
+    assert traj.mode[k - 1] is Mode.BELOW and traj.mode[k] is Mode.BELOW
+    assert 0.0 < -ocp.g(traj.x[k]) <= traj.opts.surface_tol
+    chk = gradient_check(ocp, grid, 8)
+    assert chk.rel is not None and chk.rel <= 1e-6
 
 
 def test_probe_moving_a_transition_across_a_breakpoint_is_flagged():

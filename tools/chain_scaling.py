@@ -13,7 +13,11 @@ prints one markdown table row per n:
 - the stage solves of one call, per pass: how many took the eigenbasis
   solve (integrator.eigen_stage_solve) and how many factored the dense
   stage matrix (integrator.stage_matrix), forward (integrate) and
-  backward (run_adjoints), counted in a separate untimed call.
+  backward (run_adjoints), counted in a separate untimed call;
+- the factorizations of that call, per pass, as LU + inversions: the
+  np.linalg.solve calls (one per eigenbasis batch or dense matrix that
+  is factored) and the np.linalg.inv calls (stored eigenbasis blocks
+  the backward sweep inverts for reuse).
 
 slidoc is imported from this checkout's src/.  To compare two trees, run
 the script of this tree from each checkout's tools/ directory:
@@ -52,11 +56,14 @@ def call(ocp, grid):
 
 
 def solve_counts(ocp, grid) -> dict:
-    """Eigenbasis and dense stage solves of one call, per pass."""
+    """Eigenbasis and dense stage solves, LU solves and inversions of
+    one call, per pass."""
     counts = {}
     phase = ["forward"]
-    saved = {name: getattr(integrator_mod, name)
-             for name in ("eigen_stage_solve", "stage_matrix")}
+    spied = {(integrator_mod, "eigen_stage_solve"): "eigen",
+             (integrator_mod, "stage_matrix"): "dense",
+             (np.linalg, "solve"): "lu", (np.linalg, "inv"): "inv"}
+    saved = {place: getattr(*place) for place in spied}
 
     def counted(kind, fn):
         def wrapper(*args, **kw):
@@ -65,15 +72,15 @@ def solve_counts(ocp, grid) -> dict:
             return fn(*args, **kw)
         return wrapper
 
-    integrator_mod.eigen_stage_solve = counted("eigen", saved["eigen_stage_solve"])
-    integrator_mod.stage_matrix = counted("dense", saved["stage_matrix"])
+    for place, kind in spied.items():
+        setattr(*place, counted(kind, saved[place]))
     try:
         traj = integrate(ocp, grid, SPI)
         phase[0] = "backward"
         run_adjoints(ocp, traj, grid, [ocp.phi])
     finally:
-        for name, fn in saved.items():
-            setattr(integrator_mod, name, fn)
+        for place, fn in saved.items():
+            setattr(*place, fn)
     return counts
 
 
@@ -90,8 +97,9 @@ def row(n: int, k: int) -> str:
     counts = solve_counts(ocp, grid)
     sliding = sum(mode.value == "sliding" for mode in traj.mode)
     cells = [n, f"{traj.K} ({sliding})", f"{1e3 * min(times):.1f}", f"{faults:.0f}"]
-    cells += [counts.get((p, kind), 0) for p in ("forward", "backward")
-              for kind in ("eigen", "dense")]
+    for p in ("forward", "backward"):
+        cells += [counts.get((p, "eigen"), 0), counts.get((p, "dense"), 0),
+                  f"{counts.get((p, 'lu'), 0)} + {counts.get((p, 'inv'), 0)}"]
     return "| " + " | ".join(map(str, cells)) + " |"
 
 
@@ -104,8 +112,8 @@ def main() -> int:
     print(f"chain-n, seed {SEED}, N = {N}, {SPI} steps per interval, "
           f"min of {args.k} calls of integrate + run_adjoints")
     print("| n | steps (sliding) | ms | faults/call | fwd eigen | fwd dense "
-          "| bwd eigen | bwd dense |")
-    print("|---|---|---|---|---|---|---|---|")
+          "| fwd LU + inv | bwd eigen | bwd dense | bwd LU + inv |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     for n in args.n:
         print(row(n, args.k), flush=True)
     return 0
