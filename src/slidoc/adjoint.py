@@ -31,14 +31,14 @@ Jacobians differ only by rounding (an affine blend weight, as on
 chain-n), and the dense stage matrix otherwise (a curved surface's
 z g_xx terms).  The eigenbasis solve then solves exactly a matrix within
 h |A| c eps |J| of M^T, the backward error the dense LU already makes.
-run_adjoints gives its steps one integrator.StageStore: a step whose
-eigenbasis blocks lie within c eps max|B| of blocks an earlier step of
-the same call factored applies their stored inverse instead of a new
-LU (unless their condition exceeds integrator.COND_BOUND).  The store
-lives for one call, so which steps reuse depends on the trajectory
-alone.  Off the surface the stage
-multipliers it yields are exactly those of the reversed-time table
-a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
+run_adjoints gives its steps one integrator.StageStore, a single slot
+that holds the eigenbasis blocks the call factored last: a step whose
+blocks lie within c eps max|B| of those applies their inverse instead
+of a new LU (unless their condition exceeds integrator.COND_BOUND), and
+any other step's blocks take the slot.  The store lives for one call,
+so which steps reuse depends on the trajectory alone.  Off the surface
+the stage multipliers it yields are exactly those of the reversed-time
+table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
 never builds that table.  The gradient row is the stage quadrature
 h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.  The dense
@@ -393,7 +393,7 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     backend 'transformed' solves each step, off the surface or sliding,
     with the transposed stage matrix (the implementation of record),
-    reusing the eigenbasis factors of earlier steps of this call
+    reusing the eigenbasis factors this call took last
     (integrator.StageStore);
     'matrix' solves the assembled one-step systems of both modes instead,
     the oracle the two-route consistency tests compare against.  Either

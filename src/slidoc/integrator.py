@@ -8,11 +8,11 @@ function is below tolerance; the located point is committed as a mesh
 node, the transition is classified and recorded, and integration resumes
 toward the same base node with the new mode.
 
-Every transition (a sliding exit at a breakpoint, an entry or crossing
-at a surface event, an exit at a blend-weight boundary) goes through
-_Builder.transition, which records it, gives the node the plus-side
-state and z = 0, counts it against the per-interval cap and returns the
-next mode from _NEXT_MODE.
+Every surface test (entry_test, exit_test, exit_mode) returns the mode
+the trajectory goes to, and _Builder.transition takes every verdict: it
+records nothing when that is the current mode (a graze), else the kind
+_KIND gives for (mode, next mode), the node's plus-side state and z = 0,
+counted against the per-interval cap.
 
 Every step uses the one table tableau.RADAU_IIA.  Off the surface the
 state advances with step_ode (stage equations of the 3-stage Radau IIA
@@ -59,13 +59,12 @@ inside its dense F_{X+}.  The two solves agree to rounding, not bit for
 bit.
 
 A backward sweep also reuses factors across its steps, as RADAU5 keeps
-its factorization while h and J do not change (Hairer & Wanner, IV.8):
-run_adjoints hands every step's solve one StageStore, in which
-eigen_stage_solve keeps the blocks it has factored (at most STORE_SIZE,
-most recently used first).  A later step whose h, J and g_x move a
-stored entry's blocks by at most c eps max|B|, the rule _shared applies
-across stages, forms no blocks and applies the entry's inverse, which
-np.linalg.inv computes on the first reuse (numpy keeps no LU factors).
+its one factorization while h and J do not change (Hairer & Wanner,
+IV.8): run_adjoints hands every step's solve one StageStore, which holds
+the blocks the sweep factored last.  A step whose h, J and g_x move them
+by at most c eps max|B|, the rule _shared applies across stages, forms
+no blocks and applies their inverse, which np.linalg.inv computes on
+the first reuse (numpy keeps no LU factors).
 An inverse applied to a matrix within c eps of its own errs by about
 ||B||_1 ||B^-1||_1 (c + 1) eps relative, so blocks whose condition
 exceeds COND_BOUND are never inverted and steps that match them solve
@@ -104,7 +103,7 @@ import numpy as np
 from .errors import (COUNT, POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
                      SingularIteration, check_fields)
 from .model import (EPS_DEN, EPS_TAN, ControlGrid, HybridOCP, Mode,
-                    TransitionKind, alpha, entry_test, exit_kind, exit_test,
+                    TransitionKind, alpha, entry_test, exit_mode, exit_test,
                     filippov_state_jacobian, filippov_values, normal_speeds)
 from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 
@@ -114,12 +113,11 @@ MAX_EVENT_ITERS = 80
 # rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
 # eigenbasis solve then errs by no more than the dense LU's rounding
 STAGE_SPREAD_ULPS = 4
-# A backward sweep keeps at most STORE_SIZE factored eigenbasis blocks
+# A backward sweep keeps the eigenbasis blocks it factored last
 # (StageStore) and reuses them as an explicit inverse only while
 # ||B||_1 ||B^-1||_1 <= COND_BOUND: an inverse applied to the blocks of a
 # step that moved them by c eps max|B| errs by about COND_BOUND (c + 1)
 # eps relative, 1.1e-11 at the bound
-STORE_SIZE = 8
 COND_BOUND = 1e4
 
 
@@ -132,8 +130,8 @@ _RULES = [(key, *POSITIVE) for key in ("newton_tol", "event_tol", "surface_tol",
 @dataclass(frozen=True)
 class IntegratorOptions:
     """An entry node with |g| > surface_tol is projected onto the surface.
-    A located event has |g| <= 10 event_tol, so that needs event_tol >
-    surface_tol / 10 and never happens at the defaults.  Every tolerance
+    A located event has |g| <= event_tol, so that needs event_tol >
+    surface_tol and never happens at the defaults.  Every tolerance
     must be a number > 0 and the cap an integer >= 1; anything else
     raises ValidationError naming the field."""
     newton_tol: float = 1e-12
@@ -299,13 +297,18 @@ def _eigen_blocks(h: float, J: np.ndarray, gx: Optional[np.ndarray],
 _EIG_MAX = float(np.abs(RADAU_IIA_EIGVALS).max())
 
 
-class _Factored:
-    """Blocks one solve factored: the h, J, gx and transpose they were
-    formed from, the match tolerance c eps max|B| (c =
-    STAGE_SPREAD_ULPS) and, once a later solve reuses them, their
-    inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND)."""
+class StageStore:
+    """One slot for the eigenbasis blocks a backward sweep factored last:
+    the h, J, gx and transpose they came from (not the blocks), the match
+    tolerance c eps max|B| (c = STAGE_SPREAD_ULPS) and, once reused, their
+    inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND).  Each
+    run_adjoints call makes its own, so nothing carries over."""
 
-    def __init__(self, h, J, gx, transpose, blocks):
+    def __init__(self):
+        self.J = None
+
+    def hold(self, h, J, gx, transpose, blocks):
+        """Replace the slot with the blocks of (h, J, gx) just factored."""
         self.h, self.J, self.transpose = h, J.copy(), transpose
         self.gx = None if gx is None else gx.copy()
         self.tol = STAGE_SPREAD_ULPS * np.finfo(float).eps * float(np.abs(blocks).max())
@@ -314,13 +317,13 @@ class _Factored:
         self.inverted, self.inv = False, None
 
     def matches(self, h, J, gx, transpose) -> bool:
-        """Whether the blocks of (h, J, gx) lie within tol of these,
-        entrywise.  The gx row of P moves by dg = max|gx - gx0|, and
-        every entry of h lambda_k Q by at most |lambda|max (|h - h0|
-        (max|Q0| + dQ) + h0 dQ), dQ = max(max|J - J0|, dg).  A NaN
-        matches nothing."""
-        if (transpose != self.transpose or (gx is None) != (self.gx is None)
-                or J.shape != self.J.shape):
+        """Whether the blocks of (h, J, gx) lie within tol of the held
+        ones, entrywise.  The gx row of P moves by dg = max|gx - gx0|,
+        and every entry of h lambda_k Q by at most |lambda|max (|h - h0|
+        (max|Q0| + dQ) + h0 dQ), dQ = max(max|J - J0|, dg).  An empty
+        slot and a NaN match nothing."""
+        if (self.J is None or transpose != self.transpose
+                or (gx is None) != (self.gx is None) or J.shape != self.J.shape):
             return False
         dh = abs(h - self.h)
         if not _EIG_MAX * dh * self.qmax <= self.tol:
@@ -330,7 +333,7 @@ class _Factored:
         return dg <= self.tol and _EIG_MAX * (dh * (self.qmax + dQ) + self.h * dQ) <= self.tol
 
     def inverse(self) -> Optional[np.ndarray]:
-        """The inverse of the blocks, computed on the first call from
+        """The inverse of the held blocks, computed on the first call from
         the same bytes the first solve factored; None when a block's
         ||B||_1 ||B^-1||_1 exceeds COND_BOUND (or is not finite)."""
         if not self.inverted:
@@ -341,27 +344,6 @@ class _Factored:
                     * np.abs(inv).sum(axis=1).max(axis=1)).max()
             self.inv = inv if cond <= COND_BOUND else None
         return self.inv
-
-
-class StageStore:
-    """The eigenbasis blocks one backward sweep has factored, most
-    recently used first, at most STORE_SIZE of them.  run_adjoints makes
-    one per call and hands it to every step's solve (eigen_stage_solve),
-    so nothing carries over between calls."""
-
-    def __init__(self):
-        self.entries: list = []
-
-    def find(self, h, J, gx, transpose) -> Optional[_Factored]:
-        for i, entry in enumerate(self.entries):
-            if entry.matches(h, J, gx, transpose):
-                self.entries.insert(0, self.entries.pop(i))
-                return entry
-        return None
-
-    def add(self, entry: _Factored):
-        self.entries.insert(0, entry)
-        del self.entries[STORE_SIZE:]
 
 
 def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
@@ -380,25 +362,25 @@ def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
     index gets the bytes its own solve would give; the pair's other
     block is the conjugate.
 
-    With a store (a backward sweep's StageStore) the solve first looks
-    for blocks factored before whose h, J and gx move them by at most
-    STAGE_SPREAD_ULPS eps max|B| (_Factored.matches), the rule _shared
+    With a store (a backward sweep's StageStore) the solve first asks
+    whether h, J and gx move the blocks it holds by at most
+    STAGE_SPREAD_ULPS eps max|B| (StageStore.matches), the rule _shared
     applies across stages.  On a match it forms no blocks and applies
-    their stored inverse (computed on the first reuse) as a matrix-vector
+    their inverse (computed on the first reuse) as a matrix-vector
     product per leading index; blocks whose ||B||_1 ||B^-1||_1 exceeds
-    COND_BOUND are not inverted, and a match on them solves as without
-    a store.  Without a match it solves as above and stores the blocks.
+    COND_BOUND are not inverted, and a match on them solves as without a
+    store.  Otherwise it solves as above and the store takes the blocks.
     Raises np.linalg.LinAlgError when a block is singular.
     """
     into, back = _SOLVE[transpose]
-    entry = None if store is None else store.find(h, J, gx, transpose)
-    inv = None if entry is None else entry.inverse()
+    match = store is not None and store.matches(h, J, gx, transpose)
+    inv = store.inverse() if match else None
     if inv is not None:
         return (back @ (inv @ (into @ r)[..., None])[..., 0]).real
     blocks = _eigen_blocks(h, J, gx, transpose)
     y = (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
-    if store is not None and entry is None:
-        store.add(_Factored(h, J, gx, transpose, blocks))
+    if store is not None and not match:
+        store.hold(h, J, gx, transpose, blocks)
     return y
 
 
@@ -565,8 +547,8 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
     (tau, step_data, e) of an accepted trial with |e| <= event_tol, or
     (0.0, None, e0) when the event already sits at the step start.
     Safeguarded secant: every iterate stays inside the current bracket,
-    falling back to bisection when the secant point leaves it; at most
-    MAX_EVENT_ITERS trials after the first.
+    falling back to bisection when the secant point leaves it.  NoBracket
+    after MAX_EVENT_ITERS trials past the first without |e| <= event_tol.
     """
     if abs(e0) <= event_tol:
         return 0.0, None, e0
@@ -581,7 +563,6 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
     if e_hi > 0.0:
         raise NoBracket(f"no sign change over the step (e(h) = {e_hi:.3e})", e_h=e_hi)
 
-    best = (hi, data_hi, e_hi)
     for _ in range(MAX_EVENT_ITERS):
         span = hi - lo
         tau = lo - e_lo * span / (e_hi - e_lo)  # secant through bracket ends
@@ -590,18 +571,13 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
         data, e = eval_at(tau)
         if abs(e) <= event_tol:
             return tau, data, e
-        if abs(e) < abs(best[2]):
-            best = (tau, data, e)
         if e > 0.0:
             lo, e_lo = tau, e
         else:
-            hi, e_hi, data_hi = tau, e, data
-        if hi - lo <= 1e-16 * h:
-            break
-    tau, data, e = best
-    if abs(e) <= 10.0 * event_tol:
-        return tau, data, e
-    raise NoBracket(f"event localization stalled (best |e| = {abs(e):.3e})", best_e=e)
+            hi, e_hi = tau, e
+    raise NoBracket(f"event localization did not reach |e| <= {event_tol:.1e} in "
+                    f"{MAX_EVENT_ITERS} trials (bracket e = {e_lo:.3e}, {e_hi:.3e})",
+                    e_lo=e_lo, e_hi=e_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +599,13 @@ def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
     return x - gx * (ocp.g(x) / float(gx @ gx))
 
 
-_NEXT_MODE = {TransitionKind.CROSS_12: Mode.ABOVE, TransitionKind.EXIT_TO_F2: Mode.ABOVE,
-              TransitionKind.CROSS_21: Mode.BELOW, TransitionKind.EXIT_TO_F1: Mode.BELOW,
-              TransitionKind.ENTER_SLIDING: Mode.SLIDING}
+# the kind of the transition from one mode to the next
+_KIND = {(Mode.BELOW, Mode.ABOVE): TransitionKind.CROSS_12,
+         (Mode.ABOVE, Mode.BELOW): TransitionKind.CROSS_21,
+         (Mode.BELOW, Mode.SLIDING): TransitionKind.ENTER_SLIDING,
+         (Mode.ABOVE, Mode.SLIDING): TransitionKind.ENTER_SLIDING,
+         (Mode.SLIDING, Mode.BELOW): TransitionKind.EXIT_TO_F1,
+         (Mode.SLIDING, Mode.ABOVE): TransitionKind.EXIT_TO_F2}
 
 
 class _Builder:
@@ -687,11 +667,14 @@ class _Builder:
         self.stages_z.append(None if zstages is None else np.array(zstages, dtype=float))
         self.z_node.append(float(z_new))
 
-    def transition(self, kind, t, x_minus, x_plus) -> Mode:
-        """Record a transition at the last node, which takes x_plus and
-        z = 0, count it against the per-interval cap; return the next mode."""
+    def transition(self, mode, next_mode, t, x_minus, x_plus) -> Mode:
+        """Go from mode to next_mode at the last node and return next_mode.
+        Unless they are the same (nothing to record), record kind _KIND[mode,
+        next_mode], give the node x_plus and z = 0, count it against the cap."""
+        if next_mode is mode:
+            return mode
         self.transitions.append(TransitionRecord(
-            kind=kind, t=float(t), k=len(self.xs) - 1,
+            kind=_KIND[mode, next_mode], t=float(t), k=len(self.xs) - 1,
             x_minus=np.array(x_minus, dtype=float),
             x_plus=np.array(x_plus, dtype=float)))
         self.xs[-1] = np.array(x_plus, dtype=float)
@@ -702,7 +685,7 @@ class _Builder:
             n = len(self.starts) - 1
             raise ChatteringLimit(f"more than {cap} transitions in control interval {n}",
                                   interval=n)
-        return _NEXT_MODE[kind]
+        return next_mode
 
     def finish(self, terminal_mode) -> Trajectory:
         return Trajectory(
@@ -771,9 +754,8 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         # a control jump can throw the blend weight out of [0, 1] at the
         # very start of the interval: exit immediately at the breakpoint
         if mode is Mode.SLIDING:
-            verdict = exit_test(ocp, x, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
-            if verdict is not None:
-                mode = bld.transition(verdict, t, x, x)
+            mode = bld.transition(mode, exit_test(ocp, x, u, eps_den=opts.eps_den,
+                                                  eps_tan=opts.eps_tan), t, x, x)
 
         for j in range(spi):
             target = nodes[j + 1]
@@ -844,20 +826,13 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
 
 
 def _process_surface_point(ocp, bld, t, x, u, mode, opts):
-    """Classify and record what happens at a state sitting on the surface.
-    When entry_test sends the trajectory back to the side it came from,
-    the node is a graze: nothing is recorded and the mode stays."""
+    """Go to the mode entry_test gives at a state on the surface, projecting
+    an entry with |g| > surface_tol onto it; a graze records nothing."""
+    next_mode = entry_test(ocp, x, u, eps_tan=opts.eps_tan)
     x_new = x
-    verdict = entry_test(ocp, x, u, eps_tan=opts.eps_tan)
-    if verdict is mode:
-        return t, x, mode
-    if verdict is Mode.SLIDING:
-        kind = TransitionKind.ENTER_SLIDING
-        if abs(ocp.g(x)) > opts.surface_tol:
-            x_new = _project_to_surface(ocp, x)
-    else:
-        kind = TransitionKind.CROSS_12 if mode is Mode.BELOW else TransitionKind.CROSS_21
-    return t, x_new, bld.transition(kind, t, x, x_new)
+    if next_mode is Mode.SLIDING and abs(ocp.g(x)) > opts.surface_tol:
+        x_new = _project_to_surface(ocp, x)
+    return t, x_new, bld.transition(mode, next_mode, t, x, x_new)
 
 
 def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
@@ -882,5 +857,5 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
         Xs, Zs, x, zp, _ = data
         t = t + tau
         bld.commit(t, x, tau, Mode.SLIDING, nctrl, Xs, Zs, zp)
-    kind = exit_kind(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
-    return t, x, bld.transition(kind, t, x, x)
+    next_mode = exit_mode(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
+    return t, x, bld.transition(Mode.SLIDING, next_mode, t, x, x)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -294,37 +294,36 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-              eps_den: float = EPS_DEN,
-              eps_tan: float = EPS_TAN) -> Optional[TransitionKind]:
-    """Decide whether sliding has ended at (x, u).
+              eps_den: float = EPS_DEN, eps_tan: float = EPS_TAN) -> Mode:
+    """Decide whether sliding has ended at (x, u): the mode the
+    trajectory goes to.
 
-    Returns None while alpha stays inside (0, 1); otherwise the verdict
-    of exit_kind at the boundary alpha has reached.
+    Returns Mode.SLIDING while alpha stays inside (0, 1); otherwise the
+    verdict of exit_mode at the boundary alpha has reached.
     """
     w1, w2 = normal_speeds(ocp, x, u)
     a = _blend_weight(w1, w2, eps_den)
     if 0.0 < a < 1.0:
-        return None
-    return exit_kind(w1, w2, 0 if a <= 0.0 else 1, eps_tan)
+        return Mode.SLIDING
+    return exit_mode(w1, w2, 0 if a <= 0.0 else 1, eps_tan)
 
 
-def exit_kind(w1: float, w2: float, boundary: int,
-              eps_tan: float = EPS_TAN) -> TransitionKind:
+def exit_mode(w1: float, w2: float, boundary: int, eps_tan: float = EPS_TAN) -> Mode:
     """Where sliding goes once the blend weight has reached boundary 0 or 1.
 
     At alpha <= 0 the blend has degenerated to f1; sliding ends towards
-    g < 0 provided f2 still points down decisively (w2 < -eps_tan).
-    Symmetrically at alpha >= 1.  Sign patterns that fit neither case
-    raise TangentialAmbiguity.
+    g < 0 (Mode.BELOW) provided f2 still points down decisively (w2 <
+    -eps_tan).  Symmetrically at alpha >= 1 (Mode.ABOVE).  Sign patterns
+    that fit neither case raise TangentialAmbiguity.
     """
     if boundary == 0:
         if w2 < -eps_tan:
-            return TransitionKind.EXIT_TO_F1
+            return Mode.BELOW
         raise TangentialAmbiguity(
             f"blend weight reached 0 but w2 = {w2:.3e} is not decisively negative",
             w1=w1, w2=w2)
     if w1 > eps_tan:
-        return TransitionKind.EXIT_TO_F2
+        return Mode.ABOVE
     raise TangentialAmbiguity(
         f"blend weight reached 1 but w1 = {w1:.3e} is not decisively positive",
         w1=w1, w2=w2)

@@ -515,6 +515,24 @@ def test_chain_sweep_factors_four_blocks(monkeypatch):
     assert counts == {"solve": 4, "inv": 2}
 
 
+def test_slide_exit_sweep_factors_the_off_surface_blocks_twice(monkeypatch):
+    """slide-exit (default, N = 10, 8 steps per interval): 81 backward
+    steps, off the surface from tf back to the exit, sliding back to the
+    located entry, off again before it.  The store holds only the blocks
+    factored last, so the full off-surface steps before the entry factor
+    and invert their blocks again after the sliding arc: the eigenbasis
+    solves factor five sets of blocks (full off-surface steps twice,
+    full sliding steps, both parts of the entry step) and invert three,
+    and eight sliding steps whose stage Jacobians differ by more than a
+    few ulps factor the dense stage matrix."""
+    ocp, grid = get_problem("slide-exit")
+    traj = integrate(ocp, grid, 8)
+    assert traj.K == 81 and traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    counts = _count_factorizations(monkeypatch)
+    run_adjoint(ocp, traj, grid, ocp.phi)
+    assert counts == {"solve": 13, "inv": 3}
+
+
 def test_reruns_of_a_sweep_are_byte_identical():
     """Each sweep starts with an empty store, so a second run_adjoints
     gives the bytes of the first."""

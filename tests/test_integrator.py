@@ -263,6 +263,21 @@ def test_locate_event_no_sign_change():
         locate_event(lambda t: (None, 1.0 + t), 1.0, 1.0, event_tol=1e-12)
 
 
+def test_locate_event_that_never_reaches_the_tolerance_raises():
+    """e = +-5 event_tol with its sign change at tau = 0.3: no trial gets
+    |e| <= event_tol, so the search raises NoBracket after the first
+    trial and MAX_EVENT_ITERS more instead of accepting a point outside
+    the tolerance."""
+    tol, trials = 1e-10, []
+
+    def eval_at(tau):
+        trials.append(tau)
+        return None, 5.0 * tol * (1.0 if tau < 0.3 else -1.0)
+    with pytest.raises(NoBracket):
+        locate_event(eval_at, 5.0 * tol, 1.0, tol)
+    assert len(trials) == integrator_mod.MAX_EVENT_ITERS + 1
+
+
 # ---------------------------------------------------------------------------
 # resumed runs
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from slidoc.errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                          TransitionKind, alpha, entry_test, exit_test,
+                          alpha, entry_test, exit_test,
                           filippov_field, filippov_jacobians)
 from slidoc.problems import get_problem
 
@@ -97,20 +97,20 @@ def test_entry_tangential_is_ambiguous():
         entry_test(ocp, X, U)
 
 
-def test_exit_interior_is_none():
+def test_exit_interior_keeps_sliding():
     ocp = const_fields_ocp([1.0, 1.0], [1.0, -1.0])  # alpha = 1/2
-    assert exit_test(ocp, X, U) is None
+    assert exit_test(ocp, X, U) is Mode.SLIDING
 
 
 def test_exit_at_alpha_zero_returns_to_f1():
     # w1 barely negative, w2 strongly negative: alpha < 0, f1 takes over
     ocp = const_fields_ocp([1.0, -0.1], [1.0, -2.0])
-    assert exit_test(ocp, X, U) is TransitionKind.EXIT_TO_F1
+    assert exit_test(ocp, X, U) is Mode.BELOW
 
 
 def test_exit_at_alpha_one_returns_to_f2():
     ocp = const_fields_ocp([1.0, 2.0], [1.0, 0.1])
-    assert exit_test(ocp, X, U) is TransitionKind.EXIT_TO_F2
+    assert exit_test(ocp, X, U) is Mode.ABOVE
 
 
 normal_speeds = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)

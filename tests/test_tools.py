@@ -1,11 +1,23 @@
 """Smoke tests of the scripts in tools/: each runs as a user would run
-it, so a spy that no longer matches the code it counts shows here."""
+it, or is imported as it imports itself, so a spy that no longer matches
+the code it counts, or a grid that lost a case, shows here."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def identity_grid():
+    """tools/identity_grid.py, loaded from its file as is."""
+    path = ROOT / "tools" / "identity_grid.py"
+    spec = importlib.util.spec_from_file_location("_identity_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_chain_scaling_counts_solves_and_factorizations():
@@ -22,3 +34,29 @@ def test_chain_scaling_counts_solves_and_factorizations():
     n, steps, ms, faults, *counts = cells
     assert steps == "81 (57)" and float(ms) > 0.0 and float(faults) >= 0.0
     assert counts == ["96", "0", "96 + 0", "81", "0", "4 + 2"]
+
+
+def test_identity_grid_names_and_hashes_its_cases():
+    """tools/identity_grid.py, on which every bit-identity claim rests:
+    cases() yields 147 uniquely named cases.  Hashing chattering/cap1
+    records its ChatteringLimit; hashing chain-4/seed1 (N = 10, 8 steps
+    per interval) gives a sha256 of the trajectory's four arrays, of the
+    six arrays of phi on both backends and of the FD report, and the
+    same digests on a second run."""
+    tool = identity_grid()
+    cases = {}
+    for key, *case in tool.cases():
+        assert key not in cases
+        cases[key] = case
+    assert len(cases) == 147
+    out = tool._case(*cases["chattering/cap1"], {})
+    assert list(out) == ["error"] and out["error"].startswith("ChatteringLimit: ")
+    arrays = {}
+    out = tool._case(*cases["chain-4/seed1"], arrays)
+    assert sorted(out) == sorted(["x", "stages_x", "stages_z", "z_node"] + [
+        f"{backend}/phi/{name}" for backend in tool.BACKENDS
+        for name in ("lam", "lam_g", "grad", "pi", "nu1", "stage_lams")]
+        + ["fd/entries", "fd/flags", "fd/errors"])
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in out.values())
+    assert sorted(arrays) == sorted([*out, "transitions"])
+    assert tool._case(*cases["chain-4/seed1"], {}) == out

@@ -208,7 +208,7 @@ def _transition_problems():
 def _transition_cases():
     """The transition problems x steps per interval in {2, 8, 16} x
     (u = 0 + 2 seeded uniform controls) at N = 10; the entry projection,
-    which needs event_tol above surface_tol / 10, on an interval start
+    which needs event_tol above surface_tol, on an interval start
     and on node 0; and a ChatteringLimit raised by the second transition
     of one control interval at a cap of 1."""
     problems = _transition_problems()
