@@ -1,6 +1,6 @@
 """Smoke tests of the scripts in tools/: each runs as a user would run
-it, or is imported as it imports itself, so a spy that no longer matches
-the code it counts, or a grid that lost a case, shows here."""
+it or is loaded from its file, so a spy that no longer matches the code
+it counts, or a grid that lost a case, shows here."""
 
 import importlib.util
 import re
