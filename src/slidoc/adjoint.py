@@ -217,7 +217,7 @@ def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
     re = s * d
     dim = re + n
     FXp = np.zeros((dim, dim))
-    FXp[:re, :re] = stage_matrix(h, A, Js, gxs)
+    FXp[:re, :re] = stage_matrix(h, Js, gxs)
     FXp[re:, :re] = -_endpoint_weights(h, Js, gxs)
     FXp[re:, re:] = np.eye(n)
 

@@ -92,10 +92,7 @@ class RunConfig:
         return out
 
     def tolerances(self) -> dict:
-        # every field of IntegratorOptions but the transition cap, which
-        # is no config key
-        return {f.name: getattr(self, f.name) for f in fields(IntegratorOptions)
-                if f.name in _FIELDS}
+        return {f.name: getattr(self, f.name) for f in fields(IntegratorOptions)}
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(asdict(self)).encode("utf-8")).hexdigest()

@@ -3,16 +3,17 @@
 The mesh is built from the control breakpoints: every interval [t_n,
 t_{n+1}] is cut into steps_per_interval equal steps, so breakpoints are
 bit-exact mesh nodes and no step ever straddles a control jump.  Surface
-events are located inside a step by shrinking the step until the event
-function is below tolerance; the located point is committed as a mesh
-node, the transition is classified and recorded, and integration resumes
-toward the same base node with the new mode.
+events are located inside a step by shrinking the step, from the trial
+that came back beyond the surface, until the event function is below
+tolerance; the located point is committed as a mesh node, the
+transition is classified and recorded, and integration resumes toward
+the same base node with the new mode.
 
 Every surface test (entry_test, exit_test, exit_mode) returns the mode
 the trajectory goes to, and _Builder.transition takes every verdict: it
 records nothing when that is the current mode (a graze), else the kind
 _KIND gives for (mode, next mode), the node's plus-side state and z = 0,
-counted against the per-interval cap.
+counted against MAX_TRANSITIONS_PER_INTERVAL.
 
 Every step uses the one table tableau.RADAU_IIA.  Off the surface the
 state advances with step_ode (stage equations of the 3-stage Radau IIA
@@ -100,7 +101,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (COUNT, POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
+from .errors import (POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
                      SingularIteration, check_fields)
 from .model import (EPS_DEN, EPS_TAN, ControlGrid, HybridOCP, Mode,
                     TransitionKind, alpha, entry_test, exit_mode, exit_test,
@@ -109,6 +110,7 @@ from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 
 MAX_NEWTON_ITERS = 25
 MAX_EVENT_ITERS = 80
+MAX_TRANSITIONS_PER_INTERVAL = 100
 # c of the solve rule: solve_stages treats the stage Jacobians (and g_x
 # rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
 # eigenbasis solve then errs by no more than the dense LU's rounding
@@ -123,8 +125,7 @@ COND_BOUND = 1e4
 
 # (field, rule, check) for IntegratorOptions (check_fields)
 _RULES = [(key, *POSITIVE) for key in ("newton_tol", "event_tol", "surface_tol",
-                                       "eps_tan", "eps_den")] + [
-    ("max_transitions_per_interval", *COUNT)]
+                                       "eps_tan", "eps_den")]
 
 
 @dataclass(frozen=True)
@@ -132,14 +133,13 @@ class IntegratorOptions:
     """An entry node with |g| > surface_tol is projected onto the surface.
     A located event has |g| <= event_tol, so that needs event_tol >
     surface_tol and never happens at the defaults.  Every tolerance
-    must be a number > 0 and the cap an integer >= 1; anything else
-    raises ValidationError naming the field."""
+    must be a number > 0; anything else raises ValidationError naming
+    the field."""
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
     eps_tan: float = EPS_TAN
     eps_den: float = EPS_DEN
-    max_transitions_per_interval: int = 100
 
     def __post_init__(self):
         check_fields(self, _RULES)
@@ -246,12 +246,11 @@ def stage_pencil(Js: np.ndarray, gxs: Optional[np.ndarray] = None):
     return P, Q
 
 
-def stage_matrix(h: float, A: np.ndarray, Js: np.ndarray,
-                 gxs: Optional[np.ndarray] = None) -> np.ndarray:
+def stage_matrix(h: float, Js: np.ndarray, gxs: Optional[np.ndarray] = None) -> np.ndarray:
     """Jacobian of the stage equations with respect to the stage unknowns:
-    block (i, j) is P_i delta_ij - h a_ij Q_j for the stage pencil of
-    Js (s, n, n) and gxs (s, n) (stage_pencil).  On the surface the
-    unknowns interleave as (x_1, z_1, ..., x_s, z_s).
+    block (i, j) is P_i delta_ij - h a_ij Q_j (A of RADAU_IIA) for the
+    stage pencil of Js (s, n, n) and gxs (s, n) (stage_pencil).  On the
+    surface the unknowns interleave as (x_1, z_1, ..., x_s, z_s).
 
     The products (h a_ij) Q_j are written straight into one (s, d, s, d)
     buffer, which then becomes M in place: 0 - (h a_ij) Q_j, then + P_i
@@ -263,7 +262,7 @@ def stage_matrix(h: float, A: np.ndarray, Js: np.ndarray,
     P, Q = stage_pencil(Js, gxs)
     s, d = Q.shape[:2]
     M4 = np.empty((s, d, s, d))
-    np.multiply((h * A)[:, None, :, None], Q.transpose(1, 0, 2)[None], out=M4)
+    np.multiply((h * RADAU_IIA.A)[:, None, :, None], Q.transpose(1, 0, 2)[None], out=M4)
     M = M4.reshape(s * d, s * d)
     np.subtract(0.0, M, out=M)
     for i in range(s):
@@ -428,7 +427,7 @@ def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
     if (gxs is None or _shared(gxs)) and _shared(Js):
         return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose,
                                  store)
-    M = stage_matrix(h, RADAU_IIA.A, Js, gxs)
+    M = stage_matrix(h, Js, gxs)
     if transpose:
         M = M.T
     lead = r.shape[:-2]
@@ -537,18 +536,19 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
 # event localization
 
 
-def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
+def locate_event(eval_at: Callable[[float], tuple], e0: float, far: tuple,
                  event_tol: float):
     """Find tau in (0, h] where the oriented event function crosses zero.
 
     eval_at(tau) -> (step_data, e) evaluates a trial step of size tau.
-    e0 is the event value at tau = 0 (no step); the caller guarantees
-    eval_at(h) has the opposite (negative) orientation.  Returns
-    (tau, step_data, e) of an accepted trial with |e| <= event_tol, or
-    (0.0, None, e0) when the event already sits at the step start.
-    Safeguarded secant: every iterate stays inside the current bracket,
-    falling back to bisection when the secant point leaves it.  NoBracket
-    after MAX_EVENT_ITERS trials past the first without |e| <= event_tol.
+    e0 is the event value at tau = 0 (no step); far = (h, step_data, e)
+    is the trial its caller solved already, e of the opposite (negative)
+    orientation.  Returns (tau, step_data, e) of an accepted trial (far
+    included) with |e| <= event_tol, or (0.0, None, e0) when the event
+    already sits at the step start.  Safeguarded secant: every iterate
+    stays inside the current bracket, falling back to bisection when the
+    secant point leaves it.  NoBracket when e0 < 0 or far's e > 0, or
+    after MAX_EVENT_ITERS trials without |e| <= event_tol.
     """
     if abs(e0) <= event_tol:
         return 0.0, None, e0
@@ -556,10 +556,9 @@ def locate_event(eval_at: Callable[[float], tuple], e0: float, h: float,
         raise NoBracket(f"event function already negative at step start (e0 = {e0:.3e})", e0=e0)
 
     lo, e_lo = 0.0, e0
-    hi = h
-    data_hi, e_hi = eval_at(hi)
+    hi, _, e_hi = far
     if abs(e_hi) <= event_tol:
-        return hi, data_hi, e_hi
+        return far
     if e_hi > 0.0:
         raise NoBracket(f"no sign change over the step (e(h) = {e_hi:.3e})", e_h=e_hi)
 
@@ -680,11 +679,10 @@ class _Builder:
         self.xs[-1] = np.array(x_plus, dtype=float)
         self.z_node[-1] = 0.0
         self.interval_transitions += 1
-        cap = self.opts.max_transitions_per_interval
-        if self.interval_transitions > cap:
+        if self.interval_transitions > MAX_TRANSITIONS_PER_INTERVAL:
             n = len(self.starts) - 1
-            raise ChatteringLimit(f"more than {cap} transitions in control interval {n}",
-                                  interval=n)
+            raise ChatteringLimit(f"more than {MAX_TRANSITIONS_PER_INTERVAL} transitions "
+                                  f"in control interval {n}", interval=n)
         return next_mode
 
     def finish(self, terminal_mode) -> Trajectory:
@@ -718,17 +716,18 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 
     With base and start = n > 0 the run resumes base at control interval
     n: it keeps base's data up to t_n and integrates intervals n..N-1
-    only.  A base from another mesh (steps_per_interval, N or
-    breakpoints) or with other options, or a base with start = 0, raises
-    ValueError.  Past those checks the result equals a full run bit for
+    only.  A steps_per_interval that is no integer >= 1 (a bool is none),
+    a base from another mesh (steps_per_interval, N or breakpoints) or
+    with other options, or a base with start = 0, raises ValueError.  Past those checks the result equals a full run bit for
     bit when base came from the same problem and grid's controls before
     interval n are the ones base was integrated with; neither of these
     is checked.
     """
     opts = opts if opts is not None else IntegratorOptions()
-    spi = int(steps_per_interval)
-    if spi < 1:
-        raise ValueError("steps_per_interval must be >= 1")
+    spi = steps_per_interval
+    if isinstance(spi, bool) or not isinstance(spi, (int, np.integer)) or spi < 1:
+        raise ValueError(f"steps_per_interval must be an integer >= 1, got {spi!r}")
+    spi = int(spi)
 
     bp = grid.breakpoints()
     N = grid.N
@@ -793,19 +792,16 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
             st, xp = step_ode(ocp, mode, x, u, tau, opts)
             return (st, xp), sgn * ocp.g(xp)
 
-        hi = h
+        far = (h, (stages, x_try), e_end)
         if e_end >= -opts.surface_tol:
-            # the endpoint came back; bracket on the first offending stage time
-            hi = None
-            for ci in RADAU_IIA.c:
-                _, e_probe = eval_at(ci * h)
-                if e_probe < -opts.surface_tol:
-                    hi = ci * h
-                    break
-            if hi is None:
+            # the endpoint (c_s = 1) came back; bracket on the first
+            # offending interior stage time
+            probes = ((ci * h, *eval_at(ci * h)) for ci in RADAU_IIA.c[:-1])
+            far = next((p for p in probes if p[2] < -opts.surface_tol), None)
+            if far is None:
                 raise NoBracket("stage values dip through the surface but no trial "
                                 "endpoint does", stage_dip=float(stage_dip))
-        tau, data, _ = locate_event(eval_at, sgn * ocp.g(x), hi, opts.event_tol)
+        tau, data, _ = locate_event(eval_at, sgn * ocp.g(x), far, opts.event_tol)
         if tau > 0.0:   # tau = 0: the event sits at the step start
             st, x = data
             t = t + tau
@@ -852,7 +848,8 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
         data = step_sliding(ocp, x, u, tau, opts)
         return data, orient * (data[4] - boundary)
 
-    tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), h, opts.event_tol)
+    far = (h, (Xs, Zs, x_try, z_try, a_end), orient * (a_end - boundary))
+    tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), far, opts.event_tol)
     if tau > 0.0:   # tau = 0: the weight sits on its boundary at the step start
         Xs, Zs, x, zp, _ = data
         t = t + tau

@@ -75,6 +75,8 @@ class OptimizerConfig:
         return self
 
 
+MAX_PENALTY_RAISES = 60
+MAX_BACKTRACKS = 60
 # the metric's spectral bounds, as multiples of h_scale
 NU1_FACTOR = 1e-2
 NU2_FACTOR = 1e2
@@ -276,33 +278,35 @@ def descent_measures(grad0: np.ndarray, d: np.ndarray, beta: float,
 
 
 def adjust_penalty(solve: Callable[[float], tuple], c: float, kappa: float,
-                   grad0: np.ndarray, M: float, cap: int = 60):
-    """Smallest weight in the ladder c, kappa c, ... with t_c below zero
-    (up to roundoff).  solve(c) -> (d, beta, info)."""
-    for j in range(cap + 1):
+                   grad0: np.ndarray, M: float):
+    """Smallest weight in c, kappa c, ..., kappa^MAX_PENALTY_RAISES c with
+    t_c below zero (up to roundoff).  solve(c) -> (d, beta, info).
+    Returns (c, d, beta, sigma, t_c, info, raises)."""
+    for j in range(MAX_PENALTY_RAISES + 1):
         d, beta, info = solve(c)
         sigma, t_c = descent_measures(grad0, d, beta, c, M)
         if t_c <= 1e-12:
             return c, d, beta, sigma, t_c, info, j
         c = c * kappa
-    raise CFailure(f"no acceptable penalty weight within {cap} raises (last t_c = {t_c:.3e})",
-                   t_c=float(t_c), c=float(c))
+    raise CFailure(f"no acceptable penalty weight within {MAX_PENALTY_RAISES} raises "
+                   f"(last t_c = {t_c:.3e})", t_c=float(t_c), c=float(c))
 
 
 def line_search(merit: Callable[[np.ndarray], float], F_cur: float,
                 u: np.ndarray, d: np.ndarray, sigma: float,
-                gamma: float, eta: float, cap: int = 60):
-    """Largest step in {1, eta, eta^2, ...} with the Armijo decrease
-    F_c(u + a d) - F_c(u) <= gamma a sigma.  merit re-integrates."""
+                gamma: float, eta: float):
+    """Largest step in {1, eta, ..., eta^MAX_BACKTRACKS} with the Armijo
+    decrease F_c(u + a d) - F_c(u) <= gamma a sigma.  merit re-integrates.
+    Returns (a, u + a d, F_c there, trials)."""
     a = 1.0
-    for trial in range(cap + 1):
+    for trial in range(MAX_BACKTRACKS + 1):
         u_try = u + a * d
         F_try = merit(u_try)
         if F_try - F_cur <= gamma * a * sigma:
             return a, u_try, F_try, trial + 1
         a = a * eta
     raise LineSearchFailure(
-        f"no Armijo step within {cap} backtracks (sigma = {sigma:.3e})", sigma=sigma)
+        f"no Armijo step within {MAX_BACKTRACKS} backtracks (sigma = {sigma:.3e})", sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

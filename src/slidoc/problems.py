@@ -203,9 +203,9 @@ def problem_names():
 def get_problem(name: str, overrides: dict | None = None):
     """Build a registry problem with overrides applied.
 
-    Recognized override keys: x0, t0, tf, N, u, u_lo, u_hi.  u may be a
-    scalar, an (N,) vector (m = 1), or an (N, m) array.  Anything else is
-    a ValidationError naming the offending key.
+    Recognized override keys: x0, t0, tf, N (an integer >= 1), u, u_lo,
+    u_hi.  u may be a scalar, an (N,) vector (m = 1), or an (N, m) array.
+    Anything else is a ValidationError naming the offending key.
     """
     if name not in _FACTORIES:
         raise ValidationError(f"problem: unknown name {name!r}; known: {', '.join(problem_names())}",
@@ -216,9 +216,11 @@ def get_problem(name: str, overrides: dict | None = None):
         if key not in allowed:
             raise ValidationError(f"overrides.{key}: unknown override", field=f"overrides.{key}")
 
-    N = int(ov.get("N", 10))
-    if N < 1:
-        raise ValidationError(f"overrides.N: must be >= 1, got {N}", field="overrides.N")
+    N = ov.get("N", 10)
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValidationError(f"overrides.N: must be an integer >= 1, got {N!r}",
+                              field="overrides.N")
+    N = int(N)
     ocp, grid = _FACTORIES[name](N)
 
     t0 = float(ov.get("t0", ocp.t0))

@@ -14,11 +14,11 @@ comparisons but still reported.  A probe that raises a SlidocError
 NaN and FDReport.errors names the error class.
 
 Order studies are self-convergent: the reference is the same integrator
-on a mesh 8 times finer than the finest study mesh, cross-checked
-against a second reference at twice that resolution.  Stage quantities
-are compared against the reference's own collocation interpolant, the
-polynomial through the step endpoints and interior stage values (a cubic
-for 3-stage Radau IIA).
+on a mesh 8 times finer than the finest study mesh, refined by doubling
+until it agrees with a second reference at twice its resolution.  Stage
+quantities are compared against the reference's own collocation
+interpolant, the polynomial through the step endpoints and interior
+stage values (a cubic for 3-stage Radau IIA).
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ FLAG_NONSMOOTH = "NonSmoothAcrossEvent"
 
 QUANTITIES = ("state_endpoint", "state_stage", "adjoint_endpoint",
               "adjoint_stage", "gradient")
+
+MAX_REF_FACTOR = 512   # deepest order-study reference / finest resolution
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +276,18 @@ def _measure(quantity: str, run: _RunData, ref: _RunData) -> float:
 
 def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
                 functional: Optional[EndpointFunctional] = None,
-                opts: Optional[IntegratorOptions] = None,
-                ref_factor: Optional[int] = None) -> OrderReport:
+                opts: Optional[IntegratorOptions] = None) -> OrderReport:
     """Self-convergence study of one quantity over a ladder of step sizes.
 
     Every h must put an integer number of steps in each control interval
-    and nest into the reference mesh.  The two references (ref_factor and
-    2*ref_factor times the finest resolution) must agree to 1e-12 at the
-    comparison points, otherwise the study is not trustworthy and
+    and nest into the reference mesh at 8 times the finest resolution.
+    The reference is the shallowest of 8, 16, ..., MAX_REF_FACTOR times
+    the finest resolution that agrees to 1e-12 at the comparison points
+    with a reference twice as fine (the third-order stage multipliers
+    need a deeper one); each doubling reuses that finer run as the next
+    reference.  When none agrees the study is not trustworthy and
     ReferenceUnconverged is raised.
-
-    ref_factor defaults to 8, except for the stage multipliers whose
-    reference converges at third order only and needs 64 times the finest
-    resolution to clear the agreement gate.
     """
-    if ref_factor is None:
-        ref_factor = 64 if quantity == "adjoint_stage" else 8
     if quantity not in QUANTITIES:
         raise ValidationError(
             f"quantity: unknown {quantity!r}; one of {', '.join(QUANTITIES)}",
@@ -313,7 +311,7 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
                 f"(interval span {span})", field="h")
         spis.append(int(round(spi)))
 
-    spi_ref = ref_factor * spis[-1]
+    spi_ref = 8 * spis[-1]
     for h, spi in zip(hs, spis):
         if spi_ref % spi:
             raise ValidationError(f"h: {h} does not nest into the reference mesh",
@@ -321,11 +319,12 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
 
     ref = _RunData(ocp, grid, spi_ref, quantity, functional, opts)
     ref2 = _RunData(ocp, grid, 2 * spi_ref, quantity, functional, opts)
-    gap = _measure(quantity, ref, ref2)
-    if gap > 1e-12:
-        raise ReferenceUnconverged(
-            f"references at {spi_ref} and {2 * spi_ref} steps per interval "
-            f"disagree by {gap:.3e}", quantity=quantity, gap=gap)
+    while (gap := _measure(quantity, ref, ref2)) > 1e-12:
+        if ref.spi >= MAX_REF_FACTOR * spis[-1]:
+            raise ReferenceUnconverged(
+                f"references at {ref.spi} and {ref2.spi} steps per interval "
+                f"disagree by {gap:.3e}", quantity=quantity, gap=gap)
+        ref, ref2 = ref2, _RunData(ocp, grid, 2 * ref2.spi, quantity, functional, opts)
 
     errors = []
     for spi in spis:

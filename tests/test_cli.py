@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand in process, output layout,
 config handling, exit codes, and rerun determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -113,6 +114,19 @@ def test_verify_orders(tmp_path):
     doc = json.loads(read(out))
     assert doc["quantity"] == "state_endpoint"
     assert 4.0 <= doc["slope"] <= 6.0
+
+
+@pytest.mark.parametrize("quantity", ["state_stage", "adjoint_stage"])
+def test_verify_orders_stage_quantities_on_a_coarse_ladder(tmp_path, quantity):
+    """h = 0.1, 0.05 is a valid ladder for the stage quantities; a
+    reference 8 times finer than 0.05 is too coarse for them (16/32 and
+    128/256 steps per interval once refused), so the study deepens its
+    reference until it agrees to 1e-12 instead of exiting 1."""
+    out = tmp_path / "ord.json"
+    assert run("verify-orders", "--problem", "smooth-linear", "--quantity", quantity,
+               "--h", "0.1,0.05", "--out", str(out)) == 0
+    doc = json.loads(read(out))
+    assert doc["reference_gap"] <= 1e-12 and len(doc["errors"]) == 2
 
 
 def test_tableau_check_stdout(capsys):
@@ -376,6 +390,16 @@ def test_config_defaults_are_the_integrator_defaults():
     the CLI and the library integrate alike unless a config says
     otherwise."""
     assert RunConfig().integrator_options() == IntegratorOptions()
+
+
+def test_every_integrator_option_is_a_config_key():
+    """Each IntegratorOptions field is a RunConfig key, and the meta
+    block of every output carries exactly the five tolerances, so its
+    bytes stay fixed."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    assert {f.name for f in dataclasses.fields(IntegratorOptions)} <= keys
+    assert sorted(RunConfig().meta()["tolerances"]) == sorted(
+        ["newton_tol", "event_tol", "surface_tol", "eps_tan", "eps_den"])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,23 @@ def test_mesh_hits_breakpoints_bitwise():
     assert np.array_equal(traj.times[traj.breakpoint_nodes], bp)
 
 
+@pytest.mark.parametrize("spi", [2.5, 2.0, True, "3", 0, -1])
+def test_steps_per_interval_must_be_an_integer(spi):
+    """A step count that is not an integer >= 1 raises ValueError before
+    any step; it is never truncated (2.5 once ran with 2 steps per
+    interval, True with 1)."""
+    ocp, grid = get_problem("p2-sliding")
+    with pytest.raises(ValueError, match="steps_per_interval must be an integer >= 1"):
+        integrate(ocp, grid, spi)
+
+
+def test_steps_per_interval_takes_numpy_integers():
+    ocp, grid = get_problem("p2-sliding")
+    traj = integrate(ocp, grid, np.int64(2))
+    assert traj.spi == 2 and type(traj.spi) is int
+    assert traj.x.tobytes() == integrate(ocp, grid, 2).x.tobytes()
+
+
 def test_relay_capture():
     """Entry at t = 0.5/1.2 with u = 0.2, then perfect sliding."""
     ocp, grid = get_problem("p2-sliding")
@@ -160,24 +177,24 @@ def test_newton_divergence_is_reported():
         step_ode(ocp, Mode.BELOW, np.array([2.0]), np.zeros(1), 1.0, OPTS)
 
 
-def test_chattering_guard():
+def test_chattering_guard(monkeypatch):
     """On one control interval slide-exit enters and leaves sliding; a
     cap of 1 stops the run at the second transition."""
     ocp, grid = get_problem("slide-exit", {"N": 1})
-    opts = IntegratorOptions(max_transitions_per_interval=1)
+    monkeypatch.setattr(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1)
     with pytest.raises(ChatteringLimit) as exc:
-        integrate(ocp, grid, 8, opts=opts)
+        integrate(ocp, grid, 8)
     assert exc.value.payload["interval"] == 0
+    assert str(exc.value) == "more than 1 transitions in control interval 0"
 
 
 @pytest.mark.parametrize("field, value", [
     ("newton_tol", 0), ("surface_tol", -1), ("eps_den", -1), ("eps_tan", "1e-10"),
-    ("event_tol", float("nan")), ("max_transitions_per_interval", 0),
-    ("max_transitions_per_interval", 2.0), ("max_transitions_per_interval", True)])
+    ("event_tol", float("nan"))])
 def test_options_reject_bad_values(field, value):
-    """A tolerance that is not a number > 0, or a cap that is not an
-    integer >= 1, is refused when the options are built, with a
-    ValidationError naming the field, instead of failing inside a run."""
+    """A tolerance that is not a number > 0 is refused when the options
+    are built, with a ValidationError naming the field, instead of
+    failing inside a run."""
     with pytest.raises(ValidationError) as exc:
         IntegratorOptions(**{field: value})
     assert exc.value.payload["field"] == field
@@ -216,16 +233,18 @@ def test_exit_to_f2_end_to_end():
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_chattering_cap_counts_per_interval():
+def test_chattering_cap_counts_per_interval(monkeypatch):
     """With these controls the mirrored slide-exit exits and re-enters
     sliding in control interval 5, its only interval with two
     transitions: a cap of 1 stops the run there, a cap of 2 does not."""
     ocp, grid = _mirrored_slide_exit()
     grid = grid.with_values(np.random.default_rng(1).uniform(-0.5, 0.5, (grid.N, 1)))
+    monkeypatch.setattr(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1)
     with pytest.raises(ChatteringLimit) as exc:
-        integrate(ocp, grid, 8, opts=IntegratorOptions(max_transitions_per_interval=1))
+        integrate(ocp, grid, 8)
     assert exc.value.payload["interval"] == 5
-    traj = integrate(ocp, grid, 8, opts=IntegratorOptions(max_transitions_per_interval=2))
+    monkeypatch.setattr(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 2)
+    traj = integrate(ocp, grid, 8)
     assert traj.transition_intervals() == [1, 4, 5, 5, 6, 7]
 
 
@@ -252,30 +271,37 @@ def test_graze_at_a_step_start_that_dips_raises():
 
 
 def test_locate_event_brackets_a_root():
-    # e(tau) = 1 - 5 tau: root at exactly 0.2
-    tau, _, e = locate_event(lambda t: (None, 1.0 - 5.0 * t), 1.0, 1.0, event_tol=1e-12)
+    """e(tau) = 1 - 5 tau: root at exactly 0.2.  The far end (tau = 1,
+    e = -4) comes from the caller and is never evaluated again."""
+    trials = []
+
+    def eval_at(tau):
+        trials.append(tau)
+        return None, 1.0 - 5.0 * tau
+    tau, _, e = locate_event(eval_at, 1.0, (1.0, None, -4.0), event_tol=1e-12)
     assert tau == pytest.approx(0.2, abs=1e-12)
     assert abs(e) <= 1e-12
+    assert 0 < len(trials) and all(0.0 < t < 1.0 for t in trials)
 
 
 def test_locate_event_no_sign_change():
     with pytest.raises(NoBracket):
-        locate_event(lambda t: (None, 1.0 + t), 1.0, 1.0, event_tol=1e-12)
+        locate_event(lambda t: (None, 1.0 + t), 1.0, (1.0, None, 2.0), event_tol=1e-12)
 
 
 def test_locate_event_that_never_reaches_the_tolerance_raises():
     """e = +-5 event_tol with its sign change at tau = 0.3: no trial gets
-    |e| <= event_tol, so the search raises NoBracket after the first
-    trial and MAX_EVENT_ITERS more instead of accepting a point outside
-    the tolerance."""
+    |e| <= event_tol, so the search raises NoBracket after
+    MAX_EVENT_ITERS trials inside the bracket (its far end came from the
+    caller) instead of accepting a point outside the tolerance."""
     tol, trials = 1e-10, []
 
     def eval_at(tau):
         trials.append(tau)
         return None, 5.0 * tol * (1.0 if tau < 0.3 else -1.0)
     with pytest.raises(NoBracket):
-        locate_event(eval_at, 5.0 * tol, 1.0, tol)
-    assert len(trials) == integrator_mod.MAX_EVENT_ITERS + 1
+        locate_event(eval_at, 5.0 * tol, (1.0, None, -5.0 * tol), tol)
+    assert len(trials) == integrator_mod.MAX_EVENT_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +433,7 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     which is linear, so each converges after its first solve; f2_x and
     g_xx count sliding work only and f1_x counts the Jacobians of solves
     of either kind.  Evaluating every stage of the first iterate, as the
-    step once did, takes 162 f1_x and 81 f2_x and g_xx calls here."""
+    step once did, takes 159 f1_x and 81 f2_x and g_xx calls here."""
     calls = {"f1_x": 0, "f2_x": 0, "g_xx": 0, "f1_u": 0, "f2_u": 0}
     solves = {"ode": 0, "sliding": 0}
 
@@ -434,9 +460,9 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     traj = integrate(ocp, grid, 4)
     assert traj.transition_kinds() == ["EnterSliding"]
     assert traj.terminal_mode is Mode.SLIDING
-    assert steps == {"ode": 27, "sliding": 9} and solves == {"ode": 27, "sliding": 27}
+    assert steps == {"ode": 26, "sliding": 9} and solves == {"ode": 26, "sliding": 27}
     jacobians = {kind: steps[kind] + s * (solves[kind] - steps[kind]) for kind in steps}
-    assert jacobians == {"ode": 27, "sliding": 63}
+    assert jacobians == {"ode": 26, "sliding": 63}
     assert calls == {"f1_x": jacobians["ode"] + jacobians["sliding"],
                      "f2_x": jacobians["sliding"], "g_xx": jacobians["sliding"],
                      "f1_u": 0, "f2_u": 0}
@@ -510,7 +536,7 @@ def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
         h = 0.05
         J *= hJ / (h * np.linalg.norm(J, 2))
         gx = rng.standard_normal(n) if sliding else None
-        M = integrator_mod.stage_matrix(h, RADAU_IIA.A, np.repeat(J[None], s, axis=0),
+        M = integrator_mod.stage_matrix(h, np.repeat(J[None], s, axis=0),
                                         None if gx is None else np.repeat(gx[None], s, axis=0))
         for transpose in (False, True):
             Mt = M.T if transpose else M
@@ -577,7 +603,7 @@ def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding, 
             for Js_v, gxs_v in shared:
                 assert solve_stages(h, Js_v, gxs_v, r, transpose).tobytes() == eigen.tobytes()
             for Js_v, gxs_v in spread + nan:
-                M = integrator_mod.stage_matrix(h, RADAU_IIA.A, Js_v, gxs_v)
+                M = integrator_mod.stage_matrix(h, Js_v, gxs_v)
                 M = M.T if transpose else M
                 dense = np.array([np.linalg.solve(M, ri.reshape(-1))
                                   for ri in r.reshape(-1, s * d)]).reshape(r.shape)

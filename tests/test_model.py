@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidoc.errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
+from slidoc.errors import (DegenerateDenominator, DimensionMismatch, TangentialAmbiguity,
+                           ValidationError)
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           alpha, entry_test, exit_test,
                           filippov_field, filippov_jacobians)
@@ -143,6 +144,20 @@ def test_dimension_checks_reject_bad_x0():
                   phi=ocp.phi,
                   x0=np.zeros(3), t0=0.0, tf=1.0,
                   u_lo=ocp.u_lo, u_hi=ocp.u_hi)
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, True, "3", 0])
+def test_problem_override_N_must_be_an_integer(N):
+    """N = 2.5 once built N = 2, True N = 1 and "3" N = 3 without a word."""
+    with pytest.raises(ValidationError) as exc:
+        get_problem("p2-sliding", {"N": N})
+    assert exc.value.payload["field"] == "overrides.N"
+    assert str(exc.value).startswith("overrides.N: must be an integer >= 1, got ")
+
+
+def test_problem_override_N_takes_numpy_integers():
+    _, grid = get_problem("p2-sliding", {"N": np.int64(3)})
+    assert grid.N == 3 and grid.values.shape == (3, 1)
 
 
 def test_control_grid_breakpoints_are_reproducible():

@@ -232,12 +232,17 @@ def test_adjust_penalty_raises_c_until_acceptable():
     assert sigma == pytest.approx(-0.5 + 2.0 * (0.2 - 1.0))
 
 
-def test_adjust_penalty_gives_up_at_the_cap():
+def test_adjust_penalty_gives_up_at_the_cap(monkeypatch):
+    weights = []
+
     def solve(c):
+        weights.append(c)
         return np.zeros(1), 1.0, None   # beta == M: no progress, ever
 
-    with pytest.raises(CFailure):
-        adjust_penalty(solve, 1.0, 2.0, np.zeros(1), 1.0, cap=5)
+    monkeypatch.setattr(optimizer_mod, "MAX_PENALTY_RAISES", 5)
+    with pytest.raises(CFailure, match="within 5 raises"):
+        adjust_penalty(solve, 1.0, 2.0, np.zeros(1), 1.0)
+    assert weights == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
 
 
 def test_line_search_full_step_on_a_well_scaled_quadratic():
@@ -256,11 +261,16 @@ def test_line_search_backtracks_once_on_overshoot():
     assert u_new == pytest.approx([0.0])
 
 
-def test_line_search_failure_on_ascent():
-    merit = lambda u: float(u[0])
-    with pytest.raises(LineSearchFailure):
-        line_search(merit, 0.0, np.array([0.0]), np.array([1.0]), -1.0,
-                    0.1, 0.5, cap=10)
+def test_line_search_failure_on_ascent(monkeypatch):
+    trials = []
+
+    def merit(u):
+        trials.append(float(u[0]))
+        return float(u[0])
+    monkeypatch.setattr(optimizer_mod, "MAX_BACKTRACKS", 10)
+    with pytest.raises(LineSearchFailure, match="within 10 backtracks"):
+        line_search(merit, 0.0, np.array([0.0]), np.array([1.0]), -1.0, 0.1, 0.5)
+    assert trials == [0.5 ** k for k in range(11)]
 
 
 def test_optimize_constrained_toy_contract():

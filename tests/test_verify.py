@@ -167,13 +167,21 @@ def test_probe_moving_a_transition_across_a_breakpoint_is_flagged():
     assert chk.fd.errors == {}
 
 
-def test_failing_base_run_still_raises():
+def test_failing_base_run_still_raises(monkeypatch):
     ocp, grid = get_problem("slide-exit", {"N": 1})
-    opts = IntegratorOptions(max_transitions_per_interval=1)
+    monkeypatch.setattr(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1)
     with pytest.raises(ChatteringLimit):
-        gradient_check(ocp, grid, 8, opts=opts)
+        gradient_check(ocp, grid, 8)
     with pytest.raises(ChatteringLimit):
-        fd_gradient(ocp, grid, 8, opts=opts)
+        fd_gradient(ocp, grid, 8)
+
+
+def test_gradient_check_refuses_a_fractional_step_count():
+    """2.5 steps per interval is refused by the check's own integration,
+    not truncated to 2 and then misreported as a base on another mesh."""
+    ocp, grid = get_problem("slide-exit", {"N": 2})
+    with pytest.raises(ValueError, match="steps_per_interval must be an integer"):
+        gradient_check(ocp, grid, 2.5)
 
 
 def test_fd_oracle_takes_its_options_from_the_base(monkeypatch):
@@ -259,8 +267,8 @@ def test_gradient_check_resumes_every_probe(monkeypatch):
     ocp, grid = get_problem("slide-exit", {"N": 4})
     chk = gradient_check(ocp, grid, 4)
     assert chk.fd.base_kinds == ("EnterSliding", "ExitToF1")
-    assert calls == {"integrate": 1 + 2 * grid.N * grid.m, "step_ode": 114,
-                     "step_sliding": 142}
+    assert calls == {"integrate": 1 + 2 * grid.N * grid.m, "step_ode": 111,
+                     "step_sliding": 135}
 
 
 HS = [0.1, 0.05, 0.025]
@@ -369,12 +377,38 @@ def test_order_study_refuses_transitions():
         order_study(ocp, grid, "state_endpoint", HS)
 
 
-def test_order_study_reference_gate():
-    """A third-order quantity needs a deep reference; at ref_factor 8 the
-    two references disagree above the gate and the study must refuse."""
+def test_order_study_reference_gate(monkeypatch):
+    """A third-order quantity needs a deep reference; with the depth
+    capped at 8 the two references disagree above the gate and the
+    study must refuse."""
     ocp, grid = get_problem("smooth-linear")
-    with pytest.raises(ReferenceUnconverged):
-        order_study(ocp, grid, "adjoint_stage", HS, ref_factor=8)
+    monkeypatch.setattr(verify_mod, "MAX_REF_FACTOR", 8)
+    with pytest.raises(ReferenceUnconverged) as exc:
+        order_study(ocp, grid, "adjoint_stage", HS)
+    assert exc.value.payload["gap"] > 1e-12
+    assert str(exc.value).startswith("references at 32 and 64 steps per interval disagree by ")
+
+
+@pytest.mark.parametrize("quantity, depths", [("state_stage", [8]),
+                                              ("adjoint_stage", [8, 16, 32, 64])])
+def test_order_study_stops_at_the_shallowest_reference_that_agrees(monkeypatch, quantity,
+                                                                   depths):
+    """On HS + [0.0125] (finest 8 steps per interval) the reference starts at
+    8 times the finest resolution and doubles, one new run per doubling,
+    until it agrees with the run twice as fine: state_stage at once,
+    adjoint_stage at 64 after 8, 16 and 32 refuse.  The study runs
+    follow."""
+    runs = []
+
+    class Spy(verify_mod._RunData):
+        def __init__(self, ocp, grid, spi, *args):
+            runs.append(spi)
+            super().__init__(ocp, grid, spi, *args)
+    monkeypatch.setattr(verify_mod, "_RunData", Spy)
+    ocp, grid = get_problem("smooth-linear")
+    rep = order_study(ocp, grid, quantity, HS + [0.0125])
+    assert runs == [8 * d for d in depths + [2 * depths[-1]]] + [1, 2, 4, 8]
+    assert rep.reference_gap <= 1e-12
 
 
 def test_quantity_list_is_closed():

@@ -27,9 +27,11 @@ one of its cases enters sliding, so the g_xx terms of the sliding
 Newton matrix and of the sweep are hashed too.  The built-ins reach
 only EnterSliding and ExitToF1; the transition cases reach Cross12,
 Cross21 and ExitToF2, the entry projection (on an interval start and on
-node 0) and a ChatteringLimit.  Their problems are defined here, so the
-script runs unchanged in an older checkout.  slidoc is imported from
-this checkout's src/; to compare two trees, run this script from each.
+node 0) and a ChatteringLimit.  Their problems are defined here; the
+ChatteringLimit case patches integrator.MAX_TRANSITIONS_PER_INTERVAL,
+so a checkout without that constant needs its own copy of the script.
+slidoc is imported from this checkout's src/; to compare two trees, run
+this script from each.
 
 A change that is meant to round differently cannot be bit-identical.
 For it, --npz PATH also writes the hashed arrays (plus each case's
@@ -55,8 +57,8 @@ temporary directory, and prints the sha256 of every file a case writes
 when that is not empty.  The cases: simulate, adjoint, gradient and
 check-gradient on the five built-ins, gradient of g2:0 on
 constrained-toy, optimize on constrained-toy (with --history-csv) and
-on slide-exit, verify-orders on smooth-linear for four quantities, and
-tableau-check to stdout and to --out (40 outputs); plus five error
+on slide-exit, verify-orders on smooth-linear for all five quantities,
+and tableau-check to stdout and to --out (41 outputs); plus five error
 paths: two domain errors and two output errors (an --out that is its
 own sidecar, an --out in a directory that does not exist), each exit 1,
 and one usage error (exit 2).  A case's directory reads {d} in its
@@ -79,6 +81,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -90,6 +93,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from chain import chain_problem  # noqa: E402
 from test_adjoint import _circle_slide  # noqa: E402
 
+import slidoc.integrator as integrator_mod  # noqa: E402
 from slidoc import (ControlGrid, IntegratorOptions, SlidocError, fd_gradient,  # noqa: E402
                     get_problem, integrate, problem_names, run_adjoints)
 
@@ -210,7 +214,9 @@ def _transition_cases():
     (u = 0 + 2 seeded uniform controls) at N = 10; the entry projection,
     which needs event_tol above surface_tol, on an interval start
     and on node 0; and a ChatteringLimit raised by the second transition
-    of one control interval at a cap of 1."""
+    of one control interval at a cap of 1, yielded while the generator
+    holds MAX_TRANSITIONS_PER_INTERVAL patched to 1 (a case taken out of
+    the generator runs at the real cap)."""
     problems = _transition_problems()
     for p, (name, ocp) in enumerate(problems.items()):
         rng = np.random.default_rng([len(problem_names()) + 1 + p])
@@ -227,7 +233,9 @@ def _transition_cases():
     yield "projection/node-0", ocp, grid, 8, loose
     ocp = problems["exit-to-f2"]
     grid = ControlGrid(ocp.t0, ocp.tf, np.random.default_rng(1).uniform(-0.5, 0.5, (10, 1)))
-    yield "chattering/cap1", ocp, grid, 8, IntegratorOptions(max_transitions_per_interval=1)
+    # the generator stays suspended inside the patch while the case runs
+    with mock.patch.object(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1):
+        yield "chattering/cap1", ocp, grid, 8, None
 
 
 def _diff(a: np.ndarray, b: np.ndarray):
@@ -308,7 +316,8 @@ def _cli_cases():
     yield "optimize/constrained-toy", ["optimize", "--problem", "constrained-toy",
                                        "--out", "{d}/run.json", "--history-csv", "{d}/hist.csv"]
     yield "optimize/slide-exit", ["optimize", "--problem", "slide-exit", "--out", "{d}/run.json"]
-    for quantity in ("state_endpoint", "state_stage", "adjoint_endpoint", "gradient"):
+    for quantity in ("state_endpoint", "state_stage", "adjoint_endpoint", "adjoint_stage",
+                     "gradient"):
         yield f"verify-orders/{quantity}", ["verify-orders", "--problem", "smooth-linear",
                                             "--quantity", quantity, "--h", "0.05,0.025",
                                             "--out", "{d}/orders.json"]
