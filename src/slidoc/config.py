@@ -3,17 +3,20 @@
 A config file is a single flat JSON object; every key is optional except
 that most subcommands need a problem name from somewhere (file or flag).
 A "params" sub-object is accepted as a grouping alias for the same keys.
-Unknown keys are rejected so typos fail loudly.  The effective config
-(defaults filled, flag overrides applied) is what gets hashed into the
-meta block of every output, so identical runs are provably identical.
+Unknown keys and numbers beyond a float (NaN, Infinity, 1e400) are refused
+so typos fail loudly, and a RunConfig that exists is valid: it checks
+itself when built.  The effective config (defaults filled, flag
+overrides applied) is what gets hashed into the meta block of every
+output, so identical runs are provably identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,8 +27,8 @@ from .integrator import IntegratorOptions
 from .optimizer import OptimizerConfig
 
 
-# (field, rule, check) for the keys RunConfig.validate checks itself;
-# the integrator and optimizer options check their own
+# (field, rule, check) for the keys RunConfig checks itself; the
+# integrator and optimizer options check their own
 _RULES = [("eps", *POSITIVE), ("N", *COUNT), ("steps_per_interval", *COUNT)]
 
 
@@ -59,10 +62,10 @@ class RunConfig:
     functional: str = "phi"
     eps: float = 1e-6
 
-    def validate(self) -> "RunConfig":
+    def __post_init__(self):
         self.integrator_options()   # checks the tolerances
         check_fields(self, _RULES)
-        self.optimizer_config().validate()
+        self.optimizer_config()     # checks the optimizer parameters
         if not re.fullmatch(r"phi|g1:\d+|g2:\d+", self.functional):
             raise ValidationError(
                 f"functional: expected phi, g1:i or g2:j, got {self.functional!r}",
@@ -73,7 +76,6 @@ class RunConfig:
                 raise ValidationError(
                     f"problem: unknown name {self.problem!r}; known: "
                     f"{', '.join(problem_names())}", field="problem")
-        return self
 
     # -- views consumed by the modules ------------------------------------
 
@@ -106,20 +108,32 @@ class RunConfig:
 _FIELDS = set(RunConfig.__dataclass_fields__)
 
 
+def _finite(literal: str, kind=float):
+    """json.load's hook for every number literal: NaN, Infinity, 1e400 and
+    an integer beyond the range of a float are refused."""
+    if not math.isfinite(float(literal)):
+        raise ValueError(f"non-finite number {literal} is not allowed")
+    return kind(literal)
+
+
 def parse_config(path: Optional[str], flag_overrides: Optional[dict] = None) -> RunConfig:
-    """Load a config file (or start from defaults), apply flag overrides,
-    validate.  Malformed JSON is a ParseError carrying line and column;
+    """One RunConfig of a config file's keys (none without a file) with
+    the flags that are not None on top.  Malformed JSON is a ParseError
+    carrying line and column, a non-finite number one naming the file;
     unknown or ill-typed keys are ValidationErrors naming the key."""
     raw = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_float=_finite, parse_constant=_finite,
+                                parse_int=lambda literal: _finite(literal, int))
         except OSError as exc:
             raise ParseError(f"{path}: {exc.strerror or exc}", path=str(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}",
                              path=str(path), line=exc.lineno, column=exc.colno)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", path=str(path))
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: top level must be a JSON object", path=str(path))
     # "params" is an accepted grouping alias: a nested object holding the
@@ -136,10 +150,8 @@ def parse_config(path: Optional[str], flag_overrides: Optional[dict] = None) -> 
     for key in raw:
         if key not in _FIELDS:
             raise ValidationError(f"{key}: unknown config key", field=key)
-    cfg = replace(RunConfig(), **raw)
-    if flag_overrides:
-        cfg = replace(cfg, **{k: v for k, v in flag_overrides.items() if v is not None})
-    return cfg.validate()
+    flags = {k: v for k, v in (flag_overrides or {}).items() if v is not None}
+    return RunConfig(**{**raw, **flags})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ payload dict so the CLI can serialize diagnostics without string parsing.
 
 from __future__ import annotations
 
+import math
+
 
 class SlidocError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -119,9 +121,11 @@ COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
 
 def check_fields(obj, rules) -> None:
     """Raise ValidationError naming the first field of obj that is not a
-    real number (bools are not) or breaks its rule; rules holds (field,
-    rule text, check) triples."""
+    finite real number (bools are not) or breaks its rule; rules holds
+    (field, rule text, check) triples."""
     for key, rule, ok in rules:
         v = getattr(obj, key)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"{key}: must be a finite number, got {v!r}", field=key)
         if not (isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)):
             raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)

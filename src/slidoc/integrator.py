@@ -103,9 +103,9 @@ import numpy as np
 
 from .errors import (POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
                      SingularIteration, check_fields)
-from .model import (EPS_DEN, EPS_TAN, ControlGrid, HybridOCP, Mode,
-                    TransitionKind, alpha, entry_test, exit_mode, exit_test,
-                    filippov_state_jacobian, filippov_values, normal_speeds)
+from .model import (ControlGrid, HybridOCP, Mode, TransitionKind, alpha,
+                    entry_test, exit_mode, exit_test, filippov_state_jacobian,
+                    filippov_values, normal_speeds)
 from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 
 MAX_NEWTON_ITERS = 25
@@ -132,14 +132,15 @@ _RULES = [(key, *POSITIVE) for key in ("newton_tol", "event_tol", "surface_tol",
 class IntegratorOptions:
     """An entry node with |g| > surface_tol is projected onto the surface.
     A located event has |g| <= event_tol, so that needs event_tol >
-    surface_tol and never happens at the defaults.  Every tolerance
-    must be a number > 0; anything else raises ValidationError naming
-    the field."""
+    surface_tol and never happens at the defaults.  Normal speeds within
+    eps_tan of zero cannot be classified, and alpha needs |w1 - w2| >
+    eps_den max(1, |w1| + |w2|).  Every tolerance must be a finite number
+    > 0; anything else raises ValidationError naming the field."""
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
-    eps_tan: float = EPS_TAN
-    eps_den: float = EPS_DEN
+    eps_tan: float = 1e-10
+    eps_den: float = 1e-12
 
     def __post_init__(self):
         check_fields(self, _RULES)
@@ -622,7 +623,6 @@ class _Builder:
         self.transitions = []
         self.breakpoint_nodes = [0]
         self.starts = []
-        self.interval_transitions = 0
         self.spi = spi
         self.opts = opts
 
@@ -646,12 +646,7 @@ class _Builder:
         bld.starts = base.starts[:n]
         return bld
 
-    @property
-    def k(self):
-        return len(self.hs)
-
     def begin_interval(self, t, x, mode):
-        self.interval_transitions = 0
         self.starts.append(IntervalStart(t=t, x=x, mode=mode,
                                          transitions=len(self.transitions),
                                          z=self.z_node[-1]))
@@ -678,8 +673,7 @@ class _Builder:
             x_plus=np.array(x_plus, dtype=float)))
         self.xs[-1] = np.array(x_plus, dtype=float)
         self.z_node[-1] = 0.0
-        self.interval_transitions += 1
-        if self.interval_transitions > MAX_TRANSITIONS_PER_INTERVAL:
+        if len(self.transitions) - self.starts[-1].transitions > MAX_TRANSITIONS_PER_INTERVAL:
             n = len(self.starts) - 1
             raise ChatteringLimit(f"more than {MAX_TRANSITIONS_PER_INTERVAL} transitions "
                                   f"in control interval {n}", interval=n)

@@ -23,6 +23,7 @@ the control part.
 
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.
+eps_tan and eps_den have no defaults: callers pass their run's options.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
-
-# Default tolerances of the surface tests: normal speeds within EPS_TAN
-# of zero cannot be classified, and the quotient alpha needs
-# |w1 - w2| > EPS_DEN max(1, |w1| + |w2|).  IntegratorOptions reads both.
-EPS_TAN = 1e-10
-EPS_DEN = 1e-12
-
 
 class Mode(enum.Enum):
     BELOW = "below"
@@ -174,7 +168,7 @@ def _blend_weight(w1: float, w2: float, eps_den: float) -> float:
 
 
 def alpha(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-          eps_den: float = EPS_DEN) -> float:
+          eps_den: float) -> float:
     """Convex weight alpha = g_x f1 / (g_x (f1 - f2)) of the sliding field.
 
     Raises DegenerateDenominator when the two normal speeds are too close
@@ -198,7 +192,7 @@ class FilippovValues(NamedTuple):
 
 
 def filippov_values(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                    eps_den: float = EPS_DEN) -> FilippovValues:
+                    eps_den: float) -> FilippovValues:
     """Values of the sliding field f_F = (1 - alpha) f1 + alpha f2 at
     (x, u), with what its Jacobians need.  Raises DegenerateDenominator
     as alpha does."""
@@ -244,7 +238,7 @@ def filippov_control_jacobian(ocp: HybridOCP, v: FilippovValues, x: np.ndarray,
 
 
 def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                   eps_den: float = EPS_DEN):
+                   eps_den: float):
     """Sliding vector field f_F = (1 - alpha) f1 + alpha f2 and alpha.
 
     By construction g_x f_F = 0: the field is tangent to the surface.
@@ -254,7 +248,7 @@ def filippov_field(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-                       eps_den: float = EPS_DEN):
+                       eps_den: float):
     """Sliding field with its state and control Jacobians: the values,
     the state part and the control part at one point.
 
@@ -267,7 +261,7 @@ def filippov_jacobians(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-               eps_tan: float = EPS_TAN) -> Mode:
+               eps_tan: float) -> Mode:
     """Classify arrival at the surface from the normal speeds w1, w2:
     the mode the arrival leads to.
 
@@ -294,7 +288,7 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
 
 
 def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
-              eps_den: float = EPS_DEN, eps_tan: float = EPS_TAN) -> Mode:
+              eps_den: float, eps_tan: float) -> Mode:
     """Decide whether sliding has ended at (x, u): the mode the
     trajectory goes to.
 
@@ -308,7 +302,7 @@ def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
     return exit_mode(w1, w2, 0 if a <= 0.0 else 1, eps_tan)
 
 
-def exit_mode(w1: float, w2: float, boundary: int, eps_tan: float = EPS_TAN) -> Mode:
+def exit_mode(w1: float, w2: float, boundary: int, eps_tan: float) -> Mode:
     """Where sliding goes once the blend weight has reached boundary 0 or 1.
 
     At alpha <= 0 the blend has degenerated to f1; sliding ends towards

@@ -52,7 +52,7 @@ from .integrator import IntegratorOptions, integrate
 from .model import ControlGrid, HybridOCP
 
 
-# (field, rule, check) for OptimizerConfig.validate (check_fields)
+# (field, rule, check) for OptimizerConfig (check_fields)
 _RULES = (("c0", *POSITIVE), ("kappa", "> 1", lambda v: v > 1),
           ("gamma", "in (0, 1)", lambda v: 0 < v < 1), ("eta", "in (0, 1)", lambda v: 0 < v < 1),
           ("epsilon", *POSITIVE), ("max_iters", *COUNT), ("h_scale", *POSITIVE))
@@ -68,11 +68,10 @@ class OptimizerConfig:
     max_iters: int = 200
     h_scale: float = 1.0
 
-    def validate(self) -> "OptimizerConfig":
+    def __post_init__(self):
         """Raise ValidationError naming the first field of the wrong type
         or out of range (RunConfig keeps the same key for each)."""
         check_fields(self, _RULES)
-        return self
 
 
 MAX_PENALTY_RAISES = 60
@@ -355,7 +354,7 @@ def optimize(ocp: HybridOCP, grid0: ControlGrid, steps_per_interval: int = 8,
              integ_opts: Optional[IntegratorOptions] = None) -> OptimizeResult:
     """Run the exact-penalty method from grid0 until the certificate
     |sigma| drops below epsilon or the iteration budget runs out."""
-    cfg = (cfg if cfg is not None else OptimizerConfig()).validate()
+    cfg = cfg if cfg is not None else OptimizerConfig()
 
     N, m = grid0.N, grid0.m
     dim = N * m

@@ -2,7 +2,8 @@
 
 The oracle integrates the hybrid system again for every probe, events
 and all, so it is an independent check on the adjoint-based gradient.
-A probe of u_n resumes the base run at control interval n (integrate's
+Every probe runs with the mesh and options of the unperturbed base run,
+and a probe of u_n resumes the base at control interval n (integrate's
 base/start): the state at t_n does not depend on u_n, so only intervals
 n..N-1 are integrated again, and the result equals a full run bit for
 bit.  An entry is flagged NonSmoothAcrossEvent when a probe changes the
@@ -74,29 +75,21 @@ def _structure(traj: Trajectory) -> tuple:
     return tuple(zip(traj.transition_kinds(), traj.transition_intervals()))
 
 
-def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
+def fd_gradient(ocp: HybridOCP, grid: ControlGrid, base: Trajectory,
                 functional: Optional[EndpointFunctional] = None,
-                eps: float = 1e-6,
-                opts: Optional[IntegratorOptions] = None,
-                base: Optional[Trajectory] = None) -> FDReport:
+                eps: float = 1e-6) -> FDReport:
     """Central differences of w(x(tf)) in every control entry.
 
     The probe size is eps scaled by max(1, |u_nj|).  base is the
-    unperturbed run (integrated here when None); a probe of u_n resumes
-    it at interval n, event location included.  With a base, opts
-    defaults to the options base was integrated with; other opts, or a
-    base from another mesh (steps_per_interval, N or any breakpoint),
-    raise ValueError before any probe runs.  A failure of the base run
-    raises; a failing probe flags its entry.
+    unperturbed run; every probe runs with its steps per interval and
+    options, and a probe of u_n resumes it at interval n, event location
+    included.  A base from another mesh (N or any breakpoint) raises
+    ValueError before any probe runs; a failing probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
-    if base is None:
-        base = integrate(ocp, grid, steps_per_interval, opts=opts)
-    else:
-        check_base(base, grid, steps_per_interval, opts if opts is not None else base.opts)
-    opts = base.opts
+    check_base(base, grid, base.spi, base.opts)
     base_structure = _structure(base)
 
     N, m = grid.N, grid.m
@@ -108,8 +101,8 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         """(w(x(tf)), transition structure, None), or (None, None, the
         class name of the error that stopped the run)."""
         try:
-            traj = integrate(ocp, grid.with_values(values), steps_per_interval,
-                             opts=opts, base=base if n else None, start=n)
+            traj = integrate(ocp, grid.with_values(values), base.spi,
+                             opts=base.opts, base=base if n else None, start=n)
         except SlidocError as exc:
             return None, None, type(exc).__name__
         return functional.value(traj.x[-1]), _structure(traj), None
@@ -158,7 +151,8 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
                    functional: Optional[EndpointFunctional] = None,
                    eps: float = 1e-6,
                    opts: Optional[IntegratorOptions] = None) -> GradientCheck:
-    """Reduced gradient vs the FD oracle.
+    """Reduced gradient vs the FD oracle, both from one integration
+    (the oracle's base), whose failure raises.
 
     rel is the max-norm difference over unflagged entries divided by
     max(‖fd‖_inf over those entries, 1e-3); the floor keeps near-zero
@@ -169,7 +163,7 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
     traj = integrate(ocp, grid, steps_per_interval, opts=opts)
     adj = run_adjoint(ocp, traj, grid, functional)
     grad = reduced_gradient(ocp, traj, grid, adj)
-    fd = fd_gradient(ocp, grid, steps_per_interval, functional, eps, opts, base=traj)
+    fd = fd_gradient(ocp, grid, traj, functional, eps)
 
     keep = ~fd.flags
     if not np.any(keep):
@@ -304,8 +298,10 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
     span = (grid.tf - grid.t0) / grid.N
     spis = []
     for h in hs:
+        if not 0 < h < np.inf:
+            raise ValidationError(f"h: must be a finite number > 0, got {h}", field="h")
         spi = span / h
-        if not h > 0 or abs(spi - round(spi)) > 1e-9 * max(1.0, abs(spi)):
+        if abs(spi - round(spi)) > 1e-9 * max(1.0, abs(spi)):
             raise ValidationError(
                 f"h: {h} does not give a whole number of steps per control interval "
                 f"(interval span {span})", field="h")

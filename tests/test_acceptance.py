@@ -176,7 +176,7 @@ def test_acceptance_08_sliding_invariants():
     lam_plus = adj.lam[entry] + jump["pi"] * gx
     u_plus = grid.values[traj.ctrl[entry]]
     u_minus = grid.values[traj.ctrl[entry - 1]]
-    fF = filippov_jacobians(ocp, x_star, u_plus)[0]
+    fF = filippov_jacobians(ocp, x_star, u_plus, traj.opts.eps_den)[0]
     rhs_H = float(lam_plus @ fF) + float(traj.z_node[entry]) * float(lam_plus @ gx) \
         - float(adj.lam_g[entry]) * ocp.g(x_star)
     jump_res = abs(float(adj.lam[entry] @ ocp.f1(x_star, u_minus)) - rhs_H)

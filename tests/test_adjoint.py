@@ -21,7 +21,7 @@ from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
 from slidoc.errors import SingularJumpSystem
 from slidoc.gradient import reduced_gradient_matrix
 from slidoc.integrator import IntegratorOptions, integrate
-from slidoc.model import (EPS_DEN, ControlGrid, EndpointFunctional, HybridOCP, Mode,
+from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           TransitionKind, filippov_jacobians, filippov_values)
 from slidoc.problems import get_problem
 from slidoc.tableau import adjoint_tableau, radau_iia_3
@@ -314,12 +314,12 @@ def test_lambda_g_is_the_bracket_of_the_normal_and_the_sliding_field():
     lam = np.array([0.7, -1.3])
 
     def F(y):
-        return filippov_values(ocp, y, u).fF + z * ocp.g_x(y)
+        return filippov_values(ocp, y, u, traj.opts.eps_den).fF + z * ocp.g_x(y)
 
     N, e = ocp.g_x, 1e-5
     bracket = (F(x + e * N(x)) - F(x - e * N(x)) - N(x + e * F(x)) + N(x - e * F(x))) / (2 * e)
     ref = float(lam @ bracket) / float(N(x) @ N(x))
-    assert abs(lambda_g_pointwise(ocp, x, u, z, lam, EPS_DEN) - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert abs(lambda_g_pointwise(ocp, x, u, z, lam, traj.opts.eps_den) - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def _step_residual(ocp, mode, h, Xp, xk, u):

@@ -326,6 +326,73 @@ def test_malformed_config_reports_position(tmp_path):
     assert d["line"] == 2 and d["column"] >= 1
 
 
+@pytest.mark.parametrize("body", [
+    '{"problem": "p2-sliding", "x0": [NaN, -0.5]}', '{"problem": "p2-sliding", "u": NaN}',
+    '{"problem": "p2-sliding", "tf": Infinity}', '{"problem": "p2-sliding", "newton_tol": Infinity}',
+    '{"problem": "p2-sliding", "u_hi": Infinity}', '{"problem": "p2-sliding", "u_lo": -Infinity}',
+    '{"problem": "p2-sliding", "x0": [1e400, -0.5]}',
+    '{"problem": "p2-sliding", "tf": 1' + '0' * 400 + '}'],
+    ids=["x0-nan", "u-nan", "tf-inf", "newton_tol-inf", "u_hi-inf", "u_lo-minus-inf",
+         "x0-1e400", "tf-1e400-int"])
+def test_non_finite_config_literal_is_a_parse_error(tmp_path, capsys, body):
+    """Python's json reads NaN and Infinity, which are not JSON numbers,
+    a float beyond the double range as inf and an integer of any size,
+    which no float holds; a config holding one is refused as a ParseError
+    naming the file, exit 1 with one JSON line, before anything runs or
+    is written."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(body)
+    out = tmp_path / "t.csv"
+    assert run("simulate", "--config", str(cfgp), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["path"] == str(cfgp)
+    assert "non-finite number" in doc["message"]
+    assert sorted(tmp_path.iterdir()) == [cfgp]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["check-gradient", "--problem", "p2-sliding", "--eps", "inf"], "eps"),
+    (["check-gradient", "--problem", "p2-sliding", "--eps", "nan"], "eps"),
+    (["verify-orders", "--problem", "smooth-linear", "--quantity", "gradient",
+      "--h", "inf,0.1"], "h"),
+])
+def test_non_finite_flag_is_a_validation_error(tmp_path, capsys, argv, field):
+    """argparse reads inf and nan as floats; an --eps or an h that is not
+    a finite number is refused with exit 1 and one JSON line naming the
+    field, not a traceback."""
+    out = tmp_path / "t.json"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ValidationError" and doc["field"] == field
+    assert "finite number" in doc["message"]
+    assert not out.exists()
+
+
+def test_run_config_checks_itself_when_built(tmp_path):
+    """A RunConfig that exists is valid: a bad value raises when it is
+    built.  parse_config builds one config of the file's keys with the
+    flags on top, so a flag overrides a bad file value."""
+    with pytest.raises(ValidationError) as exc:
+        RunConfig(eps=0)
+    assert exc.value.payload["field"] == "eps"
+    with pytest.raises(ValidationError) as exc:
+        RunConfig(kappa=1.0)
+    assert exc.value.payload["field"] == "kappa"
+    with pytest.raises(ValidationError) as exc:
+        RunConfig(eps=float("inf"))
+    assert exc.value.payload["field"] == "eps"
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"problem": "p2-sliding", "eps": 0, "steps_per_interval": 1.5}')
+    with pytest.raises(ValidationError):
+        parse_config(str(cfgp))
+    cfg = parse_config(str(cfgp), {"eps": 1e-5, "steps_per_interval": 2, "problem": None})
+    assert (cfg.problem, cfg.eps, cfg.steps_per_interval) == ("p2-sliding", 1e-5, 2)
+
+
 # the flags each subcommand needs besides --out
 NEEDS = {"simulate": [], "adjoint": [], "gradient": [], "check-gradient": [],
          "optimize": [], "verify-orders": ["--quantity", "state_endpoint", "--h", "0.1,0.05"]}

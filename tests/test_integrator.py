@@ -190,11 +190,11 @@ def test_chattering_guard(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("newton_tol", 0), ("surface_tol", -1), ("eps_den", -1), ("eps_tan", "1e-10"),
-    ("event_tol", float("nan"))])
+    ("event_tol", float("nan")), ("eps_tan", float("inf"))])
 def test_options_reject_bad_values(field, value):
-    """A tolerance that is not a number > 0 is refused when the options
-    are built, with a ValidationError naming the field, instead of
-    failing inside a run."""
+    """A tolerance that is not a finite number > 0 is refused when the
+    options are built, with a ValidationError naming the field, instead
+    of failing inside a run."""
     with pytest.raises(ValidationError) as exc:
         IntegratorOptions(**{field: value})
     assert exc.value.payload["field"] == field

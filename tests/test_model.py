@@ -1,16 +1,26 @@
 """Surface algebra: blend weight, sliding field, entry/exit verdicts."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slidoc.adjoint
+import slidoc.integrator
+import slidoc.model
 from slidoc.errors import (DegenerateDenominator, DimensionMismatch, TangentialAmbiguity,
                            ValidationError)
+from slidoc.integrator import IntegratorOptions
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           alpha, entry_test, exit_test,
                           filippov_field, filippov_jacobians)
 from slidoc.problems import get_problem
+
+# the surface tests take their tolerances from the run's options
+TOL = IntegratorOptions()
 
 
 def const_fields_ocp(v1, v2):
@@ -40,22 +50,22 @@ U = np.array([0.0])
 
 def test_alpha_on_the_relay_problem():
     ocp, _ = get_problem("p2-sliding")
-    a = alpha(ocp, X, np.array([0.2]))
+    a = alpha(ocp, X, np.array([0.2]), TOL.eps_den)
     assert a == pytest.approx(0.6, abs=1e-15)
-    ff = filippov_field(ocp, X, np.array([0.2]))[0]
+    ff = filippov_field(ocp, X, np.array([0.2]), TOL.eps_den)[0]
     assert ff == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_sliding_field_is_tangent():
     ocp = const_fields_ocp([1.0, 2.0], [0.5, -1.0])
-    ff, _ = filippov_field(ocp, X, U)
+    ff, _ = filippov_field(ocp, X, U, TOL.eps_den)
     assert float(ocp.g_x(X) @ ff) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_alpha_degenerate_denominator():
     ocp = const_fields_ocp([1.0, 1.0], [2.0, 1.0])   # equal normal speeds
     with pytest.raises(DegenerateDenominator):
-        alpha(ocp, X, U)
+        alpha(ocp, X, U, TOL.eps_den)
 
 
 def test_jacobian_consistency_fd():
@@ -64,54 +74,54 @@ def test_jacobian_consistency_fd():
     ocp, _ = get_problem("slide-exit")
     x = np.array([0.4, 0.0])
     u = np.array([0.1])
-    _, ffx, _, _, _, _ = filippov_jacobians(ocp, x, u)
+    _, ffx, _, _, _, _ = filippov_jacobians(ocp, x, u, TOL.eps_den)
     eps = 1e-7
     for j in range(2):
         dx = np.zeros(2)
         dx[j] = eps
-        fp = filippov_field(ocp, x + dx, u)[0]
-        fm = filippov_field(ocp, x - dx, u)[0]
+        fp = filippov_field(ocp, x + dx, u, TOL.eps_den)[0]
+        fm = filippov_field(ocp, x - dx, u, TOL.eps_den)[0]
         assert ffx[:, j] == pytest.approx((fp - fm) / (2 * eps), abs=1e-6)
 
 
 def test_entry_attractive_is_captured():
     ocp = const_fields_ocp([1.0, 1.0], [1.0, -0.5])  # pushes in from both sides
-    assert entry_test(ocp, X, U) is Mode.SLIDING
+    assert entry_test(ocp, X, U, TOL.eps_tan) is Mode.SLIDING
 
 
 def test_entry_transversal_crossings():
     up = const_fields_ocp([1.0, 1.0], [1.0, 0.5])    # both upward: pass through
-    assert entry_test(up, X, U) is Mode.ABOVE
+    assert entry_test(up, X, U, TOL.eps_tan) is Mode.ABOVE
     down = const_fields_ocp([1.0, -1.0], [1.0, -0.5])
-    assert entry_test(down, X, U) is Mode.BELOW
+    assert entry_test(down, X, U, TOL.eps_tan) is Mode.BELOW
 
 
 def test_entry_repulsive_is_ambiguous():
     ocp = const_fields_ocp([1.0, -1.0], [1.0, 0.5])  # both point away
     with pytest.raises(TangentialAmbiguity):
-        entry_test(ocp, X, U)
+        entry_test(ocp, X, U, TOL.eps_tan)
 
 
 def test_entry_tangential_is_ambiguous():
     ocp = const_fields_ocp([1.0, 0.0], [1.0, -0.5])  # w1 on the tolerance
     with pytest.raises(TangentialAmbiguity):
-        entry_test(ocp, X, U)
+        entry_test(ocp, X, U, TOL.eps_tan)
 
 
 def test_exit_interior_keeps_sliding():
     ocp = const_fields_ocp([1.0, 1.0], [1.0, -1.0])  # alpha = 1/2
-    assert exit_test(ocp, X, U) is Mode.SLIDING
+    assert exit_test(ocp, X, U, TOL.eps_den, TOL.eps_tan) is Mode.SLIDING
 
 
 def test_exit_at_alpha_zero_returns_to_f1():
     # w1 barely negative, w2 strongly negative: alpha < 0, f1 takes over
     ocp = const_fields_ocp([1.0, -0.1], [1.0, -2.0])
-    assert exit_test(ocp, X, U) is Mode.BELOW
+    assert exit_test(ocp, X, U, TOL.eps_den, TOL.eps_tan) is Mode.BELOW
 
 
 def test_exit_at_alpha_one_returns_to_f2():
     ocp = const_fields_ocp([1.0, 2.0], [1.0, 0.1])
-    assert exit_test(ocp, X, U) is Mode.ABOVE
+    assert exit_test(ocp, X, U, TOL.eps_den, TOL.eps_tan) is Mode.ABOVE
 
 
 normal_speeds = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -127,10 +137,10 @@ def test_alpha_scale_invariance_and_tangency(w1, w2, scale, tangential):
     ocp = const_fields_ocp([tangential, w1], [1.0, -w2])
     scaled = const_fields_ocp([tangential * scale, w1 * scale],
                               [scale, -w2 * scale])
-    a = alpha(ocp, X, U)
-    assert alpha(scaled, X, U) == pytest.approx(a, rel=1e-12)
+    a = alpha(ocp, X, U, TOL.eps_den)
+    assert alpha(scaled, X, U, TOL.eps_den) == pytest.approx(a, rel=1e-12)
     assert 0.0 < a < 1.0
-    ff, _ = filippov_field(ocp, X, U)
+    ff, _ = filippov_field(ocp, X, U, TOL.eps_den)
     assert abs(float(ocp.g_x(X) @ ff)) <= 1e-12 * (abs(w1) + abs(w2))
 
 
@@ -177,3 +187,33 @@ def test_control_grid_with_values_is_fresh():
     assert grid.values[0, 0] == 0.0
     with pytest.raises(ValueError):
         grid.values[0, 0] = 5.0
+
+
+TOLERANCES = ("eps_tan", "eps_den", "newton_tol", "event_tol", "surface_tol")
+
+
+def test_only_the_integrator_options_default_a_tolerance():
+    """No function or method of model, adjoint or integrator gives a
+    tolerance a default: each takes the run's value, which only
+    IntegratorOptions defaults, so the forward pass and the backward
+    sweep cannot test with different numbers by omission."""
+    defaulted, seen = [], 0
+    for module in (slidoc.model, slidoc.adjoint, slidoc.integrator):
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__ \
+                    or obj is slidoc.integrator.IntegratorOptions:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else (
+                [f for f in vars(obj).values() if inspect.isfunction(f)]
+                if inspect.isclass(obj) else [])
+            for fn in funcs:
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name in TOLERANCES:
+                        seen += 1
+                        if param.default is not inspect.Parameter.empty:
+                            defaulted.append(f"{module.__name__}.{fn.__qualname__}({param.name})")
+    assert defaulted == []
+    assert seen >= 10      # alpha, the Filippov values, the surface tests, the jump, ...
+    assert {f.name: f.default for f in dataclasses.fields(IntegratorOptions)} == {
+        "newton_tol": 1e-12, "event_tol": 1e-10, "surface_tol": 1e-9,
+        "eps_tan": 1e-10, "eps_den": 1e-12}

@@ -136,18 +136,20 @@ def test_qp_multipliers_satisfy_stationarity_with_equality():
 
 
 def test_config_validation():
+    """The config checks itself when it is built."""
     with pytest.raises(ValidationError):
-        OptimizerConfig(eta=1.5).validate()
+        OptimizerConfig(eta=1.5)
     with pytest.raises(ValidationError):
-        OptimizerConfig(kappa=1.0).validate()
-    OptimizerConfig().validate()
+        OptimizerConfig(kappa=1.0)
+    OptimizerConfig()
 
 
 def test_ill_typed_config_is_a_validation_error():
     """A value of the wrong type fails as a ValidationError naming its
-    field, in validate and in optimize, not as a bare TypeError."""
+    field when the config is built, also inside the call to optimize,
+    not as a bare TypeError."""
     with pytest.raises(ValidationError) as exc:
-        OptimizerConfig(gamma="0.5").validate()
+        OptimizerConfig(gamma="0.5")
     assert exc.value.payload["field"] == "gamma"
     ocp, grid = get_problem("constrained-toy")
     with pytest.raises(ValidationError) as exc:

@@ -3,6 +3,7 @@ it or is loaded from its file, so a spy that no longer matches the code
 it counts, or a grid that lost a case, shows here."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -65,3 +66,24 @@ def test_identity_grid_names_and_hashes_its_cases():
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in out.values())
     assert sorted(arrays) == sorted([*out, "transitions"])
     assert tool._case(*cases["chain-4/seed1"], {}) == out
+
+
+def test_identity_grid_cli_cases_count_41_outputs_and_8_error_paths():
+    """tools/identity_grid.py --cli: its cases write 41 outputs, and eight
+    error paths exit nonzero.  The three non-finite inputs (a config
+    file with a NaN, --eps inf, an h of inf) each exit 1 with one JSON
+    line, like the other domain errors, and no case lets an exception
+    through main."""
+    report = identity_grid().cli_report()
+    errors = {key: entry for key, entry in report.items() if entry["exit"] != 0}
+    assert sum(len(e) - 1 - ("stderr" in e) for e in report.values()) == 41
+    assert sorted(errors) == sorted(
+        ["error/no-problem", "error/functional-range", "error/no-out", "error/out-is-sidecar",
+         "error/out-dir-missing", "error/nan-config", "error/eps-inf", "error/h-inf"])
+    assert errors.pop("error/no-out")["exit"] == 2
+    for key, entry in errors.items():
+        assert entry["exit"] == 1, key
+        assert entry["stderr"].count("\n") == 1 and "error" in json.loads(entry["stderr"])
+    assert json.loads(errors["error/nan-config"]["stderr"])["error"] == "ParseError"
+    assert json.loads(errors["error/eps-inf"]["stderr"])["field"] == "eps"
+    assert json.loads(errors["error/h-inf"]["stderr"])["field"] == "h"

@@ -38,7 +38,7 @@ def quadratic_cost_ocp():
 def test_fd_oracle_matches_a_closed_form():
     ocp = quadratic_cost_ocp()
     grid = ControlGrid(0.0, 1.0, np.array([[3.0]]))
-    rep = fd_gradient(ocp, grid, 4)
+    rep = fd_gradient(ocp, grid, integrate(ocp, grid, 4))
     # central differences are exact on a quadratic, up to integrator noise
     assert rep.entries[0, 0] == pytest.approx(6.0, abs=1e-8)
     assert not rep.flags.any()
@@ -47,14 +47,14 @@ def test_fd_oracle_matches_a_closed_form():
 
 def test_fd_oracle_zero_for_control_free_dynamics():
     ocp, grid = get_problem("p2-sliding")
-    rep = fd_gradient(ocp, grid, 4)
+    rep = fd_gradient(ocp, grid, integrate(ocp, grid, 4))
     assert np.all(rep.entries == 0.0)
 
 
 def test_fd_rejects_bad_eps():
     ocp, grid = get_problem("smooth-linear")
     with pytest.raises(ValidationError):
-        fd_gradient(ocp, grid, 4, eps=0.0)
+        fd_gradient(ocp, grid, integrate(ocp, grid, 4), eps=0.0)
 
 
 def test_gradient_check_agrees_on_smooth_problem():
@@ -172,8 +172,6 @@ def test_failing_base_run_still_raises(monkeypatch):
     monkeypatch.setattr(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1)
     with pytest.raises(ChatteringLimit):
         gradient_check(ocp, grid, 8)
-    with pytest.raises(ChatteringLimit):
-        fd_gradient(ocp, grid, 8)
 
 
 def test_gradient_check_refuses_a_fractional_step_count():
@@ -185,48 +183,35 @@ def test_gradient_check_refuses_a_fractional_step_count():
 
 
 def test_fd_oracle_takes_its_options_from_the_base(monkeypatch):
-    """A p2-steered base integrated at newton_tol = 1e-10: without opts
-    every probe runs with the base's options and gives the report of
-    those options given explicitly; other options raise ValueError
-    before any probe runs."""
+    """A p2-steered base integrated at 4 steps per interval (integrate's
+    default is 8) and newton_tol = 1e-10: every probe runs with the
+    base's steps per interval and options, and none raises."""
     ocp, grid = get_problem("p2-steered")
     opts = IntegratorOptions(newton_tol=1e-10)
-    base = integrate(ocp, grid, 8, opts=opts)
+    base = integrate(ocp, grid, 4, opts=opts)
     seen = []
     original = verify_mod.integrate
 
     def spy(*args, **kwargs):
-        seen.append(kwargs["opts"])
+        seen.append((args[2], kwargs["opts"]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(verify_mod, "integrate", spy)
-    own = fd_gradient(ocp, grid, 8, base=base)
-    assert len(seen) == 2 * grid.N * grid.m and set(seen) == {opts}
-    given = fd_gradient(ocp, grid, 8, opts=opts, base=base)
-    assert own.errors == {} and given.errors == {}
-    assert np.array_equal(own.entries, given.entries)
-    assert np.array_equal(own.flags, given.flags)
-    seen.clear()
-    with pytest.raises(ValueError, match="different options"):
-        fd_gradient(ocp, grid, 8, opts=IntegratorOptions(), base=base)
-    assert seen == []
+    rep = fd_gradient(ocp, grid, base)
+    assert len(seen) == 2 * grid.N * grid.m and set(seen) == {(4, opts)}
+    assert rep.errors == {}
 
 
 def test_fd_oracle_rejects_a_base_from_another_mesh(monkeypatch):
-    """A base at 8 steps per interval and a call at 4 raise ValueError
-    before any probe runs.  With N = 1 every probe is of u_0, which
-    integrates from t0 instead of resuming the base, so no later check
-    would notice: the report would hold the differences at 4 steps per
-    interval as if they were the base's.  A grid of another N raises
-    the same way."""
+    """A base of N = 1 and a grid of N = 2 raise ValueError before any
+    probe runs: the u_0 probes integrate from t0 instead of resuming the
+    base, so they would run before the first resume failed."""
     ocp, grid = get_problem("smooth-linear", {"N": 1})
     base = integrate(ocp, grid, 8)
     seen = []
     monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
     with pytest.raises(ValueError, match="different mesh"):
-        fd_gradient(ocp, grid, 4, base=base)
-    with pytest.raises(ValueError, match="different mesh"):
-        fd_gradient(ocp, grid.with_values(np.zeros((2, grid.m))), 8, base=base)
+        fd_gradient(ocp, grid.with_values(np.zeros((2, grid.m))), base)
     assert seen == []
 
 
@@ -242,7 +227,7 @@ def test_fd_oracle_rejects_a_base_on_another_time_span(monkeypatch, N):
     seen = []
     monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
     with pytest.raises(ValueError, match="different mesh"):
-        fd_gradient(ocp, wide, 8, base=base)
+        fd_gradient(ocp, wide, base)
     assert seen == []
 
 
@@ -269,6 +254,34 @@ def test_gradient_check_resumes_every_probe(monkeypatch):
     assert chk.fd.base_kinds == ("EnterSliding", "ExitToF1")
     assert calls == {"integrate": 1 + 2 * grid.N * grid.m, "step_ode": 111,
                      "step_sliding": 135}
+
+
+@pytest.mark.parametrize("name, pi", [("cross12", 0.735), ("cross21", 0.279)])
+def test_crossing_jump_with_a_nonzero_pi_end_to_end(name, pi):
+    """A crossing whose adjoint jump pi is far from zero, end to end: the
+    grid's Cross12 and Cross21 problems at 8 steps per interval, seeded
+    controls and w = x1 + 0.3 x0^2, whose gradient is not normal to the
+    surface.  The reduced gradient agrees with the FD oracle (measured
+    rel 1.6e-9 and 8.6e-10, no entry flagged) and the matrix backend
+    agrees with the transformed one."""
+    from test_tools import identity_grid
+    ocp = identity_grid()._transition_problems()[name]
+    values = np.random.default_rng(7).uniform(ocp.u_lo, ocp.u_hi, (10, 1))
+    grid = ControlGrid(ocp.t0, ocp.tf, values)
+    w = EndpointFunctional(lambda x: float(x[1] + 0.3 * x[0] ** 2),
+                           lambda x: np.array([0.6 * x[0], 1.0]), name="w")
+    chk = gradient_check(ocp, grid, 8, functional=w)
+    assert chk.fd.base_kinds == ({"cross12": "Cross12", "cross21": "Cross21"}[name],)
+    assert chk.fd.flagged == [] and chk.fd.errors == {}
+    assert chk.rel <= 1e-6
+    traj = integrate(ocp, grid, 8)
+    adj = run_adjoint(ocp, traj, grid, w)
+    ref = run_adjoint(ocp, traj, grid, w, backend="matrix")
+    (jump,) = adj.jumps
+    assert abs(jump["pi"]) > 0.1 and jump["pi"] == pytest.approx(pi, abs=1e-3)
+    assert abs(ref.jumps[0]["pi"] - jump["pi"]) <= 1e-12
+    assert np.max(np.abs(ref.grad - adj.grad)) <= 1e-12
+    assert np.array_equal(chk.grad, adj.grad)
 
 
 HS = [0.1, 0.05, 0.025]
@@ -369,6 +382,16 @@ def test_order_study_input_validation():
         order_study(ocp, grid, "state_endpoint", [0.1, 0.03])   # not nested
     with pytest.raises(ValidationError):
         order_study(ocp, grid, "state_endpoint", [0.07, 0.035])  # uneven fit
+
+
+@pytest.mark.parametrize("hs", [[np.inf, 0.1], [0.1, 0.0], [0.1, -0.05]])
+def test_order_study_refuses_a_step_that_is_not_finite_and_positive(hs):
+    """An h of inf gives 0 steps per interval and one of 0 divides by
+    zero; each is refused as a ValidationError on h before any run."""
+    ocp, grid = get_problem("smooth-linear")
+    with pytest.raises(ValidationError, match="finite number > 0") as exc:
+        order_study(ocp, grid, "gradient", hs)
+    assert exc.value.payload["field"] == "h"
 
 
 def test_order_study_refuses_transitions():

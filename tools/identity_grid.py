@@ -58,12 +58,13 @@ when that is not empty.  The cases: simulate, adjoint, gradient and
 check-gradient on the five built-ins, gradient of g2:0 on
 constrained-toy, optimize on constrained-toy (with --history-csv) and
 on slide-exit, verify-orders on smooth-linear for all five quantities,
-and tableau-check to stdout and to --out (41 outputs); plus five error
-paths: two domain errors and two output errors (an --out that is its
-own sidecar, an --out in a directory that does not exist), each exit 1,
-and one usage error (exit 2).  A case's directory reads {d} in its
-stderr; an exception that main lets through is recorded as the exit
-"raised <class>".  To compare two trees, run the script of this tree
+and tableau-check to stdout and to --out (41 outputs); plus eight error
+paths: two domain errors, two output errors (an --out that is its own
+sidecar, an --out in a directory that does not exist) and three
+non-finite inputs (a config file with a NaN, --eps inf, an h of inf),
+each exit 1, and one usage error (exit 2).  A case's directory reads {d}
+in its stderr and the config file's directory {t}; an exception that
+main lets through is recorded as the exit "raised <class>".  To compare two trees, run the script of this tree
 from each checkout's tools/ directory:
 
     python3 tools/identity_grid.py --cli > a.json
@@ -139,7 +140,7 @@ def _case(ocp, grid, spi: int, opts, arrays: dict) -> dict:
                 out[key + "nu1"] = put(key + "nu1", [adj.nu1])
                 out[key + "stage_lams"] = put(key + "stage_lams", adj.stage_lams)
         if grid.N == 10 and spi == 8:
-            fd = fd_gradient(ocp, grid, spi, base=traj)
+            fd = fd_gradient(ocp, grid, traj)
             out["fd/entries"] = put("fd/entries", [fd.entries])
             out["fd/flags"] = put("fd/flags", [fd.flags])
             errors = json.dumps(sorted([n, j, name] for (n, j), name in fd.errors.items()))
@@ -302,9 +303,14 @@ def compare(new_path: str, old_path: str) -> int:
     return 1 if bad or top[0] > REL_TOL else 0
 
 
+# the config file of error/nan-config: Python's json reads NaN as a float
+NAN_CONFIG = '{"problem": "p2-sliding", "x0": [NaN, -0.5]}'
+
+
 def _cli_cases():
     """(name, argv) of every CLI case; {d} stands for the case's own
-    directory."""
+    directory and {t} for the directory that holds NAN_CONFIG as
+    nan.json."""
     for name in problem_names():
         yield f"simulate/{name}", ["simulate", "--problem", name, "--out", "{d}/traj.csv"]
         yield f"adjoint/{name}", ["adjoint", "--problem", name, "--out", "{d}/adj.csv"]
@@ -330,6 +336,11 @@ def _cli_cases():
     yield "error/out-is-sidecar", ["simulate", "--problem", "p2-sliding", "--out", "{d}/traj.json"]
     yield "error/out-dir-missing", ["simulate", "--problem", "p2-sliding",
                                     "--out", "{d}/nodir/traj.csv"]
+    yield "error/nan-config", ["simulate", "--config", "{t}/nan.json", "--out", "{d}/traj.csv"]
+    yield "error/eps-inf", ["check-gradient", "--problem", "p2-sliding", "--eps", "inf",
+                            "--out", "{d}/check.json"]
+    yield "error/h-inf", ["verify-orders", "--problem", "smooth-linear", "--quantity",
+                          "gradient", "--h", "inf,0.1", "--out", "{d}/orders.json"]
 
 
 def cli_report() -> dict:
@@ -337,13 +348,15 @@ def cli_report() -> dict:
     from slidoc.cli import main as cli_main
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "nan.json").write_text(NAN_CONFIG)
         for i, (key, argv) in enumerate(_cli_cases()):
             d = Path(tmp) / str(i)
             d.mkdir()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    code = cli_main([a.replace("{d}", str(d)) for a in argv])
+                    code = cli_main([a.replace("{d}", str(d)).replace("{t}", tmp)
+                                     for a in argv])
                 except SystemExit as exc:
                     code = exc.code
                 except Exception as exc:    # an error main let through
@@ -354,7 +367,7 @@ def cli_report() -> dict:
             if out.getvalue():
                 entry["stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
             if err.getvalue():
-                entry["stderr"] = err.getvalue().replace(str(d), "{d}")
+                entry["stderr"] = err.getvalue().replace(str(d), "{d}").replace(tmp, "{t}")
             report[key] = entry
     return report
 
