@@ -7,7 +7,11 @@ full precision), so identical configs give byte-identical files.  Domain
 failures exit 1 with a one-line JSON error on stderr, and so does an
 output that cannot be written (OutputError, naming the path) or an
 --out that leaves its sidecar no other name (ValidationError on out,
-raised before anything runs); bad usage exits 2.
+raised before anything runs); bad usage exits 2.  The error line writes
+a non-finite payload value as its text ("nan", "inf", "-inf"); the
+canonical outputs refuse such values.  main runs with numpy's
+floating-point warnings off, so a run that overflows on its way to a
+domain error leaves that one line on stderr.
 
 There is one output path.  main parses the arguments, loads the config
 with the subcommand's flags as overrides, builds the problem (every
@@ -27,6 +31,7 @@ files live next to each CSV, same name with the suffix swapped.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -59,6 +64,15 @@ def _write(path: Optional[str], text: str):
             fh.write(text)
     except OSError as exc:
         raise OutputError(f"{path}: cannot write: {exc.strerror or exc}", path=path) from exc
+
+
+def _error_line(exc: SlidocError) -> str:
+    """The stderr line of a domain error: its dict as canonical JSON, a
+    non-finite float in the payload (a NewtonDivergence residual of nan)
+    written as its text."""
+    d = {key: str(float(v)) if isinstance(v, (float, np.floating)) and not math.isfinite(v)
+         else v for key, v in exc.to_dict().items()}
+    return canonical_json(d) + "\n"
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -246,6 +260,7 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -275,7 +290,7 @@ def main(argv=None) -> int:
             if csv is not None:
                 _write(args.history_csv, csv)
     except SlidocError as exc:
-        sys.stderr.write(canonical_json(exc.to_dict()) + "\n")
+        sys.stderr.write(_error_line(exc))
         return 1
     return 0
 

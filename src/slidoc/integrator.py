@@ -59,32 +59,34 @@ and np.linalg.solve factors it, as the sweep's matrix oracle does
 inside its dense F_{X+}.  The two solves agree to rounding, not bit for
 bit.
 
-A backward sweep also reuses factors across its steps, as RADAU5 keeps
-its one factorization while h and J do not change (Hairer & Wanner,
-IV.8): run_adjoints hands every step's solve one StageStore, which holds
-the blocks the sweep factored last.  A step whose h, J and g_x move them
-by at most c eps max|B|, the rule _shared applies across stages, forms
-no blocks and applies their inverse, which np.linalg.inv computes on
-the first reuse (numpy keeps no LU factors).
+Both passes also reuse factors across their steps, as RADAU5 keeps its
+one factorization while h and J do not change (Hairer & Wanner, IV.8):
+integrate and run_adjoints each make one StageStore per call, which
+every eigenbasis solve of the pass consults (forward: every Newton
+solve of step_ode and step_sliding, event-location trials included).
+It holds the blocks the pass factored last.  A solve whose h, J and g_x
+move them by at most c eps max|B|, the rule _shared applies across
+stages, forms no blocks and applies their inverse, which np.linalg.inv
+computes on the first reuse (numpy keeps no LU factors).
 An inverse applied to a matrix within c eps of its own errs by about
 ||B||_1 ||B^-1||_1 (c + 1) eps relative, so blocks whose condition
 exceeds COND_BOUND are never inverted and steps that match them solve
 their own blocks.  On chain-n a sweep of 81 steps factors four sets of
-blocks and inverts two.  The forward pass keeps no store: integrate(...,
-base, start=n) must equal a full run bit for bit, so a store would have
-to be emptied at every control interval, and one emptied so saved
-nothing at n = 64 (its inversions cost what its reuse saved).  The
-stage sums of the sliding residual, of x_plus and of the
-control Jacobian add their terms over j in order (stage_sums): A @ V or
-einsum may round differently, which would change results in the last
+blocks and inverts two, and at n = 16 or 64 the forward pass factors 13
+(10 of them event-location trials, each with an h of its own) and
+inverts two.  The stage sums of the sliding residual, of x_plus and of
+the control Jacobian add their terms over j in order (stage_sums): A @ V
+or einsum may round differently, which would change results in the last
 bit.
 
 A run is resumable at any control breakpoint.  The interval loop records
 what it holds when interval n begins (IntervalStart: t, x, mode, the
-number of committed transitions and z at node breakpoint_nodes[n]);
-integrate(..., base=traj, start=n) copies traj's committed data up to
-that node and runs intervals n..N-1 with the new controls, so it equals
-a full run bit for bit when the controls before interval n are traj's.
+number of committed transitions, z at node breakpoint_nodes[n] and a
+shallow copy of the stage store); integrate(..., base=traj, start=n)
+copies traj's committed data up to that node, starts from a copy of
+that store and runs intervals n..N-1 with the new controls, so it
+equals a full run bit for bit, reuse included, when the controls before
+interval n are traj's.
 The trajectory keeps the IntegratorOptions it was integrated with
 (Trajectory.opts): a resumed run must use the same ones, and the
 backward sweep reads its tolerances from there.
@@ -95,6 +97,7 @@ the surface.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -115,8 +118,8 @@ MAX_TRANSITIONS_PER_INTERVAL = 100
 # rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
 # eigenbasis solve then errs by no more than the dense LU's rounding
 STAGE_SPREAD_ULPS = 4
-# A backward sweep keeps the eigenbasis blocks it factored last
-# (StageStore) and reuses them as an explicit inverse only while
+# Each pass keeps the eigenbasis blocks it factored last (StageStore)
+# and reuses them as an explicit inverse only while
 # ||B||_1 ||B^-1||_1 <= COND_BOUND: an inverse applied to the blocks of a
 # step that moved them by c eps max|B| errs by about COND_BOUND (c + 1)
 # eps relative, 1.1e-11 at the bound
@@ -163,13 +166,15 @@ class TransitionRecord:
 @dataclass(frozen=True)
 class IntervalStart:
     """The interval loop's state when control interval n begins: time,
-    state, mode, how many transitions are committed, and z at node
-    breakpoint_nodes[n] before interval n changes it."""
+    state, mode, how many transitions are committed, z at node
+    breakpoint_nodes[n] before interval n changes it, and a copy of the
+    run's StageStore, the blocks the forward pass factored last."""
     t: float
     x: np.ndarray
     mode: Mode
     transitions: int
     z: float
+    store: StageStore
 
 
 @dataclass
@@ -297,15 +302,22 @@ def _eigen_blocks(h: float, J: np.ndarray, gx: Optional[np.ndarray],
 _EIG_MAX = float(np.abs(RADAU_IIA_EIGVALS).max())
 
 
+@dataclass(eq=False)
 class StageStore:
-    """One slot for the eigenbasis blocks a backward sweep factored last:
-    the h, J, gx and transpose they came from (not the blocks), the match
-    tolerance c eps max|B| (c = STAGE_SPREAD_ULPS) and, once reused, their
-    inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND).  Each
-    run_adjoints call makes its own, so nothing carries over."""
-
-    def __init__(self):
-        self.J = None
+    """One slot for the eigenbasis blocks a pass factored last: the h, J,
+    gx and transpose they came from (the fields, not the blocks), the
+    match tolerance c eps max|B| (c = STAGE_SPREAD_ULPS) and, once reused,
+    their inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND).
+    Each integrate and each run_adjoints call makes its own, so nothing
+    carries over from another run.  hold replaces the slot with copies of
+    J and gx and never writes into an array it holds, so a shallow copy
+    (copy.copy, as IntervalStart records) shares the held bytes, and the
+    inverse of a copy equals the original's either way: it is computed
+    from the same bytes."""
+    h: Optional[float] = None
+    J: Optional[np.ndarray] = None
+    gx: Optional[np.ndarray] = None
+    transpose: bool = False
 
     def hold(self, h, J, gx, transpose, blocks):
         """Replace the slot with the blocks of (h, J, gx) just factored."""
@@ -362,7 +374,8 @@ def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
     index gets the bytes its own solve would give; the pair's other
     block is the conjugate.
 
-    With a store (a backward sweep's StageStore) the solve first asks
+    With a store (the StageStore of an integrate or run_adjoints call,
+    one per pass) the solve first asks
     whether h, J and gx move the blocks it holds by at most
     STAGE_SPREAD_ULPS eps max|B| (StageStore.matches), the rule _shared
     applies across stages.  On a match it forms no blocks and applies
@@ -449,7 +462,7 @@ def sliding_jacobians(ocp: HybridOCP, vals: list, X: np.ndarray, Z: np.ndarray,
 
 
 def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
-             h: float, opts: IntegratorOptions):
+             h: float, opts: IntegratorOptions, store: Optional[StageStore] = None):
     """One implicit Runge-Kutta step of x' = f(x, u) with f the field of
     the off-surface mode (ocp.field: f1 below, f2 above).  Returns
     (stages, x_plus) with stages of shape (s, n).
@@ -457,7 +470,8 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
     The first iterate has every stage at x, so f and f_x are evaluated
     there once and its solve is the eigenbasis one; later iterates
     evaluate them at each stage and factor the dense stage matrix unless
-    the stage Jacobians agree to rounding (solve_stages).
+    the stage Jacobians agree to rounding (solve_stages).  store is the
+    run's StageStore, which every eigenbasis solve consults.
     """
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
@@ -474,7 +488,8 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
         if it == MAX_NEWTON_ITERS:
             break
         try:
-            delta = solve_stages(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res)
+            delta = solve_stages(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res,
+                                 store=store)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
         Y = Y + delta
@@ -485,7 +500,7 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
 
 
 def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
-                 opts: IntegratorOptions):
+                 opts: IntegratorOptions, store: Optional[StageStore] = None):
     """One stiffly-accurate step of the sliding index-2 system.
 
     Unknowns are the stage states and stage multipliers, interleaved as
@@ -500,7 +515,8 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     g_xx is formed only when the iteration goes on to a solve, and the
     control part never.  The first iterate puts every stage at x with
     z = 0, so it evaluates each of these once, at x, and repeats the
-    value for the s stages; its solve is the eigenbasis one.
+    value for the s stages; its solve is the eigenbasis one.  store is the
+    run's StageStore, as in step_ode.
     """
     n = ocp.n
     s = RADAU_IIA.s
@@ -522,7 +538,8 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         if it == MAX_NEWTON_ITERS:
             break
         try:
-            delta = solve_stages(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res)
+            delta = solve_stages(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res,
+                                 store=store)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
         X = X + delta[:, :n]
@@ -625,11 +642,13 @@ class _Builder:
         self.starts = []
         self.spi = spi
         self.opts = opts
+        self.store = StageStore()
 
     @classmethod
     def resumed(cls, base: Trajectory, n: int):
         """Base's committed data up to node breakpoint_nodes[n], that
-        node holding the values it had when interval n began."""
+        node holding the values it had when interval n began, and a copy
+        of the stage store base held then."""
         state = base.starts[n]
         k = int(base.breakpoint_nodes[n])
         bld = cls(base.times[0], base.x[0], base.spi, base.opts)
@@ -644,12 +663,13 @@ class _Builder:
         bld.transitions = base.transitions[:state.transitions]
         bld.breakpoint_nodes = base.breakpoint_nodes[:n + 1].tolist()
         bld.starts = base.starts[:n]
+        bld.store = copy.copy(state.store)
         return bld
 
     def begin_interval(self, t, x, mode):
         self.starts.append(IntervalStart(t=t, x=x, mode=mode,
                                          transitions=len(self.transitions),
-                                         z=self.z_node[-1]))
+                                         z=self.z_node[-1], store=copy.copy(self.store)))
 
     def commit(self, t_new, x_new, h, mode, nctrl, stages, zstages, z_new):
         self.times.append(float(t_new))
@@ -690,16 +710,13 @@ class _Builder:
             opts=self.opts)
 
 
-def check_base(base: Trajectory, grid: ControlGrid, steps_per_interval: int,
-               opts: IntegratorOptions):
-    """Raise ValueError unless base was integrated on grid's mesh (steps
-    per interval, N and every breakpoint t_0..t_N) with opts."""
-    if (base.spi != steps_per_interval or len(base.starts) != grid.N
+def check_mesh(base: Trajectory, grid: ControlGrid):
+    """Raise ValueError unless base was integrated on grid's control mesh:
+    N and every breakpoint t_0..t_N."""
+    if (len(base.starts) != grid.N
             or not np.array_equal([st.t for st in base.starts] + [base.times[-1]],
                                   grid.breakpoints())):
         raise ValueError("base trajectory has a different mesh")
-    if base.opts != opts:
-        raise ValueError("base trajectory was integrated with different options")
 
 
 def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
@@ -734,7 +751,11 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         if base is None or not 0 < start < N:
             raise ValueError(f"resuming at interval {start} needs a base trajectory "
                              f"and 0 < start < N = {N}")
-        check_base(base, grid, spi, opts)
+        if base.spi != spi:
+            raise ValueError("base trajectory has a different mesh")
+        check_mesh(base, grid)
+        if base.opts != opts:
+            raise ValueError("base trajectory was integrated with different options")
         state = base.starts[start]
         bld = _Builder.resumed(base, start)
         t, x, mode = state.t, state.x, state.mode
@@ -771,10 +792,11 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 
 def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
     """Try a full step in an off-surface mode; shrink to a located event
-    when the endpoint (or an internal stage) lands beyond the surface."""
+    when the endpoint (or an internal stage) lands beyond the surface.
+    Every trial solves with the run's stage store (bld.store)."""
     sgn = -1.0 if mode is Mode.BELOW else 1.0   # interior sign of g
 
-    stages, x_try = step_ode(ocp, mode, x, u, h, opts)
+    stages, x_try = step_ode(ocp, mode, x, u, h, opts, bld.store)
     g_end = ocp.g(x_try)
     e_end = sgn * g_end   # positive while we stay in our region
 
@@ -783,7 +805,7 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
     stage_dip = min([sgn * ocp.g(stages[i]) for i in range(RADAU_IIA.s - 1)] + [e_end])
     if stage_dip < -opts.surface_tol:
         def eval_at(tau):
-            st, xp = step_ode(ocp, mode, x, u, tau, opts)
+            st, xp = step_ode(ocp, mode, x, u, tau, opts, bld.store)
             return (st, xp), sgn * ocp.g(xp)
 
         far = (h, (stages, x_try), e_end)
@@ -827,8 +849,8 @@ def _process_surface_point(ocp, bld, t, x, u, mode, opts):
 
 def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     """Try a full sliding step; shrink to the blend-weight boundary when
-    the weight leaves [0, 1]."""
-    Xs, Zs, x_try, z_try, a_end = step_sliding(ocp, x, u, h, opts)
+    the weight leaves [0, 1].  Every trial solves with bld.store."""
+    Xs, Zs, x_try, z_try, a_end = step_sliding(ocp, x, u, h, opts, bld.store)
 
     if 0.0 < a_end < 1.0:
         bld.commit(t + h, x_try, h, Mode.SLIDING, nctrl, Xs, Zs, z_try)
@@ -839,7 +861,7 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
     orient = 1.0 if boundary == 0 else -1.0    # oriented distance into (0, 1)
 
     def eval_at(tau):
-        data = step_sliding(ocp, x, u, tau, opts)
+        data = step_sliding(ocp, x, u, tau, opts, bld.store)
         return data, orient * (data[4] - boundary)
 
     far = (h, (Xs, Zs, x_try, z_try, a_end), orient * (a_end - boundary))

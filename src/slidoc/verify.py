@@ -32,7 +32,7 @@ import numpy as np
 from .adjoint import run_adjoint
 from .errors import ReferenceUnconverged, SlidocError, ValidationError
 from .gradient import reduced_gradient
-from .integrator import IntegratorOptions, Trajectory, check_base, integrate
+from .integrator import IntegratorOptions, Trajectory, check_mesh, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 from .tableau import RADAU_IIA
 
@@ -89,7 +89,7 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, base: Trajectory,
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
-    check_base(base, grid, base.spi, base.opts)
+    check_mesh(base, grid)
     base_structure = _structure(base)
 
     N, m = grid.N, grid.m

@@ -352,6 +352,27 @@ def test_non_finite_config_literal_is_a_parse_error(tmp_path, capsys, body):
     assert sorted(tmp_path.iterdir()) == [cfgp]
 
 
+@pytest.mark.parametrize("problem", ["smooth-linear", "constrained-toy"])
+def test_domain_error_with_a_nan_payload_is_one_json_line(tmp_path, problem):
+    """x0 = (1e308, 1e308) is finite, but the first step overflows and
+    its Newton iteration stalls with residual nan.  The NewtonDivergence
+    exits 1 with one JSON line on stderr (numpy's overflow warnings
+    included), its residual written as the text "nan" that canonical
+    JSON has no number for, and writes nothing."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"problem": problem, "x0": [1e308, 1e308]}))
+    out = tmp_path / "t.csv"
+    done = subprocess.run([sys.executable, "-m", "slidoc", "simulate", "--config", str(cfgp),
+                           "--out", str(out)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(slidoc.__file__).resolve().parents[1])})
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    doc = json.loads(done.stderr)
+    assert doc["error"] == "NewtonDivergence" and doc["residual"] == "nan"
+    assert sorted(tmp_path.iterdir()) == [cfgp]
+
+
 @pytest.mark.parametrize("argv, field", [
     (["check-gradient", "--problem", "p2-sliding", "--eps", "inf"], "eps"),
     (["check-gradient", "--problem", "p2-sliding", "--eps", "nan"], "eps"),

@@ -433,7 +433,9 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     which is linear, so each converges after its first solve; f2_x and
     g_xx count sliding work only and f1_x counts the Jacobians of solves
     of either kind.  Evaluating every stage of the first iterate, as the
-    step once did, takes 159 f1_x and 81 f2_x and g_xx calls here."""
+    step once did, takes 159 f1_x and 81 f2_x and g_xx calls here.
+    Solves are counted as solve_stages calls, each of which follows its
+    Jacobian evaluations whether it factors or reuses the stage store."""
     calls = {"f1_x": 0, "f2_x": 0, "g_xx": 0, "f1_u": 0, "f2_u": 0}
     solves = {"ode": 0, "sliding": 0}
 
@@ -445,17 +447,13 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
 
     ocp, grid = _circle_slide()
     ocp = dataclasses.replace(ocp, **{name: counted(name, getattr(ocp, name)) for name in calls})
-    s, n = RADAU_IIA.s, ocp.n
-    solve = np.linalg.solve
+    s = RADAU_IIA.s
 
-    def counted_solve(M, rhs):
-        # the system dimension d: a dense stage matrix is (s d, s d), an
-        # eigenbasis batch (2, d, d)
-        d = M.shape[-1] if M.ndim == 3 else M.shape[-1] // s
-        solves["sliding" if d == n + 1 else "ode"] += 1
-        return solve(M, rhs)
+    def counted_solve(h, Js, gxs, *args, **kw):
+        solves["ode" if gxs is None else "sliding"] += 1
+        return solve_stages(h, Js, gxs, *args, **kw)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(integrator_mod, "solve_stages", counted_solve)
     steps = _count_steps(monkeypatch)
     traj = integrate(ocp, grid, 4)
     assert traj.transition_kinds() == ["EnterSliding"]
@@ -466,6 +464,54 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     assert calls == {"f1_x": jacobians["ode"] + jacobians["sliding"],
                      "f2_x": jacobians["sliding"], "g_xx": jacobians["sliding"],
                      "f1_u": 0, "f2_u": 0}
+
+
+def _count_factorizations(monkeypatch):
+    """Count the LU solves and inversions numpy makes, and the LU solves
+    made inside locate_event."""
+    counts = {"lu": 0, "inv": 0, "event lu": 0}
+    in_event = [False]
+    solve, inv, locate = np.linalg.solve, np.linalg.inv, integrator_mod.locate_event
+
+    def counted_solve(*args):
+        counts["lu"] += 1
+        counts["event lu"] += in_event[0]
+        return solve(*args)
+
+    def counted_inv(*args):
+        counts["inv"] += 1
+        return inv(*args)
+
+    def counted_locate(*args):
+        in_event[0] = True
+        try:
+            return locate(*args)
+        finally:
+            in_event[0] = False
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(integrator_mod, "locate_event", counted_locate)
+    return counts
+
+
+def test_forward_pass_reuses_its_stage_factors(monkeypatch):
+    """chain-16, seed 1 (N = 10, 8 steps per interval): the forward pass
+    solves 91 stage systems, all eigenbasis, and keeps the blocks it
+    factored last.  It factors 13 block pairs, 10 of them for the trial
+    steps of event location (each trial has its own h), and inverts 2.
+    A run resumed at interval 5, with base's controls or with u_5 + 1e-6,
+    starts from the store base held there and factors nothing."""
+    ocp, grid = _chain_problem()(16, np.random.default_rng(1))
+    counts = _count_factorizations(monkeypatch)
+    base = integrate(ocp, grid, 8)
+    assert counts == {"lu": 13, "inv": 2, "event lu": 10}
+    for d in [0.0, 1e-6]:
+        values = grid.values.copy()
+        values[5] += d
+        counts.update(dict.fromkeys(counts, 0))
+        integrate(ocp, grid.with_values(values), 8, base=base, start=5)
+        assert counts == {"lu": 0, "inv": 0, "event lu": 0}, d
 
 
 def test_ode_newton_evaluates_the_start_iterate_once(monkeypatch):

@@ -24,8 +24,9 @@ def identity_grid():
 def test_chain_scaling_counts_solves_and_factorizations():
     """tools/chain_scaling.py at n = 4, one timed call: chain-4 (seed 1,
     8 steps per interval) takes 81 steps, 57 of them sliding.  Forward,
-    95 Newton solves, all eigenbasis, each one LU; backward, 81
-    eigenbasis solves that factor 4 block pairs and invert 2."""
+    95 Newton solves, all eigenbasis, that factor 17 block pairs (14 of
+    them inside locate_event) and invert 2; backward, 81 eigenbasis
+    solves that factor 4 block pairs and invert 2."""
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "chain_scaling.py"),
                            "--n", "4", "--k", "1"],
                           capture_output=True, text=True, timeout=120, check=True)
@@ -34,7 +35,7 @@ def test_chain_scaling_counts_solves_and_factorizations():
     cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
     n, steps, ms, faults, *counts = cells
     assert steps == "81 (57)" and float(ms) > 0.0 and float(faults) >= 0.0
-    assert counts == ["95", "0", "95 + 0", "81", "0", "4 + 2"]
+    assert counts == ["95", "0", "17 + 2", "14", "81", "0", "4 + 2"]
 
 
 def test_identity_grid_names_and_hashes_its_cases():

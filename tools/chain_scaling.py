@@ -16,8 +16,11 @@ prints one markdown table row per n:
   backward (run_adjoints), counted in a separate untimed call;
 - the factorizations of that call, per pass, as LU + inversions: the
   np.linalg.solve calls (one per eigenbasis batch or dense matrix that
-  is factored) and the np.linalg.inv calls (stored eigenbasis blocks
-  the backward sweep inverts for reuse).
+  is factored) and the np.linalg.inv calls (the eigenbasis blocks a
+  pass keeps in its stage store and inverts for reuse);
+- how many of the forward LU fall inside integrator.locate_event, the
+  trial steps of event location (each trial's h is new, so its blocks
+  match nothing the store holds).
 
 slidoc is imported from this checkout's src/.  To compare two trees, run
 the script of this tree from each checkout's tools/ directory:
@@ -57,19 +60,32 @@ def call(ocp, grid):
 
 def solve_counts(ocp, grid) -> dict:
     """Eigenbasis and dense stage solves, LU solves and inversions of
-    one call, per pass."""
+    one call, per pass, and under the key ("forward", "event lu") the
+    forward LU solves made inside locate_event."""
     counts = {}
     phase = ["forward"]
     spied = {(integrator_mod, "eigen_stage_solve"): "eigen",
              (integrator_mod, "stage_matrix"): "dense",
+             (integrator_mod, "locate_event"): "event",
              (np.linalg, "solve"): "lu", (np.linalg, "inv"): "inv"}
     saved = {place: getattr(*place) for place in spied}
+    in_event = [False]
+
+    def count(key):
+        counts[key] = counts.get(key, 0) + 1
 
     def counted(kind, fn):
         def wrapper(*args, **kw):
-            key = (phase[0], kind)
-            counts[key] = counts.get(key, 0) + 1
-            return fn(*args, **kw)
+            count((phase[0], kind))
+            if kind == "lu" and in_event[0]:
+                count((phase[0], "event lu"))
+            if kind != "event":
+                return fn(*args, **kw)
+            in_event[0] = True
+            try:
+                return fn(*args, **kw)
+            finally:
+                in_event[0] = False
         return wrapper
 
     for place, kind in spied.items():
@@ -100,6 +116,8 @@ def row(n: int, k: int) -> str:
     for p in ("forward", "backward"):
         cells += [counts.get((p, "eigen"), 0), counts.get((p, "dense"), 0),
                   f"{counts.get((p, 'lu'), 0)} + {counts.get((p, 'inv'), 0)}"]
+        if p == "forward":
+            cells.append(counts.get((p, "event lu"), 0))
     return "| " + " | ".join(map(str, cells)) + " |"
 
 
@@ -112,8 +130,8 @@ def main() -> int:
     print(f"chain-n, seed {SEED}, N = {N}, {SPI} steps per interval, "
           f"min of {args.k} calls of integrate + run_adjoints")
     print("| n | steps (sliding) | ms | faults/call | fwd eigen | fwd dense "
-          "| fwd LU + inv | bwd eigen | bwd dense | bwd LU + inv |")
-    print("|---|---|---|---|---|---|---|---|---|---|")
+          "| fwd LU + inv | fwd LU in event | bwd eigen | bwd dense | bwd LU + inv |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for n in args.n:
         print(row(n, args.k), flush=True)
     return 0
