@@ -22,10 +22,10 @@ and the document in the sidecar; the others put the document at --out
 (stdout when --out is absent), then optimize's history CSV at
 --history-csv.
 
-CSV files carry plus-side values at every mesh node: at a transition
-node the row shows the state after the jump, z after leaving the
-surface is 0, and alpha is empty off the sliding mode.  Sidecar JSON
-files live next to each CSV, same name with the suffix swapped.
+CSV files carry one row per mesh node: no transition moves the state,
+so a transition node has one state, its z is 0, and alpha is empty off
+the sliding mode.  Sidecar JSON files live next to each CSV, same name
+with the suffix swapped.
 """
 
 from __future__ import annotations

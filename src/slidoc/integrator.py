@@ -12,8 +12,10 @@ the same base node with the new mode.
 Every surface test (entry_test, exit_test, exit_mode) returns the mode
 the trajectory goes to, and _Builder.transition takes every verdict: it
 records nothing when that is the current mode (a graze), else the kind
-_KIND gives for (mode, next mode), the node's plus-side state and z = 0,
-counted against MAX_TRANSITIONS_PER_INTERVAL.
+_KIND gives for (mode, next mode) at the last committed node, counted
+against MAX_TRANSITIONS_PER_INTERVAL.  It reads t and x from that node
+and never writes it: no state jumps at a transition, so every node is
+written once, when it is committed.
 
 Every step uses the one table tableau.RADAU_IIA.  Off the surface the
 state advances with step_ode (stage equations of the 3-stage Radau IIA
@@ -65,9 +67,10 @@ integrate and run_adjoints each make one StageStore per call, which
 every eigenbasis solve of the pass consults (forward: every Newton
 solve of step_ode and step_sliding, event-location trials included).
 It holds the blocks the pass factored last.  A solve whose h, J and g_x
-move them by at most c eps max|B|, the rule _shared applies across
-stages, forms no blocks and applies their inverse, which np.linalg.inv
-computes on the first reuse (numpy keeps no LU factors).
+move them by at most c eps max|B| forms no blocks and applies their
+inverse, which np.linalg.inv computes on the first reuse (numpy keeps
+no LU factors).  The bound is relative to the blocks, which hold the
+identity, not to J as _shared's is.
 An inverse applied to a matrix within c eps of its own errs by about
 ||B||_1 ||B^-1||_1 (c + 1) eps relative, so blocks whose condition
 exceeds COND_BOUND are never inverted and steps that match them solve
@@ -80,19 +83,16 @@ or einsum may round differently, which would change results in the last
 bit.
 
 A run is resumable at any control breakpoint.  The interval loop records
-what it holds when interval n begins (IntervalStart: t, x, mode, the
-number of committed transitions, z at node breakpoint_nodes[n] and a
-shallow copy of the stage store); integrate(..., base=traj, start=n)
-copies traj's committed data up to that node, starts from a copy of
-that store and runs intervals n..N-1 with the new controls, so it
-equals a full run bit for bit, reuse included, when the controls before
-interval n are traj's.
+what it holds when interval n begins (IntervalStart: the mode, the
+number of committed transitions and a shallow copy of the stage store);
+integrate(..., base=traj, start=n) copies traj's committed data through
+node breakpoint_nodes[n], restarts from that node with the recorded mode
+and a copy of that store and runs intervals n..N-1 with the new
+controls, so it equals a full run bit for bit, reuse included, when the
+controls before interval n are traj's.
 The trajectory keeps the IntegratorOptions it was integrated with
 (Trajectory.opts): a resumed run must use the same ones, and the
 backward sweep reads its tolerances from there.
-The node's stored values are not always the restart state: interval n
-may exit sliding on the breakpoint (z set to 0) or project the node onto
-the surface.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
-                     SingularIteration, check_fields)
+                     SingularIteration, ValidationError, check_fields)
 from .model import (ControlGrid, HybridOCP, Mode, TransitionKind, alpha,
                     entry_test, exit_mode, exit_test, filippov_state_jacobian,
                     filippov_values, normal_speeds)
@@ -133,12 +133,13 @@ _RULES = [(key, *POSITIVE) for key in ("newton_tol", "event_tol", "surface_tol",
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """An entry node with |g| > surface_tol is projected onto the surface.
-    A located event has |g| <= event_tol, so that needs event_tol >
-    surface_tol and never happens at the defaults.  Normal speeds within
-    eps_tan of zero cannot be classified, and alpha needs |w1 - w2| >
-    eps_den max(1, |w1| + |w2|).  Every tolerance must be a finite number
-    > 0; anything else raises ValidationError naming the field."""
+    """A located event has |e| <= event_tol and a node on the surface has
+    |g| <= surface_tol, so event_tol must not exceed surface_tol: an
+    event would otherwise land off the surface it was located on.
+    Normal speeds within eps_tan of zero cannot be classified, and alpha
+    needs |w1 - w2| > eps_den max(1, |w1| + |w2|).  Every tolerance must
+    be a finite number > 0; anything else, or event_tol > surface_tol,
+    raises ValidationError naming the field."""
     newton_tol: float = 1e-12
     event_tol: float = 1e-10
     surface_tol: float = 1e-9
@@ -147,33 +148,35 @@ class IntegratorOptions:
 
     def __post_init__(self):
         check_fields(self, _RULES)
+        if self.event_tol > self.surface_tol:
+            raise ValidationError(f"event_tol: must be <= surface_tol = {self.surface_tol!r}, "
+                                  f"got {self.event_tol!r}", field="event_tol")
 
 
 @dataclass(frozen=True)
 class TransitionRecord:
+    """A transition of the given kind at node k, time t: x is that node's
+    state, which is the state on both sides (no state jumps), so to_dict
+    writes it as both x_minus and x_plus."""
     kind: TransitionKind
     t: float
     k: int                 # node index in the committed mesh
-    x_minus: np.ndarray
-    x_plus: np.ndarray
+    x: np.ndarray
 
     def to_dict(self) -> dict:
+        x = list(map(float, self.x))
         return {"kind": self.kind.value, "t_t": self.t, "k": self.k,
-                "x_minus": list(map(float, self.x_minus)),
-                "x_plus": list(map(float, self.x_plus))}
+                "x_minus": x, "x_plus": x}
 
 
 @dataclass(frozen=True)
 class IntervalStart:
-    """The interval loop's state when control interval n begins: time,
-    state, mode, how many transitions are committed, z at node
-    breakpoint_nodes[n] before interval n changes it, and a copy of the
-    run's StageStore, the blocks the forward pass factored last."""
-    t: float
-    x: np.ndarray
+    """The interval loop's state when control interval n begins, besides
+    the time and state of node breakpoint_nodes[n]: the mode, how many
+    transitions are committed, and a copy of the run's StageStore, the
+    blocks the forward pass factored last."""
     mode: Mode
     transitions: int
-    z: float
     store: StageStore
 
 
@@ -181,13 +184,16 @@ class IntervalStart:
 class Trajectory:
     """Committed mesh with endpoint states, stage data and transitions.
 
-    Arrays are indexed by node k = 0..K (states) and step k = 0..K-1
-    (everything else).  stages_z[k] is None on non-sliding steps.  mode[k]
-    is the mode of step k (off the surface it names the field,
-    ocp.field(mode[k])), ctrl[k] is the control interval the step
-    belongs to, breakpoint_nodes[n] is the node index of t_n and
-    starts[n] is the state integration resumes from at interval n.  opts
-    are the options the run was integrated with.
+    Arrays are indexed by node k = 0..K (states and z_node) and step
+    k = 0..K-1 (everything else).  stages_z[k] is None on non-sliding
+    steps.  z_node[k] is the last stage multiplier of the sliding step
+    that ends at node k, and 0 after an off-surface step, at node 0 and
+    at every transition node.  mode[k] is the mode of step k (off the
+    surface it names the field, ocp.field(mode[k])), ctrl[k] is the
+    control interval the step belongs to, breakpoint_nodes[n] is the
+    node index of t_n and starts[n] is what integration resumes from at
+    interval n (IntervalStart).  opts are the options the run was
+    integrated with.
     """
 
     times: np.ndarray
@@ -375,10 +381,9 @@ def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
     block is the conjugate.
 
     With a store (the StageStore of an integrate or run_adjoints call,
-    one per pass) the solve first asks
-    whether h, J and gx move the blocks it holds by at most
-    STAGE_SPREAD_ULPS eps max|B| (StageStore.matches), the rule _shared
-    applies across stages.  On a match it forms no blocks and applies
+    one per pass) the solve first asks whether h, J and gx move the
+    blocks it holds by at most STAGE_SPREAD_ULPS eps max|B|
+    (StageStore.matches).  On a match it forms no blocks and applies
     their inverse (computed on the first reuse) as a matrix-vector
     product per leading index; blocks whose ||B||_1 ||B^-1||_1 exceeds
     COND_BOUND are not inverted, and a match on them solves as without a
@@ -505,10 +510,10 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
 
     Unknowns are the stage states and stage multipliers, interleaved as
     (x_1, z_1, ..., x_s, z_s).  Returns (stages_x, stages_z, x_plus,
-    z_plus, a_plus); z_plus is the last stage multiplier and a_plus the
-    blend weight alpha the converged iteration evaluated at the last
-    stage, which is x_plus up to rounding (the table is stiffly
-    accurate).
+    a_plus); a_plus is the blend weight alpha the converged iteration
+    evaluated at the last stage, which is x_plus up to rounding (the
+    table is stiffly accurate).  The endpoint's multiplier is the last
+    stage's, stages_z[-1].
 
     Every iteration evaluates the Filippov values and g at the s stages,
     which is all its residual and x_plus read; the state part fF_x + z
@@ -534,7 +539,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         res[:, n] = [ocp.g(X[i]) for i in range(m)]
         if np.abs(res).max() <= opts.newton_tol:
             x_plus = x + h * stage_sums(b[None], V)[0]
-            return X, Z, x_plus, float(Z[s - 1]), vals[-1].a
+            return X, Z, x_plus, vals[-1].a
         if it == MAX_NEWTON_ITERS:
             break
         try:
@@ -611,11 +616,6 @@ def _initial_mode(ocp: HybridOCP, x0: np.ndarray, u: np.ndarray,
     return entry_test(ocp, x0, u, eps_tan=opts.eps_tan)
 
 
-def _project_to_surface(ocp: HybridOCP, x: np.ndarray) -> np.ndarray:
-    gx = ocp.g_x(x)
-    return x - gx * (ocp.g(x) / float(gx @ gx))
-
-
 # the kind of the transition from one mode to the next
 _KIND = {(Mode.BELOW, Mode.ABOVE): TransitionKind.CROSS_12,
          (Mode.ABOVE, Mode.BELOW): TransitionKind.CROSS_21,
@@ -633,10 +633,8 @@ class _Builder:
         self.xs = [np.array(x0, dtype=float)]
         self.hs = []
         self.modes = []
-        self.ctrl = []
         self.stages_x = []
         self.stages_z = []
-        self.z_node = [0.0]
         self.transitions = []
         self.breakpoint_nodes = [0]
         self.starts = []
@@ -646,53 +644,45 @@ class _Builder:
 
     @classmethod
     def resumed(cls, base: Trajectory, n: int):
-        """Base's committed data up to node breakpoint_nodes[n], that
-        node holding the values it had when interval n began, and a copy
-        of the stage store base held then."""
+        """Base's committed data through node breakpoint_nodes[n], the
+        transitions committed before interval n began and a copy of the
+        stage store base held then."""
         state = base.starts[n]
         k = int(base.breakpoint_nodes[n])
         bld = cls(base.times[0], base.x[0], base.spi, base.opts)
-        bld.times = base.times[:k].tolist() + [state.t]
-        bld.xs = list(base.x[:k]) + [state.x]
+        bld.times = base.times[:k + 1].tolist()
+        bld.xs = list(base.x[:k + 1])
         bld.hs = base.h[:k].tolist()
         bld.modes = base.mode[:k]
-        bld.ctrl = base.ctrl[:k].tolist()
         bld.stages_x = base.stages_x[:k]
         bld.stages_z = base.stages_z[:k]
-        bld.z_node = base.z_node[:k].tolist() + [state.z]
         bld.transitions = base.transitions[:state.transitions]
         bld.breakpoint_nodes = base.breakpoint_nodes[:n + 1].tolist()
         bld.starts = base.starts[:n]
         bld.store = copy.copy(state.store)
         return bld
 
-    def begin_interval(self, t, x, mode):
-        self.starts.append(IntervalStart(t=t, x=x, mode=mode,
-                                         transitions=len(self.transitions),
-                                         z=self.z_node[-1], store=copy.copy(self.store)))
+    def begin_interval(self, mode):
+        self.starts.append(IntervalStart(mode=mode, transitions=len(self.transitions),
+                                         store=copy.copy(self.store)))
 
-    def commit(self, t_new, x_new, h, mode, nctrl, stages, zstages, z_new):
+    def commit(self, t_new, x_new, h, mode, stages, zstages):
         self.times.append(float(t_new))
         self.xs.append(np.array(x_new, dtype=float))
         self.hs.append(float(h))
         self.modes.append(mode)
-        self.ctrl.append(nctrl)
         self.stages_x.append(np.array(stages, dtype=float))
         self.stages_z.append(None if zstages is None else np.array(zstages, dtype=float))
-        self.z_node.append(float(z_new))
 
-    def transition(self, mode, next_mode, t, x_minus, x_plus) -> Mode:
+    def transition(self, mode, next_mode) -> Mode:
         """Go from mode to next_mode at the last node and return next_mode.
         Unless they are the same (nothing to record), record kind _KIND[mode,
-        next_mode], give the node x_plus and z = 0, count it against the cap."""
+        next_mode] with the node's t and x and count it against the cap."""
         if next_mode is mode:
             return mode
         self.transitions.append(TransitionRecord(
-            kind=_KIND[mode, next_mode], t=float(t), k=len(self.xs) - 1,
-            x_minus=np.array(x_minus, dtype=float),
-            x_plus=np.array(x_plus, dtype=float)))
-        self.xs[-1] = np.array(x_plus, dtype=float)
-        self.z_node[-1] = 0.0
+            kind=_KIND[mode, next_mode], t=float(self.times[-1]), k=len(self.xs) - 1,
+            x=np.array(self.xs[-1], dtype=float)))
         if len(self.transitions) - self.starts[-1].transitions > MAX_TRANSITIONS_PER_INTERVAL:
             n = len(self.starts) - 1
             raise ChatteringLimit(f"more than {MAX_TRANSITIONS_PER_INTERVAL} transitions "
@@ -700,12 +690,17 @@ class _Builder:
         return next_mode
 
     def finish(self, terminal_mode) -> Trajectory:
+        """The trajectory, with ctrl read off breakpoint_nodes and z_node
+        off stages_z: a sliding step's last stage multiplier, else 0, and
+        0 at every transition node."""
+        bp = np.array(self.breakpoint_nodes, dtype=int)
+        z_node = np.array([0.0] + [0.0 if Z is None else float(Z[-1]) for Z in self.stages_z])
+        z_node[[rec.k for rec in self.transitions]] = 0.0
         return Trajectory(
             times=np.array(self.times), x=np.array(self.xs), h=np.array(self.hs),
-            mode=self.modes, ctrl=np.array(self.ctrl, dtype=int),
+            mode=self.modes, ctrl=np.repeat(np.arange(len(bp) - 1), np.diff(bp)),
             stages_x=self.stages_x, stages_z=self.stages_z,
-            z_node=np.array(self.z_node), transitions=self.transitions,
-            breakpoint_nodes=np.array(self.breakpoint_nodes, dtype=int),
+            z_node=z_node, transitions=self.transitions, breakpoint_nodes=bp,
             starts=self.starts, terminal_mode=terminal_mode, spi=self.spi,
             opts=self.opts)
 
@@ -713,9 +708,7 @@ class _Builder:
 def check_mesh(base: Trajectory, grid: ControlGrid):
     """Raise ValueError unless base was integrated on grid's control mesh:
     N and every breakpoint t_0..t_N."""
-    if (len(base.starts) != grid.N
-            or not np.array_equal([st.t for st in base.starts] + [base.times[-1]],
-                                  grid.breakpoints())):
+    if not np.array_equal(base.times[base.breakpoint_nodes], grid.breakpoints()):
         raise ValueError("base trajectory has a different mesh")
 
 
@@ -745,8 +738,6 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     if base is None and start == 0:
         mode = _initial_mode(ocp, ocp.x0, grid.values[0], opts)
         bld = _Builder(grid.t0, ocp.x0, spi, opts)
-        x = np.array(ocp.x0, dtype=float)
-        t = float(grid.t0)
     else:
         if base is None or not 0 < start < N:
             raise ValueError(f"resuming at interval {start} needs a base trajectory "
@@ -756,12 +747,12 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         check_mesh(base, grid)
         if base.opts != opts:
             raise ValueError("base trajectory was integrated with different options")
-        state = base.starts[start]
         bld = _Builder.resumed(base, start)
-        t, x, mode = state.t, state.x, state.mode
+        mode = base.starts[start].mode
+    t, x = bld.times[-1], bld.xs[-1]
 
     for n in range(start, N):
-        bld.begin_interval(t, x, mode)
+        bld.begin_interval(mode)
         u = grid.values[n]
         nodes = np.linspace(bp[n], bp[n + 1], spi + 1)
 
@@ -769,7 +760,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
         # very start of the interval: exit immediately at the breakpoint
         if mode is Mode.SLIDING:
             mode = bld.transition(mode, exit_test(ocp, x, u, eps_den=opts.eps_den,
-                                                  eps_tan=opts.eps_tan), t, x, x)
+                                                  eps_tan=opts.eps_tan))
 
         for j in range(spi):
             target = nodes[j + 1]
@@ -782,15 +773,15 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
                     bld.times[-1] = target
                     break
                 if mode is Mode.SLIDING:
-                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, n, opts)
+                    t, x, mode = _advance_sliding(ocp, bld, t, x, u, h, opts)
                 else:
-                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, n, mode, opts)
+                    t, x, mode = _advance_ode(ocp, bld, t, x, u, h, mode, opts)
         bld.breakpoint_nodes.append(len(bld.xs) - 1)
 
     return bld.finish(mode)
 
 
-def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
+def _advance_ode(ocp, bld, t, x, u, h, mode, opts):
     """Try a full step in an off-surface mode; shrink to a located event
     when the endpoint (or an internal stage) lands beyond the surface.
     Every trial solves with the run's stage store (bld.store)."""
@@ -821,8 +812,8 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
         if tau > 0.0:   # tau = 0: the event sits at the step start
             st, x = data
             t = t + tau
-            bld.commit(t, x, tau, mode, nctrl, st, None, 0.0)
-        t, x, next_mode = _process_surface_point(ocp, bld, t, x, u, mode, opts)
+            bld.commit(t, x, tau, mode, st, None)
+        next_mode = bld.transition(mode, entry_test(ocp, x, u, eps_tan=opts.eps_tan))
         if tau == 0.0 and next_mode is mode:
             # a graze at the step start whose step still dips through
             # the surface: retrying the step would loop forever
@@ -830,30 +821,20 @@ def _advance_ode(ocp, bld, t, x, u, h, nctrl, mode, opts):
                             stage_dip=float(stage_dip))
         return t, x, next_mode
 
-    bld.commit(t + h, x_try, h, mode, nctrl, stages, None, 0.0)
+    bld.commit(t + h, x_try, h, mode, stages, None)
     if abs(g_end) <= opts.surface_tol:
         # grazed onto the surface exactly at the node
-        return _process_surface_point(ocp, bld, t + h, x_try, u, mode, opts)
+        mode = bld.transition(mode, entry_test(ocp, x_try, u, eps_tan=opts.eps_tan))
     return t + h, x_try, mode
 
 
-def _process_surface_point(ocp, bld, t, x, u, mode, opts):
-    """Go to the mode entry_test gives at a state on the surface, projecting
-    an entry with |g| > surface_tol onto it; a graze records nothing."""
-    next_mode = entry_test(ocp, x, u, eps_tan=opts.eps_tan)
-    x_new = x
-    if next_mode is Mode.SLIDING and abs(ocp.g(x)) > opts.surface_tol:
-        x_new = _project_to_surface(ocp, x)
-    return t, x_new, bld.transition(mode, next_mode, t, x, x_new)
-
-
-def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
+def _advance_sliding(ocp, bld, t, x, u, h, opts):
     """Try a full sliding step; shrink to the blend-weight boundary when
     the weight leaves [0, 1].  Every trial solves with bld.store."""
-    Xs, Zs, x_try, z_try, a_end = step_sliding(ocp, x, u, h, opts, bld.store)
+    Xs, Zs, x_try, a_end = step_sliding(ocp, x, u, h, opts, bld.store)
 
     if 0.0 < a_end < 1.0:
-        bld.commit(t + h, x_try, h, Mode.SLIDING, nctrl, Xs, Zs, z_try)
+        bld.commit(t + h, x_try, h, Mode.SLIDING, Xs, Zs)
         return t + h, x_try, Mode.SLIDING
 
     boundary = 0 if a_end <= 0.0 else 1
@@ -862,13 +843,13 @@ def _advance_sliding(ocp, bld, t, x, u, h, nctrl, opts):
 
     def eval_at(tau):
         data = step_sliding(ocp, x, u, tau, opts, bld.store)
-        return data, orient * (data[4] - boundary)
+        return data, orient * (data[3] - boundary)
 
-    far = (h, (Xs, Zs, x_try, z_try, a_end), orient * (a_end - boundary))
+    far = (h, (Xs, Zs, x_try, a_end), orient * (a_end - boundary))
     tau, data, _ = locate_event(eval_at, orient * (a0 - boundary), far, opts.event_tol)
     if tau > 0.0:   # tau = 0: the weight sits on its boundary at the step start
-        Xs, Zs, x, zp, _ = data
+        Xs, Zs, x, _ = data
         t = t + tau
-        bld.commit(t, x, tau, Mode.SLIDING, nctrl, Xs, Zs, zp)
+        bld.commit(t, x, tau, Mode.SLIDING, Xs, Zs)
     next_mode = exit_mode(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
-    return t, x, bld.transition(Mode.SLIDING, next_mode, t, x, x)
+    return t, x, bld.transition(Mode.SLIDING, next_mode)

@@ -282,8 +282,13 @@ def entry_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
         return Mode.BELOW
     if w1 > 0.0 and w2 < 0.0:
         return Mode.SLIDING
-    # w1 < 0 < w2: both fields leave the surface; the solution is not unique.
-    raise TangentialAmbiguity(
+    raise _repulsive(w1, w2)
+
+
+def _repulsive(w1: float, w2: float) -> TangentialAmbiguity:
+    """The error for w1 < 0 < w2: both fields leave the surface, and the
+    solution is not unique."""
+    return TangentialAmbiguity(
         f"repulsive surface: w1 = {w1:.3e} < 0 < w2 = {w2:.3e}", w1=w1, w2=w2)
 
 
@@ -292,12 +297,17 @@ def exit_test(ocp: HybridOCP, x: np.ndarray, u: np.ndarray,
     """Decide whether sliding has ended at (x, u): the mode the
     trajectory goes to.
 
-    Returns Mode.SLIDING while alpha stays inside (0, 1); otherwise the
-    verdict of exit_mode at the boundary alpha has reached.
+    Returns Mode.SLIDING while alpha stays inside (0, 1) with w1 > 0 > w2;
+    otherwise the verdict of exit_mode at the boundary alpha has reached.
+    alpha lies in (0, 1) also when w1 < 0 < w2: a control jump has made
+    the surface repulsive, both fields leave it and the solution is not
+    unique, which raises TangentialAmbiguity as entry_test does.
     """
     w1, w2 = normal_speeds(ocp, x, u)
     a = _blend_weight(w1, w2, eps_den)
     if 0.0 < a < 1.0:
+        if w1 < 0.0:
+            raise _repulsive(w1, w2)
         return Mode.SLIDING
     return exit_mode(w1, w2, 0 if a <= 0.0 else 1, eps_tan)
 
@@ -307,17 +317,26 @@ def exit_mode(w1: float, w2: float, boundary: int, eps_tan: float) -> Mode:
 
     At alpha <= 0 the blend has degenerated to f1; sliding ends towards
     g < 0 (Mode.BELOW) provided f2 still points down decisively (w2 <
-    -eps_tan).  Symmetrically at alpha >= 1 (Mode.ABOVE).  Sign patterns
-    that fit neither case raise TangentialAmbiguity.
+    -eps_tan).  Symmetrically at alpha >= 1 (Mode.ABOVE).  A control jump
+    at a breakpoint can also turn both fields to one side, and the
+    trajectory leaves for that side: alpha = w1 / (w1 - w2) <= 0 when
+    both point up with w2 > w1 (Mode.ABOVE), and >= 1 when both point
+    down with |w1| > |w2| (Mode.BELOW); both speeds must be decisive
+    (beyond eps_tan).  Sign patterns that fit none of these raise
+    TangentialAmbiguity.
     """
     if boundary == 0:
         if w2 < -eps_tan:
             return Mode.BELOW
+        if w1 > eps_tan and w2 > eps_tan:
+            return Mode.ABOVE
         raise TangentialAmbiguity(
             f"blend weight reached 0 but w2 = {w2:.3e} is not decisively negative",
             w1=w1, w2=w2)
     if w1 > eps_tan:
         return Mode.ABOVE
+    if w1 < -eps_tan and w2 < -eps_tan:
+        return Mode.BELOW
     raise TangentialAmbiguity(
         f"blend weight reached 1 but w1 = {w1:.3e} is not decisively positive",
         w1=w1, w2=w2)

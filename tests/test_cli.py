@@ -283,13 +283,16 @@ def test_flags_override_config(tmp_path):
 def test_config_validation_failures(tmp_path, capsys):
     for body, field in [('{"problem": "p2-sliding", "N": 0}', "N"),
                         ('{"problem": "constrained-toy", "eta": 1.5}', "eta"),
-                        ('{"problem": "p2-sliding", "bogus": 1}', "bogus")]:
+                        ('{"problem": "p2-sliding", "bogus": 1}', "bogus"),
+                        ('{"problem": "p2-sliding", "event_tol": 1e-6}', "event_tol")]:
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(body)
         rc = run("simulate", "--config", str(cfgp),
                  "--out", str(tmp_path / "x.csv"))
         assert rc == 1
-        doc = json.loads(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        doc = json.loads(err)
         assert doc["error"] == "ValidationError"
         assert doc["field"] == field
 

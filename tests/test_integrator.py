@@ -15,7 +15,8 @@ import pytest
 import slidoc.adjoint as adjoint_mod
 import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import ChatteringLimit, NewtonDivergence, NoBracket, ValidationError
+from slidoc.errors import (ChatteringLimit, NewtonDivergence, NoBracket, TangentialAmbiguity,
+                           ValidationError)
 from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
                                solve_stages, step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
@@ -149,8 +150,8 @@ def test_crossing_from_below():
     assert traj.transition_kinds() == ["Cross12"]
     rec = traj.transitions[0]
     assert rec.t == pytest.approx(0.5, abs=1e-10)
-    # a crossing does not jump the state
-    assert np.array_equal(rec.x_minus, rec.x_plus)
+    # a crossing does not jump the state: the record holds its node's
+    assert np.array_equal(rec.x, traj.x[rec.k])
     assert traj.terminal_mode is Mode.ABOVE
     assert traj.x[-1] == pytest.approx([1.0, 0.25], abs=1e-12)
 
@@ -231,6 +232,48 @@ def test_exit_to_f2_end_to_end():
                      ([j["pi"] for j in a1.jumps], [j["pi"] for j in a2.jumps])):
         got, ref = np.asarray(got), np.asarray(ref)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def _jump_at_the_breakpoint(c1, c2):
+    """p2-sliding started on the surface with normal speeds w1 = 1 + c1 u
+    and w2 = -1 + c2 u: it slides through interval 0 (u = 0), and the
+    control jump to u = 1 at t = 0.5 moves the speeds to (1 + c1,
+    -1 + c2)."""
+    ocp, _ = get_problem("p2-sliding")
+    ocp = dataclasses.replace(
+        ocp, x0=np.zeros(2),
+        f1=lambda x, u: np.array([1.0, 1.0 + c1 * u[0]]),
+        f1_u=lambda x, u: np.array([[0.0], [c1]]),
+        f2=lambda x, u: np.array([1.0, -1.0 + c2 * u[0]]),
+        f2_u=lambda x, u: np.array([[0.0], [c2]]))
+    return ocp, ControlGrid(0.0, 1.0, np.array([[0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("c1, c2, kind, mode, x1", [
+    (0.0, 3.0, "ExitToF2", Mode.ABOVE, 1.0),      # w = (1, 2): alpha = -1
+    (-3.0, 0.0, "ExitToF1", Mode.BELOW, -1.0)])   # w = (-2, -1): alpha = 2
+def test_a_control_jump_that_turns_both_fields_to_one_side_exits(c1, c2, kind, mode, x1):
+    """Both speeds of one sign after the jump: the run leaves the surface
+    at the breakpoint for the side they point to, whichever is larger
+    (both up with w2 > w1 puts alpha below 0, both down with |w1| > |w2|
+    above 1), and the state then follows that side's field."""
+    ocp, grid = _jump_at_the_breakpoint(c1, c2)
+    traj = integrate(ocp, grid, 4)
+    assert traj.starts[0].mode is Mode.SLIDING and traj.transition_kinds() == [kind]
+    rec = traj.transitions[0]
+    assert rec.t == 0.5 and rec.k == traj.breakpoint_nodes[1]
+    assert traj.mode[rec.k:] == [mode] * (traj.K - rec.k) and traj.terminal_mode is mode
+    assert traj.x[-1] == pytest.approx([1.0, x1], abs=1e-12)
+
+
+def test_a_control_jump_that_makes_the_surface_repulsive_raises():
+    """w = (-1, 1) after the jump: alpha = 1/2 lies in (0, 1), but both
+    fields leave the surface and the solution is not unique, so the run
+    raises instead of sliding on."""
+    ocp, grid = _jump_at_the_breakpoint(-2.0, 2.0)
+    with pytest.raises(TangentialAmbiguity, match="repulsive surface") as exc:
+        integrate(ocp, grid, 4)
+    assert exc.value.payload == {"w1": -1.0, "w2": 1.0}
 
 
 def test_chattering_cap_counts_per_interval(monkeypatch):
@@ -325,17 +368,17 @@ def _field_bytes(value) -> bytes:
     return f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()
 
 
-def assert_resumes_exactly(ocp, grid, spi, steps, opts=OPTS):
+def assert_resumes_exactly(ocp, grid, spi, steps):
     """For every n in [1, N) and every step d, resuming the run of grid
     at interval n with u_n + d equals a full run of those controls."""
-    base = integrate(ocp, grid, spi, opts=opts)
+    base = integrate(ocp, grid, spi)
     for n in range(1, grid.N):
         for d in steps:
             values = grid.values.copy()
             values[n] += d
             probe = grid.with_values(values)
-            full = integrate(ocp, probe, spi, opts=opts)
-            resumed = integrate(ocp, probe, spi, opts=opts, base=base, start=n)
+            full = integrate(ocp, probe, spi)
+            resumed = integrate(ocp, probe, spi, base=base, start=n)
             for f in dataclasses.fields(Trajectory):
                 assert _field_bytes(getattr(resumed, f.name)) == \
                     _field_bytes(getattr(full, f.name)), (ocp.name, n, d, f.name)
@@ -351,30 +394,33 @@ def test_resumed_run_equals_full_run(name):
 def test_resume_from_a_node_the_interval_changes():
     """slide-exit default: the exit sits on t = 0.9, and u_5 - 1e-4 moves
     it into interval 5.  With seeded controls interval 7 exits sliding at
-    its start, setting z of its first node to 0 after the node was stored,
-    so the restart state is not the stored node."""
+    its start: it records a transition at its first node, which the
+    resumed run copies from the base and must not count as committed."""
     ocp, grid = get_problem("slide-exit")
     base = assert_resumes_exactly(ocp, grid, 8, [1e-4, -1e-4])
     assert [r.t for r in base.transitions][-1] == 0.9
     seeded = grid.with_values(np.random.default_rng([3, 10]).uniform(
         ocp.u_lo, ocp.u_hi, (grid.N, ocp.m)))
     base = assert_resumes_exactly(ocp, seeded, 8, [1e-3])
-    changed = [n for n, st in enumerate(base.starts)
-               if st.z != base.z_node[base.breakpoint_nodes[n]]]
+    counts = [st.transitions for st in base.starts] + [len(base.transitions)]
+    changed = [n for n in range(seeded.N)
+               if any(rec.k == base.breakpoint_nodes[n]
+                      for rec in base.transitions[counts[n]:counts[n + 1]])]
     assert changed == [7]
+    assert base.z_node[base.breakpoint_nodes[7]] == 0.0
 
 
-def test_resume_from_a_node_the_interval_projects():
-    """p2-sliding with t_2 = 3e-7 before the entry time 5/12 and an event
-    tolerance above the surface tolerance: interval 2 finds the event at
-    its first node and projects that node onto the surface, after the
-    node was stored."""
-    opts = IntegratorOptions(event_tol=1e-6)
-    ocp, grid = get_problem("p2-sliding", {"N": 4, "tf": 2 * (5 / 12 - 3e-7)})
-    base = assert_resumes_exactly(ocp, grid, 4, [1e-3, -1e-3], opts=opts)
-    changed = [n for n, st in enumerate(base.starts)
-               if not np.array_equal(st.x, base.x[base.breakpoint_nodes[n]])]
-    assert changed == [2]
+def test_options_refuse_an_event_tolerance_above_the_surface_tolerance():
+    """A located event lands within event_tol of the surface and a node
+    on it needs |g| <= surface_tol, so event_tol > surface_tol is refused
+    when the options are built, naming event_tol and both values; equal
+    tolerances are accepted."""
+    with pytest.raises(ValidationError) as exc:
+        IntegratorOptions(event_tol=1e-6)
+    assert exc.value.payload["field"] == "event_tol"
+    assert "1e-06" in exc.value.message and "1e-09" in exc.value.message
+    opts = IntegratorOptions(event_tol=1e-9)
+    assert opts.event_tol == opts.surface_tol
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

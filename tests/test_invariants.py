@@ -6,16 +6,19 @@ Trajectory and its grid and lists every place where
 - an off-surface step's nodes or stages lie beyond surface_tol on the
   wrong side of the surface for its mode;
 - a sliding step's nodes have |g| > surface_tol, or a blend weight alpha
-  (with the step's control) outside [-event_tol, 1 + event_tol];
+  (with the step's control) outside [-event_tol, 1 + event_tol], or its
+  start is not attractive: the normal speeds there (with the step's
+  control) break w1 > 0 > w2, so both fields do not point at the surface;
 - a transition's kind does not fit the modes before and after its node,
-  or entry_test / exit_test at its x_plus (with the control of the
+  or entry_test / exit_test at its state (with the control of the
   interval that recorded it) gives another mode, or the mode changes at
   a node that records no transition.
 
-Measured on the 146 trajectories of tools/identity_grid.py (the 147th
+Measured on the 144 trajectories of tools/identity_grid.py (the 145th
 raises ChatteringLimit): off-surface nodes and stages reach 1.9e-11 past
 the surface, sliding nodes |g| = 1.9e-11, alpha at sliding nodes stays in
-[0, 1] exactly, and a located exit's alpha lies up to 3.4e-12 inside its
+[0, 1] exactly, every sliding step starts with w1 and -w2 >= 2.2e-3,
+and a located exit's alpha lies up to 3.4e-12 inside its
 boundary, so exit_test there still says SLIDING; the checker accepts
 that within event_tol, the tolerance the exit was located to.
 """
@@ -27,11 +30,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidoc import ControlGrid, SlidocError, get_problem, integrate, problem_names
+from slidoc import ControlGrid, SlidocError, get_problem, integrate, problem_names, run_adjoint
 from slidoc.integrator import TransitionRecord
-from slidoc.model import (Mode, TransitionKind, alpha, entry_test, exit_mode, exit_test,
-                          normal_speeds)
+from slidoc.model import (EndpointFunctional, HybridOCP, Mode, TransitionKind, alpha,
+                          entry_test, exit_mode, exit_test, normal_speeds)
 from test_adjoint import _chain_problem, _circle_slide
+from test_integrator import _jump_at_the_breakpoint
 from test_tools import identity_grid
 
 # kind: (modes it may leave, the mode it enters)
@@ -45,7 +49,7 @@ _BOUNDARY = {TransitionKind.EXIT_TO_F1: 0, TransitionKind.EXIT_TO_F2: 1}
 
 
 def _verdict(ocp, traj, grid, i, rec):
-    """The mode entry_test or exit_test gives at rec.x_plus with the
+    """The mode entry_test or exit_test gives at rec.x with the
     control of the interval that recorded transition i (at a breakpoint
     node, the interval that ends there when the transition was recorded
     before the next one began), or the name of the error it raises."""
@@ -56,12 +60,12 @@ def _verdict(ocp, traj, grid, i, rec):
     u = grid.values[n]
     try:
         if rec.kind not in _BOUNDARY:
-            return entry_test(ocp, rec.x_plus, u, eps_tan=opts.eps_tan)
-        verdict = exit_test(ocp, rec.x_plus, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
+            return entry_test(ocp, rec.x, u, eps_tan=opts.eps_tan)
+        verdict = exit_test(ocp, rec.x, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
         boundary = _BOUNDARY[rec.kind]
         if verdict is Mode.SLIDING and \
-                abs(alpha(ocp, rec.x_plus, u, eps_den=opts.eps_den) - boundary) <= opts.event_tol:
-            verdict = exit_mode(*normal_speeds(ocp, rec.x_plus, u), boundary, opts.eps_tan)
+                abs(alpha(ocp, rec.x, u, eps_den=opts.eps_den) - boundary) <= opts.event_tol:
+            verdict = exit_mode(*normal_speeds(ocp, rec.x, u), boundary, opts.eps_tan)
         return verdict
     except SlidocError as exc:
         return type(exc).__name__
@@ -74,6 +78,9 @@ def trajectory_violations(ocp, traj, grid) -> list:
     for k in range(traj.K):
         mode, u = traj.mode[k], grid.values[traj.ctrl[k]]
         if mode is Mode.SLIDING:
+            w1, w2 = normal_speeds(ocp, traj.x[k], u)
+            if not w1 > 0.0 > w2:
+                out.append(f"step {k}: sliding from a node with w1 = {w1:.3e}, w2 = {w2:.3e}")
             for x in traj.x[k:k + 2]:
                 g, a = ocp.g(x), alpha(ocp, x, u, eps_den=opts.eps_den)
                 if not abs(g) <= opts.surface_tol:
@@ -98,7 +105,7 @@ def trajectory_violations(ocp, traj, grid) -> list:
             verdict = _verdict(ocp, traj, grid, i, rec)
             if verdict is not enters:
                 out.append(f"transition {i} ({rec.kind.value}) at node {k}: the surface "
-                           f"test at x_plus gives {getattr(verdict, 'value', verdict)}")
+                           f"test at its state gives {getattr(verdict, 'value', verdict)}")
             mode = enters
         if mode is not after:
             out.append(f"node {k}: {mode.value} is followed by {after.value}")
@@ -145,6 +152,63 @@ def test_drawn_runs_keep_the_invariants(name, spi, data):
     assert trajectory_violations(ocp, traj, grid) == []
 
 
+def _drawn_problem(seed: int):
+    """A random two-field problem on t in [0, 1] from
+    np.random.default_rng([seed, 99]), drawn in this order: affine fields
+    f_i = A_i x + B_i u + c_i (A_i, B_i ~ N(0, 1), c_i ~ N(0, 1.5)), a
+    quadratic surface g = q.x + x^T H x / 2 + g0 (q ~ N(0, 1), H = S + S^T
+    with S ~ N(0, 0.5), g0 ~ N(0, 0.3)), phi = w.x + 0.3 x_1^2 (w ~
+    N(0, 1)), x0 ~ N(0, 0.5), and N = 6 controls uniform in the box
+    [-1, 1].  Every draw is taken as it comes, curved surfaces included."""
+    rng = np.random.default_rng([seed, 99])
+    A1, A2 = rng.normal(0.0, 1.0, (2, 2)), rng.normal(0.0, 1.0, (2, 2))
+    B1, B2 = rng.normal(0.0, 1.0, (2, 1)), rng.normal(0.0, 1.0, (2, 1))
+    c1, c2 = rng.normal(0.0, 1.5, 2), rng.normal(0.0, 1.5, 2)
+    q, S, g0 = rng.normal(0.0, 1.0, 2), rng.normal(0.0, 0.5, (2, 2)), rng.normal(0.0, 0.3)
+    H = S + S.T
+    w, x0 = rng.normal(0.0, 1.0, 2), rng.normal(0.0, 0.5, 2)
+    phi = EndpointFunctional(value=lambda x: float(w @ x + 0.3 * x[0] ** 2),
+                             grad=lambda x: w + np.array([0.6 * x[0], 0.0]), name="phi")
+    ocp = HybridOCP(
+        name=f"drawn-{seed}", n=2, m=1,
+        f1=lambda x, u: A1 @ x + B1 @ u + c1, f1_x=lambda x, u: A1, f1_u=lambda x, u: B1,
+        f2=lambda x, u: A2 @ x + B2 @ u + c2, f2_x=lambda x, u: A2, f2_u=lambda x, u: B2,
+        g=lambda x: float(q @ x + 0.5 * x @ H @ x + g0), g_x=lambda x: q + H @ x,
+        g_xx=lambda x: H, phi=phi, x0=x0, t0=0.0, tf=1.0,
+        u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
+    return ocp, ControlGrid(0.0, 1.0, rng.uniform(-1.0, 1.0, (6, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=st.integers(0, 2**32 - 1).map(_drawn_problem))
+def test_drawn_problems_raise_typed_or_keep_the_invariants(problem):
+    """Every drawn problem (_drawn_problem, 8 steps per interval) either
+    raises a domain error, or integrates to a trajectory that keeps the
+    invariants and whose gradient the matrix oracle reproduces to 1e-9."""
+    ocp, grid = problem
+    try:
+        traj = integrate(ocp, grid, 8)
+        grads = [run_adjoint(ocp, traj, grid, ocp.phi, backend=backend).grad
+                 for backend in ("transformed", "matrix")]
+    except SlidocError:
+        return
+    assert trajectory_violations(ocp, traj, grid) == []
+    assert np.max(np.abs(grads[0] - grads[1])) <= 1e-9 * max(1.0, np.max(np.abs(grads[1])))
+
+
+def test_sliding_on_a_repulsive_surface_is_flagged():
+    """A run that slides through both intervals at u = 0, checked against
+    controls whose jump at t = 0.5 makes the surface repulsive (w1 = -1,
+    w2 = 1, so alpha = 1/2 stays in (0, 1)): every sliding step of the
+    second interval is flagged at its start."""
+    ocp, grid = _jump_at_the_breakpoint(-2.0, 2.0)
+    traj = integrate(ocp, grid.with_values(np.zeros((2, 1))), 4)
+    assert traj.transitions == [] and set(traj.mode) == {Mode.SLIDING}
+    flagged = trajectory_violations(ocp, traj, grid)
+    assert flagged == [f"step {k}: sliding from a node with w1 = -1.000e+00, w2 = 1.000e+00"
+                       for k in range(4, 8)]
+
+
 def test_a_crossing_recorded_at_a_graze_is_flagged():
     """The fd-check benchmark's seed-5 slide-exit input grazes the surface
     at the breakpoint t = 0.9 (tests/test_verify.py) and records nothing
@@ -161,15 +225,15 @@ def test_a_crossing_recorded_at_a_graze_is_flagged():
     assert trajectory_violations(ocp, traj, grid) == []
     k = int(traj.breakpoint_nodes[6])
     cross = TransitionRecord(kind=TransitionKind.CROSS_12, t=float(traj.times[k]), k=k,
-                             x_minus=traj.x[k], x_plus=traj.x[k])
+                             x=traj.x[k])
     spurious = dataclasses.replace(traj, transitions=traj.transitions + [cross])
     flagged = trajectory_violations(ocp, spurious, grid)
-    assert f"transition 2 (Cross12) at node {k}: the surface test at x_plus gives below" \
+    assert f"transition 2 (Cross12) at node {k}: the surface test at its state gives below" \
         in flagged
     assert f"node {k}: above is followed by below" in flagged
     flipped = dataclasses.replace(spurious, mode=traj.mode[:k] + [Mode.ABOVE] * (traj.K - k),
                                   terminal_mode=Mode.ABOVE)
     flagged = trajectory_violations(ocp, flipped, grid)
-    assert f"transition 2 (Cross12) at node {k}: the surface test at x_plus gives below" \
+    assert f"transition 2 (Cross12) at node {k}: the surface test at its state gives below" \
         in flagged
     assert any(line.startswith(f"step {k + 1}: above point with g = -") for line in flagged)

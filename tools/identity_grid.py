@@ -19,15 +19,14 @@ in the control box), plus chain-n (benchmarks/chain.py, imported
 read-only) with n in {4, 16, 64} x seeds 1-3 at 8 steps per interval,
 plus circle-slide (tests/test_adjoint.py, imported read-only) x N in
 {4, 10} x steps per interval in {2, 8, 16} x (constant u = 0.4 + 2
-seeded uniform controls), plus the transition cases of
-_transition_cases (30, with their own integrator options where they
-need them); 147 cases.  Every surface of the built-ins and of chain-n
-is affine; circle-slide's is the unit circle (g_xx = 2 I), and every
-one of its cases enters sliding, so the g_xx terms of the sliding
-Newton matrix and of the sweep are hashed too.  The built-ins reach
-only EnterSliding and ExitToF1; the transition cases reach Cross12,
-Cross21 and ExitToF2, the entry projection (on an interval start and on
-node 0) and a ChatteringLimit.  Their problems are defined here; the
+seeded uniform controls), plus the 28 transition cases of
+_transition_cases; 145 cases, all at the default integrator options.
+Every surface of the built-ins and of chain-n is affine; circle-slide's
+is the unit circle (g_xx = 2 I), and every one of its cases enters
+sliding, so the g_xx terms of the sliding Newton matrix and of the
+sweep are hashed too.  The built-ins reach only EnterSliding and
+ExitToF1; the transition cases reach Cross12, Cross21 and ExitToF2 and
+a ChatteringLimit.  Their problems are defined here; the
 ChatteringLimit case patches integrator.MAX_TRANSITIONS_PER_INTERVAL,
 so a checkout without that constant needs its own copy of the script.
 slidoc is imported from this checkout's src/; to compare two trees, run
@@ -95,7 +94,7 @@ from chain import chain_problem  # noqa: E402
 from test_adjoint import _circle_slide  # noqa: E402
 
 import slidoc.integrator as integrator_mod  # noqa: E402
-from slidoc import (ControlGrid, IntegratorOptions, SlidocError, fd_gradient,  # noqa: E402
+from slidoc import (ControlGrid, SlidocError, fd_gradient,  # noqa: E402
                     get_problem, integrate, problem_names, run_adjoints)
 
 BACKENDS = ("transformed", "matrix")
@@ -115,15 +114,15 @@ def _flat(parts) -> np.ndarray:
                            if p is not None] or [np.empty(0)])
 
 
-def _case(ocp, grid, spi: int, opts, arrays: dict) -> dict:
-    """Hashes of one case, integrated with opts (None: the defaults); the
+def _case(ocp, grid, spi: int, arrays: dict) -> dict:
+    """Hashes of one case, integrated with the default options; the
     hashed arrays go into arrays as well."""
     def put(key, parts):
         arrays[key] = _flat(parts)
         return _sha(parts)
 
     try:
-        traj = integrate(ocp, grid, spi, opts=opts)
+        traj = integrate(ocp, grid, spi)
         arrays["transitions"] = np.array(traj.transition_kinds(), dtype=str)
         out = {"x": put("x", [traj.x]), "stages_x": put("stages_x", traj.stages_x),
                "stages_z": put("stages_z", traj.stages_z),
@@ -163,11 +162,11 @@ def cases():
                 for i in (1, 2)]
             for spi in (2, 8, 16):
                 for label, g in controls:
-                    yield f"{name}/N{N}/spi{spi}/{label}", ocp, g, spi, None
+                    yield f"{name}/N{N}/spi{spi}/{label}", ocp, g, spi
     for n in (4, 16, 64):
         for seed in (1, 2, 3):
             ocp, grid = chain_problem(n, np.random.default_rng(seed))
-            yield f"chain-{n}/seed{seed}", ocp, grid, 8, None
+            yield f"chain-{n}/seed{seed}", ocp, grid, 8
     ocp, grid = _circle_slide()
     for N in (4, 10):
         rng = np.random.default_rng([len(problem_names()), N])
@@ -176,7 +175,7 @@ def cases():
             for i in (1, 2)]
         for spi in (2, 8, 16):
             for label, g in controls:
-                yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi, None
+                yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi
     yield from _transition_cases()
 
 
@@ -212,12 +211,11 @@ def _transition_problems():
 
 def _transition_cases():
     """The transition problems x steps per interval in {2, 8, 16} x
-    (u = 0 + 2 seeded uniform controls) at N = 10; the entry projection,
-    which needs event_tol above surface_tol, on an interval start
-    and on node 0; and a ChatteringLimit raised by the second transition
-    of one control interval at a cap of 1, yielded while the generator
-    holds MAX_TRANSITIONS_PER_INTERVAL patched to 1 (a case taken out of
-    the generator runs at the real cap)."""
+    (u = 0 + 2 seeded uniform controls) at N = 10, and a ChatteringLimit
+    raised by the second transition of one control interval at a cap of
+    1, yielded while the generator holds MAX_TRANSITIONS_PER_INTERVAL
+    patched to 1 (a case taken out of the generator runs at the real
+    cap)."""
     problems = _transition_problems()
     for p, (name, ocp) in enumerate(problems.items()):
         rng = np.random.default_rng([len(problem_names()) + 1 + p])
@@ -226,17 +224,12 @@ def _transition_cases():
         for spi in (2, 8, 16):
             for label, values in controls:
                 grid = ControlGrid(ocp.t0, ocp.tf, values)
-                yield f"{name}/N10/spi{spi}/{label}", ocp, grid, spi, None
-    loose = IntegratorOptions(event_tol=1e-6)
-    ocp, grid = get_problem("p2-sliding", {"N": 4, "tf": 2 * (5 / 12 - 3e-7)})
-    yield "projection/interval-start", ocp, grid, 4, loose
-    ocp, grid = get_problem("p2-sliding", {"x0": [0.0, -5e-7]})
-    yield "projection/node-0", ocp, grid, 8, loose
+                yield f"{name}/N10/spi{spi}/{label}", ocp, grid, spi
     ocp = problems["exit-to-f2"]
     grid = ControlGrid(ocp.t0, ocp.tf, np.random.default_rng(1).uniform(-0.5, 0.5, (10, 1)))
     # the generator stays suspended inside the patch while the case runs
     with mock.patch.object(integrator_mod, "MAX_TRANSITIONS_PER_INTERVAL", 1):
-        yield "chattering/cap1", ocp, grid, 8, None
+        yield "chattering/cap1", ocp, grid, 8
 
 
 def _diff(a: np.ndarray, b: np.ndarray):
@@ -391,9 +384,9 @@ def main() -> int:
               f"error paths", file=sys.stderr)
         return 0
     report, arrays = {}, {}
-    for key, ocp, grid, spi, opts in cases():
+    for key, ocp, grid, spi in cases():
         case_arrays: dict = {}
-        report[key] = _case(ocp, grid, spi, opts, case_arrays)
+        report[key] = _case(ocp, grid, spi, case_arrays)
         arrays.update({f"{key}|{field}": a for field, a in case_arrays.items()})
     json.dump(report, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
