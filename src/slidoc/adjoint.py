@@ -23,22 +23,13 @@ solve with M^T and no dense F_{X+} or F_X is built.  The forward
 Newton correction and this solve share their kernel: the stage
 Jacobians fF_x + z g_xx of a sliding step come from
 integrator.sliding_jacobians (from the Filippov values at the stored
-stages) and the solve is integrator.solve_stages, whose one rule picks
-the eigenbasis solve for steps whose stage Jacobians and g_x rows agree
-to a few ulps (integrator.STAGE_SPREAD_ULPS), as every off-surface step
-of a field with constant f_x and every sliding step whose blended
-Jacobians differ only by rounding (an affine blend weight, as on
-chain-n), and the dense stage matrix otherwise (a curved surface's
-z g_xx terms).  The eigenbasis solve then solves exactly a matrix within
-h |A| c eps |J| of M^T, the backward error the dense LU already makes.
-run_adjoints gives its steps one integrator.StageStore, a single slot
-that holds the eigenbasis blocks the call factored last: a step whose
-blocks lie within c eps max|B| of those applies their inverse instead
-of a new LU (unless their condition exceeds integrator.COND_BOUND), and
-any other step's blocks take the slot.  The store lives for one call,
-so which steps reuse depends on the trajectory alone.  Off the surface
-the stage multipliers it yields are exactly those of the reversed-time
-table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
+stages), and run_adjoints solves every step with one
+integrator.StageStore(transpose=True), the solver of the sweep, whose
+docstring states the eigenbasis-or-dense rule and the reuse of the
+blocks it factored last.  It lives for one call, so which steps reuse
+depends on the trajectory alone.  Off the surface the stage
+multipliers it yields are exactly those of the reversed-time table
+a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
 adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
 never builds that table.  The gradient row is the stage quadrature
 h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.  The dense
@@ -49,17 +40,14 @@ against.
 run_adjoints sweeps F functionals in lockstep.  The step matrices depend
 only on the trajectory, so each step builds its stage Jacobians and its
 matrix once and carries F multipliers of length n; terminal values, jump
-scalars and lam_g stay per functional.  The F right-hand sides go to one
-np.linalg.solve call on the matrix broadcast to (F, s d, s d), or on
-the eigenbasis blocks broadcast to (F, 2, d, d), or to one product with
-a stored inverse broadcast the same way: a batch of single-RHS solves
-or matrix-vector products, which gives each functional bit for bit
-what its own solve gives.  One solve with a (d, F) right-hand side
-would not: the multi-RHS triangular solves round differently, so the
-result would depend on which functionals share the sweep.  Every error
-a sweep can raise depends on the trajectory alone, so the lockstep
-sweep fails at the same step, with the same error, as a sweep of the
-first functional.
+scalars and lam_g stay per functional.  The F right-hand sides go to
+the solver as one batch of single-RHS solves or matrix-vector products,
+which gives each functional bit for bit what its own solve gives.  One
+solve with a (d, F) right-hand side would not: the multi-RHS triangular
+solves round differently, so the result would depend on which
+functionals share the sweep.  Every error a sweep can raise depends on
+the trajectory alone, so the lockstep sweep fails at the same step,
+with the same error, as a sweep of the first functional.
 
 The tolerances eps_tan and eps_den of a sweep are the ones the
 trajectory was integrated with (traj.opts), so the forward and the
@@ -85,10 +73,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (MeshMismatch, SingularJumpSystem, SingularSystem,
-                     SingularTerminalSystem)
-from .integrator import (StageStore, Trajectory, sliding_jacobians, solve_stages,
-                         stage_matrix, stage_sums)
+from .errors import SingularJumpSystem, SingularSystem, SingularTerminalSystem
+from .integrator import (StageStore, Trajectory, check_mesh, check_width,
+                         sliding_jacobians, stage_matrix, stage_sums)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     TransitionKind, filippov_control_jacobian, filippov_state_jacobian,
                     filippov_values)
@@ -160,20 +147,19 @@ def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np
 
 
 def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
-                  gxs: Optional[np.ndarray], lam_plus: np.ndarray,
-                  store: Optional[StageStore] = None):
+                  gxs: Optional[np.ndarray], lam_plus: np.ndarray, store: StageStore):
     """The backward step of either mode for every row of lam_plus (F, n):
     R_end = lam_plus, M^T R_s = W^T lam_plus, lam_k = lam_plus + sum_i
     R_s,i (x parts), stage multipliers lam_i = lam_plus + sum_j a_ji
-    R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  The M^T
-    solve is integrator.solve_stages.  Returns (stage multipliers
+    R_s,j / b_i and gradient row h sum_i b_i f_u,i^T lam_i.  store is the
+    sweep's solver, which solves with M^T.  Returns (stage multipliers
     (F, s, n), lam_k (F, n), gradient rows (F, m))."""
     A, b = RADAU_IIA.A, RADAU_IIA.b
     s, n = Js.shape[:2]
     h = traj.h[k]
     rhs = (_endpoint_weights(h, Js, gxs).T @ lam_plus[..., None])[..., 0]
     try:
-        R = solve_stages(h, Js, gxs, rhs.reshape(lam_plus.shape[0], s, -1), True, store)
+        R = store.solve(h, Js, gxs, rhs.reshape(lam_plus.shape[0], s, -1))
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"adjoint system singular at step {k}") from exc
     Rx = R[..., :n]
@@ -184,8 +170,7 @@ def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
-                             u: np.ndarray, lam_plus: np.ndarray,
-                             store: Optional[StageStore] = None):
+                             u: np.ndarray, lam_plus: np.ndarray, store: StageStore):
     """One backward off-surface step for every row of lam_plus (F, n).
     Returns (stage multipliers (F, s, n), lam_k (F, n), gradient rows
     (F, m)); the stage multipliers are those of the reversed-time table."""
@@ -193,12 +178,10 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
-                         u: np.ndarray, lam_plus: np.ndarray,
-                         store: Optional[StageStore] = None):
+                         u: np.ndarray, lam_plus: np.ndarray, store: StageStore):
     """One backward step through the sliding stage system for every row
     of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m))."""
-    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus,
-                         store)[1:]
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus, store)[1:]
 
 
 def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
@@ -393,17 +376,16 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     backend 'transformed' solves each step, off the surface or sliding,
     with the transposed stage matrix (the implementation of record),
-    reusing the eigenbasis factors this call took last
-    (integrator.StageStore);
-    'matrix' solves the assembled one-step systems of both modes instead,
+    through this call's integrator.StageStore(transpose=True); 'matrix'
+    solves the assembled one-step systems of both modes instead,
     the oracle the two-route consistency tests compare against.  Either
     way the sweep also yields the reduced gradient of each functional.
     """
     if backend not in ("transformed", "matrix"):
         raise ValueError(f"unknown adjoint backend {backend!r}")
+    check_width(ocp, grid)
+    check_mesh(traj, grid)
     K = traj.K
-    if grid.N != traj.breakpoint_nodes.shape[0] - 1:
-        raise MeshMismatch(f"grid has {grid.N} intervals, trajectory {traj.breakpoint_nodes.shape[0] - 1}")
 
     n, s = ocp.n, RADAU_IIA.s
     F = len(functionals)
@@ -413,7 +395,7 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     rows = np.zeros((F, K, ocp.m))
     jumps: list = [[] for _ in range(F)]
     trans_at = {rec.k: rec for rec in traj.transitions}
-    store = StageStore()
+    store = StageStore(transpose=True)
 
     nu1 = []
     for f, w in enumerate(functionals):

@@ -42,45 +42,16 @@ stage_pencil is the one place the stage blocks are written: stage i's
 rows of the Newton matrix are P_i y_i - h sum_j a_ij Q_j y_j, with P = I
 and Q = J off the surface, and on it the bordered P = [[I, 0], [g_x, 0]]
 (the constraint row) and Q = [[J, g_x^T], [0, 0]] (the multiplier
-column), J = fF_x + z g_xx (sliding_jacobians).  solve_stages solves
-every stage system, M forward and M^T backward, by one rule.  When
-every stage's Jacobian and g_x row agree with stage 0's to a few ulps,
-max_j |V_j - V_0| <= c eps max|V_0| with c = STAGE_SPREAD_ULPS, the
-solve takes the matrix I_s (x) P - h A (x) Q of stage 0's pencil, and
-eigen_stage_solve splits it in the eigenbasis of A (T^-1 A T =
-diag(gamma, alpha +- i beta), tableau.RADAU_IIA_T) into one real and one
-complex d x d solve, d = n off the surface and n + 1 on it: every Newton
-first iterate, which puts every stage at x, every backward step of a
-field with constant f_x, and every sliding step whose blended Jacobians
-differ only by rounding (chain-n, whose blend weight is affine in x).
-That matrix lies within h |A| c eps |J| of M, the backward error the LU
-of M already makes, so the rule adds no approximation beyond rounding.
-Otherwise (a curved surface's z g_xx terms, a nonlinear field's later
-iterates, a NaN) stage_matrix lays the blocks out densely (s d x s d)
-and np.linalg.solve factors it, as the sweep's matrix oracle does
-inside its dense F_{X+}.  The two solves agree to rounding, not bit for
-bit.
-
-Both passes also reuse factors across their steps, as RADAU5 keeps its
-one factorization while h and J do not change (Hairer & Wanner, IV.8):
-integrate and run_adjoints each make one StageStore per call, which
-every eigenbasis solve of the pass consults (forward: every Newton
-solve of step_ode and step_sliding, event-location trials included).
-It holds the blocks the pass factored last.  A solve whose h, J and g_x
-move them by at most c eps max|B| forms no blocks and applies their
-inverse, which np.linalg.inv computes on the first reuse (numpy keeps
-no LU factors).  The bound is relative to the blocks, which hold the
-identity, not to J as _shared's is.
-An inverse applied to a matrix within c eps of its own errs by about
-||B||_1 ||B^-1||_1 (c + 1) eps relative, so blocks whose condition
-exceeds COND_BOUND are never inverted and steps that match them solve
-their own blocks.  On chain-n a sweep of 81 steps factors four sets of
-blocks and inverts two, and at n = 16 or 64 the forward pass factors 13
-(10 of them event-location trials, each with an h of its own) and
-inverts two.  The stage sums of the sliding residual, of x_plus and of
-the control Jacobian add their terms over j in order (stage_sums): A @ V
-or einsum may round differently, which would change results in the last
-bit.
+column), J = fF_x + z g_xx (sliding_jacobians).  Each pass solves
+every one of its stage systems, M forward and M^T backward, with its
+own StageStore, which picks the eigenbasis or the dense LU solve and
+reuses the blocks it factored last, as RADAU5 keeps its one
+factorization while h and J do not change (Hairer & Wanner, IV.8).
+The rule, its error bound and its cost are stated once, in the
+StageStore docstring and in README "The stage solve".  The stage sums
+of the sliding residual, of x_plus and of the control Jacobian add
+their terms over j in order (stage_sums): A @ V or einsum may round
+differently, which would change results in the last bit.
 
 A run is resumable at any control breakpoint.  The interval loop records
 what it holds when interval n begins (IntervalStart: the mode, the
@@ -98,14 +69,15 @@ backward sweep reads its tolerances from there.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (POSITIVE, ChatteringLimit, NewtonDivergence, NoBracket,
-                     SingularIteration, ValidationError, check_fields)
+from .errors import (POSITIVE, ChatteringLimit, DimensionMismatch, MeshMismatch,
+                     NewtonDivergence, NoBracket, SingularIteration, ValidationError,
+                     check_fields)
 from .model import (ControlGrid, HybridOCP, Mode, TransitionKind, alpha,
                     entry_test, exit_mode, exit_test, filippov_state_jacobian,
                     filippov_values, normal_speeds)
@@ -114,8 +86,8 @@ from .tableau import RADAU_IIA, RADAU_IIA_EIGVALS, RADAU_IIA_T, RADAU_IIA_TINV
 MAX_NEWTON_ITERS = 25
 MAX_EVENT_ITERS = 80
 MAX_TRANSITIONS_PER_INTERVAL = 100
-# c of the solve rule: solve_stages treats the stage Jacobians (and g_x
-# rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
+# c of the solve rule: StageStore.solve treats the stage Jacobians (and
+# g_x rows) as one when max_j |V_j - V_0| <= c eps max|V_0| (_shared); the
 # eigenbasis solve then errs by no more than the dense LU's rounding
 STAGE_SPREAD_ULPS = 4
 # Each pass keeps the eigenbasis blocks it factored last (StageStore)
@@ -289,59 +261,106 @@ def stage_matrix(h: float, Js: np.ndarray, gxs: Optional[np.ndarray] = None) -> 
 _EIG = RADAU_IIA_EIGVALS[:2, None, None]
 _SOLVE = {False: (RADAU_IIA_TINV[:2], RADAU_IIA_T[:, :2] * np.array([1.0, 2.0])),
           True: (RADAU_IIA_T[:, :2].T, RADAU_IIA_TINV[:2].T * np.array([1.0, 2.0]))}
-
-
-def _eigen_blocks(h: float, J: np.ndarray, gx: Optional[np.ndarray],
-                  transpose: bool) -> np.ndarray:
-    """The complex (2, d, d) blocks P - h lambda_k Q of the pencil of J
-    and gx, transposed with transpose.  They are formed in place, h
-    lambda_k Q then P - that: as in stage_matrix, a second temporary of
-    their size would be freed and faulted in again on every call at
-    large d."""
-    P, Q = stage_pencil(J[None], None if gx is None else gx[None])
-    blocks = (h * _EIG) * Q[0]
-    np.subtract(P[0], blocks, out=blocks)
-    return blocks.transpose(0, 2, 1) if transpose else blocks
-
-
 # |lambda_k| bounds how far a change of h or Q moves the blocks
 _EIG_MAX = float(np.abs(RADAU_IIA_EIGVALS).max())
 
 
 @dataclass(eq=False)
 class StageStore:
-    """One slot for the eigenbasis blocks a pass factored last: the h, J,
-    gx and transpose they came from (the fields, not the blocks), the
-    match tolerance c eps max|B| (c = STAGE_SPREAD_ULPS) and, once reused,
-    their inverse (None when ||B||_1 ||B^-1||_1 exceeds COND_BOUND).
-    Each integrate and each run_adjoints call makes its own, so nothing
-    carries over from another run.  hold replaces the slot with copies of
-    J and gx and never writes into an array it holds, so a shallow copy
-    (copy.copy, as IntervalStart records) shares the held bytes, and the
-    inverse of a copy equals the original's either way: it is computed
-    from the same bytes."""
-    h: Optional[float] = None
-    J: Optional[np.ndarray] = None
-    gx: Optional[np.ndarray] = None
-    transpose: bool = False
+    """The stage solver of one pass: integrate makes StageStore() and
+    solves M y = r with it, run_adjoints makes StageStore(transpose=True)
+    and solves M^T y = r.  Nothing carries over from another run.
 
-    def hold(self, h, J, gx, transpose, blocks):
+    solve(h, Js, gxs, r) takes the stage pencil (stage_pencil) of Js
+    (m, n, n) and gxs (m, n), None off the surface, holding one value per
+    stage or one (m = 1) for all s; r and y are (..., s, d), stage-major.
+    When every stage's Js and gxs agree with stage 0's to
+    STAGE_SPREAD_ULPS ulps of their largest entry (_shared), eigen_solve
+    takes stage 0's values: M = I_s (x) P - h A (x) Q then splits, with
+    A = T diag(lambda) T^-1 (tableau.RADAU_IIA_T), into the blocks
+    P - h lambda_k Q, one real and a conjugate pair, and one
+    np.linalg.solve call on the complex (2, d, d) batch, broadcast over
+    r's leading axes, solves the real block and one block of the pair.
+    That matrix lies within h |A| STAGE_SPREAD_ULPS eps |J| of M, the
+    backward error the LU of M already makes.  Otherwise dense_solve
+    factors stage_matrix, one single-RHS solve per leading index of r.
+    Both give each leading index the bytes its own solve would give.
+    Raises np.linalg.LinAlgError when the system is singular.
+
+    The solver keeps one slot: the h, J and gx of the blocks it factored
+    last (copies, not the blocks), the match tolerance tol = c eps max|B|
+    (c = STAGE_SPREAD_ULPS) and, once reused, their inverse.  An
+    eigenbasis solve whose h, J and gx move the held blocks by at most
+    tol entrywise forms no blocks and applies the inverse as a
+    matrix-vector product per leading index.  numpy keeps no LU factors,
+    so the inverse is computed on the first reuse, from the held bytes;
+    blocks whose ||B||_1 ||B^-1||_1 exceeds COND_BOUND are never
+    inverted, and a match on them solves its own blocks.  Any other
+    eigenbasis solve factors its blocks, which then take the slot.  The
+    slot is replaced, never written into, so a shallow copy (copy.copy,
+    as IntervalStart records) shares the held bytes and reuses exactly
+    what the original would.  README "The stage solve" gives the
+    reasoning and the counts."""
+    transpose: bool = False
+    h: Optional[float] = field(default=None, init=False)
+    J: Optional[np.ndarray] = field(default=None, init=False)
+    gx: Optional[np.ndarray] = field(default=None, init=False)
+
+    def solve(self, h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
+              r: np.ndarray) -> np.ndarray:
+        """Solve this pass's stage system for the pencil of Js and gxs."""
+        if (gxs is None or _shared(gxs)) and _shared(Js):
+            return self.eigen_solve(h, Js[0], None if gxs is None else gxs[0], r)
+        return self.dense_solve(h, Js, gxs, r)
+
+    def eigen_solve(self, h, J, gx, r) -> np.ndarray:
+        """The eigenbasis solve on one Jacobian J (n, n) and gx (n,)."""
+        into, back = _SOLVE[self.transpose]
+        match = self._matches(h, J, gx)
+        inv = self._inverse() if match else None
+        if inv is not None:
+            return (back @ (inv @ (into @ r)[..., None])[..., 0]).real
+        blocks = self._blocks(h, J, gx)
+        y = (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
+        if not match:
+            self._hold(h, J, gx, blocks)
+        return y
+
+    def dense_solve(self, h, Js, gxs, r) -> np.ndarray:
+        """The LU solve of stage_matrix, transposed for the sweep."""
+        M = stage_matrix(h, Js, gxs)
+        if self.transpose:
+            M = M.T
+        lead = r.shape[:-2]
+        return np.linalg.solve(np.broadcast_to(M, lead + M.shape),
+                               r.reshape(lead + (-1, 1))).reshape(r.shape)
+
+    def _blocks(self, h, J, gx) -> np.ndarray:
+        """The complex (2, d, d) blocks P - h lambda_k Q, transposed for
+        the sweep.  They are formed in place, h lambda_k Q then P - that:
+        as in stage_matrix, a second temporary of their size would be
+        freed and faulted in again on every call at large d."""
+        P, Q = stage_pencil(J[None], None if gx is None else gx[None])
+        blocks = (h * _EIG) * Q[0]
+        np.subtract(P[0], blocks, out=blocks)
+        return blocks.transpose(0, 2, 1) if self.transpose else blocks
+
+    def _hold(self, h, J, gx, blocks):
         """Replace the slot with the blocks of (h, J, gx) just factored."""
-        self.h, self.J, self.transpose = h, J.copy(), transpose
+        self.h, self.J = h, J.copy()
         self.gx = None if gx is None else gx.copy()
         self.tol = STAGE_SPREAD_ULPS * np.finfo(float).eps * float(np.abs(blocks).max())
         self.qmax = float(np.abs(J).max()) if gx is None else \
             max(float(np.abs(J).max()), float(np.abs(gx).max()))
         self.inverted, self.inv = False, None
 
-    def matches(self, h, J, gx, transpose) -> bool:
+    def _matches(self, h, J, gx) -> bool:
         """Whether the blocks of (h, J, gx) lie within tol of the held
         ones, entrywise.  The gx row of P moves by dg = max|gx - gx0|,
         and every entry of h lambda_k Q by at most |lambda|max (|h - h0|
         (max|Q0| + dQ) + h0 dQ), dQ = max(max|J - J0|, dg).  An empty
         slot and a NaN match nothing."""
-        if (self.J is None or transpose != self.transpose
-                or (gx is None) != (self.gx is None) or J.shape != self.J.shape):
+        if self.J is None or (gx is None) != (self.gx is None) or J.shape != self.J.shape:
             return False
         dh = abs(h - self.h)
         if not _EIG_MAX * dh * self.qmax <= self.tol:
@@ -350,56 +369,18 @@ class StageStore:
         dQ = max(float(np.abs(J - self.J).max()), dg)
         return dg <= self.tol and _EIG_MAX * (dh * (self.qmax + dQ) + self.h * dQ) <= self.tol
 
-    def inverse(self) -> Optional[np.ndarray]:
+    def _inverse(self) -> Optional[np.ndarray]:
         """The inverse of the held blocks, computed on the first call from
         the same bytes the first solve factored; None when a block's
         ||B||_1 ||B^-1||_1 exceeds COND_BOUND (or is not finite)."""
         if not self.inverted:
             self.inverted = True
-            blocks = _eigen_blocks(self.h, self.J, self.gx, self.transpose)
+            blocks = self._blocks(self.h, self.J, self.gx)
             inv = np.linalg.inv(blocks)
             cond = (np.abs(blocks).sum(axis=1).max(axis=1)
                     * np.abs(inv).sum(axis=1).max(axis=1)).max()
             self.inv = inv if cond <= COND_BOUND else None
         return self.inv
-
-
-def eigen_stage_solve(h: float, J: np.ndarray, gx: Optional[np.ndarray],
-                      r: np.ndarray, transpose: bool = False,
-                      store: Optional[StageStore] = None) -> np.ndarray:
-    """Solve the stage system M y = r (M^T y = r with transpose) when
-    every stage has the same Jacobian J (n, n) and, on the surface, the
-    same gradient row gx (n,); r and y are (..., s, d), stage-major.
-
-    M = I_s (x) P - h A (x) Q for the pencil (P, Q) of J (stage_pencil).
-    With A = T diag(lambda) T^-1 (tableau.RADAU_IIA_T) it splits into the
-    blocks P - h lambda_k Q (_eigen_blocks): one real block and a
-    conjugate pair.  The real block and one block of the pair go to one
-    np.linalg.solve call on a complex (2, d, d) batch, broadcast over
-    r's leading axes as one single-RHS solve each, so every leading
-    index gets the bytes its own solve would give; the pair's other
-    block is the conjugate.
-
-    With a store (the StageStore of an integrate or run_adjoints call,
-    one per pass) the solve first asks whether h, J and gx move the
-    blocks it holds by at most STAGE_SPREAD_ULPS eps max|B|
-    (StageStore.matches).  On a match it forms no blocks and applies
-    their inverse (computed on the first reuse) as a matrix-vector
-    product per leading index; blocks whose ||B||_1 ||B^-1||_1 exceeds
-    COND_BOUND are not inverted, and a match on them solves as without a
-    store.  Otherwise it solves as above and the store takes the blocks.
-    Raises np.linalg.LinAlgError when a block is singular.
-    """
-    into, back = _SOLVE[transpose]
-    match = store is not None and store.matches(h, J, gx, transpose)
-    inv = store.inverse() if match else None
-    if inv is not None:
-        return (back @ (inv @ (into @ r)[..., None])[..., 0]).real
-    blocks = _eigen_blocks(h, J, gx, transpose)
-    y = (back @ np.linalg.solve(blocks, (into @ r)[..., None])[..., 0]).real
-    if store is not None and not match:
-        store.hold(h, J, gx, transpose, blocks)
-    return y
 
 
 def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -430,30 +411,6 @@ def _shared(V: np.ndarray) -> bool:
     return bool(spread <= STAGE_SPREAD_ULPS * np.finfo(float).eps * np.abs(V[0]).max())
 
 
-def solve_stages(h: float, Js: np.ndarray, gxs: Optional[np.ndarray],
-                 r: np.ndarray, transpose: bool = False,
-                 store: Optional[StageStore] = None) -> np.ndarray:
-    """Solve M y = r (M^T y = r with transpose) for the stage pencil of
-    Js (m, n, n) and gxs (m, n), None off the surface, holding one value
-    per stage or one (m = 1) for all s; r and y are (..., s, d).  The one
-    choice of solve: eigen_stage_solve on stage 0's values when every
-    stage's Js and gxs agree with them to STAGE_SPREAD_ULPS ulps of their
-    largest entry (_shared), else np.linalg.solve of stage_matrix, one
-    single-RHS solve per leading index of r.  The eigenbasis solve then
-    solves exactly a matrix within h |A| STAGE_SPREAD_ULPS eps |J| of M,
-    the backward error class of the LU itself.  Raises
-    np.linalg.LinAlgError when the system is singular."""
-    if (gxs is None or _shared(gxs)) and _shared(Js):
-        return eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0], r, transpose,
-                                 store)
-    M = stage_matrix(h, Js, gxs)
-    if transpose:
-        M = M.T
-    lead = r.shape[:-2]
-    return np.linalg.solve(np.broadcast_to(M, lead + M.shape),
-                           r.reshape(lead + (-1, 1))).reshape(r.shape)
-
-
 def sliding_jacobians(ocp: HybridOCP, vals: list, X: np.ndarray, Z: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """The stage Jacobians fF_x(x_j, u) + z_j g_xx(x_j) (m, n, n), the
@@ -475,9 +432,11 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
     The first iterate has every stage at x, so f and f_x are evaluated
     there once and its solve is the eigenbasis one; later iterates
     evaluate them at each stage and factor the dense stage matrix unless
-    the stage Jacobians agree to rounding (solve_stages).  store is the
-    run's StageStore, which every eigenbasis solve consults.
+    the stage Jacobians agree to rounding.  store is the run's
+    StageStore, which solves every Newton correction; None means a
+    fresh one.
     """
+    store = store if store is not None else StageStore()
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
     f, f_x, _ = ocp.field(mode)
@@ -493,8 +452,7 @@ def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
         if it == MAX_NEWTON_ITERS:
             break
         try:
-            delta = solve_stages(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res,
-                                 store=store)
+            delta = store.solve(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
         Y = Y + delta
@@ -523,6 +481,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
     value for the s stages; its solve is the eigenbasis one.  store is the
     run's StageStore, as in step_ode.
     """
+    store = store if store is not None else StageStore()
     n = ocp.n
     s = RADAU_IIA.s
     A, b = RADAU_IIA.A, RADAU_IIA.b
@@ -543,8 +502,7 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         if it == MAX_NEWTON_ITERS:
             break
         try:
-            delta = solve_stages(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res,
-                                 store=store)
+            delta = store.solve(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res)
         except np.linalg.LinAlgError as exc:
             raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
         X = X + delta[:, :n]
@@ -705,11 +663,17 @@ class _Builder:
             opts=self.opts)
 
 
-def check_mesh(base: Trajectory, grid: ControlGrid):
-    """Raise ValueError unless base was integrated on grid's control mesh:
-    N and every breakpoint t_0..t_N."""
-    if not np.array_equal(base.times[base.breakpoint_nodes], grid.breakpoints()):
-        raise ValueError("base trajectory has a different mesh")
+def check_width(ocp: HybridOCP, grid: ControlGrid):
+    """Raise DimensionMismatch unless grid holds ocp.m controls per interval."""
+    if grid.m != ocp.m:
+        raise DimensionMismatch(f"grid has {grid.m} controls per interval, problem {ocp.m}")
+
+
+def check_mesh(traj: Trajectory, grid: ControlGrid):
+    """Raise MeshMismatch unless traj was integrated on grid's control
+    mesh: N and every breakpoint t_0..t_N."""
+    if not np.array_equal(traj.times[traj.breakpoint_nodes], grid.breakpoints()):
+        raise MeshMismatch("trajectory was integrated on a different mesh")
 
 
 def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
@@ -720,9 +684,11 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
 
     With base and start = n > 0 the run resumes base at control interval
     n: it keeps base's data up to t_n and integrates intervals n..N-1
-    only.  A steps_per_interval that is no integer >= 1 (a bool is none),
-    a base from another mesh (steps_per_interval, N or breakpoints) or
-    with other options, or a base with start = 0, raises ValueError.  Past those checks the result equals a full run bit for
+    only.  A grid whose width is not ocp.m raises DimensionMismatch, a
+    base from another mesh (steps_per_interval, N or breakpoints)
+    MeshMismatch.  A steps_per_interval that is no integer >= 1 (a bool
+    is none), a base with other options, or a base with start = 0 raises
+    ValueError.  Past those checks the result equals a full run bit for
     bit when base came from the same problem and grid's controls before
     interval n are the ones base was integrated with; neither of these
     is checked.
@@ -732,6 +698,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     if isinstance(spi, bool) or not isinstance(spi, (int, np.integer)) or spi < 1:
         raise ValueError(f"steps_per_interval must be an integer >= 1, got {spi!r}")
     spi = int(spi)
+    check_width(ocp, grid)
 
     bp = grid.breakpoints()
     N = grid.N
@@ -743,7 +710,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
             raise ValueError(f"resuming at interval {start} needs a base trajectory "
                              f"and 0 < start < N = {N}")
         if base.spi != spi:
-            raise ValueError("base trajectory has a different mesh")
+            raise MeshMismatch("base trajectory has a different mesh")
         check_mesh(base, grid)
         if base.opts != opts:
             raise ValueError("base trajectory was integrated with different options")

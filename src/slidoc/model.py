@@ -29,12 +29,14 @@ eps_tan and eps_den have no defaults: callers pass their run's options.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateDenominator, DimensionMismatch, TangentialAmbiguity
+from .errors import (DegenerateDenominator, DimensionMismatch, TangentialAmbiguity,
+                     ValidationError)
 
 class Mode(enum.Enum):
     BELOW = "below"
@@ -114,13 +116,21 @@ class HybridOCP:
 
 @dataclass(frozen=True)
 class ControlGrid:
-    """Piecewise-constant control on N uniform intervals of [t0, tf]."""
+    """Piecewise-constant control on N uniform intervals of [t0, tf].
+    t0 and tf must be finite with tf > t0, or ValidationError names the
+    field."""
 
     t0: float
     tf: float
     values: np.ndarray  # (N, m)
 
     def __post_init__(self):
+        for key in ("t0", "tf"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key}: must be a finite number, got {getattr(self, key)!r}",
+                                      field=key)
+        if not self.tf > self.t0:
+            raise ValidationError(f"tf: must be > t0 = {self.t0!r}, got {self.tf!r}", field="tf")
         v = np.array(self.values, dtype=float)
         if v.ndim != 2:
             raise DimensionMismatch(f"control values must be (N, m), got shape {v.shape}")

@@ -84,10 +84,7 @@ NU2_FACTOR = 1e2
 def make_hessian(dim: int, h_scale: float):
     """Starting metric H0 = h_scale I with its spectral bounds
     nu1 = NU1_FACTOR h_scale and nu2 = NU2_FACTOR h_scale; returns
-    (H0, nu1, nu2)."""
-    if not h_scale > 0:
-        raise ValidationError(f"h_scale: Hessian not positive definite (min eig {h_scale:.3e})",
-                              field="h_scale")
+    (H0, nu1, nu2).  OptimizerConfig has checked h_scale > 0."""
     return h_scale * np.eye(dim), NU1_FACTOR * float(h_scale), NU2_FACTOR * float(h_scale)
 
 

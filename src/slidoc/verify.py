@@ -32,7 +32,7 @@ import numpy as np
 from .adjoint import run_adjoint
 from .errors import ReferenceUnconverged, SlidocError, ValidationError
 from .gradient import reduced_gradient
-from .integrator import IntegratorOptions, Trajectory, check_mesh, integrate
+from .integrator import IntegratorOptions, Trajectory, check_mesh, check_width, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 from .tableau import RADAU_IIA
 
@@ -83,12 +83,14 @@ def fd_gradient(ocp: HybridOCP, grid: ControlGrid, base: Trajectory,
     The probe size is eps scaled by max(1, |u_nj|).  base is the
     unperturbed run; every probe runs with its steps per interval and
     options, and a probe of u_n resumes it at interval n, event location
-    included.  A base from another mesh (N or any breakpoint) raises
-    ValueError before any probe runs; a failing probe flags its entry.
+    included.  A grid whose width is not ocp.m raises DimensionMismatch
+    and a base from another mesh (N or any breakpoint) MeshMismatch, both
+    before any probe runs; a failing probe flags its entry.
     """
     if not eps > 0:
         raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
     functional = functional if functional is not None else ocp.phi
+    check_width(ocp, grid)
     check_mesh(base, grid)
     base_structure = _structure(base)
 

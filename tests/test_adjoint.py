@@ -20,7 +20,7 @@ from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             transition_jump)
 from slidoc.errors import SingularJumpSystem
 from slidoc.gradient import reduced_gradient_matrix
-from slidoc.integrator import IntegratorOptions, integrate
+from slidoc.integrator import IntegratorOptions, StageStore, integrate
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                           TransitionKind, filippov_jacobians, filippov_values)
 from slidoc.problems import get_problem
@@ -96,7 +96,8 @@ def test_sliding_step_is_exact_in_one_step():
     k = traj.transitions[0].k + 1          # a fully sliding step
     u = grid.values[traj.ctrl[k]]
     lam_plus = np.array([1.0, 0.7])
-    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None])
+    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None],
+                                      StageStore(transpose=True))
     assert lam_k.shape == (1, ocp.n)
     assert lam_k[0] == pytest.approx([1.0, 0.0], abs=1e-13)
     assert row.shape == (1, ocp.m)
@@ -136,7 +137,8 @@ def test_stage_multipliers_satisfy_the_reversed_table_recursion(name):
         u = grid.values[traj.ctrl[k]]
         h = traj.h[k]
         lam_plus = rng.normal(size=(2, ocp.n))
-        stages, lam_k, _ = adjoint_step_transformed(ocp, traj, k, u, lam_plus)
+        stages, lam_k, _ = adjoint_step_transformed(ocp, traj, k, u, lam_plus,
+                                                    StageStore(transpose=True))
         _, f_x, _ = ocp.field(traj.mode[k])
         fxT = [f_x(x_j, u).T for x_j in traj.stages_x[k]]
         for f in range(2):
@@ -550,18 +552,18 @@ def test_reruns_of_a_sweep_are_byte_identical():
 def test_ill_conditioned_blocks_are_solved_not_inverted(monkeypatch):
     """With COND_BOUND forced below every block's ||B||_1 ||B^-1||_1 no
     stored inverse is applied: every step factors its own blocks and
-    gives the bytes of eigen_stage_solve on them, without a store."""
+    gives the bytes of the first solve of a fresh solver, whose empty
+    slot matches nothing."""
     ocp, grid, traj = _chain16()
     monkeypatch.setattr(integrator_mod, "COND_BOUND", 0.5)
-    solve, checked = adjoint_mod.solve_stages, []
+    solve, checked = StageStore.solve, []
 
-    def recorded(h, Js, gxs, r, transpose=False, store=None):
-        y = solve(h, Js, gxs, r, transpose, store)
-        own = integrator_mod.eigen_stage_solve(h, Js[0], None if gxs is None else gxs[0],
-                                               r, transpose)
-        checked.append(store is not None and y.tobytes() == own.tobytes())
+    def recorded(store, h, Js, gxs, r):
+        y = solve(store, h, Js, gxs, r)
+        own = solve(StageStore(transpose=True), h, Js, gxs, r)
+        checked.append(store.transpose and y.tobytes() == own.tobytes())
         return y
-    monkeypatch.setattr(adjoint_mod, "solve_stages", recorded)
+    monkeypatch.setattr(StageStore, "solve", recorded)
     counts = _count_factorizations(monkeypatch)
     run_adjoint(ocp, traj, grid, ocp.phi)
     assert len(checked) == traj.K and all(checked)

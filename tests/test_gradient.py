@@ -11,6 +11,7 @@ from slidoc.gradient import (directional_derivative, reduced_gradient,
 from slidoc.integrator import integrate
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP
 from slidoc.problems import get_problem
+from slidoc.verify import fd_gradient
 
 FD_STEP = 1e-6
 
@@ -133,3 +134,36 @@ def test_mesh_mismatch_is_detected():
     adj_b = run_adjoint(ocp, traj_b, grid, ocp.phi)
     with pytest.raises(MeshMismatch):
         reduced_gradient(ocp, traj_a, grid, adj_b)
+
+
+@pytest.mark.parametrize("name", ["p2-steered", "smooth-linear"])
+def test_a_grid_of_the_wrong_width_is_refused(name):
+    """A grid with two controls per interval for a problem with one is
+    refused by integrate, by the sweep given a good trajectory, and by
+    the FD oracle, before anything runs: p2-steered would otherwise
+    integrate with the first column and copy its gradient into the
+    second, and smooth-linear would fail inside a matrix product."""
+    ocp, grid = get_problem(name)
+    assert ocp.m == 1
+    wide = grid.with_values(np.repeat(grid.values, 2, axis=1))
+    with pytest.raises(DimensionMismatch):
+        integrate(ocp, wide, 4)
+    traj = integrate(ocp, grid, 4)
+    for backend in ("transformed", "matrix"):
+        with pytest.raises(DimensionMismatch):
+            run_adjoint(ocp, traj, wide, ocp.phi, backend=backend)
+    with pytest.raises(DimensionMismatch):
+        fd_gradient(ocp, wide, traj)
+
+
+def test_a_grid_on_another_time_span_is_refused():
+    """A p2-sliding trajectory on [0, 1] and a grid of the same N on
+    [0, 2]: the sweep refuses the pair, as the FD oracle does, instead
+    of returning a gradient for the wrong mesh."""
+    ocp, grid = get_problem("p2-sliding")
+    traj = integrate(ocp, grid, 8)
+    wide = ControlGrid(grid.t0, 2.0 * grid.tf, grid.values)
+    with pytest.raises(MeshMismatch, match="different mesh"):
+        run_adjoint(ocp, traj, wide, ocp.phi)
+    with pytest.raises(MeshMismatch, match="different mesh"):
+        fd_gradient(ocp, wide, traj)

@@ -15,10 +15,10 @@ import pytest
 import slidoc.adjoint as adjoint_mod
 import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import (ChatteringLimit, NewtonDivergence, NoBracket, TangentialAmbiguity,
-                           ValidationError)
-from slidoc.integrator import (IntegratorOptions, Trajectory, integrate, locate_event,
-                               solve_stages, step_ode)
+from slidoc.errors import (ChatteringLimit, MeshMismatch, NewtonDivergence, NoBracket,
+                           TangentialAmbiguity, ValidationError)
+from slidoc.integrator import (IntegratorOptions, StageStore, Trajectory, integrate,
+                               locate_event, step_ode)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
@@ -434,14 +434,14 @@ def test_resume_needs_a_matching_base():
     base = integrate(ocp, grid, 4)
     with pytest.raises(ValueError):
         integrate(ocp, grid, 4, start=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(MeshMismatch, match="different mesh"):
         integrate(ocp, grid, 8, base=base, start=3)
     with pytest.raises(ValueError):
         integrate(ocp, grid, 4, base=base, start=grid.N)
     with pytest.raises(ValueError):
         integrate(ocp, grid, 4, base=base, start=0)
     for t0, tf in [(grid.t0, 1.1 * grid.tf), (grid.t0 - 0.5, grid.tf)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(MeshMismatch, match="different mesh"):
             integrate(ocp, ControlGrid(t0, tf, grid.values), 4, base=base, start=3)
     # a base integrated with other options would give a mixed trajectory
     loose = integrate(ocp, grid, 4, opts=IntegratorOptions(newton_tol=1e-6, eps_den=1e-6))
@@ -480,8 +480,8 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     g_xx count sliding work only and f1_x counts the Jacobians of solves
     of either kind.  Evaluating every stage of the first iterate, as the
     step once did, takes 159 f1_x and 81 f2_x and g_xx calls here.
-    Solves are counted as solve_stages calls, each of which follows its
-    Jacobian evaluations whether it factors or reuses the stage store."""
+    Solves are counted as StageStore.solve calls, each of which follows
+    its Jacobian evaluations whether it factors or reuses the slot."""
     calls = {"f1_x": 0, "f2_x": 0, "g_xx": 0, "f1_u": 0, "f2_u": 0}
     solves = {"ode": 0, "sliding": 0}
 
@@ -495,11 +495,13 @@ def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):
     ocp = dataclasses.replace(ocp, **{name: counted(name, getattr(ocp, name)) for name in calls})
     s = RADAU_IIA.s
 
-    def counted_solve(h, Js, gxs, *args, **kw):
-        solves["ode" if gxs is None else "sliding"] += 1
-        return solve_stages(h, Js, gxs, *args, **kw)
+    solve = StageStore.solve
 
-    monkeypatch.setattr(integrator_mod, "solve_stages", counted_solve)
+    def counted_solve(store, h, Js, gxs, r):
+        solves["ode" if gxs is None else "sliding"] += 1
+        return solve(store, h, Js, gxs, r)
+
+    monkeypatch.setattr(StageStore, "solve", counted_solve)
     steps = _count_steps(monkeypatch)
     traj = integrate(ocp, grid, 4)
     assert traj.transition_kinds() == ["EnterSliding"]
@@ -616,9 +618,10 @@ def test_steps_evaluate_no_point_twice(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 @pytest.mark.parametrize("sliding", [False, True])
 def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
-    """With one Jacobian J at every stage, eigen_stage_solve gives what
-    np.linalg.solve of stage_matrix gives, for the plain and the bordered
-    (sliding) pencil, for M and M^T, and for a batch of right-hand sides
+    """With one Jacobian J at every stage, the eigenbasis solve of a fresh
+    StageStore gives what np.linalg.solve of stage_matrix gives, for the
+    plain and the bordered (sliding) pencil, for M (StageStore()) and M^T
+    (StageStore(transpose=True)), and for a batch of right-hand sides
     solved at once, with h |J|_2 from 1e-3 to 10."""
     rng = np.random.default_rng([n, sliding])
     s = RADAU_IIA.s
@@ -634,7 +637,7 @@ def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
             Mt = M.T if transpose else M
             for batch in ((), (5,)):
                 r = rng.standard_normal(batch + (s, d))
-                y = integrator_mod.eigen_stage_solve(h, J, gx, r, transpose=transpose)
+                y = StageStore(transpose).eigen_solve(h, J, gx, r)
                 ref = np.linalg.solve(np.broadcast_to(Mt, batch + Mt.shape),
                                       r.reshape(batch + (s * d, 1))).reshape(r.shape)
                 assert y.shape == r.shape and y.dtype == float
@@ -643,15 +646,16 @@ def test_eigen_stage_solve_matches_the_dense_stage_matrix(n, sliding):
 
 @pytest.mark.parametrize("sliding", [False, True])
 def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding, monkeypatch):
-    """solve_stages gives the bytes of eigen_stage_solve on stage 0's
-    Jacobian and g_x row when every stage repeats them (or a single value
+    """StageStore.solve gives the bytes of its eigenbasis solve on stage
+    0's Jacobian and g_x row when every stage repeats them (or a single value
     stands for all s), or when one stage differs from them by one ulp or
     by (c - 1) eps max|V_0|, c = STAGE_SPREAD_ULPS.  It gives the bytes of
     np.linalg.solve of stage_matrix, one solve per leading index of r,
     when one stage's Jacobian or g_x row differs by (c + 1) eps max|V_0|
     or by 1e-10 relative, and when it holds a NaN (the eigenbasis solve
     is not called then).  For M and M^T, and r with leading axes () and
-    (3,)."""
+    (3,).  Every solve is the first of a fresh solver, whose empty slot
+    matches nothing."""
     rng = np.random.default_rng([18, sliding])
     s, n, h = RADAU_IIA.s, 4, 0.05
     d = n + 1 if sliding else n
@@ -685,22 +689,23 @@ def test_solve_stages_is_the_eigenbasis_or_the_dense_solve_bit_for_bit(sliding, 
     for Js_v, gxs_v in spread + nan:
         assert not integrator_mod._shared(Js_v) or not integrator_mod._shared(gxs_v)
     eigen_calls = []
-    eigen_stage_solve = integrator_mod.eigen_stage_solve
-    monkeypatch.setattr(integrator_mod, "eigen_stage_solve",
-                        lambda *args: eigen_calls.append(1) or eigen_stage_solve(*args))
+    eigen_solve = StageStore.eigen_solve
+    monkeypatch.setattr(StageStore, "eigen_solve",
+                        lambda *args: eigen_calls.append(1) or eigen_solve(*args))
     for transpose in (False, True):
         for lead in ((), (3,)):
             r = rng.standard_normal(lead + (s, d))
-            eigen = eigen_stage_solve(h, J, gx, r, transpose)
+            eigen = eigen_solve(StageStore(transpose), h, J, gx, r)
             for Js_v, gxs_v in shared:
-                assert solve_stages(h, Js_v, gxs_v, r, transpose).tobytes() == eigen.tobytes()
+                y = StageStore(transpose).solve(h, Js_v, gxs_v, r)
+                assert y.tobytes() == eigen.tobytes()
             for Js_v, gxs_v in spread + nan:
                 M = integrator_mod.stage_matrix(h, Js_v, gxs_v)
                 M = M.T if transpose else M
                 dense = np.array([np.linalg.solve(M, ri.reshape(-1))
                                   for ri in r.reshape(-1, s * d)]).reshape(r.shape)
                 eigen_calls.clear()
-                y = solve_stages(h, Js_v, gxs_v, r, transpose)
+                y = StageStore(transpose).solve(h, Js_v, gxs_v, r)
                 assert y.shape == r.shape and y.tobytes() == dense.tobytes()
                 assert not eigen_calls and not np.array_equal(y, eigen)
 
@@ -718,7 +723,7 @@ def test_solve_stages_raises_on_a_singular_system():
     for stage_Js in (Js, Js_off):
         for transpose in (False, True):
             with pytest.raises(np.linalg.LinAlgError):
-                solve_stages(h, stage_Js, gxs, r, transpose)
+                StageStore(transpose).solve(h, stage_Js, gxs, r)
 
 
 def test_sweep_calls_g_x_and_g_xx_once_per_sliding_stage():
@@ -747,18 +752,18 @@ def test_sweep_calls_g_x_and_g_xx_once_per_sliding_stage():
 
 def _solve_paths(monkeypatch):
     """Record, per forward step call and per backward step, which stage
-    solves it makes: 'eigen' (eigen_stage_solve) or 'dense'
-    (stage_matrix).  Returns (forward, backward): forward lists one
+    solves it makes: 'eigen' (StageStore.eigen_solve) or 'dense'
+    (StageStore.dense_solve).  Returns (forward, backward): forward lists one
     list of solve kinds per step_ode / step_sliding call, backward maps
     (mode of step k, kind) to a count."""
     forward, backward, current = [], {}, []
 
-    for kind, name in (("eigen", "eigen_stage_solve"), ("dense", "stage_matrix")):
-        def recorded(*args, _fn=getattr(integrator_mod, name), _kind=kind, **kw):
+    for kind, name in (("eigen", "eigen_solve"), ("dense", "dense_solve")):
+        def recorded(*args, _fn=getattr(StageStore, name), _kind=kind):
             if current:
                 current[-1].append(_kind)
-            return _fn(*args, **kw)
-        monkeypatch.setattr(integrator_mod, name, recorded)
+            return _fn(*args)
+        monkeypatch.setattr(StageStore, name, recorded)
     for name in ("step_ode", "step_sliding"):
         def step(*args, _fn=getattr(integrator_mod, name)):
             current.append([])
@@ -810,12 +815,13 @@ def test_sliding_sweeps_on_chain_n_take_the_eigenbasis_solve(monkeypatch, n):
     with stage Jacobians whose bytes differ."""
     forward, backward = _solve_paths(monkeypatch)
     unequal = []
-    solve = adjoint_mod.solve_stages
+    solve = StageStore.solve
 
-    def recorded(h, Js, gxs, r, transpose=False, store=None):
-        unequal.append(Js.tobytes() != Js[0].tobytes() * Js.shape[0])
-        return solve(h, Js, gxs, r, transpose, store)
-    monkeypatch.setattr(adjoint_mod, "solve_stages", recorded)
+    def recorded(store, h, Js, gxs, r):
+        if store.transpose:
+            unequal.append(Js.tobytes() != Js[0].tobytes() * Js.shape[0])
+        return solve(store, h, Js, gxs, r)
+    monkeypatch.setattr(StageStore, "solve", recorded)
     ocp, grid = _chain_problem()(n, np.random.default_rng(1))
     traj = integrate(ocp, grid, 4)
     run_adjoint(ocp, traj, grid, ocp.phi)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,21 @@ def test_control_grid_breakpoints_are_reproducible():
     expect = 0.0 + 1.0 * np.arange(9) / 8
     assert np.array_equal(bp, expect)
     assert bp[0] == 0.0 and bp[-1] == 1.0
+
+
+@pytest.mark.parametrize("t0, tf, field", [(1.0, 0.0, "tf"), (0.0, 0.0, "tf"),
+                                           (0.0, math.nan, "tf"), (0.0, math.inf, "tf"),
+                                           (math.nan, 1.0, "t0"), (-math.inf, 1.0, "t0")])
+def test_control_grid_refuses_a_horizon_that_is_not_finite_and_increasing(t0, tf, field):
+    """A reversed or empty horizon would integrate no step and overwrite
+    node 0's time with tf, and a NaN tf would end in NewtonDivergence:
+    the grid refuses them, naming the field.  get_problem keeps its own
+    message for an overridden tf."""
+    with pytest.raises(ValidationError) as exc:
+        ControlGrid(t0, tf, np.zeros((4, 1)))
+    assert exc.value.payload["field"] == field
+    with pytest.raises(ValidationError, match=r"^overrides.tf: need tf > t0"):
+        get_problem("p2-sliding", {"tf": 0.0})
 
 
 def test_control_grid_with_values_is_fresh():

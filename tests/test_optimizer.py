@@ -31,8 +31,11 @@ def test_hessian_spectral_bounds():
     assert np.array_equal(H, 2.5 * np.eye(4))
     assert nu1 == pytest.approx(1e-2 * 2.5)
     assert nu2 == pytest.approx(1e2 * 2.5)
-    with pytest.raises(ValidationError):
-        make_hessian(3, 0.0)
+    # the configuration refuses a scale that is not > 0; make_hessian
+    # does not check it again
+    with pytest.raises(ValidationError) as exc:
+        OptimizerConfig(h_scale=0.0)
+    assert exc.value.payload["field"] == "h_scale"
 
 
 def _spd(rng, dim, lo, hi):

@@ -7,8 +7,8 @@ import pytest
 import slidoc.integrator as integrator_mod
 import slidoc.verify as verify_mod
 from slidoc.adjoint import run_adjoint
-from slidoc.errors import (ChatteringLimit, ReferenceUnconverged, TangentialAmbiguity,
-                           ValidationError)
+from slidoc.errors import (ChatteringLimit, MeshMismatch, ReferenceUnconverged,
+                           TangentialAmbiguity, ValidationError)
 from slidoc.integrator import IntegratorOptions, integrate
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem
@@ -203,14 +203,14 @@ def test_fd_oracle_takes_its_options_from_the_base(monkeypatch):
 
 
 def test_fd_oracle_rejects_a_base_from_another_mesh(monkeypatch):
-    """A base of N = 1 and a grid of N = 2 raise ValueError before any
+    """A base of N = 1 and a grid of N = 2 raise MeshMismatch before any
     probe runs: the u_0 probes integrate from t0 instead of resuming the
     base, so they would run before the first resume failed."""
     ocp, grid = get_problem("smooth-linear", {"N": 1})
     base = integrate(ocp, grid, 8)
     seen = []
     monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
-    with pytest.raises(ValueError, match="different mesh"):
+    with pytest.raises(MeshMismatch, match="different mesh"):
         fd_gradient(ocp, grid.with_values(np.zeros((2, grid.m))), base)
     assert seen == []
 
@@ -218,7 +218,7 @@ def test_fd_oracle_rejects_a_base_from_another_mesh(monkeypatch):
 @pytest.mark.parametrize("N", [1, 2])
 def test_fd_oracle_rejects_a_base_on_another_time_span(monkeypatch, N):
     """A base integrated on [0, 1] and a grid on [0, 2] of the same N
-    and steps per interval raise ValueError before any probe runs.
+    and steps per interval raise MeshMismatch before any probe runs.
     With N = 1 no probe resumes the base, so nothing later would notice;
     with N = 2 the u_0 probes would run before the first resume failed."""
     ocp, grid = get_problem("smooth-linear", {"N": N})
@@ -226,7 +226,7 @@ def test_fd_oracle_rejects_a_base_on_another_time_span(monkeypatch, N):
     wide = ControlGrid(grid.t0, 2.0 * grid.tf, grid.values)
     seen = []
     monkeypatch.setattr(verify_mod, "integrate", lambda *args, **kw: seen.append(args))
-    with pytest.raises(ValueError, match="different mesh"):
+    with pytest.raises(MeshMismatch, match="different mesh"):
         fd_gradient(ocp, wide, base)
     assert seen == []
 

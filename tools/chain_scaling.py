@@ -11,16 +11,17 @@ prints one markdown table row per n:
 - faults: minor page faults (getrusage ru_minflt) per call, averaged
   over the k timed calls;
 - the stage solves of one call, per pass: how many took the eigenbasis
-  solve (integrator.eigen_stage_solve) and how many factored the dense
-  stage matrix (integrator.stage_matrix), forward (integrate) and
-  backward (run_adjoints), counted in a separate untimed call;
+  branch of the pass's solver (integrator.StageStore.eigen_solve) and
+  how many factored the dense stage matrix (StageStore.dense_solve),
+  forward (integrate) and backward (run_adjoints), counted in a
+  separate untimed call;
 - the factorizations of that call, per pass, as LU + inversions: the
   np.linalg.solve calls (one per eigenbasis batch or dense matrix that
   is factored) and the np.linalg.inv calls (the eigenbasis blocks a
-  pass keeps in its stage store and inverts for reuse);
+  pass's solver keeps in its slot and inverts for reuse);
 - how many of the forward LU fall inside integrator.locate_event, the
   trial steps of event location (each trial's h is new, so its blocks
-  match nothing the store holds).
+  match nothing the slot holds).
 
 slidoc is imported from this checkout's src/.  To compare two trees, run
 the script of this tree from each checkout's tools/ directory:
@@ -64,8 +65,8 @@ def solve_counts(ocp, grid) -> dict:
     forward LU solves made inside locate_event."""
     counts = {}
     phase = ["forward"]
-    spied = {(integrator_mod, "eigen_stage_solve"): "eigen",
-             (integrator_mod, "stage_matrix"): "dense",
+    spied = {(integrator_mod.StageStore, "eigen_solve"): "eigen",
+             (integrator_mod.StageStore, "dense_solve"): "dense",
              (integrator_mod, "locate_event"): "event",
              (np.linalg, "solve"): "lu", (np.linalg, "inv"): "inv"}
     saved = {place: getattr(*place) for place in spied}
