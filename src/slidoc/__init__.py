@@ -12,7 +12,7 @@ from .adjoint import (AdjointTrajectory, run_adjoint, run_adjoints,
                       terminal_conditions, transition_jump)
 from .config import RunConfig, canonical_json, parse_config
 from .errors import SlidocError
-from .gradient import directional_derivative, reduced_gradient, reduced_gradient_matrix
+from .gradient import reduced_gradient, reduced_gradient_matrix
 from .integrator import (IntegratorOptions, Trajectory, TransitionRecord,
                          integrate, step_ode, step_sliding)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,

@@ -306,7 +306,7 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
 def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
                     u_minus: np.ndarray, u_plus: np.ndarray,
-                    lam_plus: np.ndarray, lam_g_plus: float, z_plus: float,
+                    lam_plus: np.ndarray, lam_g_plus: float,
                     mode_before: Mode, eps_tan: float, eps_den: float):
     """Backward jump at a transition node: lam_minus = lam_plus - pi g_x^T.
 
@@ -328,8 +328,7 @@ def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
 
     if kind is TransitionKind.ENTER_SLIDING:
         fF = filippov_values(ocp, x_star, u_plus, eps_den=eps_den).fF
-        rhs_H = float(lam_plus @ fF) + z_plus * float(lam_plus @ gx) \
-            - lam_g_plus * ocp.g(x_star)
+        rhs_H = float(lam_plus @ fF) - lam_g_plus * ocp.g(x_star)
     else:
         f_after = ocp.f2(x_star, u_plus) if kind is TransitionKind.CROSS_12 \
             else ocp.f1(x_star, u_plus)
@@ -355,8 +354,8 @@ def _jump(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid, rec,
     u_plus = grid.values[traj.ctrl[min(k, traj.K - 1)]]
     mode_before = traj.mode[k - 1]
     lam_minus, pi = transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
-                                    lam_plus, lam_g_plus, float(traj.z_node[k]),
-                                    mode_before, eps_tan=traj.opts.eps_tan,
+                                    lam_plus, lam_g_plus, mode_before,
+                                    eps_tan=traj.opts.eps_tan,
                                     eps_den=traj.opts.eps_den)
     if mode_before is not Mode.SLIDING:
         return lam_minus, 0.0, pi

@@ -82,8 +82,6 @@ def _csv_text(header: list, rows: list) -> str:
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, str):
-        return v
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return format_float(float(v))

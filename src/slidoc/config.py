@@ -2,7 +2,6 @@
 
 A config file is a single flat JSON object; every key is optional except
 that most subcommands need a problem name from somewhere (file or flag).
-A "params" sub-object is accepted as a grouping alias for the same keys.
 Unknown keys and numbers beyond a float (NaN, Infinity, 1e400) are refused
 so typos fail loudly, and a RunConfig that exists is valid: it checks
 itself when built.  The effective config (defaults filled, flag
@@ -136,17 +135,6 @@ def parse_config(path: Optional[str], flag_overrides: Optional[dict] = None) -> 
             raise ParseError(f"{path}: {exc}", path=str(path))
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: top level must be a JSON object", path=str(path))
-    # "params" is an accepted grouping alias: a nested object holding the
-    # same keys, merged into the top level (a key in both is an error)
-    params = raw.pop("params", None)
-    if params is not None:
-        if not isinstance(params, dict):
-            raise ValidationError("params: must be an object", field="params")
-        for key, val in params.items():
-            if key in raw:
-                raise ValidationError(f"{key}: given both at top level and in params",
-                                      field=key)
-            raw[key] = val
     for key in raw:
         if key not in _FIELDS:
             raise ValidationError(f"{key}: unknown config key", field=key)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .adjoint import AdjointTrajectory, run_adjoint
-from .errors import DimensionMismatch, MeshMismatch
+from .errors import MeshMismatch
 from .integrator import Trajectory
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 
@@ -33,9 +33,3 @@ def reduced_gradient_matrix(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     """Gradient via the assembled matrix route on every step.  Oracle for
     the stage-form assembly; one extra backward sweep."""
     return run_adjoint(ocp, traj, grid, w, backend="matrix").grad
-
-
-def directional_derivative(grad: np.ndarray, d: np.ndarray) -> float:
-    if grad.shape != d.shape:
-        raise DimensionMismatch(f"gradient shape {grad.shape} vs direction shape {d.shape}")
-    return float(np.sum(grad * d))

@@ -144,11 +144,13 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
     eqs and ineqs are sequences of (value, gradient) pairs; lo and hi
     bound d (box minus current control).  Returns (d, beta, QPInfo).
 
-    Variables are y = (d, beta).  Every constraint is one row a^T y <= b;
-    the working set always keeps at least one row with a beta component,
-    which pins the otherwise-flat beta direction and keeps the reduced
-    Hessian positive definite.  When the working set loses its last such
-    row the iteration moves straight down in beta until a new one blocks.
+    Variables are y = (d, beta); every constraint is a row a^T y <= b.
+    G's beta row is zero, so in every KKT solve the multipliers of the
+    working set's beta rows sum to c > 0: a lone beta row has mu = c and
+    is never dropped, and the start set holds one, so some beta row
+    always pins the otherwise flat beta direction.  Were rounding to
+    break this, the KKT matrix would have a zero beta column and the
+    solve would raise QPFailure "degenerate working set".
     """
     dim = grad0.shape[0]
     nv = dim + 1
@@ -197,25 +199,19 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
     mu_by_row = np.zeros(nrows)
     cap = 50 + 10 * nrows
     for it in range(1, cap + 1):
-        has_beta = any(beta_rows[l] for l in work)
-        if not has_beta:
-            p = np.zeros(nv)
-            p[dim] = -1.0
-            mu = np.zeros(len(work))
-        else:
-            Aw = A[work]
-            kdim = nv + len(work)
-            KKT = np.zeros((kdim, kdim))
-            KKT[:nv, :nv] = G
-            KKT[:nv, nv:] = Aw.T
-            KKT[nv:, :nv] = Aw
-            rhs = np.concatenate([-(G @ y + q), np.zeros(len(work))])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise QPFailure(f"degenerate working set {sorted(work)}") from exc
-            p = sol[:nv]
-            mu = sol[nv:]
+        Aw = A[work]
+        kdim = nv + len(work)
+        KKT = np.zeros((kdim, kdim))
+        KKT[:nv, :nv] = G
+        KKT[:nv, nv:] = Aw.T
+        KKT[nv:, :nv] = Aw
+        rhs = np.concatenate([-(G @ y + q), np.zeros(len(work))])
+        try:
+            sol = np.linalg.solve(KKT, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise QPFailure(f"degenerate working set {sorted(work)}") from exc
+        p = sol[:nv]
+        mu = sol[nv:]
 
         if np.max(np.abs(p)) <= 1e-12:
             neg = [(mu[i], i) for i in range(len(work)) if mu[i] < -1e-12]
@@ -252,8 +248,6 @@ def solve_direction(grad0: np.ndarray, c: float, H: np.ndarray,
         y = y + alpha * p
         if blocking >= 0:
             work.append(blocking)
-        elif not has_beta:
-            raise QPFailure("unbounded beta descent; no blocking row found")
     raise QPFailure(f"active-set iteration cap {cap} reached", iterations=cap)
 
 

@@ -223,8 +223,10 @@ def get_problem(name: str, overrides: dict | None = None):
     N = int(N)
     ocp, grid = _FACTORIES[name](N)
 
-    t0 = float(ov.get("t0", ocp.t0))
-    tf = float(ov.get("tf", ocp.tf))
+    t0, tf = float(ov.get("t0", ocp.t0)), float(ov.get("tf", ocp.tf))
+    for key, v in (("t0", t0), ("tf", tf)):
+        if not np.isfinite(v):
+            raise ValidationError(f"overrides.{key}: must be finite, got {v}", field=f"overrides.{key}")
     if not tf > t0:
         raise ValidationError(f"overrides.tf: need tf > t0, got [{t0}, {tf}]", field="overrides.tf")
 

@@ -187,7 +187,7 @@ def test_crossing_jump_hand_case():
     opts = IntegratorOptions()
     lam_minus, pi = transition_jump(ocp, TransitionKind.CROSS_12,
                                     np.array([0.5, 0.0]), u, u, lam_plus,
-                                    0.0, 0.0, Mode.BELOW, opts.eps_tan, opts.eps_den)
+                                    0.0, Mode.BELOW, opts.eps_tan, opts.eps_den)
     assert pi == pytest.approx((2.0 - 0.5) / 2.0, abs=1e-14)
     assert lam_minus == pytest.approx([0.0, 0.25], abs=1e-14)
 
@@ -209,7 +209,7 @@ def test_crossing_jump_singular_when_tangent():
     opts = IntegratorOptions()
     with pytest.raises(SingularJumpSystem):
         transition_jump(ocp, TransitionKind.CROSS_12, np.array([0.5, 0.0]),
-                        u, u, np.array([0.0, 1.0]), 0.0, 0.0, Mode.BELOW,
+                        u, u, np.array([0.0, 1.0]), 0.0, Mode.BELOW,
                         opts.eps_tan, opts.eps_den)
 
 
@@ -436,6 +436,13 @@ def _chain_linear(n: int) -> EndpointFunctional:
     c = np.zeros(n)
     c[0], c[n - 2] = 1.0, 2.0
     return EndpointFunctional(value=lambda x: float(c @ x), grad=lambda x: c, name="w")
+
+
+def test_unknown_backend_is_refused():
+    ocp, grid = get_problem("p2-sliding")
+    traj = integrate(ocp, grid, 2)
+    with pytest.raises(ValueError, match="unknown adjoint backend 'dense'"):
+        run_adjoints(ocp, traj, grid, [ocp.phi], backend="dense")
 
 
 def test_run_adjoints_matches_single_sweeps():

@@ -252,6 +252,11 @@ def test_usage_errors_are_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--problem", "p2-sliding")    # --out missing
     assert exc.value.code == 2
+    for steps in ("0.1,x", ","):    # a bad and an empty step list
+        with pytest.raises(SystemExit) as exc:
+            run("verify-orders", "--problem", "smooth-linear", "--quantity", "gradient",
+                "--h", steps, "--out", str(tmp_path / "o.json"))
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +285,22 @@ def test_flags_override_config(tmp_path):
     assert len(read(out).splitlines()) == 1 + 10 * 2 + 1 + len(side["transitions"])
 
 
+def test_config_overrides_the_problem(tmp_path):
+    """x0, t0 and tf in a config file replace the problem's own."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"problem": "smooth-linear", "x0": [0.25, -0.5], "t0": 1, "tf": 2}')
+    out = tmp_path / "t.csv"
+    assert run("simulate", "--config", str(cfgp), "--out", str(out)) == 0
+    rows = read(out).splitlines()
+    assert rows[1].startswith("0,1,") and rows[1].split(",")[3:5] == ["0.25", "-0.5"]
+    assert rows[-1].split(",")[1] == "2"
+
+
 def test_config_validation_failures(tmp_path, capsys):
     for body, field in [('{"problem": "p2-sliding", "N": 0}', "N"),
                         ('{"problem": "constrained-toy", "eta": 1.5}', "eta"),
                         ('{"problem": "p2-sliding", "bogus": 1}', "bogus"),
+                        ('{"problem": "p2-sliding", "functional": "psi"}', "functional"),
                         ('{"problem": "p2-sliding", "event_tol": 1e-6}', "event_tol")]:
         cfgp = tmp_path / "bad.json"
         cfgp.write_text(body)
@@ -310,14 +327,30 @@ def test_config_tolerance_failures_name_the_field(tmp_path, key, value):
     assert exc.value.to_dict()["field"] == key
 
 
-def test_params_grouping_alias(tmp_path):
+def test_params_is_an_unknown_key(tmp_path):
+    """Keys sit at the top level; a nested "params" object is refused
+    like any other unknown key."""
     cfgp = tmp_path / "c.json"
     cfgp.write_text('{"problem": "p2-sliding", "params": {"N": 4}}')
-    assert parse_config(str(cfgp)).N == 4
-    cfgp.write_text('{"N": 5, "params": {"N": 4}}')
     with pytest.raises(ValidationError) as exc:
         parse_config(str(cfgp))
-    assert exc.value.to_dict()["field"] == "N"
+    assert exc.value.to_dict()["field"] == "params"
+
+
+@pytest.mark.parametrize("body, message", [(None, "No such file"),
+                                           ('["p2-sliding"]', "top level must be a JSON object")])
+def test_unreadable_config_is_a_parse_error(tmp_path, capsys, body, message):
+    """A missing file and a top level that is not an object are refused
+    as a ParseError naming the file, exit 1 with one JSON line."""
+    cfgp = tmp_path / "c.json"
+    if body is not None:
+        cfgp.write_text(body)
+    assert run("simulate", "--config", str(cfgp), "--out", str(tmp_path / "t.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and doc["path"] == str(cfgp)
+    assert message in doc["message"]
 
 
 def test_malformed_config_reports_position(tmp_path):

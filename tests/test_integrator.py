@@ -276,6 +276,47 @@ def test_a_control_jump_that_makes_the_surface_repulsive_raises():
     assert exc.value.payload == {"w1": -1.0, "w2": 1.0}
 
 
+def _dip():
+    """x = (t, y), g = y, from y(0) = 1e-3 - 0.25 under f1 = (1, 1 - 2t):
+    y = 1e-3 - (t - 1/2)^2 rises above the surface on (1/2 -+ sqrt(1e-3)),
+    a dip of width 0.063 around t = 1/2.  With f2 = (1, -1) the surface
+    is attractive while f1 points up, so the run slides from
+    1/2 - sqrt(1e-3) to 1/2, where f1 turns down and the run exits."""
+    ocp, _ = get_problem("p2-sliding")
+    f1 = lambda x, u: np.array([1.0, -2.0 * (x[0] - 0.5) + u[0]])
+    f1_x = lambda x, u: np.array([[0.0, 0.0], [-2.0, 0.0]])
+    ocp = dataclasses.replace(
+        ocp, x0=np.array([0.0, 1e-3 - 0.25]),
+        f1=f1, f1_x=f1_x, f1_u=lambda x, u: np.array([[0.0], [1.0]]),
+        f2=lambda x, u: np.array([1.0, -1.0 + u[0]]), f2_x=lambda x, u: np.zeros((2, 2)),
+        f2_u=lambda x, u: np.array([[0.0], [1.0]]))
+    return ocp, ControlGrid(0.0, 1.0, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("spi", [4, 5, 8, 16])
+def test_a_dip_that_only_an_interior_stage_sees_is_bracketed_there(spi, monkeypatch):
+    """At 5 steps, step [0.4, 0.6] ends below the surface but its second
+    stage (t = 0.52) lies above it: the event is bracketed on the first
+    interior stage that is beyond the surface, not on the endpoint.  Every
+    resolution records the same two transitions at the closed-form
+    times."""
+    ocp, grid = _dip()
+    fars = []
+
+    def spy(eval_at, e0, far, event_tol):
+        if len(far[1]) == 2:   # an off-surface trial: (stages, x)
+            fars.append(far[0])
+        return locate_event(eval_at, e0, far, event_tol)
+    monkeypatch.setattr(integrator_mod, "locate_event", spy)
+    traj = integrate(ocp, grid, spi)
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    assert [rec.t for rec in traj.transitions] == pytest.approx(
+        [0.5 - math.sqrt(1e-3), 0.5], abs=1e-9)
+    h = 1.0 / spi
+    interior = [tau for tau in fars if tau < h]
+    assert interior == ([pytest.approx(RADAU_IIA.c[1] * h, rel=1e-15)] if spi == 5 else [])
+
+
 def test_chattering_cap_counts_per_interval(monkeypatch):
     """With these controls the mirrored slide-exit exits and re-enters
     sliding in control interval 5, its only interval with two
@@ -330,6 +371,9 @@ def test_locate_event_brackets_a_root():
 def test_locate_event_no_sign_change():
     with pytest.raises(NoBracket):
         locate_event(lambda t: (None, 1.0 + t), 1.0, (1.0, None, 2.0), event_tol=1e-12)
+    with pytest.raises(NoBracket, match="already negative") as exc:
+        locate_event(lambda t: (None, -1.0 - t), -1.0, (1.0, None, -2.0), event_tol=1e-12)
+    assert exc.value.payload == {"e0": -1.0}
 
 
 def test_locate_event_that_never_reaches_the_tolerance_raises():

@@ -125,6 +125,16 @@ def test_exit_at_alpha_one_returns_to_f2():
     assert exit_test(ocp, X, U, TOL.eps_den, TOL.eps_tan) is Mode.ABOVE
 
 
+@pytest.mark.parametrize("w1, w2, boundary", [(0.0, 1.0, 0), (-1.0, 0.0, 1)])
+def test_exit_without_a_decisive_field_is_ambiguous(w1, w2, boundary):
+    """w = (0, 1) puts alpha at 0 with f1 tangent and f2 pointing away;
+    w = (-1, 0) puts it at 1 with f2 tangent: no side to leave for."""
+    ocp = const_fields_ocp([1.0, w1], [1.0, w2])
+    with pytest.raises(TangentialAmbiguity, match=f"blend weight reached {boundary}") as exc:
+        exit_test(ocp, X, U, TOL.eps_den, TOL.eps_tan)
+    assert exc.value.payload == {"w1": w1, "w2": w2}
+
+
 normal_speeds = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
 
@@ -169,6 +179,39 @@ def test_problem_override_N_must_be_an_integer(N):
 def test_problem_override_N_takes_numpy_integers():
     _, grid = get_problem("p2-sliding", {"N": np.int64(3)})
     assert grid.N == 3 and grid.values.shape == (3, 1)
+
+
+def test_problem_overrides_reach_the_problem_and_the_grid():
+    """Scalar bounds apply to every control; u may be a scalar, an (N,)
+    vector when m = 1, or an (N, m) array."""
+    ocp, grid = get_problem("p2-sliding", {"N": 3, "x0": [0.1, -0.2], "t0": 1.0, "tf": 2.0,
+                                           "u_lo": -2.0, "u_hi": 3.0, "u": 2.5})
+    assert np.array_equal(ocp.x0, [0.1, -0.2]) and (ocp.t0, ocp.tf) == (1.0, 2.0)
+    assert np.array_equal(ocp.u_lo, [-2.0]) and np.array_equal(ocp.u_hi, [3.0])
+    assert (grid.t0, grid.tf) == (1.0, 2.0) and np.array_equal(grid.values, np.full((3, 1), 2.5))
+    for u in ([0.1, 0.2, 0.3], [[0.1], [0.2], [0.3]]):
+        _, grid = get_problem("p2-sliding", {"N": 3, "u": u})
+        assert np.array_equal(grid.values, [[0.1], [0.2], [0.3]])
+
+
+@pytest.mark.parametrize("name, overrides, field", [
+    ("no-such-problem", {}, "problem"),
+    ("p2-sliding", {"bogus": 1}, "overrides.bogus"),
+    ("p2-sliding", {"x0": [0.0, 0.0, 0.0]}, "overrides.x0"),
+    ("p2-sliding", {"u_lo": 1.0, "u_hi": 1.0}, "overrides.u_hi"),
+    ("p2-sliding", {"N": 3, "u": [0.1, 0.2]}, "overrides.u"),
+    ("p2-sliding", {"N": 3, "u": np.zeros((3, 2))}, "overrides.u"),
+    ("p2-sliding", {"u": 99.0}, "overrides.u"),
+    ("p2-sliding", {"tf": math.inf}, "overrides.tf"),
+    ("p2-sliding", {"tf": math.nan}, "overrides.tf"),
+    ("p2-sliding", {"t0": -math.inf}, "overrides.t0"),
+    ("p2-sliding", {"t0": math.nan}, "overrides.t0")])
+def test_problem_overrides_are_refused_naming_the_key(name, overrides, field):
+    """A non-finite t0 or tf is refused as the override it is, not under
+    the grid field (tf, t0) it would otherwise reach."""
+    with pytest.raises(ValidationError, match=f"^{field}: ") as exc:
+        get_problem(name, overrides)
+    assert exc.value.payload["field"] == field
 
 
 def test_control_grid_breakpoints_are_reproducible():

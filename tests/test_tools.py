@@ -12,13 +12,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def identity_grid():
-    """tools/identity_grid.py, loaded from its file as is."""
-    path = ROOT / "tools" / "identity_grid.py"
-    spec = importlib.util.spec_from_file_location("_identity_grid", path)
+def load(path: Path, name: str):
+    """The module of a Python file, loaded from the file as is."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def identity_grid():
+    """tools/identity_grid.py, loaded from its file as is."""
+    return load(ROOT / "tools" / "identity_grid.py", "_identity_grid")
 
 
 def test_chain_scaling_counts_solves_and_factorizations():
@@ -88,3 +92,55 @@ def test_identity_grid_cli_cases_count_41_outputs_and_8_error_paths():
     assert json.loads(errors["error/nan-config"]["stderr"])["error"] == "ParseError"
     assert json.loads(errors["error/eps-inf"]["stderr"])["field"] == "eps"
     assert json.loads(errors["error/h-inf"]["stderr"])["field"] == "h"
+
+
+UNTESTED_SAMPLE = '''"""A module docstring."""
+import math
+
+
+def sign(x):
+    """A docstring."""
+    if x > 0:
+        return 1
+    elif x < 0:
+        return -1
+    total = (x +
+             0)
+    return total
+
+
+def safe(x):
+    try:
+        return 1 / x
+    except ZeroDivisionError:
+        return None
+
+
+class Box:
+    size = math.pi
+'''
+
+
+def test_untested_lists_the_statements_a_run_never_reached(tmp_path):
+    """tools/untested.py on a throwaway package: after loading the module
+    and calling sign(0) and safe(1), the statements left are the two
+    returns of sign's first branches and safe's handler.  The docstrings,
+    the import, the defs, a try whose body ran, and a statement that
+    spans two lines all count as run or are not listed."""
+    tool = load(ROOT / "tools" / "untested.py", "_untested")
+    pkg = (tmp_path / "pkg").resolve()
+    pkg.mkdir()
+    (pkg / "sample.py").write_text(UNTESTED_SAMPLE)
+
+    def run():
+        module = load(pkg / "sample.py", "_untested_sample")
+        return module.sign(0), module.safe(1)
+
+    result, hits = tool.trace(pkg, run)
+    assert result == (0, 1.0)
+    missed = tool.unrun(pkg, hits)
+    assert [(path.name, line, text) for path, line, text in missed] == [
+        ("sample.py", 8, "return 1"), ("sample.py", 10, "return -1"),
+        ("sample.py", 20, "return None")]
+    listed = [line for line, _, _ in tool.statements(pkg / "sample.py")]
+    assert listed == [7, 8, 9, 10, 11, 13, 17, 18, 20, 24]

@@ -379,9 +379,15 @@ def test_order_study_input_validation():
     with pytest.raises(ValidationError):
         order_study(ocp, grid, "state_endpoint", [0.05, 0.1])   # not decreasing
     with pytest.raises(ValidationError):
-        order_study(ocp, grid, "state_endpoint", [0.1, 0.03])   # not nested
+        order_study(ocp, grid, "state_endpoint", [0.1, 0.03])   # 3.3 steps per interval
     with pytest.raises(ValidationError):
         order_study(ocp, grid, "state_endpoint", [0.07, 0.035])  # uneven fit
+    with pytest.raises(ValidationError, match="at least two"):
+        order_study(ocp, grid, "state_endpoint", [0.05])
+    span = (grid.tf - grid.t0) / grid.N
+    # 3 steps per interval do not divide the reference's 8 x 8
+    with pytest.raises(ValidationError, match="does not nest"):
+        order_study(ocp, grid, "state_endpoint", [span / 3, span / 8])
 
 
 @pytest.mark.parametrize("hs", [[np.inf, 0.1], [0.1, 0.0], [0.1, -0.05]])
