@@ -109,14 +109,13 @@ def _functional(ocp, selector: str):
 def _sweep(cfg: RunConfig, problem):
     """Integrate, then sweep back for the configured functional."""
     ocp, grid = problem
-    traj = integrate(ocp, grid, cfg.steps_per_interval, opts=cfg.integrator_options())
+    traj = integrate(ocp, grid, cfg.steps_per_interval, opts=cfg.integrator)
     return traj, run_adjoint(ocp, traj, grid, _functional(ocp, cfg.functional))
 
 
 def _cmd_simulate(cfg, problem, args):
     ocp, grid = problem
-    traj = integrate(ocp, grid, cfg.steps_per_interval,
-                     opts=cfg.integrator_options())
+    traj = integrate(ocp, grid, cfg.steps_per_interval, opts=cfg.integrator)
 
     header = ["k", "t", "mode"] + [f"x{i}" for i in range(ocp.n)] + ["z", "g(x)", "alpha"]
     rows = []
@@ -153,15 +152,14 @@ def _cmd_check_gradient(cfg, problem, args):
     ocp, grid = problem
     chk = gradient_check(ocp, grid, cfg.steps_per_interval,
                          _functional(ocp, cfg.functional), eps=cfg.eps,
-                         opts=cfg.integrator_options())
+                         opts=cfg.integrator)
     return {**chk.to_dict(), "functional": cfg.functional}, None
 
 
 def _cmd_optimize(cfg, problem, args):
     ocp, grid = problem
     res = optimize(ocp, grid, cfg.steps_per_interval,
-                   cfg=cfg.optimizer_config(),
-                   integ_opts=cfg.integrator_options())
+                   cfg=cfg.optimizer, integ_opts=cfg.integrator)
     doc = {"status": res.status,
            "converged": res.converged,
            "u": res.grid.values,
@@ -178,7 +176,7 @@ def _cmd_verify_orders(cfg, problem, args):
     ocp, grid = problem
     rep = order_study(ocp, grid, args.quantity, args.h,
                       functional=_functional(ocp, cfg.functional),
-                      opts=cfg.integrator_options())
+                      opts=cfg.integrator)
     return rep.to_dict(), None
 
 

@@ -1,12 +1,13 @@
 """Run configuration: flat JSON file, defaults, validation, hashing.
 
-A config file is a single flat JSON object; every key is optional except
-that most subcommands need a problem name from somewhere (file or flag).
-Unknown keys and numbers beyond a float (NaN, Infinity, 1e400) are refused
-so typos fail loudly, and a RunConfig that exists is valid: it checks
-itself when built.  The effective config (defaults filled, flag
-overrides applied) is what gets hashed into the meta block of every
-output, so identical runs are provably identical.
+A config file is a single flat JSON object: RunConfig's own keys and the
+fields of the IntegratorOptions and OptimizerConfig it holds.  Every key
+is optional except that most subcommands need a problem name from
+somewhere (file or flag).  Unknown keys and numbers beyond a float (NaN,
+Infinity, 1e400) are refused so typos fail loudly, and a RunConfig that
+exists is valid: it checks itself when built.  The effective config
+(defaults filled, flag overrides applied) is what gets hashed into the
+meta block of every output, so identical runs are provably identical.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .optimizer import OptimizerConfig
 # (field, rule, check) for the keys RunConfig checks itself; the
 # integrator and optimizer options check their own
 _RULES = [("eps", *POSITIVE), ("N", *COUNT), ("steps_per_interval", *COUNT)]
+_OPTIONS = {"integrator": IntegratorOptions, "optimizer": OptimizerConfig}
 
 
 @dataclass(frozen=True)
@@ -43,28 +45,17 @@ class RunConfig:
     u_lo: Optional[object] = None
     u_hi: Optional[object] = None
     steps_per_interval: int = 8
-    # integrator tolerances, defaulting to the library's
-    newton_tol: float = IntegratorOptions.newton_tol
-    event_tol: float = IntegratorOptions.event_tol
-    surface_tol: float = IntegratorOptions.surface_tol
-    eps_tan: float = IntegratorOptions.eps_tan
-    eps_den: float = IntegratorOptions.eps_den
-    # optimizer parameters, defaulting to the library's
-    c0: float = OptimizerConfig.c0
-    kappa: float = OptimizerConfig.kappa
-    gamma: float = OptimizerConfig.gamma
-    eta: float = OptimizerConfig.eta
-    epsilon: float = OptimizerConfig.epsilon
-    max_iters: int = OptimizerConfig.max_iters
-    h_scale: float = OptimizerConfig.h_scale
+    integrator: IntegratorOptions = IntegratorOptions()
+    optimizer: OptimizerConfig = OptimizerConfig()
     # oracle / functional selection
     functional: str = "phi"
     eps: float = 1e-6
 
     def __post_init__(self):
-        self.integrator_options()   # checks the tolerances
+        for key, kind in _OPTIONS.items():
+            if not isinstance(getattr(self, key), kind):
+                raise ValidationError(f"{key}: must be an {kind.__name__}", field=key)
         check_fields(self, _RULES)
-        self.optimizer_config()     # checks the optimizer parameters
         if not re.fullmatch(r"phi|g1:\d+|g2:\d+", self.functional):
             raise ValidationError(
                 f"functional: expected phi, g1:i or g2:j, got {self.functional!r}",
@@ -76,14 +67,6 @@ class RunConfig:
                     f"problem: unknown name {self.problem!r}; known: "
                     f"{', '.join(problem_names())}", field="problem")
 
-    # -- views consumed by the modules ------------------------------------
-
-    def integrator_options(self) -> IntegratorOptions:
-        return IntegratorOptions(**self.tolerances())
-
-    def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(**{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)})
-
     def overrides(self) -> dict:
         out = {"N": self.N}
         for key in ("x0", "t0", "tf", "u", "u_lo", "u_hi"):
@@ -92,19 +75,20 @@ class RunConfig:
                 out[key] = v
         return out
 
-    def tolerances(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(IntegratorOptions)}
-
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(asdict(self)).encode("utf-8")).hexdigest()
+        flat = asdict(self)     # hashed as the flat keys of a config file
+        for key in _OPTIONS:
+            flat.update(flat.pop(key))
+        return hashlib.sha256(canonical_json(flat).encode("utf-8")).hexdigest()
 
     def meta(self) -> dict:
         return {"tool": "slidoc", "version": __version__,
                 "config_hash": self.config_hash(),
-                "tolerances": self.tolerances()}
+                "tolerances": asdict(self.integrator)}
 
 
-_FIELDS = set(RunConfig.__dataclass_fields__)
+# the keys of a config file besides the option objects' fields
+_FIELDS = set(RunConfig.__dataclass_fields__) - set(_OPTIONS)
 
 
 def _finite(literal: str, kind=float):
@@ -117,9 +101,10 @@ def _finite(literal: str, kind=float):
 
 def parse_config(path: Optional[str], flag_overrides: Optional[dict] = None) -> RunConfig:
     """One RunConfig of a config file's keys (none without a file) with
-    the flags that are not None on top.  Malformed JSON is a ParseError
-    carrying line and column, a non-finite number one naming the file;
-    unknown or ill-typed keys are ValidationErrors naming the key."""
+    the flags that are not None on top, each key going to the object that
+    has it as a field.  Malformed JSON is a ParseError carrying line and
+    column, a non-finite number one naming the file; unknown or ill-typed
+    keys are ValidationErrors naming the key."""
     raw = {}
     if path is not None:
         try:
@@ -135,11 +120,14 @@ def parse_config(path: Optional[str], flag_overrides: Optional[dict] = None) -> 
             raise ParseError(f"{path}: {exc}", path=str(path))
         if not isinstance(raw, dict):
             raise ParseError(f"{path}: top level must be a JSON object", path=str(path))
-    for key in raw:
+    own = {**raw, **{k: v for k, v in (flag_overrides or {}).items() if v is not None}}
+    parts = {key: {f.name: own.pop(f.name) for f in fields(kind) if f.name in own}
+             for key, kind in _OPTIONS.items()}
+    for key in own:
         if key not in _FIELDS:
             raise ValidationError(f"{key}: unknown config key", field=key)
-    flags = {k: v for k, v in (flag_overrides or {}).items() if v is not None}
-    return RunConfig(**{**raw, **flags})
+    return RunConfig(integrator=IntegratorOptions(**parts["integrator"]),
+                     optimizer=OptimizerConfig(**parts["optimizer"]), **own)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 class SlidocError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -114,9 +116,14 @@ class OutputError(SlidocError):
     """An output file could not be written; the payload's path names it."""
 
 
+def is_count(v) -> bool:
+    """An int or numpy integer >= 1; a bool is not a count."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+
+
 # (rule text, check) pairs that check_fields rules share
 POSITIVE = ("> 0", lambda v: v > 0)
-COUNT = ("an integer >= 1", lambda v: isinstance(v, int) and v >= 1)
+COUNT = ("an integer >= 1", is_count)
 
 
 def check_fields(obj, rules) -> None:
@@ -127,5 +134,5 @@ def check_fields(obj, rules) -> None:
         v = getattr(obj, key)
         if isinstance(v, float) and not math.isfinite(v):
             raise ValidationError(f"{key}: must be a finite number, got {v!r}", field=key)
-        if not (isinstance(v, (int, float)) and not isinstance(v, bool) and ok(v)):
+        if not (isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and ok(v)):
             raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)

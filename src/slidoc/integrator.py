@@ -77,7 +77,7 @@ import numpy as np
 
 from .errors import (POSITIVE, ChatteringLimit, DimensionMismatch, MeshMismatch,
                      NewtonDivergence, NoBracket, SingularIteration, ValidationError,
-                     check_fields)
+                     check_fields, is_count)
 from .model import (ControlGrid, HybridOCP, Mode, TransitionKind, alpha,
                     entry_test, exit_mode, exit_test, filippov_state_jacobian,
                     filippov_values, normal_speeds)
@@ -695,7 +695,7 @@ def integrate(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 8,
     """
     opts = opts if opts is not None else IntegratorOptions()
     spi = steps_per_interval
-    if isinstance(spi, bool) or not isinstance(spi, (int, np.integer)) or spi < 1:
+    if not is_count(spi):
         raise ValueError(f"steps_per_interval must be an integer >= 1, got {spi!r}")
     spi = int(spi)
     check_width(ocp, grid)

@@ -70,7 +70,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         """Raise ValidationError naming the first field of the wrong type
-        or out of range (RunConfig keeps the same key for each)."""
+        or out of range (a config file sets each field as a flat key)."""
         check_fields(self, _RULES)
 
 

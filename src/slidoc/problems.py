@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_count
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 
 
@@ -217,7 +217,7 @@ def get_problem(name: str, overrides: dict | None = None):
             raise ValidationError(f"overrides.{key}: unknown override", field=f"overrides.{key}")
 
     N = ov.get("N", 10)
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+    if not is_count(N):
         raise ValidationError(f"overrides.N: must be an integer >= 1, got {N!r}",
                               field="overrides.N")
     N = int(N)

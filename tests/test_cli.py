@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slidoc
@@ -15,6 +16,7 @@ from slidoc.cli import _write, main
 from slidoc.config import RunConfig, canonical_json, parse_config
 from slidoc.errors import ParseError, ValidationError
 from slidoc.integrator import IntegratorOptions
+from slidoc.optimizer import OptimizerConfig
 
 
 def run(*argv):
@@ -436,13 +438,14 @@ def test_run_config_checks_itself_when_built(tmp_path):
     with pytest.raises(ValidationError) as exc:
         RunConfig(eps=0)
     assert exc.value.payload["field"] == "eps"
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"kappa": 1.0}')
     with pytest.raises(ValidationError) as exc:
-        RunConfig(kappa=1.0)
+        parse_config(str(cfgp))
     assert exc.value.payload["field"] == "kappa"
     with pytest.raises(ValidationError) as exc:
         RunConfig(eps=float("inf"))
     assert exc.value.payload["field"] == "eps"
-    cfgp = tmp_path / "c.json"
     cfgp.write_text('{"problem": "p2-sliding", "eps": 0, "steps_per_interval": 1.5}')
     with pytest.raises(ValidationError):
         parse_config(str(cfgp))
@@ -510,20 +513,112 @@ def test_config_hash_is_stable(tmp_path):
 
 
 def test_config_defaults_are_the_integrator_defaults():
-    """RunConfig takes its tolerance defaults from IntegratorOptions, so
-    the CLI and the library integrate alike unless a config says
-    otherwise."""
-    assert RunConfig().integrator_options() == IntegratorOptions()
+    """RunConfig takes its tolerance and optimizer defaults from
+    IntegratorOptions and OptimizerConfig, so the CLI and the library
+    integrate and optimize alike unless a config says otherwise."""
+    assert RunConfig().integrator == IntegratorOptions()
+    assert RunConfig().optimizer == OptimizerConfig()
 
 
-def test_every_integrator_option_is_a_config_key():
-    """Each IntegratorOptions field is a RunConfig key, and the meta
-    block of every output carries exactly the five tolerances, so its
-    bytes stay fixed."""
-    keys = {f.name for f in dataclasses.fields(RunConfig)}
-    assert {f.name for f in dataclasses.fields(IntegratorOptions)} <= keys
+def test_every_integrator_option_is_a_config_key(tmp_path):
+    """Each IntegratorOptions and OptimizerConfig field is a flat config
+    key that lands in its object; the three classes share no field name;
+    the option objects themselves are not keys.  The meta block of every
+    output carries exactly the five tolerances, so its bytes stay fixed."""
+    names = {kind: [f.name for f in dataclasses.fields(kind)]
+             for kind in (RunConfig, IntegratorOptions, OptimizerConfig)}
+    assert len(set().union(*names.values())) == sum(map(len, names.values()))
+    cfgp = tmp_path / "c.json"
+    for kind, attr in ((IntegratorOptions, "integrator"), (OptimizerConfig, "optimizer")):
+        for f in dataclasses.fields(kind):
+            value = f.default + 1 if f.name == "max_iters" else f.default * 1.5
+            cfgp.write_text(json.dumps({f.name: value}))
+            cfg = parse_config(str(cfgp))
+            assert getattr(cfg, attr) == kind(**{f.name: value}), f.name
+        cfgp.write_text(json.dumps({attr: {}}))
+        with pytest.raises(ValidationError) as exc:
+            parse_config(str(cfgp))
+        assert str(exc.value) == f"{attr}: unknown config key"
     assert sorted(RunConfig().meta()["tolerances"]) == sorted(
         ["newton_tol", "event_tol", "surface_tol", "eps_tan", "eps_den"])
+
+
+def test_run_config_refuses_an_option_object_of_the_wrong_type():
+    """A RunConfig holds an IntegratorOptions and an OptimizerConfig; any
+    other value in either field is refused naming the field."""
+    for attr, value in (("integrator", {"newton_tol": 1e-12}), ("optimizer", IntegratorOptions()),
+                        ("integrator", None)):
+        with pytest.raises(ValidationError) as exc:
+            RunConfig(**{attr: value})
+        assert exc.value.payload["field"] == attr
+
+
+# every key a config file takes, each away from its default
+EVERY_KEY = {"problem": "constrained-toy", "x0": [0.5, -0.25], "t0": 0.0, "tf": 2.0, "N": 4,
+             "u": [0.1, 0.2, 0.3, 0.4], "u_lo": -1.5, "u_hi": 1.5, "steps_per_interval": 3,
+             "newton_tol": 1e-11, "event_tol": 2e-10, "surface_tol": 3e-9, "eps_tan": 4e-10,
+             "eps_den": 5e-12, "c0": 2.5, "kappa": 3.0, "gamma": 0.2, "eta": 0.25,
+             "epsilon": 1e-7, "max_iters": 7, "h_scale": 0.5, "functional": "g1:0",
+             "eps": 1e-5}
+
+
+def test_config_hash_literals(tmp_path):
+    """The hash covers the same flat key set whichever object holds a
+    key, so the default config and one that sets every key hash as they
+    always have."""
+    assert RunConfig().config_hash() == (
+        "19f8590739b4ed4e54d4ead3de06695476818e09f0ae5302fb04c82d403a3baf")
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(EVERY_KEY))
+    assert parse_config(str(cfgp)).config_hash() == (
+        "f513cc9cceae67861cfe30c222369e8744c0bccb0556df6e854f9b1adc991e74")
+
+
+def test_config_max_iters_reaches_the_optimizer(tmp_path):
+    """A config file's max_iters stops slidoc optimize after that many
+    iterations (constrained-toy needs 6 to become stationary)."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"problem": "constrained-toy", "max_iters": 2}')
+    out = tmp_path / "o.json"
+    assert run("optimize", "--config", str(cfgp), "--out", str(out)) == 0
+    doc = json.loads(read(out))
+    assert doc["status"] == "max_iters" and len(doc["history"]) == 2
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"newton_tol": 0, "kappa": 1, "eps": 0}, "newton_tol"),
+    ({"eps": 0, "kappa": 1}, "kappa"),
+    ({"N": 0, "max_iters": 0}, "max_iters"),
+    ({"steps_per_interval": 0, "functional": "psi"}, "steps_per_interval"),
+    ({"functional": "psi", "problem": "nope"}, "functional")])
+def test_several_bad_keys_name_the_first_owner(tmp_path, body, field):
+    """A config with several bad keys names a tolerance first, then an
+    optimizer key, then eps, N or steps_per_interval, then functional,
+    then problem: each option object checks itself before RunConfig."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(body))
+    with pytest.raises(ValidationError) as exc:
+        parse_config(str(cfgp))
+    assert exc.value.payload["field"] == field
+
+
+def test_numpy_integers_are_counts():
+    """N, steps_per_interval and max_iters take numpy integers as the
+    integrator and the problem overrides do, and a numpy N hashes like
+    the same int; bools and numbers below 1 are still refused."""
+    cfg = RunConfig(problem="p2-sliding", N=np.int64(4), steps_per_interval=np.int64(2))
+    assert cfg.config_hash() == RunConfig(problem="p2-sliding", N=4,
+                                          steps_per_interval=2).config_hash()
+    assert OptimizerConfig(max_iters=np.int64(5)).max_iters == 5
+    _, grid = slidoc.get_problem(cfg.problem, cfg.overrides())
+    assert grid.N == 4
+    for key, value in (("N", True), ("N", np.int64(0)), ("steps_per_interval", np.int32(-1))):
+        with pytest.raises(ValidationError) as exc:
+            RunConfig(**{key: value})
+        assert str(exc.value) == f"{key}: must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValidationError) as exc:
+        OptimizerConfig(max_iters=False)
+    assert exc.value.payload["field"] == "max_iters"
 
 
 # ---------------------------------------------------------------------------

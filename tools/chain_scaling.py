@@ -8,8 +8,10 @@ prints one markdown table row per n:
 
 - ms: the minimum over k calls of the wall time of integrate +
   run_adjoints (after one warm-up call);
-- faults: minor page faults (getrusage ru_minflt) per call, averaged
-  over the k timed calls;
+- faults: minor page faults (getrusage ru_minflt) per call, the median
+  over the k timed calls, whose min-max a line under the table gives
+  for each n (the first calls still grow the heap, so a mean would
+  depend on k);
 - the stage solves of one call, per pass: how many took the eigenbasis
   branch of the pass's solver (integrator.StageStore.eigen_solve) and
   how many factored the dense stage matrix (StageStore.dense_solve),
@@ -101,25 +103,27 @@ def solve_counts(ocp, grid) -> dict:
     return counts
 
 
-def row(n: int, k: int) -> str:
+def row(n: int, k: int) -> tuple:
+    """The table row of chain-n and the min-max of its per-call faults."""
     ocp, grid = chain_problem(n, np.random.default_rng(SEED), N)
     traj = call(ocp, grid)
-    times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    times, faults = [], []
     for _ in range(k):
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         call(ocp, grid)
         times.append(time.perf_counter() - t0)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / k
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     counts = solve_counts(ocp, grid)
     sliding = sum(mode.value == "sliding" for mode in traj.mode)
-    cells = [n, f"{traj.K} ({sliding})", f"{1e3 * min(times):.1f}", f"{faults:.0f}"]
+    cells = [n, f"{traj.K} ({sliding})", f"{1e3 * min(times):.1f}",
+             f"{np.median(faults):.0f}"]
     for p in ("forward", "backward"):
         cells += [counts.get((p, "eigen"), 0), counts.get((p, "dense"), 0),
                   f"{counts.get((p, 'lu'), 0)} + {counts.get((p, 'inv'), 0)}"]
         if p == "forward":
             cells.append(counts.get((p, "event lu"), 0))
-    return "| " + " | ".join(map(str, cells)) + " |"
+    return "| " + " | ".join(map(str, cells)) + " |", f"{min(faults)}-{max(faults)}"
 
 
 def main() -> int:
@@ -133,8 +137,13 @@ def main() -> int:
     print("| n | steps (sliding) | ms | faults/call | fwd eigen | fwd dense "
           "| fwd LU + inv | fwd LU in event | bwd eigen | bwd dense | bwd LU + inv |")
     print("|---|---|---|---|---|---|---|---|---|---|---|")
+    spans = []
     for n in args.n:
-        print(row(n, args.k), flush=True)
+        line, span = row(n, args.k)
+        print(line, flush=True)
+        spans.append(f"n = {n}: {span}")
+    print(f"faults/call is the median of the {args.k} timed calls; min-max "
+          + ", ".join(spans))
     return 0
 
 
