@@ -9,9 +9,8 @@ prints one markdown table row per n:
 - ms: the minimum over k calls of the wall time of integrate +
   run_adjoints (after one warm-up call);
 - faults: minor page faults (getrusage ru_minflt) per call, the median
-  over the k timed calls, whose min-max a line under the table gives
-  for each n (the first calls still grow the heap, so a mean would
-  depend on k);
+  over the k timed calls, which a call that grows the heap moves less
+  than a mean; a line under the table gives their min-max for each n;
 - the stage solves of one call, per pass: how many took the eigenbasis
   branch of the pass's solver (integrator.StageStore.eigen_solve) and
   how many factored the dense stage matrix (StageStore.dense_solve),
