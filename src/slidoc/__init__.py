@@ -8,8 +8,7 @@ method for endpoint-constrained problems.
 
 __version__ = "0.1.0"
 
-from .adjoint import (AdjointTrajectory, run_adjoint, run_adjoints,
-                      terminal_conditions, transition_jump)
+from .adjoint import AdjointTrajectory, run_adjoint, run_adjoints, terminal_conditions
 from .config import RunConfig, canonical_json, parse_config
 from .errors import SlidocError
 from .gradient import reduced_gradient, reduced_gradient_matrix

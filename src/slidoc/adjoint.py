@@ -7,63 +7,50 @@ one step is
     F_{X+}^T(k) R(k) = Lambda(k+1),      Lambda(k) = -F_X^T(k) R(k),
 
 solved backwards from the endpoint gradient of the functional.  Only the
-endpoint slot of Lambda is ever nonzero (stages of one step never enter
-the next), so the sweep carries a vector of length n between steps.
-
-The same solve gives the step's control gradient: with F_u the control
-Jacobian of the step, dw/du_n collects -F_u^T(k) R(k) over the steps k
-of interval n.  The sweep sums these rows into AdjointTrajectory.grad,
-so no step is built a second time for the gradient.
+endpoint slot of Lambda is ever nonzero, so the sweep carries a vector
+of length n between steps.  The same solve gives the step's control
+gradient: dw/du_n collects -F_u^T(k) R(k) over the steps k of interval
+n, summed into AdjointTrajectory.grad.
 
 One kernel (_step_adjoint) serves off-surface and sliding steps alike.
-F_{X+} is block lower triangular, [[M, 0], [-W, I]], where M is the
-stage Newton matrix of the forward step (integrator.stage_pencil, with
-the constraint rows on a sliding step), so the step's adjoint is one
-solve with M^T and no dense F_{X+} or F_X is built.  The forward
-Newton correction and this solve share their kernel: the stage
-Jacobians fF_x + z g_xx of a sliding step come from
-integrator.sliding_jacobians (from the Filippov values at the stored
-stages), and run_adjoints solves every step with one
-integrator.StageStore(transpose=True), the solver of the sweep, whose
-docstring states the eigenbasis-or-dense rule and the reuse of the
-blocks it factored last.  It lives for one call, so which steps reuse
-depends on the trajectory alone.  Off the surface the stage
-multipliers it yields are exactly those of the reversed-time table
-a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math. 87): the discrete
-adjoint is a Runge-Kutta step of the adjoint equation, though the sweep
-never builds that table.  The gradient row is the stage quadrature
-h sum_i b_i f_u^T(x_i(k+1), u) lam_i, which equals -F_u^T R.  The dense
-assembly (_step_matrices, adjoint_step_matrix) is kept as the oracle of
-backend 'matrix' for both modes, which the two-route tests compare
-against.
+F_{X+} is block lower triangular, [[M, 0], [-W, I]], with M the stage
+Newton matrix of the forward step, so the step's adjoint is one solve
+with M^T, through one integrator.StageStore(transpose=True) per call.
+Off the surface the stage multipliers are exactly those of the
+reversed-time table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math.
+87), and the gradient row is the stage quadrature h sum_i b_i
+f_u^T(x_i, u) lam_i = -F_u^T R.  The dense assembly (_step_matrices,
+adjoint_step_matrix) is the oracle of backend 'matrix' for both modes.
 
-run_adjoints sweeps F functionals in lockstep.  The step matrices depend
-only on the trajectory, so each step builds its stage Jacobians and its
-matrix once and carries F multipliers of length n; terminal values, jump
-scalars and lam_g stay per functional.  The F right-hand sides go to
-the solver as one batch of single-RHS solves or matrix-vector products,
-which gives each functional bit for bit what its own solve gives.  One
-solve with a (d, F) right-hand side would not: the multi-RHS triangular
-solves round differently, so the result would depend on which
-functionals share the sweep.  Every error a sweep can raise depends on
-the trajectory alone, so the lockstep sweep fails at the same step,
-with the same error, as a sweep of the first functional.
+run_adjoints sweeps F functionals in lockstep: each step builds its
+Jacobians and its matrix once, and the F right-hand sides go to the
+solver as one batch of single-RHS solves or matrix-vector products, so
+each functional gets bit for bit what its own sweep gives (one solve
+with a (d, F) right-hand side would round differently).  Every error a
+sweep raises depends on the trajectory alone.  Its tolerances are the
+ones the trajectory was integrated with (traj.opts).
 
-The tolerances eps_tan and eps_den of a sweep are the ones the
-trajectory was integrated with (traj.opts), so the forward and the
-backward pass classify and blend with the same values; only the
-pointwise helpers transition_jump and lambda_g_pointwise take them as
-arguments.
+The one jump rule acts at event nodes (traj.events), where
+E(x, u) = 0 located the node's time: E = g after an off-surface step,
+E = alpha - b after a sliding step whose blend weight reached b.  That
+time, and so the size of the steps on either side, moves with x and u.
+The sweep carries mu = dJ/dt next to lam, 0 at tf.  With the step's
+discrete Hamiltonian H_k(l) = l . Phi_h = sum_i b_i l_i . V_i (l_i the
+stage multipliers, V_i the stage values f or f_F + g_x^T z), step k goes
+back from lam~, where at an event node k + 1
 
-At transition nodes the multiplier jumps by pi * g_x^T.  For crossings
-and sliding entries pi is pinned by continuity of the Hamiltonian across
-the event; for sliding exits (seen backwards: off-surface to sliding) it
-is pinned by the algebraic condition g_x lambda = 0 on the sliding side,
-and Hamiltonian continuity then holds automatically because g_x f_j = 0
-at the blend-weight boundary.  A run that ends on the surface starts
-from the same projection (_tangent_projection) of the functional
-gradient, with nu1 = -pi, and takes its lam_g from lambda_g_pointwise
-like every sliding node.
+    c = (H_k(lam_{k+1}) + mu_{k+1}) / H_k(E_x),   lam~ = lam_{k+1} - c E_x^T,
+    the step's row gains -c E_u,   mu_k = mu_{k+1},
+
+and otherwise lam~ = lam_{k+1} and mu_k = -H_k(lam_{k+1}).  No solve is
+added: the stage values make one more column of the step's control
+Jacobian, whose row entry is h H_k, and E_x is one more right-hand side
+of the step's solve.  c is recorded as jumps[].pi; |H_k(E_x)| <= eps_tan
+raises SingularJumpSystem.  A transition at a node with a fixed time (a
+breakpoint, a full step that lands on the surface, node 0) moves no
+step, so lam does not jump there.  A run that ends on the surface starts
+from w_x projected onto the tangent space, nu1 = -pi (README, "The
+backward sweep").
 """
 
 from __future__ import annotations
@@ -77,8 +64,7 @@ from .errors import SingularJumpSystem, SingularSystem, SingularTerminalSystem
 from .integrator import (StageStore, Trajectory, check_mesh, check_width,
                          sliding_jacobians, stage_matrix, stage_sums)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                    TransitionKind, filippov_control_jacobian, filippov_state_jacobian,
-                    filippov_values)
+                    filippov_control_jacobian, filippov_state_jacobian, filippov_values)
 from .tableau import RADAU_IIA
 
 
@@ -86,9 +72,9 @@ from .tableau import RADAU_IIA
 class AdjointTrajectory:
     """Backward sweep results on the forward mesh.
 
-    lam[k] is the multiplier at node k; at a transition node it is the
-    minus-side value (the one step k-1 continues from), with the jump
-    size recorded in jumps.  lam_g[k] is the algebraic multiplier on
+    lam[k] is the multiplier at node k; at a transition or event node it
+    is the minus-side value (the one step k-1 continues from), with the
+    jump recorded in jumps.  lam_g[k] is the algebraic multiplier on
     sliding nodes, zero elsewhere.  stage_lams[k] holds the stage
     multipliers (s, n) of an off-surface step, which satisfy the
     reversed-table recursion, and None on sliding steps (and on every
@@ -115,23 +101,28 @@ class AdjointTrajectory:
 
 
 def _step_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
-                    sliding: bool):
+                    sliding: bool, timed: bool = False):
     """Stage Jacobians Js (s, n, n), control Jacobians fus (s, n, m) and
     surface gradients gxs (s, n) of step k (None off the surface).  On a
     sliding step J_j = fF_x(x_j, u) + z_j g_xx(x_j), the derivative of
-    f_F + g_x^T z, blended with the trajectory's eps_den."""
+    f_F + g_x^T z, blended with the trajectory's eps_den.  With timed,
+    fus gains a last column, the stage values V_j: that column's part of
+    F_u is then h F_h, the derivative of the step's equations by h times
+    h, and its gradient-row entry is h H_k."""
     xs = traj.stages_x[k]
     if not sliding:
-        _, f_x, f_u = ocp.field(traj.mode[k])
-        return (np.array([f_x(x_j, u) for x_j in xs]),
-                np.array([f_u(x_j, u) for x_j in xs]), None)
-    vals = []
-    for x_j in xs:
-        vals.append(filippov_values(ocp, x_j, u, eps_den=traj.opts.eps_den))
-    return (sliding_jacobians(ocp, vals, xs, traj.stages_z[k], u),
-            np.array([filippov_control_jacobian(ocp, v, x_j, u)[0]
-                      for v, x_j in zip(vals, xs)]),
-            np.array([v.gx for v in vals]))
+        f, f_x, f_u = ocp.field(traj.mode[k])
+        Js, fus, gxs = np.array([f_x(x_j, u) for x_j in xs]), [f_u(x_j, u) for x_j in xs], None
+        V = [f(x_j, u) for x_j in xs] if timed else None
+    else:
+        vals = []
+        for x_j in xs:
+            vals.append(filippov_values(ocp, x_j, u, eps_den=traj.opts.eps_den))
+        Js = sliding_jacobians(ocp, vals, xs, traj.stages_z[k], u)
+        fus = [filippov_control_jacobian(ocp, v, x_j, u)[0] for v, x_j in zip(vals, xs)]
+        gxs = np.array([v.gx for v in vals])
+        V = [v.fF + v.gx * z_j for v, z_j in zip(vals, traj.stages_z[k])] if timed else None
+    return Js, np.array(fus) if V is None else np.dstack([fus, V]), gxs
 
 
 def _endpoint_weights(h: float, Js: np.ndarray, gxs: Optional[np.ndarray]) -> np.ndarray:
@@ -170,18 +161,24 @@ def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
-                             u: np.ndarray, lam_plus: np.ndarray, store: StageStore):
+                             u: np.ndarray, lam_plus: np.ndarray, store: StageStore,
+                             timed: bool = False):
     """One backward off-surface step for every row of lam_plus (F, n).
     Returns (stage multipliers (F, s, n), lam_k (F, n), gradient rows
-    (F, m)); the stage multipliers are those of the reversed-time table."""
-    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, False), lam_plus, store)
+    (F, m), or (F, m + 1) ending in h H_k with timed); the stage
+    multipliers are those of the reversed-time table."""
+    Js, fus, gxs = _step_jacobians(ocp, traj, k, u, False, timed)
+    return _step_adjoint(traj, k, Js, fus, gxs, lam_plus, store)
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
-                         u: np.ndarray, lam_plus: np.ndarray, store: StageStore):
+                         u: np.ndarray, lam_plus: np.ndarray, store: StageStore,
+                         timed: bool = False):
     """One backward step through the sliding stage system for every row
-    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m))."""
-    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, True), lam_plus, store)[1:]
+    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m), or
+    (F, m + 1) ending in h H_k with timed)."""
+    Js, fus, gxs = _step_jacobians(ocp, traj, k, u, True, timed)
+    return _step_adjoint(traj, k, Js, fus, gxs, lam_plus, store)[1:]
 
 
 def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
@@ -216,29 +213,30 @@ def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
 
 
 def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
-                               u: np.ndarray):
+                               u: np.ndarray, timed: bool = False):
     """Dense F_{X+}, F_X and F_u of an off-surface step, in the block
-    layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row)."""
-    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, False))
+    layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row); with
+    timed, F_u's last column is h F_h."""
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, False, timed))
 
 
 def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
-                                   u: np.ndarray):
+                                   u: np.ndarray, timed: bool = False):
     """Dense F_{X+}, F_X and F_u of a sliding step, in the block layout
     (x_1, z_1, ..., x_s, z_s, x(k+1)) by (stage rows + constraint row per
-    stage, endpoint row)."""
-    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, True))
+    stage, endpoint row); with timed, F_u's last column is h F_h."""
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, True, timed))
 
 
 def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
-                        u: np.ndarray, Lambda_plus: np.ndarray):
+                        u: np.ndarray, Lambda_plus: np.ndarray, timed: bool = False):
     """Assembled one-step adjoint of either mode, the oracle.  Lambda_plus
     holds one full padded vector per row, (s d + n,) with d = n off the
     surface and n + 1 on it; returns (Lambda_k, gradient rows -F_u^T R),
-    both with the same leading axis."""
+    both with the same leading axis, the rows ending in h H_k with timed."""
     assemble = (assemble_sliding_step_matrices if traj.mode[k] is Mode.SLIDING
                 else assemble_ode_step_matrices)
-    FXp, FX, Fu = assemble(ocp, traj, k, u)
+    FXp, FX, Fu = assemble(ocp, traj, k, u, timed)
     # one single-RHS solve per row, as each row's own solve would give
     F, d = Lambda_plus.shape
     try:
@@ -273,13 +271,13 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
     return num / den
 
 
-def _tangent_projection(gx: np.ndarray, lam: np.ndarray, error, where: str):
+def _tangent_projection(gx: np.ndarray, lam: np.ndarray):
     """(lam - pi g_x^T, pi) with pi = g_x lam / |g_x|^2: the part of lam
     tangent to the surface, as g_x lam = 0 asks on the sliding side.
-    Raises error when g_x vanishes."""
+    Raises SingularTerminalSystem when g_x vanishes."""
     den = float(gx @ gx)
     if den < 1e-30:
-        raise error(f"g_x vanishes at {where}")
+        raise SingularTerminalSystem("g_x vanishes at the final state")
     pi = float(gx @ lam) / den
     return lam - pi * gx, pi
 
@@ -290,78 +288,45 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
 
     Off the surface lam_f is the functional gradient w_x, lam_g = 0 and
     nu1 is None.  On the surface lam_f = w_x + nu1 g_x^T is w_x projected
-    onto the tangent space, as at an exit, so nu1 = -pi; lam_g is
-    lambda_g_pointwise of lam_f.
+    onto the tangent space, so nu1 = -pi; lam_g is lambda_g_pointwise of
+    lam_f.
     """
     xK = traj.x[-1]
     wx = np.asarray(w.grad(xK), dtype=float)
     if traj.terminal_mode is not Mode.SLIDING:
         return wx, 0.0, None
-    lam_f, pi = _tangent_projection(ocp.g_x(xK), wx, SingularTerminalSystem,
-                                    "the final state")
+    lam_f, pi = _tangent_projection(ocp.g_x(xK), wx)
     lam_g = lambda_g_pointwise(ocp, xK, grid.values[traj.ctrl[-1]], float(traj.z_node[-1]),
                                lam_f, traj.opts.eps_den)
     return lam_f, lam_g, 0.0 - pi   # 0.0 - pi is never -0.0
 
 
-def transition_jump(ocp: HybridOCP, kind: TransitionKind, x_star: np.ndarray,
-                    u_minus: np.ndarray, u_plus: np.ndarray,
-                    lam_plus: np.ndarray, lam_g_plus: float,
-                    mode_before: Mode, eps_tan: float, eps_den: float):
-    """Backward jump at a transition node: lam_minus = lam_plus - pi g_x^T.
-
-    kind refers to the forward-time event.  mode_before is the mode just
-    before the event in forward time; off the surface it names the field
-    (f1 below, f2 above).  Returns (lam_minus, pi).
-    """
-    gx = ocp.g_x(x_star)
-
-    if kind in (TransitionKind.EXIT_TO_F1, TransitionKind.EXIT_TO_F2):
-        # sliding before the event: pi enforces the algebraic condition
-        # g_x lam = 0 on the sliding side; Hamiltonian continuity is
-        # automatic at the blend-weight boundary
-        return _tangent_projection(gx, lam_plus, SingularJumpSystem, "an exit node")
-
-    if mode_before is Mode.SLIDING:
-        raise SingularJumpSystem(f"a {kind.value} event cannot follow a sliding step")
-    f_b = ocp.field(mode_before)[0](x_star, u_minus)
-
-    if kind is TransitionKind.ENTER_SLIDING:
-        fF = filippov_values(ocp, x_star, u_plus, eps_den=eps_den).fF
-        rhs_H = float(lam_plus @ fF) - lam_g_plus * ocp.g(x_star)
-    else:
-        f_after = ocp.f2(x_star, u_plus) if kind is TransitionKind.CROSS_12 \
-            else ocp.f1(x_star, u_plus)
-        rhs_H = float(lam_plus @ f_after)
-
-    gfb = float(gx @ f_b)
-    if abs(gfb) <= eps_tan:
-        raise SingularJumpSystem(
-            f"g_x f = {gfb:.3e} at a {kind.value} node; jump system degenerate",
-            g_x_f=gfb)
-    pi = (float(lam_plus @ f_b) - rhs_H) / gfb
-    return lam_plus - pi * gx, pi
+def _event_gradient(ocp: HybridOCP, traj: Trajectory, k: int, boundary: Optional[int],
+                    u: np.ndarray):
+    """(E_x, E_u) at event node k of the function that located it, with
+    the control u of the step before: E = g (boundary None) or E = alpha
+    - boundary."""
+    x = traj.x[k]
+    if boundary is None:
+        return ocp.g_x(x), np.zeros(ocp.m)
+    v = filippov_values(ocp, x, u, eps_den=traj.opts.eps_den)
+    return (filippov_state_jacobian(ocp, v, x, u, ocp.g_xx(x))[1],
+            filippov_control_jacobian(ocp, v, x, u)[1])
 
 
-def _jump(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid, rec,
-          lam_plus: np.ndarray, lam_g_plus: float):
-    """Backward through the transition rec at node k > 0: (lam, lam_g)
-    just before the event in forward time, and pi.  That lam_g is zero
-    when step k - 1 is off the surface and the pointwise recovery when
-    it slides (an exit)."""
-    k = rec.k
-    u_minus = grid.values[traj.ctrl[k - 1]]
-    u_plus = grid.values[traj.ctrl[min(k, traj.K - 1)]]
-    mode_before = traj.mode[k - 1]
-    lam_minus, pi = transition_jump(ocp, rec.kind, traj.x[k], u_minus, u_plus,
-                                    lam_plus, lam_g_plus, mode_before,
-                                    eps_tan=traj.opts.eps_tan,
-                                    eps_den=traj.opts.eps_den)
-    if mode_before is not Mode.SLIDING:
-        return lam_minus, 0.0, pi
-    z_minus = float(traj.stages_z[k - 1][-1])
-    return lam_minus, lambda_g_pointwise(ocp, traj.x[k], u_minus, z_minus, lam_minus,
-                                         traj.opts.eps_den), pi
+def _backward_step(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
+                   lam_plus: np.ndarray, store: StageStore, backend: str, timed: bool):
+    """Step k backward for every row of lam_plus on the chosen backend:
+    (stage multipliers or None, lam_k, gradient rows)."""
+    if backend == "matrix":
+        re = RADAU_IIA.s * (ocp.n + 1 if traj.mode[k] is Mode.SLIDING else ocp.n)
+        Lam_plus = np.zeros((lam_plus.shape[0], re + ocp.n))
+        Lam_plus[:, re:] = lam_plus
+        Lambda_k, rows = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, timed)
+        return None, Lambda_k[:, re:], rows
+    if traj.mode[k] is Mode.SLIDING:
+        return (None, *adjoint_step_sliding(ocp, traj, k, u, lam_plus, store, timed))
+    return adjoint_step_transformed(ocp, traj, k, u, lam_plus, store, timed)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +338,14 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     """Backward sweep of several endpoint functionals over the whole mesh,
     in lockstep; one AdjointTrajectory per functional, in input order.
 
-    backend 'transformed' solves each step, off the surface or sliding,
-    with the transposed stage matrix (the implementation of record),
-    through this call's integrator.StageStore(transpose=True); 'matrix'
-    solves the assembled one-step systems of both modes instead,
-    the oracle the two-route consistency tests compare against.  Either
-    way the sweep also yields the reduced gradient of each functional.
+    backend 'transformed' solves each step with the transposed stage
+    matrix (the implementation of record), 'matrix' the assembled
+    one-step systems, the oracle.  Either way the sweep yields the
+    reduced gradient of each functional and applies the event rule of
+    the module docstring.  jumps holds one record per transition or event
+    node after node 0: t_t, k, kind (None at an event node that records
+    no transition), event ("g", "alpha", or None at a fixed time) and pi,
+    the jump c (0.0 at a fixed time).
     """
     if backend not in ("transformed", "matrix"):
         raise ValueError(f"unknown adjoint backend {backend!r}")
@@ -386,50 +353,60 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     check_mesh(traj, grid)
     K = traj.K
 
-    n, s = ocp.n, RADAU_IIA.s
     F = len(functionals)
-    lam = np.zeros((F, K + 1, n))
+    lam = np.zeros((F, K + 1, ocp.n))
     lam_g = np.zeros((F, K + 1))
     stage_lams = [[None] * K for _ in range(F)]
     rows = np.zeros((F, K, ocp.m))
     jumps: list = [[] for _ in range(F)]
     trans_at = {rec.k: rec for rec in traj.transitions}
+    events = {e.k: e.boundary for e in traj.events}
     store = StageStore(transpose=True)
 
     nu1 = []
     for f, w in enumerate(functionals):
         lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w)
         nu1.append(nu1_f)
+    mu = np.zeros(F)     # dJ/dt at the node the sweep has reached
 
     for k in range(K - 1, -1, -1):
-        if k + 1 in trans_at:
-            # back through the transition at node k + 1 before step k;
-            # none at node 0, which no step precedes
-            rec = trans_at[k + 1]
-            for f in range(F):
-                lam[f, k + 1], lam_g[f, k + 1], pi = _jump(ocp, traj, grid, rec,
-                                                           lam[f, k + 1], lam_g[f, k + 1])
-                jumps[f].append({"t_t": rec.t, "k": rec.k, "kind": rec.kind.value,
-                                 "pi": float(pi)})
-
         u = grid.values[traj.ctrl[k]]
         sliding = traj.mode[k] is Mode.SLIDING
-        if backend == "matrix":
-            re = s * (n + 1 if sliding else n)
-            Lam_plus = np.zeros((F, re + n))
-            Lam_plus[:, re:] = lam[:, k + 1]
-            Lambda_k, rows[:, k] = adjoint_step_matrix(ocp, traj, k, u, Lam_plus)
-            lam[:, k] = Lambda_k[:, re:]
-        elif sliding:
-            lam[:, k], rows[:, k] = adjoint_step_sliding(ocp, traj, k, u, lam[:, k + 1],
-                                                         store)
-        else:
-            stages, lam[:, k], rows[:, k] = adjoint_step_transformed(
-                ocp, traj, k, u, lam[:, k + 1], store)
-            for f in range(F):
+        event, timed, rec = k + 1 in events, k + 1 in events or k in events, trans_at.get(k + 1)
+        lam_plus = lam[:, k + 1]
+        if event:
+            E_x, E_u = _event_gradient(ocp, traj, k + 1, events[k + 1], u)
+            lam_plus = np.vstack([lam_plus, E_x])
+        stages, lam_k, row = _backward_step(ocp, traj, k, u, lam_plus, store, backend, timed)
+        c = np.zeros(F)
+        if timed:
+            H, row = row[:, -1] / traj.h[k], row[:, :-1]
+            mu = mu if event else -H
+        if event:
+            if not abs(H[F]) > traj.opts.eps_tan:
+                raise SingularJumpSystem(
+                    f"E_x Phi_h = {H[F]:.3e} at event node {k + 1}; jump degenerate",
+                    den=float(H[F]), k=k + 1)
+            c = (H[:F] + mu) / H[F] + 0.0   # + 0.0: a zero jump is never -0.0
+            lam[:, k + 1] -= c[:, None] * E_x
+            lam_k = lam_k[:F] - c[:, None] * lam_k[F]
+            row = row[:F] - c[:, None] * (row[F] + E_u)
+            stages = None if stages is None else stages[:F] - c[:, None, None] * stages[F]
+        lam[:, k], rows[:, k] = lam_k, row
+        kind = None if not event else "g" if events[k + 1] is None else "alpha"
+        for f in range(F):
+            if stages is not None:
                 stage_lams[f][k] = stages[f]
-        if sliding:
-            for f in range(F):
+            if rec is not None or event:
+                # node k + 1 keeps what step k continues from: lam~, and
+                # lam_g = 0 after an off-surface step
+                lam_g[f, k + 1] = 0.0 if not sliding else lambda_g_pointwise(
+                    ocp, traj.x[k + 1], u, float(traj.stages_z[k][-1]), lam[f, k + 1],
+                    traj.opts.eps_den)
+                jumps[f].append({"t_t": traj.times[k + 1] if rec is None else rec.t, "k": k + 1,
+                                 "kind": None if rec is None else rec.kind.value,
+                                 "event": kind, "pi": float(c[f])})
+            if sliding:
                 lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
                                                  lam[f, k], traj.opts.eps_den)
 

@@ -31,6 +31,19 @@ from .optimizer import OptimizerConfig
 # integrator and optimizer options check their own
 _RULES = [("eps", *POSITIVE), ("N", *COUNT), ("steps_per_interval", *COUNT)]
 _OPTIONS = {"integrator": IntegratorOptions, "optimizer": OptimizerConfig}
+# the problem overrides RunConfig checks when set, each with whether it
+# may be a nested list; get_problem checks shapes and the control box
+_OVERRIDES = {"t0": False, "tf": False, "x0": True, "u": True, "u_lo": True, "u_hi": True}
+
+
+def _numbers(v, nested: bool) -> bool:
+    """Whether v is a finite real number (a bool is none) or, if nested,
+    a list of such values with one length per level."""
+    if isinstance(v, list):
+        return nested and all(_numbers(item, True) for item in v) \
+            and len({np.shape(item) for item in v}) <= 1
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
 
 
 @dataclass(frozen=True)
@@ -41,8 +54,8 @@ class RunConfig:
     t0: Optional[float] = None
     tf: Optional[float] = None
     N: int = 10
-    u: Optional[object] = None           # scalar, [N] or [N][m]
-    u_lo: Optional[object] = None
+    u: Optional[object] = None           # number, [N] or [N][m]
+    u_lo: Optional[object] = None        # number or [m]
     u_hi: Optional[object] = None
     steps_per_interval: int = 8
     integrator: IntegratorOptions = IntegratorOptions()
@@ -56,6 +69,13 @@ class RunConfig:
             if not isinstance(getattr(self, key), kind):
                 raise ValidationError(f"{key}: must be an {kind.__name__}", field=key)
         check_fields(self, _RULES)
+        for key, nested in _OVERRIDES.items():
+            v = getattr(self, key)
+            if v is not None and not _numbers(v, nested):
+                rule = "a finite number" + (" or a nested list of them" if nested else "")
+                raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)
+        if self.t0 is not None and self.tf is not None and not self.tf > self.t0:
+            raise ValidationError(f"tf: must be > t0 = {self.t0!r}, got {self.tf!r}", field="tf")
         if not re.fullmatch(r"phi|g1:\d+|g2:\d+", self.functional):
             raise ValidationError(
                 f"functional: expected phi, g1:i or g2:j, got {self.functional!r}",
@@ -69,7 +89,7 @@ class RunConfig:
 
     def overrides(self) -> dict:
         out = {"N": self.N}
-        for key in ("x0", "t0", "tf", "u", "u_lo", "u_hi"):
+        for key in _OVERRIDES:
             v = getattr(self, key)
             if v is not None:
                 out[key] = v

@@ -42,7 +42,8 @@ class SingularTerminalSystem(SlidocError):
 
 
 class SingularJumpSystem(SlidocError):
-    """The adjoint jump at a transition is degenerate (g_x f is too small)."""
+    """The adjoint jump at an event node is degenerate: E_x Phi_h, the
+    event function's rate along the step, is within eps_tan of zero."""
 
 
 # ---- model evaluation ----

@@ -7,7 +7,9 @@ events are located inside a step by shrinking the step, from the trial
 that came back beyond the surface, until the event function is below
 tolerance; the located point is committed as a mesh node, the
 transition is classified and recorded, and integration resumes toward
-the same base node with the new mode.
+the same base node with the new mode.  A node whose time a trial of
+locate_event found is an event node (Trajectory.events, EventNode): its
+time depends on the state, which the backward sweep differentiates.
 
 Every surface test (entry_test, exit_test, exit_mode) returns the mode
 the trajectory goes to, and _Builder.transition takes every verdict: it
@@ -38,32 +40,19 @@ once, at x, and repeats each value for the s stages (_at_stages); later
 iterations evaluate it at every stage.  The repeated values are the
 bytes an evaluation at each stage would give.
 
-stage_pencil is the one place the stage blocks are written: stage i's
-rows of the Newton matrix are P_i y_i - h sum_j a_ij Q_j y_j, with P = I
-and Q = J off the surface, and on it the bordered P = [[I, 0], [g_x, 0]]
-(the constraint row) and Q = [[J, g_x^T], [0, 0]] (the multiplier
-column), J = fF_x + z g_xx (sliding_jacobians).  Each pass solves
-every one of its stage systems, M forward and M^T backward, with its
-own StageStore, which picks the eigenbasis or the dense LU solve and
-reuses the blocks it factored last, as RADAU5 keeps its one
-factorization while h and J do not change (Hairer & Wanner, IV.8).
-The rule, its error bound and its cost are stated once, in the
-StageStore docstring and in README "The stage solve".  The stage sums
-of the sliding residual, of x_plus and of the control Jacobian add
-their terms over j in order (stage_sums): A @ V or einsum may round
-differently, which would change results in the last bit.
+stage_pencil is the one place the stage blocks are written, and each
+pass solves every one of its stage systems, M forward and M^T backward,
+with its own StageStore, which picks the eigenbasis or the dense LU
+solve and reuses the blocks it factored last (its docstring and README
+"The stage solve" state the rule).  The stage sums of the sliding
+residual, of x_plus and of the control Jacobian add their terms over j
+in order (stage_sums): A @ V or einsum may round differently.
 
-A run is resumable at any control breakpoint.  The interval loop records
-what it holds when interval n begins (IntervalStart: the mode, the
-number of committed transitions and a shallow copy of the stage store);
-integrate(..., base=traj, start=n) copies traj's committed data through
-node breakpoint_nodes[n], restarts from that node with the recorded mode
-and a copy of that store and runs intervals n..N-1 with the new
-controls, so it equals a full run bit for bit, reuse included, when the
-controls before interval n are traj's.
-The trajectory keeps the IntegratorOptions it was integrated with
-(Trajectory.opts): a resumed run must use the same ones, and the
-backward sweep reads its tolerances from there.
+A run is resumable at any control breakpoint (integrate's base and
+start, IntervalStart), bit for bit.  The trajectory keeps the
+IntegratorOptions it was integrated with (Trajectory.opts): a resumed
+run must use the same ones, and the backward sweep reads its
+tolerances from there.
 """
 
 from __future__ import annotations
@@ -142,6 +131,15 @@ class TransitionRecord:
 
 
 @dataclass(frozen=True)
+class EventNode:
+    """Node k, whose time a trial of locate_event found: the event
+    function E vanishes there, E = g when boundary is None and E = alpha
+    - boundary (0 or 1) when a sliding step reached that blend weight."""
+    k: int
+    boundary: Optional[int]
+
+
+@dataclass(frozen=True)
 class IntervalStart:
     """The interval loop's state when control interval n begins, besides
     the time and state of node breakpoint_nodes[n]: the mode, how many
@@ -164,8 +162,9 @@ class Trajectory:
     surface it names the field, ocp.field(mode[k])), ctrl[k] is the
     control interval the step belongs to, breakpoint_nodes[n] is the
     node index of t_n and starts[n] is what integration resumes from at
-    interval n (IntervalStart).  opts are the options the run was
-    integrated with.
+    interval n (IntervalStart).  events lists the event nodes in node
+    order (EventNode); every other node has a fixed time.  opts are the
+    options the run was integrated with.
     """
 
     times: np.ndarray
@@ -182,6 +181,7 @@ class Trajectory:
     terminal_mode: Mode
     spi: int
     opts: IntegratorOptions
+    events: list
 
     @property
     def K(self) -> int:
@@ -594,6 +594,7 @@ class _Builder:
         self.stages_x = []
         self.stages_z = []
         self.transitions = []
+        self.events = []
         self.breakpoint_nodes = [0]
         self.starts = []
         self.spi = spi
@@ -602,9 +603,9 @@ class _Builder:
 
     @classmethod
     def resumed(cls, base: Trajectory, n: int):
-        """Base's committed data through node breakpoint_nodes[n], the
-        transitions committed before interval n began and a copy of the
-        stage store base held then."""
+        """Base's committed data through node breakpoint_nodes[n], its
+        event nodes up to there, the transitions committed before interval
+        n began and a copy of the stage store base held then."""
         state = base.starts[n]
         k = int(base.breakpoint_nodes[n])
         bld = cls(base.times[0], base.x[0], base.spi, base.opts)
@@ -615,6 +616,7 @@ class _Builder:
         bld.stages_x = base.stages_x[:k]
         bld.stages_z = base.stages_z[:k]
         bld.transitions = base.transitions[:state.transitions]
+        bld.events = [e for e in base.events if e.k <= k]
         bld.breakpoint_nodes = base.breakpoint_nodes[:n + 1].tolist()
         bld.starts = base.starts[:n]
         bld.store = copy.copy(state.store)
@@ -660,7 +662,7 @@ class _Builder:
             stages_x=self.stages_x, stages_z=self.stages_z,
             z_node=z_node, transitions=self.transitions, breakpoint_nodes=bp,
             starts=self.starts, terminal_mode=terminal_mode, spi=self.spi,
-            opts=self.opts)
+            opts=self.opts, events=self.events)
 
 
 def check_width(ocp: HybridOCP, grid: ControlGrid):
@@ -780,6 +782,8 @@ def _advance_ode(ocp, bld, t, x, u, h, mode, opts):
             st, x = data
             t = t + tau
             bld.commit(t, x, tau, mode, st, None)
+            if tau < h:   # a trial, not the full step: an event node
+                bld.events.append(EventNode(len(bld.xs) - 1, None))
         next_mode = bld.transition(mode, entry_test(ocp, x, u, eps_tan=opts.eps_tan))
         if tau == 0.0 and next_mode is mode:
             # a graze at the step start whose step still dips through
@@ -818,5 +822,7 @@ def _advance_sliding(ocp, bld, t, x, u, h, opts):
         Xs, Zs, x, _ = data
         t = t + tau
         bld.commit(t, x, tau, Mode.SLIDING, Xs, Zs)
+        if tau < h:
+            bld.events.append(EventNode(len(bld.xs) - 1, boundary))
     next_mode = exit_mode(*normal_speeds(ocp, x, u), boundary, opts.eps_tan)
     return t, x, bld.transition(Mode.SLIDING, next_mode)

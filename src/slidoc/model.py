@@ -13,13 +13,9 @@ g_x, f1, f2, w1, w2, alpha, f_F), the state part (fF_x and a_x, with the
 g_xx terms) and the control part (fF_u and a_u), both built from the
 values by one derivative of the quotient (_blend_derivative).
 filippov_field and filippov_jacobians compose them.  The sliding Newton
-iteration of the integrator evaluates the values at every iterate (once,
-at the step start, for the first iterate) and the state part only
-before it solves; the backward sweep's transition jump reads the
-values, lam_g adds the state part, and the step Jacobians of the sweep
-take the values at each stage, then the state part from them
-(integrator.sliding_jacobians, which the Newton iteration uses too) and
-the control part.
+iteration evaluates the state part only before it solves; the sweep's
+step Jacobians take all three at each stage, and its event rule a_x
+and a_u at an exit it located.
 
 Conventions: region "below" is g < 0 and flows with f1, region "above"
 is g > 0 and flows with f2.  g_x is stored as a 1-D array of length n.

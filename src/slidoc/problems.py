@@ -17,8 +17,8 @@ Problems:
   p2-steered       p2 with the control also steering the tangential
                    velocity, so sliding-segment gradients are nonzero.
   slide-exit       the blend weight drifts to 0 along the surface and the
-                   trajectory drops back into g < 0; exercises exit
-                   events and the exit adjoint jump.
+                   trajectory drops back into g < 0 at the breakpoint
+                   t = 0.9, a fixed time, where lam does not jump.
   constrained-toy  rotation dynamics with one endpoint equality and one
                    endpoint inequality; the optimizer demo.
 """

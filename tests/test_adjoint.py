@@ -16,13 +16,14 @@ import slidoc.tableau as tableau_mod
 from slidoc.adjoint import (adjoint_step_matrix, adjoint_step_sliding,
                             adjoint_step_transformed, assemble_ode_step_matrices,
                             assemble_sliding_step_matrices, run_adjoint,
-                            lambda_g_pointwise, run_adjoints, terminal_conditions,
-                            transition_jump)
+                            lambda_g_pointwise, run_adjoints, terminal_conditions)
 from slidoc.errors import SingularJumpSystem
 from slidoc.gradient import reduced_gradient_matrix
-from slidoc.integrator import IntegratorOptions, StageStore, integrate
+from slidoc.verify import gradient_check
+from test_tools import drawn_survey
+from slidoc.integrator import EventNode, IntegratorOptions, StageStore, integrate
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                          TransitionKind, filippov_jacobians, filippov_values)
+                          filippov_jacobians, filippov_values)
 from slidoc.problems import get_problem
 from slidoc.tableau import adjoint_tableau, radau_iia_3
 
@@ -168,62 +169,92 @@ def test_matrix_backend_keeps_stage_slots_empty():
         assert np.array_equal(Lam_k[0, s * n:], adj.lam[k])
 
 
-def test_crossing_jump_hand_case():
-    """Constant fields, crossing upward: pi = lam^+ (f_b - f_a) / (g_x f_b)."""
+def _constant_crossing():
+    """Constant fields f1 = (1, 2 + u) below and f2 = (1, 0.5 + u) above
+    g = x1, w = x1, from (0, -0.5) at u = 0: the run crosses upward at
+    t = 0.25, between the mesh nodes 1/6 and 1/3 of N = 3 intervals at 2
+    steps each, so its node is an event node."""
     zeros = lambda x, u: np.zeros((2, 2))
-    bu = lambda x, u: np.zeros((2, 1))
+    bu = lambda x, u: np.array([[0.0], [1.0]])
     w = EndpointFunctional(value=lambda x: float(x[1]),
                            grad=lambda x: np.array([0.0, 1.0]))
     ocp = HybridOCP(name="cross", n=2, m=1,
-                    f1=lambda x, u: np.array([1.0, 2.0]), f1_x=zeros, f1_u=bu,
-                    f2=lambda x, u: np.array([1.0, 0.5]), f2_x=zeros, f2_u=bu,
+                    f1=lambda x, u: np.array([1.0, 2.0 + u[0]]), f1_x=zeros, f1_u=bu,
+                    f2=lambda x, u: np.array([1.0, 0.5 + u[0]]), f2_x=zeros, f2_u=bu,
                     g=lambda x: float(x[1]),
                     g_x=lambda x: np.array([0.0, 1.0]),
                     g_xx=lambda x: np.zeros((2, 2)),
                     phi=w, x0=np.array([0.0, -0.5]), t0=0.0, tf=1.0,
                     u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
-    u = np.zeros(1)
-    lam_plus = np.array([0.0, 1.0])
-    opts = IntegratorOptions()
-    lam_minus, pi = transition_jump(ocp, TransitionKind.CROSS_12,
-                                    np.array([0.5, 0.0]), u, u, lam_plus,
-                                    0.0, Mode.BELOW, opts.eps_tan, opts.eps_den)
-    assert pi == pytest.approx((2.0 - 0.5) / 2.0, abs=1e-14)
-    assert lam_minus == pytest.approx([0.0, 0.25], abs=1e-14)
+    return ocp, ControlGrid(0.0, 1.0, np.zeros((3, 1)))
 
 
-def test_crossing_jump_singular_when_tangent():
-    zeros = lambda x, u: np.zeros((2, 2))
-    bu = lambda x, u: np.zeros((2, 1))
-    w = EndpointFunctional(value=lambda x: float(x[1]),
-                           grad=lambda x: np.array([0.0, 1.0]))
-    ocp = HybridOCP(name="graze", n=2, m=1,
-                    f1=lambda x, u: np.array([1.0, 0.0]), f1_x=zeros, f1_u=bu,
-                    f2=lambda x, u: np.array([1.0, 0.5]), f2_x=zeros, f2_u=bu,
-                    g=lambda x: float(x[1]),
-                    g_x=lambda x: np.array([0.0, 1.0]),
-                    g_xx=lambda x: np.zeros((2, 2)),
-                    phi=w, x0=np.array([0.0, -0.5]), t0=0.0, tf=1.0,
-                    u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
-    u = np.zeros(1)
-    opts = IntegratorOptions()
-    with pytest.raises(SingularJumpSystem):
-        transition_jump(ocp, TransitionKind.CROSS_12, np.array([0.5, 0.0]),
-                        u, u, np.array([0.0, 1.0]), 0.0, Mode.BELOW,
-                        opts.eps_tan, opts.eps_den)
+def test_crossing_jump_hand_case():
+    """Constant fields, crossing upward at a located node, end to end: the
+    step before it has H_k(lam) = lam . f1 = 2 and H_k(g_x) = g_x f1 = 2,
+    the step after it mu = -lam . f2 = -0.5, so pi = (2 - 0.5) / 2 and
+    lam^- = lam^+ - pi g_x^T = (0, 0.25).  The gradient agrees with the
+    FD oracle."""
+    ocp, grid = _constant_crossing()
+    traj = integrate(ocp, grid, 2)
+    assert traj.transition_kinds() == ["Cross12"]
+    assert traj.events == [EventNode(k=traj.transitions[0].k, boundary=None)]
+    adj = run_adjoint(ocp, traj, grid, ocp.phi)
+    (jump,) = adj.jumps
+    assert jump["kind"] == "Cross12" and jump["event"] == "g"
+    assert jump["pi"] == (2.0 - 0.5) / 2.0
+    assert adj.lam[jump["k"]] == pytest.approx([0.0, 0.25], abs=1e-14)
+    chk = gradient_check(ocp, grid, 2)
+    assert chk.rel <= 1e-8 and np.abs(chk.grad).max() > 0.1
 
 
-def test_exit_jump_projects_onto_the_tangent_space():
-    """Backward through an exit, the multiplier loses its normal part;
-    slide-exit has pi = 1 for the endpoint cost x2."""
+def test_event_jump_singular_when_tangent():
+    """The jump's denominator H_k(E_x) = g_x f1 = 2 on the constant
+    crossing: a sweep whose eps_tan is not below it raises
+    SingularJumpSystem naming the node and the denominator."""
+    ocp, grid = _constant_crossing()
+    traj = integrate(ocp, grid, 2)
+    traj = dataclasses.replace(traj, opts=IntegratorOptions(eps_tan=2.0))
+    with pytest.raises(SingularJumpSystem) as exc:
+        run_adjoint(ocp, traj, grid, ocp.phi)
+    assert exc.value.payload == {"den": 2.0, "k": traj.transitions[0].k}
+
+
+def test_an_exit_at_a_fixed_time_takes_no_jump():
+    """slide-exit leaves the surface at the breakpoint t = 0.9, a node
+    with a fixed time: only its located entry is an event node, the exit
+    records event None and pi = 0, lam keeps its normal part there, and
+    the gradient still agrees with the FD oracle."""
     ocp, grid = get_problem("slide-exit")
     traj = integrate(ocp, grid, 8)
+    entry, exit_ = traj.transitions
+    assert traj.events == [EventNode(k=entry.k, boundary=None)]
+    assert exit_.k in traj.breakpoint_nodes
     adj = run_adjoint(ocp, traj, grid, ocp.phi)
-    pis = {j["kind"]: j["pi"] for j in adj.jumps}
-    assert pis["ExitToF1"] == pytest.approx(1.0, abs=1e-10)
-    exit_node = traj.transitions[1].k
-    gx = ocp.g_x(traj.x[exit_node])
-    assert abs(float(gx @ adj.lam[exit_node])) <= 1e-12
+    assert [(j["kind"], j["event"], j["pi"]) for j in adj.jumps] == [
+        ("EnterSliding", "g", pytest.approx(0.0, abs=1e-10)), ("ExitToF1", None, 0.0)]
+    assert abs(float(ocp.g_x(traj.x[exit_.k]) @ adj.lam[exit_.k])) > 0.5
+    assert gradient_check(ocp, grid, 8).rel <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [953, 183])
+def test_located_events_give_the_gradient_of_the_discrete_map(seed):
+    """Drawn seeds 953 and 183 (tools/drawn_survey.py) enter sliding and
+    exit a curved surface where the blend weight reaches 0, both at
+    located nodes.  Their times move with x and u, and so do the steps
+    on either side, which the event rule carries through mu: the gradient
+    agrees with the FD oracle to 1e-8 (it missed by 2.5e-3 and 4.2e-6
+    with continuous-time jumps and no mu), and the two backends agree to
+    1e-12."""
+    ocp, grid = drawn_survey().drawn_problem(seed)
+    traj = integrate(ocp, grid, 8)
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+    assert [e.boundary for e in traj.events] == [None, 0]
+    chk = gradient_check(ocp, grid, 8)
+    assert chk.fd.flagged == [] and chk.rel <= 1e-8
+    ref = run_adjoint(ocp, traj, grid, ocp.phi, backend="matrix").grad
+    assert np.array_equal(chk.grad, run_adjoint(ocp, traj, grid, ocp.phi).grad)
+    assert np.max(np.abs(chk.grad - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -423,7 +454,13 @@ def _lockstep_cases():
     # chain-16: sliding steps whose solves reuse stored eigenbasis blocks
     ocp, grid = _chain_problem()(16, np.random.default_rng(1))
     yield ocp, grid, [ocp.phi, _chain_linear(ocp.n)]
-    # sliding steps, an entry jump and an exit jump, two functionals
+    # drawn seed 953: jumps at a located entry (E = g) and a located exit
+    # (E = alpha), each solved with E_x as one more right-hand side
+    ocp, grid = drawn_survey().drawn_problem(953)
+    yield ocp, grid, [ocp.phi, EndpointFunctional(value=lambda x: float(x[0] - 2.0 * x[1]),
+                                                  grad=lambda x: np.array([1.0, -2.0]))]
+    # sliding steps, a located entry and an exit at a fixed time, two
+    # functionals
     ocp, grid = get_problem("slide-exit")
     w = EndpointFunctional(value=lambda x: float(x[0] + 3.0 * x[1] ** 2),
                            grad=lambda x: np.array([1.0, 6.0 * x[1]]), name="w")
@@ -467,7 +504,7 @@ def test_run_adjoints_matches_single_sweeps():
                                   [j["pi"] for j in solo.jumps])
             assert adj.nu1 == solo.nu1
             assert np.abs(adj.grad).max() > 0.0
-    # the last case swept sliding steps and both jumps in lockstep
+    # the last case swept sliding steps and both transitions in lockstep
     assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
     assert [len(adj.jumps) for adj in batch] == [2, 2]
 
@@ -584,8 +621,9 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
     integrated with at all three sites, each of which evaluates
     filippov_values (the piece that computes alpha): the Jacobians of a
     sliding step (which the kernel and the dense oracle share), the
-    pointwise lam_g (which the terminal values use too) and the entry
-    jump.
+    pointwise lam_g (which the terminal values use too) and the
+    gradient of E = alpha - b at an exit node located by the blend
+    weight (drawn seed 953).
     Neither sweep is given a tolerance; the matrix oracle of
     reduced_gradient_matrix reads it from the trajectory too."""
     seen = []
@@ -598,13 +636,14 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
 
     monkeypatch.setattr(adjoint_mod, "filippov_values", spy(adjoint_mod.filippov_values))
     opts = IntegratorOptions(eps_den=3e-13)
-    for name in ("p2-sliding", "slide-exit"):
-        ocp, grid = get_problem(name)
+    for ocp, grid in (*map(get_problem, ("p2-sliding", "slide-exit")),
+                      drawn_survey().drawn_problem(953)):
         traj = integrate(ocp, grid, 8, opts=opts)
         run_adjoint(ocp, traj, grid, ocp.phi)
         reduced_gradient_matrix(ocp, traj, grid, ocp.phi)
+    assert [e.boundary for e in traj.events] == [None, 0]
     assert {site for site, _ in seen} == {
-        "_step_jacobians", "lambda_g_pointwise", "transition_jump"}
+        "_step_jacobians", "lambda_g_pointwise", "_event_gradient"}
     assert {eps for _, eps in seen} == {3e-13}
 
 

@@ -55,8 +55,8 @@ def test_adjoint_csv_and_sidecar(tmp_path):
     assert lines[0] == "k,t,lambda0,lambda1,lambda_g"
     side = json.loads(read(tmp_path / "adj.json"))
     assert side["nu1"] is None            # endpoint is off the surface
-    assert [j["pi"] for j in side["jumps"]] == [
-        pytest.approx(0.0, abs=1e-10), pytest.approx(1.0, abs=1e-10)]
+    # the exit sits on the breakpoint t = 0.9, a fixed time: no jump
+    assert [j["pi"] for j in side["jumps"]] == [pytest.approx(0.0, abs=1e-10), 0.0]
 
 
 def test_gradient_json(tmp_path):
@@ -327,6 +327,45 @@ def test_config_tolerance_failures_name_the_field(tmp_path, key, value):
     with pytest.raises(ValidationError) as exc:
         parse_config(str(cfgp))
     assert exc.value.to_dict()["field"] == key
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t0", float("nan")), ("tf", [1.0]), ("x0", "abc"), ("x0", [True, 0.0]),
+    ("u", object()), ("u", [[0.1], [float("inf")]]), ("u_lo", [[0.0], [1.0, 2.0]]),
+    ("u_hi", np.bool_(True))])
+def test_run_config_checks_its_problem_overrides(key, value):
+    """A set override must be a finite real number (t0, tf) or a nested
+    list of them with one length per level (x0, u, u_lo, u_hi); a bool
+    or a str is none.  meta() of such a config used to raise an untyped
+    ValueError from the serializer."""
+    with pytest.raises(ValidationError) as exc:
+        RunConfig(**{key: value})
+    assert exc.value.payload == {"field": key}
+    assert str(exc.value).startswith(f"{key}: must be a finite number")
+
+
+def test_run_config_needs_tf_above_t0():
+    """tf must lie above t0 when both are set; shapes and the control box
+    are left to get_problem, which knows n, m and N."""
+    with pytest.raises(ValidationError) as exc:
+        RunConfig(t0=1, tf=1.0)
+    assert exc.value.payload == {"field": "tf"}
+    cfg = RunConfig(x0=[0.25, -0.5, 1.0], t0=np.float64(0.5), tf=2, u=[0.1], u_lo=-1)
+    with pytest.raises(ValidationError) as exc:
+        slidoc.get_problem("smooth-linear", cfg.overrides())
+    assert exc.value.payload == {"field": "overrides.x0"}
+
+
+def test_tableau_check_refuses_a_bad_override(tmp_path, capsys):
+    """tableau-check builds no problem, yet its config still checks x0:
+    it exits 1 with one JSON line naming the key."""
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text('{"x0": "abc"}')
+    assert run("tableau-check", "--config", str(cfgp)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ValidationError"
+    assert json.loads(err)["field"] == "x0"
 
 
 def test_params_is_an_unknown_key(tmp_path):

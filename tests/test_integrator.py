@@ -18,7 +18,7 @@ from slidoc.adjoint import run_adjoint
 from slidoc.errors import (ChatteringLimit, MeshMismatch, NewtonDivergence, NoBracket,
                            TangentialAmbiguity, ValidationError)
 from slidoc.integrator import (IntegratorOptions, StageStore, Trajectory, integrate,
-                               locate_event, step_ode)
+                               locate_event, step_ode, step_sliding)
 from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
@@ -172,10 +172,16 @@ def test_crossing_from_above():
 
 
 def test_newton_divergence_is_reported():
+    """Off the surface on x' = x^3 from 2, and sliding on circle-slide's
+    circle with a step of 20: neither Newton iteration converges."""
     ocp = scalar_ocp(lambda x, u: x ** 3,
                      lambda x, u: np.array([[3.0 * x[0] ** 2]]), x0=2.0)
     with pytest.raises(NewtonDivergence):
         step_ode(ocp, Mode.BELOW, np.array([2.0]), np.zeros(1), 1.0, OPTS)
+    ocp, _ = _circle_slide()
+    with pytest.raises(NewtonDivergence) as exc:
+        step_sliding(ocp, np.array([math.cos(0.3), math.sin(0.3)]), np.array([0.4]), 20.0, OPTS)
+    assert exc.value.payload["h"] == 20.0
 
 
 def test_chattering_guard(monkeypatch):
@@ -773,9 +779,10 @@ def test_solve_stages_raises_on_a_singular_system():
 def test_sweep_calls_g_x_and_g_xx_once_per_sliding_stage():
     """The backward sweep on circle-slide takes g_x(x_j) from the
     Filippov values of each sliding stage and evaluates g_xx(x_j) once
-    there, for the stage Jacobian; the lam_g recoveries and the jumps
-    add their own.  27 sliding stages: 40 g_x and 37 g_xx calls, where
-    a second evaluation of each per stage would make 67 and 64."""
+    there, for the stage Jacobian; the lam_g recoveries and the event
+    rule's E_x = g_x at the located entry add their own.  27 sliding
+    stages: 39 g_x and 37 g_xx calls, where a second evaluation of each
+    per stage would make 66 and 64."""
     ocp, grid = _circle_slide()
     traj = integrate(ocp, grid, 4)
     assert sum(mode is Mode.SLIDING for mode in traj.mode) * RADAU_IIA.s == 27
@@ -791,7 +798,7 @@ def test_sweep_calls_g_x_and_g_xx_once_per_sliding_stage():
 
     counting = dataclasses.replace(ocp, g_x=counted("g_x"), g_xx=counted("g_xx"))
     run_adjoint(counting, traj, grid, ocp.phi)
-    assert calls == {"g_x": 40, "g_xx": 37}
+    assert calls == {"g_x": 39, "g_xx": 37}
 
 
 def _solve_paths(monkeypatch):

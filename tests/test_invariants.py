@@ -30,13 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slidoc import ControlGrid, SlidocError, get_problem, integrate, problem_names, run_adjoint
+from slidoc import (ControlGrid, SlidocError, get_problem, gradient_check, integrate,
+                    problem_names, run_adjoint)
 from slidoc.integrator import TransitionRecord
-from slidoc.model import (EndpointFunctional, HybridOCP, Mode, TransitionKind, alpha,
-                          entry_test, exit_mode, exit_test, normal_speeds)
+from slidoc.model import (Mode, TransitionKind, alpha, entry_test, exit_mode, exit_test,
+                          normal_speeds)
 from test_adjoint import _chain_problem, _circle_slide
 from test_integrator import _jump_at_the_breakpoint
-from test_tools import identity_grid
+from test_tools import drawn_survey, identity_grid
 
 # kind: (modes it may leave, the mode it enters)
 _KINDS = {TransitionKind.CROSS_12: ({Mode.BELOW}, Mode.ABOVE),
@@ -152,31 +153,8 @@ def test_drawn_runs_keep_the_invariants(name, spi, data):
     assert trajectory_violations(ocp, traj, grid) == []
 
 
-def _drawn_problem(seed: int):
-    """A random two-field problem on t in [0, 1] from
-    np.random.default_rng([seed, 99]), drawn in this order: affine fields
-    f_i = A_i x + B_i u + c_i (A_i, B_i ~ N(0, 1), c_i ~ N(0, 1.5)), a
-    quadratic surface g = q.x + x^T H x / 2 + g0 (q ~ N(0, 1), H = S + S^T
-    with S ~ N(0, 0.5), g0 ~ N(0, 0.3)), phi = w.x + 0.3 x_1^2 (w ~
-    N(0, 1)), x0 ~ N(0, 0.5), and N = 6 controls uniform in the box
-    [-1, 1].  Every draw is taken as it comes, curved surfaces included."""
-    rng = np.random.default_rng([seed, 99])
-    A1, A2 = rng.normal(0.0, 1.0, (2, 2)), rng.normal(0.0, 1.0, (2, 2))
-    B1, B2 = rng.normal(0.0, 1.0, (2, 1)), rng.normal(0.0, 1.0, (2, 1))
-    c1, c2 = rng.normal(0.0, 1.5, 2), rng.normal(0.0, 1.5, 2)
-    q, S, g0 = rng.normal(0.0, 1.0, 2), rng.normal(0.0, 0.5, (2, 2)), rng.normal(0.0, 0.3)
-    H = S + S.T
-    w, x0 = rng.normal(0.0, 1.0, 2), rng.normal(0.0, 0.5, 2)
-    phi = EndpointFunctional(value=lambda x: float(w @ x + 0.3 * x[0] ** 2),
-                             grad=lambda x: w + np.array([0.6 * x[0], 0.0]), name="phi")
-    ocp = HybridOCP(
-        name=f"drawn-{seed}", n=2, m=1,
-        f1=lambda x, u: A1 @ x + B1 @ u + c1, f1_x=lambda x, u: A1, f1_u=lambda x, u: B1,
-        f2=lambda x, u: A2 @ x + B2 @ u + c2, f2_x=lambda x, u: A2, f2_u=lambda x, u: B2,
-        g=lambda x: float(q @ x + 0.5 * x @ H @ x + g0), g_x=lambda x: q + H @ x,
-        g_xx=lambda x: H, phi=phi, x0=x0, t0=0.0, tf=1.0,
-        u_lo=np.array([-1.0]), u_hi=np.array([1.0]))
-    return ocp, ControlGrid(0.0, 1.0, rng.uniform(-1.0, 1.0, (6, 1)))
+# the drawn two-field problems of tools/drawn_survey.py
+_drawn_problem = drawn_survey().drawn_problem
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -184,7 +162,8 @@ def _drawn_problem(seed: int):
 def test_drawn_problems_raise_typed_or_keep_the_invariants(problem):
     """Every drawn problem (_drawn_problem, 8 steps per interval) either
     raises a domain error, or integrates to a trajectory that keeps the
-    invariants and whose gradient the matrix oracle reproduces to 1e-9."""
+    invariants and whose gradient the matrix oracle reproduces to 1e-9;
+    with a transition, the FD oracle reproduces it to 1e-6 as well."""
     ocp, grid = problem
     try:
         traj = integrate(ocp, grid, 8)
@@ -194,6 +173,9 @@ def test_drawn_problems_raise_typed_or_keep_the_invariants(problem):
         return
     assert trajectory_violations(ocp, traj, grid) == []
     assert np.max(np.abs(grads[0] - grads[1])) <= 1e-9 * max(1.0, np.max(np.abs(grads[1])))
+    if traj.transitions:
+        chk = gradient_check(ocp, grid, 8)
+        assert chk.rel is not None and chk.rel <= 1e-6, (ocp.name, chk.rel)
 
 
 def test_sliding_on_a_repulsive_surface_is_flagged():

@@ -25,6 +25,11 @@ def identity_grid():
     return load(ROOT / "tools" / "identity_grid.py", "_identity_grid")
 
 
+def drawn_survey():
+    """tools/drawn_survey.py, loaded from its file as is."""
+    return load(ROOT / "tools" / "drawn_survey.py", "_drawn_survey")
+
+
 def test_chain_scaling_counts_solves_and_factorizations():
     """tools/chain_scaling.py at n = 4, one timed call: chain-4 (seed 1,
     8 steps per interval) takes 81 steps, 57 of them sliding.  Forward,
@@ -92,6 +97,35 @@ def test_identity_grid_cli_cases_count_41_outputs_and_8_error_paths():
     assert json.loads(errors["error/nan-config"]["stderr"])["error"] == "ParseError"
     assert json.loads(errors["error/eps-inf"]["stderr"])["field"] == "eps"
     assert json.loads(errors["error/h-inf"]["stderr"])["field"] == "h"
+
+
+def test_drawn_survey_counts_outcomes_and_tables_the_gradient_checks():
+    """tools/drawn_survey.py on seeds 222 (NoBracket at 8 steps per
+    interval) and 183 (entry and exit at located nodes): one run
+    integrates, one raises, and the one with transitions has its
+    gradient_check rel in the lowest decade, counted as an exit run.  Run
+    as a script on seed 183 alone, it prints the same table under a
+    header that names its options."""
+    tool = drawn_survey()
+    opts = tool.IntegratorOptions()
+    result = tool.survey([222, 183], 8, 1e-6, opts)
+    assert result["outcomes"] == {"integrate": 1, "NoBracket": 1}
+    ((seed, kinds, rel, flagged),) = result["checked"]
+    assert (seed, kinds, flagged) == (183, ["EnterSliding", "ExitToF1"], False)
+    assert rel < 1e-8
+    text = tool.report(result, "head")
+    assert text.splitlines()[:3] == [
+        "head", "outcomes: integrate 1, NoBracket 1",
+        "runs with a transition: 1; with an FD entry flagged: 0; every entry flagged: 0"]
+    assert "| < 1e-8 | 1 | 1 |" in text and "runs at or above 1e-6: 0" in text
+    assert text.endswith(f"worst seeds:\n  183: rel {rel:.2e} EnterSliding, ExitToF1\n")
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "drawn_survey.py"),
+                           "--seeds", "183-183", "--spi", "8", "--eps", "1e-6",
+                           "--event-tol", "1e-10"],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "drawn problems, seeds 183-183, spi 8, eps 1e-06, event_tol 1e-10"
+    assert lines[1] == "outcomes: integrate 1" and "| < 1e-8 | 1 | 1 |" in lines
 
 
 UNTESTED_SAMPLE = '''"""A module docstring."""
