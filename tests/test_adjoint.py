@@ -208,7 +208,7 @@ def test_crossing_jump_hand_case():
     assert chk.rel <= 1e-8 and np.abs(chk.grad).max() > 0.1
 
 
-def test_event_jump_singular_when_tangent():
+def test_crossing_jump_singular_when_tangent():
     """The jump's denominator H_k(E_x) = g_x f1 = 2 on the constant
     crossing: a sweep whose eps_tan is not below it raises
     SingularJumpSystem naming the node and the denominator."""
