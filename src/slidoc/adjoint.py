@@ -24,10 +24,13 @@ adjoint_step_matrix) is the oracle of backend 'matrix' for both modes.
 
 run_adjoints sweeps F functionals in lockstep: each step builds its
 Jacobians and its matrix once, and the F right-hand sides go to the
-solver as one batch of single-RHS solves or matrix-vector products, so
-each functional gets bit for bit what its own sweep gives (one solve
-with a (d, F) right-hand side would round differently).  Every error a
-sweep raises depends on the trajectory alone.  Its tolerances are the
+solver as one batch of single-RHS solves or matrix-vector products, and
+every stage sum to a matmul stacked over the F functionals, one product
+each, so each functional gets bit for bit what its own sweep gives (one
+solve with a (d, F) right-hand side, or one product over all F rows,
+would round differently).  lam_g's model terms at a node are evaluated
+once for all F.  Every error a sweep raises depends on the trajectory
+alone.  Its tolerances are the
 ones the trajectory was integrated with (traj.opts).
 
 The one jump rule acts at event nodes (traj.events), where
@@ -62,7 +65,7 @@ import numpy as np
 
 from .errors import SingularJumpSystem, SingularSystem, SingularTerminalSystem
 from .integrator import (StageStore, Trajectory, check_mesh, check_width,
-                         sliding_jacobians, stage_matrix, stage_sums)
+                         sliding_jacobians, stage_matrix)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
                     filippov_control_jacobian, filippov_state_jacobian, filippov_values)
 from .tableau import RADAU_IIA
@@ -154,10 +157,10 @@ def _step_adjoint(traj: Trajectory, k: int, Js: np.ndarray, fus: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"adjoint system singular at step {k}") from exc
     Rx = R[..., :n]
-    lam_k = lam_plus + sum(Rx[:, i] for i in range(s))
+    lam_k = lam_plus + np.ones(s) @ Rx
     stages = lam_plus[:, None] + (A.T @ Rx) / b[:, None]
     fuT_lam = (fus.transpose(0, 2, 1) @ stages[..., None])[..., 0]
-    return stages, lam_k, h * sum(b[i] * fuT_lam[:, i] for i in range(s))
+    return stages, lam_k, h * (b @ fuT_lam)
 
 
 def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -205,7 +208,7 @@ def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
     FX[:re].reshape(s, d, dim)[:, :n, re:] = -np.eye(n)   # stage rows see -x(k)
     FX[re:, re:] = -np.eye(n)                  # endpoint row too; constraints do not
 
-    sums = -h * stage_sums(np.vstack([A, b]), fus)
+    sums = -h * (np.vstack([A, b]) @ fus.reshape(s, -1)).reshape(s + 1, n, -1)
     Fu = np.zeros((dim, fus.shape[2]))
     Fu[:re].reshape(s, d, -1)[:, :n] = sums[:s]
     Fu[re:] = sums[s]
@@ -251,12 +254,14 @@ def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
 
 
 def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
-                       lam_f: np.ndarray, eps_den: float) -> float:
+                       lam_f: np.ndarray, eps_den: float):
     """Algebraic multiplier recovered from the state multiplier:
 
         lam_g = (g_x fF_x^T lam + z g_x g_xx lam - (g_xx x')^T lam) / (g_x g_x^T)
 
-    with x' = f_F + g_x^T z the sliding velocity.
+    with x' = f_F + g_x^T z the sliding velocity.  lam_f (n,) gives a
+    float; lam_f (F, n) gives one per row, (F,), from one evaluation of
+    the model terms, each row's products taken as for a row alone.
     """
     v = filippov_values(ocp, x, u, eps_den=eps_den)
     gx = v.gx
@@ -266,9 +271,10 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
     den = float(gx @ gx)
     if den < 1e-30:
         raise SingularTerminalSystem("g_x vanishes; algebraic multiplier undefined")
-    num = float((gx @ fF_x.T) @ lam_f) + z * float((gx @ gxx) @ lam_f) \
-        - float((gxx @ xdot) @ lam_f)
-    return num / den
+    p, q, r = gx @ fF_x.T, gx @ gxx, gxx @ xdot
+    out = [(float(p @ lam) + z * float(q @ lam) - float(r @ lam)) / den
+           for lam in np.atleast_2d(lam_f)]
+    return out[0] if np.ndim(lam_f) == 1 else np.array(out)
 
 
 def _tangent_projection(gx: np.ndarray, lam: np.ndarray):
@@ -291,14 +297,24 @@ def terminal_conditions(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     onto the tangent space, so nu1 = -pi; lam_g is lambda_g_pointwise of
     lam_f.
     """
+    (lam_f,), (lam_g,), (nu1,) = _terminal_values(ocp, traj, grid, [w])
+    return lam_f, lam_g, nu1
+
+
+def _terminal_values(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid, functionals):
+    """terminal_conditions of every functional, as (lam_f (F, n), lam_g
+    (F,), nu1 list); on the surface g_x and the terms of lam_g are
+    evaluated once for all of them."""
     xK = traj.x[-1]
-    wx = np.asarray(w.grad(xK), dtype=float)
+    wx = np.array([np.asarray(w.grad(xK), dtype=float) for w in functionals])
     if traj.terminal_mode is not Mode.SLIDING:
-        return wx, 0.0, None
-    lam_f, pi = _tangent_projection(ocp.g_x(xK), wx)
+        return wx, [0.0] * len(wx), [None] * len(wx)
+    gx = ocp.g_x(xK)
+    lam_f, pis = zip(*(_tangent_projection(gx, row) for row in wx))
+    lam_f = np.array(lam_f)
     lam_g = lambda_g_pointwise(ocp, xK, grid.values[traj.ctrl[-1]], float(traj.z_node[-1]),
                                lam_f, traj.opts.eps_den)
-    return lam_f, lam_g, 0.0 - pi   # 0.0 - pi is never -0.0
+    return lam_f, lam_g, [0.0 - pi for pi in pis]   # 0.0 - pi is never -0.0
 
 
 def _event_gradient(ocp: HybridOCP, traj: Trajectory, k: int, boundary: Optional[int],
@@ -363,10 +379,7 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
     events = {e.k: e.boundary for e in traj.events}
     store = StageStore(transpose=True)
 
-    nu1 = []
-    for f, w in enumerate(functionals):
-        lam[f, K], lam_g[f, K], nu1_f = terminal_conditions(ocp, traj, grid, w)
-        nu1.append(nu1_f)
+    lam[:, K], lam_g[:, K], nu1 = _terminal_values(ocp, traj, grid, functionals)
     mu = np.zeros(F)     # dJ/dt at the node the sweep has reached
 
     for k in range(K - 1, -1, -1):
@@ -394,21 +407,22 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
             stages = None if stages is None else stages[:F] - c[:, None, None] * stages[F]
         lam[:, k], rows[:, k] = lam_k, row
         kind = None if not event else "g" if events[k + 1] is None else "alpha"
+        if rec is not None or event:
+            # node k + 1 keeps what step k continues from: lam~, and
+            # lam_g = 0 after an off-surface step
+            lam_g[:, k + 1] = 0.0 if not sliding else lambda_g_pointwise(
+                ocp, traj.x[k + 1], u, float(traj.stages_z[k][-1]), lam[:, k + 1],
+                traj.opts.eps_den)
+        if sliding:
+            lam_g[:, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
+                                             lam[:, k], traj.opts.eps_den)
         for f in range(F):
             if stages is not None:
                 stage_lams[f][k] = stages[f]
             if rec is not None or event:
-                # node k + 1 keeps what step k continues from: lam~, and
-                # lam_g = 0 after an off-surface step
-                lam_g[f, k + 1] = 0.0 if not sliding else lambda_g_pointwise(
-                    ocp, traj.x[k + 1], u, float(traj.stages_z[k][-1]), lam[f, k + 1],
-                    traj.opts.eps_den)
                 jumps[f].append({"t_t": traj.times[k + 1] if rec is None else rec.t, "k": k + 1,
                                  "kind": None if rec is None else rec.kind.value,
                                  "event": kind, "pi": float(c[f])})
-            if sliding:
-                lam_g[f, k] = lambda_g_pointwise(ocp, traj.x[k], u, float(traj.z_node[k]),
-                                                 lam[f, k], traj.opts.eps_den)
 
     out = []
     for f, w in enumerate(functionals):

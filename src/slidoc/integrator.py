@@ -44,9 +44,13 @@ stage_pencil is the one place the stage blocks are written, and each
 pass solves every one of its stage systems, M forward and M^T backward,
 with its own StageStore, which picks the eigenbasis or the dense LU
 solve and reuses the blocks it factored last (its docstring and README
-"The stage solve" state the rule).  The stage sums of the sliding
-residual, of x_plus and of the control Jacobian add their terms over j
-in order (stage_sums): A @ V or einsum may round differently.
+"The stage solve" state the rule).  Every stage sum sum_j W_ij V_j (the
+Newton residuals and x_plus here, the sweep's multiplier sums, gradient
+rows and F_u in adjoint) is one matrix product, W @ V.  Where the sweep
+carries F functionals, V is stacked (F, s, ...) and numpy's matmul
+takes one product per functional, the bytes that functional's own
+sweep gets; one product over all F rows at once, such as (F, s d) @ M,
+may round differently for each F.
 
 A run is resumable at any control breakpoint (integrate's base and
 start, IntervalStart), bit for bit.  The trajectory keeps the
@@ -359,9 +363,14 @@ class StageStore:
         ones, entrywise.  The gx row of P moves by dg = max|gx - gx0|,
         and every entry of h lambda_k Q by at most |lambda|max (|h - h0|
         (max|Q0| + dQ) + h0 dQ), dQ = max(max|J - J0|, dg).  An empty
-        slot and a NaN match nothing."""
+        slot and a NaN match nothing.  The same h and the same bytes
+        match without that arithmetic while tol is finite (no NaN or inf
+        in the held blocks), exactly when the bound would pass them."""
         if self.J is None or (gx is None) != (self.gx is None) or J.shape != self.J.shape:
             return False
+        if h == self.h and self.tol < np.inf and J.tobytes() == self.J.tobytes() and \
+                (gx is None or gx.tobytes() == self.gx.tobytes()):
+            return True
         dh = abs(h - self.h)
         if not _EIG_MAX * dh * self.qmax <= self.tol:
             return False
@@ -381,15 +390,6 @@ class StageStore:
                     * np.abs(inv).sum(axis=1).max(axis=1)).max()
             self.inv = inv if cond <= COND_BOUND else None
         return self.inv
-
-
-def stage_sums(W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row sums sum_j W_ij V_j of the stage values V (s, ...), added up
-    over j in order; a matrix product may round differently."""
-    acc = np.zeros((W.shape[0],) + V.shape[1:])
-    for j in range(W.shape[1]):
-        acc += np.multiply.outer(W[:, j], V[j])
-    return acc
 
 
 def _at_stages(values: list, s: int) -> np.ndarray:
@@ -494,10 +494,10 @@ def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
         gxs = _at_stages([v.gx for v in vals], s)
         V = _at_stages([v.fF for v in vals], s) + gxs * Z[:, None]   # f_F + g_x^T z
         res = np.empty((s, n + 1))
-        res[:, :n] = X - x - h * stage_sums(A, V)
+        res[:, :n] = X - x - h * (A @ V)
         res[:, n] = [ocp.g(X[i]) for i in range(m)]
         if np.abs(res).max() <= opts.newton_tol:
-            x_plus = x + h * stage_sums(b[None], V)[0]
+            x_plus = x + h * (b @ V)
             return X, Z, x_plus, vals[-1].a
         if it == MAX_NEWTON_ITERS:
             break
@@ -627,12 +627,15 @@ class _Builder:
                                          store=copy.copy(self.store)))
 
     def commit(self, t_new, x_new, h, mode, stages, zstages):
+        """Append a step; the arrays are the fresh ones a step function
+        returned, which nothing writes into afterwards, so they are kept
+        as they are."""
         self.times.append(float(t_new))
-        self.xs.append(np.array(x_new, dtype=float))
+        self.xs.append(x_new)
         self.hs.append(float(h))
         self.modes.append(mode)
-        self.stages_x.append(np.array(stages, dtype=float))
-        self.stages_z.append(None if zstages is None else np.array(zstages, dtype=float))
+        self.stages_x.append(stages)
+        self.stages_z.append(zstages)
 
     def transition(self, mode, next_mode) -> Mode:
         """Go from mode to next_mode at the last node and return next_mode.

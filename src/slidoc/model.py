@@ -221,7 +221,7 @@ def _blend_derivative(v: FilippovValues, d1: np.ndarray, d2: np.ndarray,
     Returns (f_F', a')."""
     a = v.a
     a_d = (dw1 - a * (dw1 - dw2)) / (v.w1 - v.w2)
-    return (1.0 - a) * d1 + a * d2 + np.outer(v.f2 - v.f1, a_d), a_d
+    return (1.0 - a) * d1 + a * d2 + (v.f2 - v.f1)[:, None] * a_d, a_d
 
 
 def filippov_state_jacobian(ocp: HybridOCP, v: FilippovValues, x: np.ndarray,

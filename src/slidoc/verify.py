@@ -7,8 +7,10 @@ and a probe of u_n resumes the base at control interval n (integrate's
 base/start): the state at t_n does not depend on u_n, so only intervals
 n..N-1 are integrated again, and the result equals a full run bit for
 bit.  An entry is flagged NonSmoothAcrossEvent when a probe changes the
-transition structure (the sequence of transition kinds, or the control
-interval any transition falls in): the functional is not differentiable
+transition structure (the sequence of transition kinds, the control
+interval any transition falls in, or whether it sits at an event node,
+whose time moves with u, or at a node of fixed time, whose time does
+not): the functional is not differentiable
 across such a change, so those entries are excluded from pass/fail
 comparisons but still reported.  A probe that raises a SlidocError
 (e.g. it lands on a tangential exit) flags its entry too; the entry is
@@ -71,8 +73,11 @@ class FDReport:
 
 
 def _structure(traj: Trajectory) -> tuple:
-    """Kind and control interval of every transition, in order."""
-    return tuple(zip(traj.transition_kinds(), traj.transition_intervals()))
+    """Kind, control interval and whether it sits at an event node, of
+    every transition, in order."""
+    located = {e.k for e in traj.events}
+    return tuple(zip(traj.transition_kinds(), traj.transition_intervals(),
+                     [rec.k in located for rec in traj.transitions]))
 
 
 def fd_gradient(ocp: HybridOCP, grid: ControlGrid, base: Trajectory,

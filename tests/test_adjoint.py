@@ -509,6 +509,53 @@ def test_run_adjoints_matches_single_sweeps():
     assert [len(adj.jumps) for adj in batch] == [2, 2]
 
 
+def test_lockstep_lam_g_evaluates_the_model_once_per_node(monkeypatch):
+    """Three functionals on circle-slide (sliding to tf on a curved
+    surface) and on slide-exit (an exit node after sliding steps): lam_g
+    and the terminal values equal each functional's own sweep bit for
+    bit, and lambda_g_pointwise evaluates filippov_values, g_xx and
+    filippov_state_jacobian once per sliding node, once per transition
+    or event node after a sliding step and once at tf on the surface,
+    however many functionals the sweep carries.  (On slide-exit's flat
+    surface with constant fields lam_g is 0 throughout.)"""
+    calls = []
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "lambda_g_pointwise":
+                calls.append(original.__name__)
+            return original(*args, **kwargs)
+        wrapper.__name__ = original.__name__
+        return wrapper
+
+    for name in ("filippov_values", "filippov_state_jacobian"):
+        monkeypatch.setattr(adjoint_mod, name, spy(getattr(adjoint_mod, name)))
+    quad = EndpointFunctional(value=lambda x: float(x[0] + 3.0 * x[1] ** 2),
+                              grad=lambda x: np.array([1.0, 6.0 * x[1]]), name="quad")
+    lin = EndpointFunctional(value=lambda x: float(x[0] - 2.0 * x[1]),
+                             grad=lambda x: np.array([1.0, -2.0]), name="lin")
+    for ocp, grid in (_circle_slide(), get_problem("slide-exit")):
+        ocp = dataclasses.replace(ocp, g_xx=spy(ocp.g_xx))
+        ws = [ocp.phi, quad, lin]
+        traj = integrate(ocp, grid, 8)
+        del calls[:]
+        batch = run_adjoints(ocp, traj, grid, ws)
+        counts = {name: calls.count(name) for name in set(calls)}
+        sliding = [k for k in range(traj.K) if traj.mode[k] is Mode.SLIDING]
+        nodes = {rec.k for rec in traj.transitions} | {e.k for e in traj.events}
+        expected = len(sliding) + len([k for k in sliding if k + 1 in nodes]) \
+            + (traj.terminal_mode is Mode.SLIDING)
+        assert counts == dict.fromkeys(["filippov_values", "<lambda>",
+                                        "filippov_state_jacobian"], expected)
+        for w, adj in zip(ws, batch):
+            solo = run_adjoint(ocp, traj, grid, w)
+            assert adj.lam_g.tobytes() == solo.lam_g.tobytes()
+            assert adj.lam.tobytes() == solo.lam.tobytes() and adj.nu1 == solo.nu1
+        if ocp.name == "circle-slide":
+            assert min(np.abs(adj.lam_g).max() for adj in batch) > 0.0
+    assert traj.transition_kinds() == ["EnterSliding", "ExitToF1"]
+
+
 def _count_factorizations(monkeypatch) -> dict:
     """Count np.linalg.solve and np.linalg.inv calls from here on."""
     counts = {"solve": 0, "inv": 0}

@@ -19,7 +19,7 @@ from slidoc.errors import (ChatteringLimit, MeshMismatch, NewtonDivergence, NoBr
                            TangentialAmbiguity, ValidationError)
 from slidoc.integrator import (IntegratorOptions, StageStore, Trajectory, integrate,
                                locate_event, step_ode, step_sliding)
-from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode
+from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode, filippov_values
 from slidoc.problems import get_problem, problem_names
 from slidoc.tableau import RADAU_IIA
 from slidoc.verify import gradient_check
@@ -402,7 +402,10 @@ def test_locate_event_that_never_reaches_the_tolerance_raises():
 
 
 def _field_bytes(value) -> bytes:
-    """Every byte of a trajectory field, through lists and records."""
+    """Every byte of a trajectory field, through lists, tuples and
+    records, by content.  A value numpy would hold only as an object
+    array (a dict, a set, any other object) raises TypeError: its bytes
+    would be pointers, not contents."""
     if value is None:
         return b"-"
     if isinstance(value, enum.Enum):
@@ -412,10 +415,26 @@ def _field_bytes(value) -> bytes:
     if dataclasses.is_dataclass(value):
         return b"{" + b",".join(_field_bytes(getattr(value, f.name))
                                 for f in dataclasses.fields(value)) + b"}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return b"[" + b",".join(map(_field_bytes, value)) + b"]"
     arr = np.asarray(value)
+    if arr.dtype == object:
+        raise TypeError(f"no content bytes for a {type(value).__name__}")
     return f"{arr.dtype}{arr.shape}".encode() + arr.tobytes()
+
+
+def test_field_bytes_compare_by_content():
+    """Equal contents give equal bytes whatever objects hold them: a
+    tuple hashes as the list of its items, None inside one included; a
+    dict or a set has no content bytes and raises."""
+    a, b = np.arange(3.0), np.arange(3.0)
+    assert _field_bytes((a, None, Mode.SLIDING)) == _field_bytes([b, None, Mode.SLIDING])
+    assert _field_bytes((1.0, None)) != _field_bytes((2.0, None))
+    assert _field_bytes([integrator_mod.EventNode(3, None)]) == \
+        _field_bytes([integrator_mod.EventNode(3, None)])
+    for value in ({3: None}, {3}, object()):
+        with pytest.raises(TypeError, match="no content bytes"):
+            _field_bytes(value)
 
 
 def assert_resumes_exactly(ocp, grid, spi, steps):
@@ -517,6 +536,26 @@ def _count_steps(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(integrator_mod, f"step_{kind}", counted)
     return steps
+
+
+def test_sliding_stage_sums_match_the_ordered_loop():
+    """step_sliding forms x_plus = x + h sum_j b_j V_j as one product
+    b @ V.  On every sliding step of circle-slide (curved surface, z
+    nonzero) it agrees with the reference that adds the terms b_j V_j
+    over j in order, to 4 ulps of the largest number in the sum."""
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 8)
+    b, eps = RADAU_IIA.b, np.finfo(float).eps
+    sliding = [k for k in range(traj.K) if traj.mode[k] is Mode.SLIDING]
+    assert len(sliding) > 10
+    for k in sliding:
+        X, Z, x_plus, _ = step_sliding(ocp, traj.x[k], grid.values[traj.ctrl[k]], traj.h[k], OPTS)
+        V = [filippov_values(ocp, X[j], grid.values[traj.ctrl[k]], OPTS.eps_den) for j in range(3)]
+        acc = np.zeros(ocp.n)
+        for j in range(3):
+            acc += b[j] * (V[j].fF + V[j].gx * Z[j])
+        scale = max(np.abs(traj.x[k]).max(), traj.h[k] * np.abs(acc).max())
+        assert np.abs(x_plus - (traj.x[k] + traj.h[k] * acc)).max() <= 4 * eps * scale
 
 
 def test_sliding_newton_forms_state_jacobians_only_before_a_solve(monkeypatch):

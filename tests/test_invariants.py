@@ -1,27 +1,6 @@
-"""Invariants every committed trajectory keeps, checked node by node.
-
-trajectory_violations is a checker, not part of slidoc: it reads a
-Trajectory and its grid and lists every place where
-
-- an off-surface step's nodes or stages lie beyond surface_tol on the
-  wrong side of the surface for its mode;
-- a sliding step's nodes have |g| > surface_tol, or a blend weight alpha
-  (with the step's control) outside [-event_tol, 1 + event_tol], or its
-  start is not attractive: the normal speeds there (with the step's
-  control) break w1 > 0 > w2, so both fields do not point at the surface;
-- a transition's kind does not fit the modes before and after its node,
-  or entry_test / exit_test at its state (with the control of the
-  interval that recorded it) gives another mode, or the mode changes at
-  a node that records no transition.
-
-Measured on the 144 trajectories of tools/identity_grid.py (the 145th
-raises ChatteringLimit): off-surface nodes and stages reach 1.9e-11 past
-the surface, sliding nodes |g| = 1.9e-11, alpha at sliding nodes stays in
-[0, 1] exactly, every sliding step starts with w1 and -w2 >= 2.2e-3,
-and a located exit's alpha lies up to 3.4e-12 inside its
-boundary, so exit_test there still says SLIDING; the checker accepts
-that within event_tol, the tolerance the exit was located to.
-"""
+"""Invariants every committed trajectory keeps, checked node by node by
+trajectory_violations of tools/drawn_survey.py (its docstring lists
+them and what the identity grid's trajectories reach)."""
 
 import dataclasses
 
@@ -33,84 +12,14 @@ from hypothesis import strategies as st
 from slidoc import (ControlGrid, SlidocError, get_problem, gradient_check, integrate,
                     problem_names, run_adjoint)
 from slidoc.integrator import TransitionRecord
-from slidoc.model import (Mode, TransitionKind, alpha, entry_test, exit_mode, exit_test,
-                          normal_speeds)
+from slidoc.model import Mode, TransitionKind
 from test_adjoint import _chain_problem, _circle_slide
 from test_integrator import _jump_at_the_breakpoint
 from test_tools import drawn_survey, identity_grid
 
-# kind: (modes it may leave, the mode it enters)
-_KINDS = {TransitionKind.CROSS_12: ({Mode.BELOW}, Mode.ABOVE),
-          TransitionKind.CROSS_21: ({Mode.ABOVE}, Mode.BELOW),
-          TransitionKind.ENTER_SLIDING: ({Mode.BELOW, Mode.ABOVE}, Mode.SLIDING),
-          TransitionKind.EXIT_TO_F1: ({Mode.SLIDING}, Mode.BELOW),
-          TransitionKind.EXIT_TO_F2: ({Mode.SLIDING}, Mode.ABOVE)}
-# the blend-weight boundary of each exit
-_BOUNDARY = {TransitionKind.EXIT_TO_F1: 0, TransitionKind.EXIT_TO_F2: 1}
-
-
-def _verdict(ocp, traj, grid, i, rec):
-    """The mode entry_test or exit_test gives at rec.x with the
-    control of the interval that recorded transition i (at a breakpoint
-    node, the interval that ends there when the transition was recorded
-    before the next one began), or the name of the error it raises."""
-    opts = traj.opts
-    n = min(int(np.searchsorted(traj.breakpoint_nodes, rec.k, side="right")) - 1, grid.N - 1)
-    if n > 0 and rec.k == traj.breakpoint_nodes[n] and i < traj.starts[n].transitions:
-        n -= 1
-    u = grid.values[n]
-    try:
-        if rec.kind not in _BOUNDARY:
-            return entry_test(ocp, rec.x, u, eps_tan=opts.eps_tan)
-        verdict = exit_test(ocp, rec.x, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
-        boundary = _BOUNDARY[rec.kind]
-        if verdict is Mode.SLIDING and \
-                abs(alpha(ocp, rec.x, u, eps_den=opts.eps_den) - boundary) <= opts.event_tol:
-            verdict = exit_mode(*normal_speeds(ocp, rec.x, u), boundary, opts.eps_tan)
-        return verdict
-    except SlidocError as exc:
-        return type(exc).__name__
-
-
-def trajectory_violations(ocp, traj, grid) -> list:
-    """Every broken invariant of traj (see the module docstring), one
-    line each; [] when it keeps them all."""
-    opts, out = traj.opts, []
-    for k in range(traj.K):
-        mode, u = traj.mode[k], grid.values[traj.ctrl[k]]
-        if mode is Mode.SLIDING:
-            w1, w2 = normal_speeds(ocp, traj.x[k], u)
-            if not w1 > 0.0 > w2:
-                out.append(f"step {k}: sliding from a node with w1 = {w1:.3e}, w2 = {w2:.3e}")
-            for x in traj.x[k:k + 2]:
-                g, a = ocp.g(x), alpha(ocp, x, u, eps_den=opts.eps_den)
-                if not abs(g) <= opts.surface_tol:
-                    out.append(f"step {k}: sliding node with g = {g:.3e}")
-                if not -opts.event_tol <= a <= 1.0 + opts.event_tol:
-                    out.append(f"step {k}: sliding node with alpha = {a!r}")
-        else:
-            sign = -1.0 if mode is Mode.BELOW else 1.0
-            for x in (*traj.x[k:k + 2], *traj.stages_x[k]):
-                if not sign * ocp.g(x) >= -opts.surface_tol:
-                    out.append(f"step {k}: {mode.value} point with g = {ocp.g(x):.3e}")
-    at_node: dict = {}
-    for i, rec in enumerate(traj.transitions):
-        at_node.setdefault(rec.k, []).append((i, rec))
-    for k in range(traj.K + 1):
-        mode = traj.mode[k - 1] if k > 0 else traj.starts[0].mode
-        after = traj.mode[k] if k < traj.K else traj.terminal_mode
-        for i, rec in at_node.get(k, []):
-            leaves, enters = _KINDS[rec.kind]
-            if mode not in leaves:
-                out.append(f"transition {i} ({rec.kind.value}) at node {k} leaves {mode.value}")
-            verdict = _verdict(ocp, traj, grid, i, rec)
-            if verdict is not enters:
-                out.append(f"transition {i} ({rec.kind.value}) at node {k}: the surface "
-                           f"test at its state gives {getattr(verdict, 'value', verdict)}")
-            mode = enters
-        if mode is not after:
-            out.append(f"node {k}: {mode.value} is followed by {after.value}")
-    return out
+# the checker and the drawn two-field problems of tools/drawn_survey.py
+_survey = drawn_survey()
+trajectory_violations = _survey.trajectory_violations
 
 
 def _cases() -> dict:
@@ -153,29 +62,35 @@ def test_drawn_runs_keep_the_invariants(name, spi, data):
     assert trajectory_violations(ocp, traj, grid) == []
 
 
-# the drawn two-field problems of tools/drawn_survey.py
-_drawn_problem = drawn_survey().drawn_problem
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(problem=st.integers(0, 2**32 - 1).map(_drawn_problem))
-def test_drawn_problems_raise_typed_or_keep_the_invariants(problem):
-    """Every drawn problem (_drawn_problem, 8 steps per interval) either
-    raises a domain error, or integrates to a trajectory that keeps the
-    invariants and whose gradient the matrix oracle reproduces to 1e-9;
-    with a transition, the FD oracle reproduces it to 1e-6 as well."""
-    ocp, grid = problem
+def _drawn_failures(seed: int) -> list:
+    """What drawn seed's problem breaks at 8 steps per interval: [] when
+    it raises a domain error, or integrates to a trajectory that keeps
+    the invariants and whose gradient the matrix oracle reproduces to
+    1e-9 and, with a transition, the FD oracle to 1e-6."""
+    ocp, grid = _survey.drawn_problem(seed)
     try:
         traj = integrate(ocp, grid, 8)
         grads = [run_adjoint(ocp, traj, grid, ocp.phi, backend=backend).grad
                  for backend in ("transformed", "matrix")]
     except SlidocError:
-        return
-    assert trajectory_violations(ocp, traj, grid) == []
-    assert np.max(np.abs(grads[0] - grads[1])) <= 1e-9 * max(1.0, np.max(np.abs(grads[1])))
+        return []
+    out = trajectory_violations(ocp, traj, grid)
+    if not np.max(np.abs(grads[0] - grads[1])) <= 1e-9 * max(1.0, np.max(np.abs(grads[1]))):
+        out.append("the two sweep backends disagree")
     if traj.transitions:
         chk = gradient_check(ocp, grid, 8)
-        assert chk.rel is not None and chk.rel <= 1e-6, (ocp.name, chk.rel)
+        if not (chk.rel is not None and chk.rel <= 1e-6):
+            out.append(f"gradient_check rel = {chk.rel}")
+    return out
+
+
+def test_drawn_problems_raise_typed_or_keep_the_invariants():
+    """Every drawn problem of seeds 0-199 (tools/drawn_survey.py) raises
+    a domain error or keeps the invariants, with its gradient reproduced
+    by both oracles (_drawn_failures).  The seeds are fixed, so an edit
+    of this test checks the same problems."""
+    failures = {seed: out for seed in range(200) if (out := _drawn_failures(seed))}
+    assert failures == {}
 
 
 def test_sliding_on_a_repulsive_surface_is_flagged():

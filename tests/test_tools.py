@@ -103,13 +103,15 @@ def test_drawn_survey_counts_outcomes_and_tables_the_gradient_checks():
     """tools/drawn_survey.py on seeds 222 (NoBracket at 8 steps per
     interval) and 183 (entry and exit at located nodes): one run
     integrates, one raises, and the one with transitions has its
-    gradient_check rel in the lowest decade, counted as an exit run.  Run
-    as a script on seed 183 alone, it prints the same table under a
-    header that names its options."""
+    gradient_check rel in the lowest decade, counted as an exit run; it
+    breaks no invariant.  A run that broke some is listed with the first
+    it broke.  Run as a script on seed 183 alone, it prints the same
+    table under a header that names its options."""
     tool = drawn_survey()
     opts = tool.IntegratorOptions()
     result = tool.survey([222, 183], 8, 1e-6, opts)
     assert result["outcomes"] == {"integrate": 1, "NoBracket": 1}
+    assert result["violations"] == []
     ((seed, kinds, rel, flagged),) = result["checked"]
     assert (seed, kinds, flagged) == (183, ["EnterSliding", "ExitToF1"], False)
     assert rel < 1e-8
@@ -118,7 +120,13 @@ def test_drawn_survey_counts_outcomes_and_tables_the_gradient_checks():
         "head", "outcomes: integrate 1, NoBracket 1",
         "runs with a transition: 1; with an FD entry flagged: 0; every entry flagged: 0"]
     assert "| < 1e-8 | 1 | 1 |" in text and "runs at or above 1e-6: 0" in text
-    assert text.endswith(f"worst seeds:\n  183: rel {rel:.2e} EnterSliding, ExitToF1\n")
+    assert text.endswith(f"worst seeds:\n  183: rel {rel:.2e} EnterSliding, ExitToF1\n\n"
+                         "runs breaking an invariant: 0\n")
+    broken = dict(result, violations=[(183, ["step 4: sliding node with g = 1.000e-08",
+                                             "node 5: sliding is followed by below"])])
+    assert tool.report(broken, "head").endswith(
+        "runs breaking an invariant: 1\n"
+        "  183: step 4: sliding node with g = 1.000e-08 (and 1 more)\n")
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "drawn_survey.py"),
                            "--seeds", "183-183", "--spi", "8", "--eps", "1e-6",
                            "--event-tol", "1e-10"],

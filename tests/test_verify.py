@@ -90,6 +90,29 @@ def test_structure_change_flagging():
     assert len(d["flagged"]) == grid.N
 
 
+@pytest.mark.parametrize("spi", [8, 16])
+def test_an_entry_that_moves_off_a_mesh_node_is_flagged(spi):
+    """p2-steered from x0 = (0, -0.495) enters sliding within
+    surface_tol of the mesh node t = 0.4125, which the full step lands
+    on: a fixed-time node, no event node.  A probe of u_0..u_4 moves the
+    entry inside a step, where locate_event finds its time; the kinds and
+    intervals stay, but the entry's time now moves with u, so the
+    functional has a kink there and those entries are flagged.  The
+    others agree with the adjoint gradient."""
+    ocp, grid = get_problem("p2-steered", {"x0": [0.0, -0.495]})
+    chk = gradient_check(ocp, grid, spi)
+    base = integrate(ocp, grid, spi)
+    (rec,) = base.transitions
+    assert abs(rec.t - 0.4125) <= 1e-15 and rec.k == 33 * spi // 8 and base.events == []
+    values = grid.values.copy()
+    values[0, 0] += 1e-6
+    probe = integrate(ocp, grid.with_values(values), spi)
+    assert probe.transition_kinds() == ["EnterSliding"] and probe.transition_intervals() == [4]
+    assert [e.k for e in probe.events] == [rec.k] and probe.transitions[0].t < rec.t
+    assert chk.fd.flagged == [[n, 0] for n in range(5)]
+    assert chk.rel is not None and chk.rel <= 1e-7
+
+
 def test_failing_probe_flags_its_entry(monkeypatch):
     """slide-exit: the probe u_5 - 1e-6 ends an interval at the
     breakpoint t = 0.9 on a graze (|g| below surface_tol, both fields

@@ -15,7 +15,31 @@ prints
   flagged, and gradient_check's rel (FD step --eps) in decades, split by
   whether the run exits sliding; a check that raises counts under its
   error class;
-- the worst seeds by rel, with their transitions.
+- the worst seeds by rel, with their transitions;
+- the runs that break an invariant of trajectory_violations, with the
+  first broken invariant of each.
+
+trajectory_violations reads a Trajectory and its grid and lists every
+place where
+
+- an off-surface step's nodes or stages lie beyond surface_tol on the
+  wrong side of the surface for its mode;
+- a sliding step's nodes have |g| > surface_tol, or a blend weight alpha
+  (with the step's control) outside [-event_tol, 1 + event_tol], or its
+  start is not attractive: the normal speeds there (with the step's
+  control) break w1 > 0 > w2, so both fields do not point at the surface;
+- a transition's kind does not fit the modes before and after its node,
+  or entry_test / exit_test at its state (with the control of the
+  interval that recorded it) gives another mode, or the mode changes at
+  a node that records no transition.
+
+Measured on the 144 trajectories of tools/identity_grid.py (the 145th
+raises ChatteringLimit): off-surface nodes and stages reach 1.9e-11 past
+the surface, sliding nodes |g| = 1.9e-11, alpha at sliding nodes stays in
+[0, 1] exactly, every sliding step starts with w1 and -w2 >= 2.2e-3,
+and a located exit's alpha lies up to 3.4e-12 inside its boundary, so
+exit_test there still says SLIDING; the checker accepts that within
+event_tol, the tolerance the exit was located to.
 
 It prints no timings, so the outputs of two trees can be compared with
 diff or cmp.  --event-tol sets IntegratorOptions.event_tol, which must
@@ -37,13 +61,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from slidoc import (ControlGrid, IntegratorOptions, SlidocError,  # noqa: E402
                     gradient_check, integrate)
-from slidoc.model import EndpointFunctional, HybridOCP  # noqa: E402
+from slidoc.model import (EndpointFunctional, HybridOCP, Mode,  # noqa: E402
+                          TransitionKind, alpha, entry_test, exit_mode, exit_test,
+                          normal_speeds)
 
 # the rel table's decades: (label, lower edge)
 BINS = [("< 1e-8", 0.0), ("[1e-8, 1e-7)", 1e-8), ("[1e-7, 1e-6)", 1e-7),
         ("[1e-6, 1e-5)", 1e-6), (">= 1e-5", 1e-5)]
 EXITS = ("ExitToF1", "ExitToF2")
 WORST = 8
+
+# kind: (modes it may leave, the mode it enters)
+_KINDS = {TransitionKind.CROSS_12: ({Mode.BELOW}, Mode.ABOVE),
+          TransitionKind.CROSS_21: ({Mode.ABOVE}, Mode.BELOW),
+          TransitionKind.ENTER_SLIDING: ({Mode.BELOW, Mode.ABOVE}, Mode.SLIDING),
+          TransitionKind.EXIT_TO_F1: ({Mode.SLIDING}, Mode.BELOW),
+          TransitionKind.EXIT_TO_F2: ({Mode.SLIDING}, Mode.ABOVE)}
+# the blend-weight boundary of each exit
+_BOUNDARY = {TransitionKind.EXIT_TO_F1: 0, TransitionKind.EXIT_TO_F2: 1}
 
 
 def drawn_problem(seed: int):
@@ -73,10 +108,75 @@ def drawn_problem(seed: int):
     return ocp, ControlGrid(0.0, 1.0, rng.uniform(-1.0, 1.0, (6, 1)))
 
 
+def _verdict(ocp, traj, grid, i, rec):
+    """The mode entry_test or exit_test gives at rec.x with the
+    control of the interval that recorded transition i (at a breakpoint
+    node, the interval that ends there when the transition was recorded
+    before the next one began), or the name of the error it raises."""
+    opts = traj.opts
+    n = min(int(np.searchsorted(traj.breakpoint_nodes, rec.k, side="right")) - 1, grid.N - 1)
+    if n > 0 and rec.k == traj.breakpoint_nodes[n] and i < traj.starts[n].transitions:
+        n -= 1
+    u = grid.values[n]
+    try:
+        if rec.kind not in _BOUNDARY:
+            return entry_test(ocp, rec.x, u, eps_tan=opts.eps_tan)
+        verdict = exit_test(ocp, rec.x, u, eps_den=opts.eps_den, eps_tan=opts.eps_tan)
+        boundary = _BOUNDARY[rec.kind]
+        if verdict is Mode.SLIDING and \
+                abs(alpha(ocp, rec.x, u, eps_den=opts.eps_den) - boundary) <= opts.event_tol:
+            verdict = exit_mode(*normal_speeds(ocp, rec.x, u), boundary, opts.eps_tan)
+        return verdict
+    except SlidocError as exc:
+        return type(exc).__name__
+
+
+def trajectory_violations(ocp, traj, grid) -> list:
+    """Every broken invariant of traj (see the module docstring), one
+    line each; [] when it keeps them all."""
+    opts, out = traj.opts, []
+    for k in range(traj.K):
+        mode, u = traj.mode[k], grid.values[traj.ctrl[k]]
+        if mode is Mode.SLIDING:
+            w1, w2 = normal_speeds(ocp, traj.x[k], u)
+            if not w1 > 0.0 > w2:
+                out.append(f"step {k}: sliding from a node with w1 = {w1:.3e}, w2 = {w2:.3e}")
+            for x in traj.x[k:k + 2]:
+                g, a = ocp.g(x), alpha(ocp, x, u, eps_den=opts.eps_den)
+                if not abs(g) <= opts.surface_tol:
+                    out.append(f"step {k}: sliding node with g = {g:.3e}")
+                if not -opts.event_tol <= a <= 1.0 + opts.event_tol:
+                    out.append(f"step {k}: sliding node with alpha = {a!r}")
+        else:
+            sign = -1.0 if mode is Mode.BELOW else 1.0
+            for x in (*traj.x[k:k + 2], *traj.stages_x[k]):
+                if not sign * ocp.g(x) >= -opts.surface_tol:
+                    out.append(f"step {k}: {mode.value} point with g = {ocp.g(x):.3e}")
+    at_node: dict = {}
+    for i, rec in enumerate(traj.transitions):
+        at_node.setdefault(rec.k, []).append((i, rec))
+    for k in range(traj.K + 1):
+        mode = traj.mode[k - 1] if k > 0 else traj.starts[0].mode
+        after = traj.mode[k] if k < traj.K else traj.terminal_mode
+        for i, rec in at_node.get(k, []):
+            leaves, enters = _KINDS[rec.kind]
+            if mode not in leaves:
+                out.append(f"transition {i} ({rec.kind.value}) at node {k} leaves {mode.value}")
+            verdict = _verdict(ocp, traj, grid, i, rec)
+            if verdict is not enters:
+                out.append(f"transition {i} ({rec.kind.value}) at node {k}: the surface "
+                           f"test at its state gives {getattr(verdict, 'value', verdict)}")
+            mode = enters
+        if mode is not after:
+            out.append(f"node {k}: {mode.value} is followed by {after.value}")
+    return out
+
+
 def survey(seeds, spi: int, eps: float, opts: IntegratorOptions) -> dict:
-    """Outcome counts, and per run with a transition its seed, kinds and
-    gradient_check rel (or the error class the check raised)."""
-    outcomes, checked = Counter(), []
+    """Outcome counts, per run with a transition its seed, kinds and
+    gradient_check rel (or the error class the check raised), and per
+    run that breaks an invariant its seed and trajectory_violations."""
+    outcomes, checked, violations = Counter(), [], []
     for seed in seeds:
         ocp, grid = drawn_problem(seed)
         try:
@@ -85,6 +185,9 @@ def survey(seeds, spi: int, eps: float, opts: IntegratorOptions) -> dict:
             outcomes[type(exc).__name__] += 1
             continue
         outcomes["integrate"] += 1
+        broken = trajectory_violations(ocp, traj, grid)
+        if broken:
+            violations.append((seed, broken))
         kinds = traj.transition_kinds()
         if not kinds:
             continue
@@ -94,7 +197,7 @@ def survey(seeds, spi: int, eps: float, opts: IntegratorOptions) -> dict:
             checked.append((seed, kinds, type(exc).__name__, False))
             continue
         checked.append((seed, kinds, chk.rel, bool(chk.fd.flags.any())))
-    return {"outcomes": outcomes, "checked": checked}
+    return {"outcomes": outcomes, "checked": checked, "violations": violations}
 
 
 def report(result: dict, head: str) -> str:
@@ -120,6 +223,11 @@ def report(result: dict, head: str) -> str:
               "worst seeds:"]
     for seed, kinds, rel in sorted(rels, key=lambda r: (-r[2], r[0]))[:WORST]:
         lines.append(f"  {seed}: rel {rel:.2e} {', '.join(kinds)}")
+    violations = result["violations"]
+    lines += ["", f"runs breaking an invariant: {len(violations)}"]
+    for seed, broken in violations[:WORST]:
+        more = f" (and {len(broken) - 1} more)" if len(broken) > 1 else ""
+        lines.append(f"  {seed}: {broken[0]}{more}")
     return "\n".join(lines) + "\n"
 
 
