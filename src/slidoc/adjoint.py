@@ -30,8 +30,8 @@ each, so each functional gets bit for bit what its own sweep gives (one
 solve with a (d, F) right-hand side, or one product over all F rows,
 would round differently).  lam_g's model terms at a node are evaluated
 once for all F.  Every error a sweep raises depends on the trajectory
-alone.  Its tolerances are the
-ones the trajectory was integrated with (traj.opts).
+alone.  Its tolerances are the ones the trajectory was integrated with
+(traj.opts).
 
 The one jump rule acts at event nodes (traj.events), where
 E(x, u) = 0 located the node's time: E = g after an off-surface step,

@@ -10,9 +10,9 @@ bit.  An entry is flagged NonSmoothAcrossEvent when a probe changes the
 transition structure (the sequence of transition kinds, the control
 interval any transition falls in, or whether it sits at an event node,
 whose time moves with u, or at a node of fixed time, whose time does
-not): the functional is not differentiable
-across such a change, so those entries are excluded from pass/fail
-comparisons but still reported.  A probe that raises a SlidocError
+not): the functional is not differentiable across such a change, so
+those entries are excluded from pass/fail comparisons but still
+reported.  A probe that raises a SlidocError
 (e.g. it lands on a tangential exit) flags its entry too; the entry is
 NaN and FDReport.errors names the error class.
 
