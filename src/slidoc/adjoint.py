@@ -67,7 +67,8 @@ from .errors import SingularJumpSystem, SingularSystem, SingularTerminalSystem
 from .integrator import (StageStore, Trajectory, check_mesh, check_width,
                          sliding_jacobians, stage_matrix)
 from .model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                    filippov_control_jacobian, filippov_state_jacobian, filippov_values)
+                    filippov_control_jacobian, filippov_jacobians, filippov_state_jacobian,
+                    filippov_values)
 from .tableau import RADAU_IIA
 
 
@@ -325,9 +326,7 @@ def _event_gradient(ocp: HybridOCP, traj: Trajectory, k: int, boundary: Optional
     x = traj.x[k]
     if boundary is None:
         return ocp.g_x(x), np.zeros(ocp.m)
-    v = filippov_values(ocp, x, u, eps_den=traj.opts.eps_den)
-    return (filippov_state_jacobian(ocp, v, x, u, ocp.g_xx(x))[1],
-            filippov_control_jacobian(ocp, v, x, u)[1])
+    return filippov_jacobians(ocp, x, u, eps_den=traj.opts.eps_den)[4:]
 
 
 def _backward_step(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,

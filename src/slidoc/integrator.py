@@ -19,26 +19,25 @@ against MAX_TRANSITIONS_PER_INTERVAL.  It reads t and x from that node
 and never writes it: no state jumps at a transition, so every node is
 written once, when it is committed.
 
-Every step uses the one table tableau.RADAU_IIA.  Off the surface the
-state advances with step_ode (stage equations of the 3-stage Radau IIA
-scheme, full Newton, at most MAX_NEWTON_ITERS iterations).  On the
-surface it advances with step_sliding, which solves the index-2 stage
-system
+Every step uses the one table tableau.RADAU_IIA and one full Newton
+iteration of at most MAX_NEWTON_ITERS iterations, _newton_step, which
+step_ode and step_sliding wrap.  Off the surface its unknowns are the
+stage states (d = n per stage) and its stage values the mode's field f;
+on the surface they are (x_i, z_i) (d = n + 1) of the index-2 system
 
     x_i = x + h sum_j a_ij (f_F(x_j, u) + g_x(x_j)^T z_j)
     0   = g(x_i)
 
 whose multiplier z vanishes identically in exact arithmetic; its computed
-size is a diagnostic for the discretization.  The Newton iteration stops
-on its residual, which cannot see an error in z below about eps |x| /
-(h a_ii |g_x|), so z is reproducible only to about 1e-13 (circle-slide)
-when a change rounds differently.  step_sliding relies on the
-table being stiffly accurate: the endpoint is the last stage (c_s = 1).
-Both Newton iterations start from the standard iterate, every stage at
-the step start x (and z = 0), so the first iteration evaluates the model
-once, at x, and repeats each value for the s stages (_at_stages); later
-iterations evaluate it at every stage.  The repeated values are the
-bytes an evaluation at each stage would give.
+size is a diagnostic for the discretization.  The iteration stops on its
+residual, which cannot see an error in z below about eps |x| / (h a_ii
+|g_x|), so z is reproducible only to about 1e-13 (circle-slide) when a
+change rounds differently.  step_sliding relies on the table being
+stiffly accurate: the endpoint is the last stage (c_s = 1).  The first
+iterate puts every stage at the step start x (and z = 0), so the first
+iteration evaluates the model once, at x, and repeats each value for
+the s stages (_at_stages), the bytes an evaluation at each stage would
+give; later iterations evaluate it at every stage.
 
 stage_pencil is the one place the stage blocks are written, and each
 pass solves every one of its stage systems, M forward and M^T backward,
@@ -423,94 +422,84 @@ def sliding_jacobians(ocp: HybridOCP, vals: list, X: np.ndarray, Z: np.ndarray,
     return Js
 
 
+def _newton_step(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray, h: float,
+                 opts: IntegratorOptions, store: Optional[StageStore]):
+    """The stage Newton iteration of one step in mode (module docstring).
+    Returns (stages_x, stages_z, x_plus, v), v the Filippov values the
+    converged iterate evaluated at the last stage; stages_z and v are
+    None off the surface.
+
+    Every iteration evaluates the stage values (and g on the surface),
+    which is all its residual and x_plus read; the state Jacobians f_x,
+    or fF_x + z g_xx, are formed only when it goes on to a solve, and the
+    control part never.  The first iterate's solve is the eigenbasis one; later
+    ones factor the dense stage matrix unless the stage Jacobians agree
+    to rounding.  store is the run's StageStore, which solves every
+    correction; None means a fresh one.
+    """
+    store = store if store is not None else StageStore()
+    n, s = ocp.n, RADAU_IIA.s
+    A, b = RADAU_IIA.A, RADAU_IIA.b
+    sliding = mode is Mode.SLIDING
+    if not sliding:
+        f, f_x, _ = ocp.field(mode)
+    what = "sliding stage Newton" if sliding else "stage Newton"
+
+    X = np.repeat(x[None], s, axis=0)
+    Z = np.zeros(s) if sliding else None
+    for it in range(MAX_NEWTON_ITERS + 1):
+        m = 1 if it == 0 else s
+        if sliding:
+            vals = [filippov_values(ocp, X[j], u, eps_den=opts.eps_den) for j in range(m)]
+            gxs = _at_stages([v.gx for v in vals], s)
+            V = _at_stages([v.fF for v in vals], s) + gxs * Z[:, None]   # f_F + g_x^T z
+            res = np.empty((s, n + 1))
+            res[:, :n] = X - x - h * (A @ V)
+            res[:, n] = [ocp.g(X[i]) for i in range(m)]
+        else:
+            V = _at_stages([f(X[i], u) for i in range(m)], s)
+            res = X - x - h * (A @ V)
+        if np.abs(res).max() <= opts.newton_tol:
+            return X, Z, x + h * (b @ V), vals[-1] if sliding else None
+        if it == MAX_NEWTON_ITERS:
+            break
+        Js = sliding_jacobians(ocp, vals, X, Z, u) if sliding else \
+            np.array([f_x(X[j], u) for j in range(m)])
+        try:
+            delta = store.solve(h, Js, gxs[:m] if sliding else None, -res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularIteration(f"{what} matrix singular at h = {h:.3e}: {exc}") from exc
+        if sliding:
+            X, Z = X + delta[:, :n], Z + delta[:, n]
+        else:
+            X = X + delta
+    raise NewtonDivergence(
+        f"{what} stalled after {MAX_NEWTON_ITERS} iterations "
+        f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
+        residual=float(np.abs(res).max()), h=h)
+
+
 def step_ode(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray,
              h: float, opts: IntegratorOptions, store: Optional[StageStore] = None):
     """One implicit Runge-Kutta step of x' = f(x, u) with f the field of
     the off-surface mode (ocp.field: f1 below, f2 above).  Returns
-    (stages, x_plus) with stages of shape (s, n).
-
-    The first iterate has every stage at x, so f and f_x are evaluated
-    there once and its solve is the eigenbasis one; later iterates
-    evaluate them at each stage and factor the dense stage matrix unless
-    the stage Jacobians agree to rounding.  store is the run's
-    StageStore, which solves every Newton correction; None means a
-    fresh one.
-    """
-    store = store if store is not None else StageStore()
-    s = RADAU_IIA.s
-    A, b = RADAU_IIA.A, RADAU_IIA.b
-    f, f_x, _ = ocp.field(mode)
-
-    Y = np.repeat(x[None], s, axis=0)
-    for it in range(MAX_NEWTON_ITERS + 1):
-        m = 1 if it == 0 else s
-        fy = _at_stages([f(Y[i], u) for i in range(m)], s)
-        res = Y - x[None, :] - h * (A @ fy)
-        if np.abs(res).max() <= opts.newton_tol:
-            x_plus = x + h * (b @ fy)
-            return Y, x_plus
-        if it == MAX_NEWTON_ITERS:
-            break
-        try:
-            delta = store.solve(h, np.array([f_x(Y[j], u) for j in range(m)]), None, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularIteration(f"stage Newton matrix singular at h = {h:.3e}: {exc}") from exc
-        Y = Y + delta
-    raise NewtonDivergence(
-        f"stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
-        f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
-        residual=float(np.abs(res).max()), h=h)
+    (stages, x_plus) with stages of shape (s, n).  Mode.SLIDING, where
+    no single field flows, raises ValueError."""
+    if mode is Mode.SLIDING:
+        raise ValueError(f"no single field flows in mode {mode!r}")
+    stages, _, x_plus, _ = _newton_step(ocp, mode, x, u, h, opts, store)
+    return stages, x_plus
 
 
 def step_sliding(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, h: float,
                  opts: IntegratorOptions, store: Optional[StageStore] = None):
-    """One stiffly-accurate step of the sliding index-2 system.
-
-    Unknowns are the stage states and stage multipliers, interleaved as
-    (x_1, z_1, ..., x_s, z_s).  Returns (stages_x, stages_z, x_plus,
-    a_plus); a_plus is the blend weight alpha the converged iteration
-    evaluated at the last stage, which is x_plus up to rounding (the
-    table is stiffly accurate).  The endpoint's multiplier is the last
-    stage's, stages_z[-1].
-
-    Every iteration evaluates the Filippov values and g at the s stages,
-    which is all its residual and x_plus read; the state part fF_x + z
-    g_xx is formed only when the iteration goes on to a solve, and the
-    control part never.  The first iterate puts every stage at x with
-    z = 0, so it evaluates each of these once, at x, and repeats the
-    value for the s stages; its solve is the eigenbasis one.  store is the
-    run's StageStore, as in step_ode.
-    """
-    store = store if store is not None else StageStore()
-    n = ocp.n
-    s = RADAU_IIA.s
-    A, b = RADAU_IIA.A, RADAU_IIA.b
-
-    X = np.repeat(x[None], s, axis=0)
-    Z = np.zeros(s)
-    for it in range(MAX_NEWTON_ITERS + 1):
-        m = 1 if it == 0 else s
-        vals = [filippov_values(ocp, X[j], u, eps_den=opts.eps_den) for j in range(m)]
-        gxs = _at_stages([v.gx for v in vals], s)
-        V = _at_stages([v.fF for v in vals], s) + gxs * Z[:, None]   # f_F + g_x^T z
-        res = np.empty((s, n + 1))
-        res[:, :n] = X - x - h * (A @ V)
-        res[:, n] = [ocp.g(X[i]) for i in range(m)]
-        if np.abs(res).max() <= opts.newton_tol:
-            x_plus = x + h * (b @ V)
-            return X, Z, x_plus, vals[-1].a
-        if it == MAX_NEWTON_ITERS:
-            break
-        try:
-            delta = store.solve(h, sliding_jacobians(ocp, vals, X, Z, u), gxs[:m], -res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularIteration(f"sliding stage matrix singular at h = {h:.3e}: {exc}") from exc
-        X = X + delta[:, :n]
-        Z = Z + delta[:, n]
-    raise NewtonDivergence(
-        f"sliding stage Newton stalled after {MAX_NEWTON_ITERS} iterations "
-        f"(h = {h:.3e}, residual = {np.abs(res).max():.3e})",
-        residual=float(np.abs(res).max()), h=h)
+    """One stiffly-accurate step of the sliding index-2 system.  Returns
+    (stages_x, stages_z, x_plus, a_plus); a_plus is the blend weight
+    alpha the converged iteration evaluated at the last stage, which is
+    x_plus up to rounding (the table is stiffly accurate).  The
+    endpoint's multiplier is the last stage's, stages_z[-1]."""
+    X, Z, x_plus, v = _newton_step(ocp, Mode.SLIDING, x, u, h, opts, store)
+    return X, Z, x_plus, v.a
 
 
 # ---------------------------------------------------------------------------

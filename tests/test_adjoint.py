@@ -666,11 +666,11 @@ def test_ill_conditioned_blocks_are_solved_not_inverted(monkeypatch):
 def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
     """The backward sweep blends with the eps_den the trajectory was
     integrated with at all three sites, each of which evaluates
-    filippov_values (the piece that computes alpha): the Jacobians of a
-    sliding step (which the kernel and the dense oracle share), the
-    pointwise lam_g (which the terminal values use too) and the
-    gradient of E = alpha - b at an exit node located by the blend
-    weight (drawn seed 953).
+    filippov_values (the piece that computes alpha) directly or through
+    filippov_jacobians: the Jacobians of a sliding step (which the kernel
+    and the dense oracle share), the pointwise lam_g (which the terminal
+    values use too) and the gradient of E = alpha - b at an exit node
+    located by the blend weight (drawn seed 953).
     Neither sweep is given a tolerance; the matrix oracle of
     reduced_gradient_matrix reads it from the trajectory too."""
     seen = []
@@ -681,7 +681,8 @@ def test_sweep_forwards_eps_den_to_every_blend_jacobian(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(adjoint_mod, "filippov_values", spy(adjoint_mod.filippov_values))
+    for name in ("filippov_values", "filippov_jacobians"):
+        monkeypatch.setattr(adjoint_mod, name, spy(getattr(adjoint_mod, name)))
     opts = IntegratorOptions(eps_den=3e-13)
     for ocp, grid in (*map(get_problem, ("p2-sliding", "slide-exit")),
                       drawn_survey().drawn_problem(953)):

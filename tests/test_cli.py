@@ -682,3 +682,10 @@ def test_canonical_json_rejects_non_finite():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
     assert canonical_json({"b": 1, "a": [True, None]}) == '{"a":[true,null],"b":1}'
+
+
+def test_canonical_json_rejects_non_string_keys_and_unserializable_values():
+    with pytest.raises(ValueError, match="non-string key 1 in output"):
+        canonical_json({"a": {1: 2.0}})
+    with pytest.raises(ValueError, match="cannot serialize set to JSON"):
+        canonical_json({"a": [{1.0}]})

@@ -8,6 +8,7 @@ values, not self-consistency.
 import dataclasses
 import enum
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ import slidoc.adjoint as adjoint_mod
 import slidoc.integrator as integrator_mod
 from slidoc.adjoint import run_adjoint
 from slidoc.errors import (ChatteringLimit, MeshMismatch, NewtonDivergence, NoBracket,
-                           TangentialAmbiguity, ValidationError)
+                           SingularIteration, TangentialAmbiguity, ValidationError)
 from slidoc.integrator import (IntegratorOptions, StageStore, Trajectory, integrate,
                                locate_event, step_ode, step_sliding)
-from slidoc.model import ControlGrid, EndpointFunctional, HybridOCP, Mode, filippov_values
+from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode, filippov_field,
+                          filippov_values)
 from slidoc.problems import get_problem, problem_names
-from slidoc.tableau import RADAU_IIA
+from slidoc.tableau import RADAU_IIA, RADAU_IIA_EIGVALS
 from slidoc.verify import gradient_check
 from test_adjoint import _chain_problem, _circle_slide
+from test_tools import drawn_survey
 
 OPTS = IntegratorOptions()
 
@@ -182,6 +185,44 @@ def test_newton_divergence_is_reported():
     with pytest.raises(NewtonDivergence) as exc:
         step_sliding(ocp, np.array([math.cos(0.3), math.sin(0.3)]), np.array([0.4]), 20.0, OPTS)
     assert exc.value.payload["h"] == 20.0
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.25, 0.1])
+def test_singular_stage_newton_matrix_is_reported(h):
+    """x' = J x with J = 1 / (h lambda_0), lambda_0 the real eigenvalue
+    of A: the first Newton matrix's eigenbasis block 1 - h lambda_0 J is
+    exactly 0, so the first correction cannot be solved."""
+    J = 1.0 / (h * RADAU_IIA_EIGVALS[0].real)
+    ocp = scalar_ocp(lambda x, u: J * x, lambda x, u: np.array([[J]]))
+    with pytest.raises(SingularIteration, match=re.escape(f"stage Newton matrix singular at h = {h:.3e}")):
+        step_ode(ocp, Mode.BELOW, np.array([1.0]), np.zeros(1), h, OPTS)
+
+
+def test_sliding_stages_solve_the_stage_equations_where_z_is_large():
+    """Drawn seed 953 at 8 steps per interval slides on a curved surface
+    for three steps, the last with |z| = 0.50.  Each step's stages (X, Z)
+    from step_sliding solve the index-2 stage equations
+    X_i = x + h sum_j a_ij (f_F(X_j) + g_x(X_j)^T Z_j) and g(X_i) = 0 to
+    the Newton tolerance, evaluated here term by term with
+    model.filippov_field and ocp.g_x."""
+    ocp, grid = drawn_survey().drawn_problem(953)
+    traj = integrate(ocp, grid, 8)
+    sliding = [k for k in range(traj.K) if traj.mode[k] is Mode.SLIDING]
+    assert len(sliding) == 3
+    A, s, z_max = RADAU_IIA.A, RADAU_IIA.s, 0.0
+    for k in sliding:
+        x, u, h = traj.x[k], grid.values[traj.ctrl[k]], traj.h[k]
+        X, Z, _, _ = step_sliding(ocp, x, u, h, OPTS)
+        V = [filippov_field(ocp, X[j], u, OPTS.eps_den)[0] + ocp.g_x(X[j]) * Z[j]
+             for j in range(s)]
+        for i in range(s):
+            acc = np.zeros(ocp.n)
+            for j in range(s):
+                acc += A[i, j] * V[j]
+            assert np.abs(X[i] - x - h * acc).max() <= OPTS.newton_tol
+            assert abs(ocp.g(X[i])) <= OPTS.newton_tol
+        z_max = max(z_max, float(np.abs(Z).max()))
+    assert z_max > 0.1
 
 
 def test_chattering_guard(monkeypatch):

@@ -167,6 +167,31 @@ def test_dimension_checks_reject_bad_x0():
                   u_lo=ocp.u_lo, u_hi=ocp.u_hi)
 
 
+def test_dimension_checks_reject_a_control_box_of_the_wrong_shape():
+    ocp, _ = get_problem("p2-sliding")
+    for bounds in ({"u_lo": np.zeros(2)}, {"u_hi": np.zeros((1, 1))}):
+        with pytest.raises(DimensionMismatch, match="control box"):
+            dataclasses.replace(ocp, **bounds)
+
+
+def test_no_single_field_flows_on_the_surface():
+    """ocp.field names f1 below and f2 above; on the surface the field
+    is the Filippov blend, so asking for one field there is refused, and
+    so is an off-surface step there."""
+    ocp, _ = get_problem("p2-sliding")
+    assert ocp.field(Mode.BELOW) == (ocp.f1, ocp.f1_x, ocp.f1_u)
+    assert ocp.field(Mode.ABOVE) == (ocp.f2, ocp.f2_x, ocp.f2_u)
+    with pytest.raises(ValueError, match="no single field flows"):
+        ocp.field(Mode.SLIDING)
+    with pytest.raises(ValueError, match="no single field flows"):
+        slidoc.integrator.step_ode(ocp, Mode.SLIDING, ocp.x0, np.zeros(1), 0.1, TOL)
+
+
+def test_control_grid_refuses_values_that_are_not_a_matrix():
+    with pytest.raises(DimensionMismatch, match=r"must be \(N, m\), got shape \(4,\)"):
+        ControlGrid(0.0, 1.0, np.zeros(4))
+
+
 @pytest.mark.parametrize("N", [2.5, 2.0, True, "3", 0])
 def test_problem_override_N_must_be_an_integer(N):
     """N = 2.5 once built N = 2, True N = 1 and "3" N = 3 without a word."""

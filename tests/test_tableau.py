@@ -107,6 +107,13 @@ def test_zero_weight_rejected():
         adjoint_tableau(tab)
 
 
+def test_inconsistent_tableau_shapes_rejected():
+    """A needs shape (s, s) and c shape (s,) for the s weights of b."""
+    for A, c in ((np.eye(2), np.ones(3)), (np.eye(3), np.ones(2))):
+        with pytest.raises(ValueError, match="inconsistent tableau shapes"):
+            ButcherTableau(A=A, b=np.full(3, 1.0 / 3.0), c=c)
+
+
 @st.composite
 def tableaus(draw):
     s = draw(st.integers(min_value=1, max_value=4))

@@ -49,7 +49,7 @@ def test_chain_scaling_counts_solves_and_factorizations():
 
 def test_identity_grid_names_and_hashes_its_cases():
     """tools/identity_grid.py, on which every bit-identity claim rests:
-    cases() yields 145 uniquely named cases.  Hashing chattering/cap1
+    cases() yields 152 uniquely named cases.  Hashing chattering/cap1
     while cases() holds it (the generator patches the transition cap
     around that yield) records its ChatteringLimit at a cap of 1, and the
     patch is gone once the generator moves on.  Hashing chain-4/seed1
@@ -65,7 +65,7 @@ def test_identity_grid_names_and_hashes_its_cases():
             out = tool._case(*case, {})
             assert out == {"error": "ChatteringLimit: more than 1 transitions in "
                                     "control interval 5"}
-    assert len(cases) == 145
+    assert len(cases) == 152
     assert tool.integrator_mod.MAX_TRANSITIONS_PER_INTERVAL == 100
     arrays = {}
     out = tool._case(*cases["chain-4/seed1"], arrays)

@@ -20,15 +20,20 @@ read-only) with n in {4, 16, 64} x seeds 1-3 at 8 steps per interval,
 plus circle-slide (tests/test_adjoint.py, imported read-only) x N in
 {4, 10} x steps per interval in {2, 8, 16} x (constant u = 0.4 + 2
 seeded uniform controls), plus the 28 transition cases of
-_transition_cases; 145 cases, all at the default integrator options.
-Every surface of the built-ins and of chain-n is affine; circle-slide's
-is the unit circle (g_xx = 2 I), and every one of its cases enters
-sliding, so the g_xx terms of the sliding Newton matrix and of the
-sweep are hashed too.  The built-ins reach only EnterSliding and
-ExitToF1; the transition cases reach Cross12, Cross21 and ExitToF2 and
-a ChatteringLimit.  Their problems are defined here; the
-ChatteringLimit case patches integrator.MAX_TRANSITIONS_PER_INTERVAL,
-so a checkout without that constant needs its own copy of the script.
+_transition_cases, plus the drawn problems of DRAWN_SEEDS
+(tools/drawn_survey.py, N = 6) at 8 steps per interval; 152 cases, all
+at the default integrator options.  Every surface of the built-ins and
+of chain-n is affine; circle-slide's is the unit circle (g_xx = 2 I),
+and every one of its cases enters sliding, so the g_xx terms of the
+sliding Newton matrix and of the sweep are hashed too.  The built-ins
+reach only EnterSliding and ExitToF1; the transition cases reach
+Cross12, Cross21 and ExitToF2 and a ChatteringLimit.  Their problems
+are defined here; the ChatteringLimit case patches
+integrator.MAX_TRANSITIONS_PER_INTERVAL, so a checkout without that
+constant needs its own copy of the script.  The drawn cases slide on
+curved surfaces and leave them at an exit located inside a step
+(ExitToF1 and ExitToF2); their multiplier z reaches |z| = 0.50, on the
+last sliding step of seed 953.
 slidoc is imported from this checkout's src/; to compare two trees, run
 this script from each.
 
@@ -88,9 +93,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "benchmarks"))
+sys.path.insert(0, str(ROOT / "tools"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from chain import chain_problem  # noqa: E402
+from drawn_survey import drawn_problem  # noqa: E402
 from test_adjoint import _circle_slide  # noqa: E402
 
 import slidoc.integrator as integrator_mod  # noqa: E402
@@ -99,6 +106,9 @@ from slidoc import (ControlGrid, SlidocError, fd_gradient,  # noqa: E402
 
 BACKENDS = ("transformed", "matrix")
 REL_TOL = 1e-12
+# every seed in 0-199 whose run at 8 steps per interval locates an exit
+# inside a step, and seed 953, whose z is largest
+DRAWN_SEEDS = (82, 90, 161, 172, 183, 185, 953)
 
 
 def _sha(parts) -> str:
@@ -177,6 +187,9 @@ def cases():
             for label, g in controls:
                 yield f"circle-slide/N{N}/spi{spi}/{label}", ocp, g, spi
     yield from _transition_cases()
+    for seed in DRAWN_SEEDS:
+        ocp, grid = drawn_problem(seed)
+        yield f"drawn-{seed}/N6/spi8", ocp, grid, 8
 
 
 def _const(mat):
