@@ -431,11 +431,11 @@ def _newton_step(ocp: HybridOCP, mode: Mode, x: np.ndarray, u: np.ndarray, h: fl
 
     Every iteration evaluates the stage values (and g on the surface),
     which is all its residual and x_plus read; the state Jacobians f_x,
-    or fF_x + z g_xx, are formed only when it goes on to a solve, and the
-    control part never.  The first iterate's solve is the eigenbasis one; later
-    ones factor the dense stage matrix unless the stage Jacobians agree
-    to rounding.  store is the run's StageStore, which solves every
-    correction; None means a fresh one.
+    or fF_x + z g_xx, are formed only when it goes on to a solve, and
+    the control part never.  The first iterate's solve is the eigenbasis
+    one; later ones factor the dense stage matrix unless the stage
+    Jacobians agree to rounding.  store is the run's StageStore, which
+    solves every correction; None means a fresh one.
     """
     store = store if store is not None else StageStore()
     n, s = ocp.n, RADAU_IIA.s

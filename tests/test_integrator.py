@@ -194,7 +194,8 @@ def test_singular_stage_newton_matrix_is_reported(h):
     exactly 0, so the first correction cannot be solved."""
     J = 1.0 / (h * RADAU_IIA_EIGVALS[0].real)
     ocp = scalar_ocp(lambda x, u: J * x, lambda x, u: np.array([[J]]))
-    with pytest.raises(SingularIteration, match=re.escape(f"stage Newton matrix singular at h = {h:.3e}")):
+    message = f"stage Newton matrix singular at h = {h:.3e}"
+    with pytest.raises(SingularIteration, match=re.escape(message)):
         step_ode(ocp, Mode.BELOW, np.array([1.0]), np.zeros(1), h, OPTS)
 
 
