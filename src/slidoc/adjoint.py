@@ -18,9 +18,11 @@ Newton matrix of the forward step, so the step's adjoint is one solve
 with M^T, through one integrator.StageStore(transpose=True) per call.
 Off the surface the stage multipliers are exactly those of the
 reversed-time table a~_ij = a_ji b_j / b_i (Hager 2000, Numer. Math.
-87), and the gradient row is the stage quadrature h sum_i b_i
-f_u^T(x_i, u) lam_i = -F_u^T R.  The dense assembly (_step_matrices,
-adjoint_step_matrix) is the oracle of backend 'matrix' for both modes.
+87), on a sliding step those of the stage system's x rows, and the
+gradient row is the stage quadrature h sum_i b_i f_u^T(x_i, u) lam_i =
+-F_u^T R.  Every step keeps them in stage_lams but on backend 'matrix',
+whose dense assembly (_step_matrices, adjoint_step_matrix) is the
+oracle for both modes.
 
 run_adjoints sweeps F functionals in lockstep: each step builds its
 Jacobians and its matrix once, and the F right-hand sides go to the
@@ -80,10 +82,9 @@ class AdjointTrajectory:
     is the minus-side value (the one step k-1 continues from), with the
     jump recorded in jumps.  lam_g[k] is the algebraic multiplier on
     sliding nodes, zero elsewhere.  stage_lams[k] holds the stage
-    multipliers (s, n) of an off-surface step, which satisfy the
-    reversed-table recursion, and None on sliding steps (and on every
-    step of the matrix backend).  grad[n] is dw/du_n, the reduced
-    gradient over the control grid, shape (N, m).
+    multipliers (s, n) of step k, on a sliding step those of the stage
+    system's x rows; it is None only on the matrix backend.  grad[n] is
+    dw/du_n, the reduced gradient over the control grid, shape (N, m).
     """
 
     functional: str
@@ -105,16 +106,16 @@ class AdjointTrajectory:
 
 
 def _step_jacobians(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
-                    sliding: bool, timed: bool = False):
+                    timed: bool = False):
     """Stage Jacobians Js (s, n, n), control Jacobians fus (s, n, m) and
-    surface gradients gxs (s, n) of step k (None off the surface).  On a
-    sliding step J_j = fF_x(x_j, u) + z_j g_xx(x_j), the derivative of
-    f_F + g_x^T z, blended with the trajectory's eps_den.  With timed,
-    fus gains a last column, the stage values V_j: that column's part of
-    F_u is then h F_h, the derivative of the step's equations by h times
-    h, and its gradient-row entry is h H_k."""
+    surface gradients gxs (s, n) of step k in its mode (gxs None off the
+    surface).  On a sliding step J_j = fF_x(x_j, u) + z_j g_xx(x_j), the
+    derivative of f_F + g_x^T z, blended with the trajectory's eps_den.
+    With timed, fus gains a last column, the stage values V_j: that
+    column's part of F_u is then h F_h, the derivative of the step's
+    equations by h times h, and its gradient-row entry is h H_k."""
     xs = traj.stages_x[k]
-    if not sliding:
+    if traj.mode[k] is not Mode.SLIDING:
         f, f_x, f_u = ocp.field(traj.mode[k])
         Js, fus, gxs = np.array([f_x(x_j, u) for x_j in xs]), [f_u(x_j, u) for x_j in xs], None
         V = [f(x_j, u) for x_j in xs] if timed else None
@@ -171,18 +172,17 @@ def adjoint_step_transformed(ocp: HybridOCP, traj: Trajectory, k: int,
     Returns (stage multipliers (F, s, n), lam_k (F, n), gradient rows
     (F, m), or (F, m + 1) ending in h H_k with timed); the stage
     multipliers are those of the reversed-time table."""
-    Js, fus, gxs = _step_jacobians(ocp, traj, k, u, False, timed)
-    return _step_adjoint(traj, k, Js, fus, gxs, lam_plus, store)
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, timed), lam_plus, store)
 
 
 def adjoint_step_sliding(ocp: HybridOCP, traj: Trajectory, k: int,
                          u: np.ndarray, lam_plus: np.ndarray, store: StageStore,
                          timed: bool = False):
     """One backward step through the sliding stage system for every row
-    of lam_plus (F, n).  Returns (lam_k (F, n), gradient rows (F, m), or
-    (F, m + 1) ending in h H_k with timed)."""
-    Js, fus, gxs = _step_jacobians(ocp, traj, k, u, True, timed)
-    return _step_adjoint(traj, k, Js, fus, gxs, lam_plus, store)[1:]
+    of lam_plus (F, n).  Returns (stage multipliers (F, s, n), those of
+    the stages' x rows, lam_k (F, n), gradient rows (F, m), or (F, m + 1)
+    ending in h H_k with timed)."""
+    return _step_adjoint(traj, k, *_step_jacobians(ocp, traj, k, u, timed), lam_plus, store)
 
 
 def _step_matrices(h: float, Js: np.ndarray, fus: np.ndarray,
@@ -221,7 +221,7 @@ def assemble_ode_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
     """Dense F_{X+}, F_X and F_u of an off-surface step, in the block
     layout (x_1, ..., x_s, x(k+1)) by (stage rows, endpoint row); with
     timed, F_u's last column is h F_h."""
-    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, False, timed))
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, timed))
 
 
 def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -229,7 +229,7 @@ def assemble_sliding_step_matrices(ocp: HybridOCP, traj: Trajectory, k: int,
     """Dense F_{X+}, F_X and F_u of a sliding step, in the block layout
     (x_1, z_1, ..., x_s, z_s, x(k+1)) by (stage rows + constraint row per
     stage, endpoint row); with timed, F_u's last column is h F_h."""
-    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, True, timed))
+    return _step_matrices(traj.h[k], *_step_jacobians(ocp, traj, k, u, timed))
 
 
 def adjoint_step_matrix(ocp: HybridOCP, traj: Trajectory, k: int,
@@ -260,9 +260,9 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
 
         lam_g = (g_x fF_x^T lam + z g_x g_xx lam - (g_xx x')^T lam) / (g_x g_x^T)
 
-    with x' = f_F + g_x^T z the sliding velocity.  lam_f (n,) gives a
-    float; lam_f (F, n) gives one per row, (F,), from one evaluation of
-    the model terms, each row's products taken as for a row alone.
+    with x' = f_F + g_x^T z the sliding velocity, for every row of lam_f
+    (F, n): one value per row, (F,), from one evaluation of the model
+    terms, each row's products taken as for a row alone.
     """
     v = filippov_values(ocp, x, u, eps_den=eps_den)
     gx = v.gx
@@ -273,9 +273,8 @@ def lambda_g_pointwise(ocp: HybridOCP, x: np.ndarray, u: np.ndarray, z: float,
     if den < 1e-30:
         raise SingularTerminalSystem("g_x vanishes; algebraic multiplier undefined")
     p, q, r = gx @ fF_x.T, gx @ gxx, gxx @ xdot
-    out = [(float(p @ lam) + z * float(q @ lam) - float(r @ lam)) / den
-           for lam in np.atleast_2d(lam_f)]
-    return out[0] if np.ndim(lam_f) == 1 else np.array(out)
+    return np.array([(float(p @ lam) + z * float(q @ lam) - float(r @ lam)) / den
+                     for lam in lam_f])
 
 
 def _tangent_projection(gx: np.ndarray, lam: np.ndarray):
@@ -332,16 +331,16 @@ def _event_gradient(ocp: HybridOCP, traj: Trajectory, k: int, boundary: Optional
 def _backward_step(ocp: HybridOCP, traj: Trajectory, k: int, u: np.ndarray,
                    lam_plus: np.ndarray, store: StageStore, backend: str, timed: bool):
     """Step k backward for every row of lam_plus on the chosen backend:
-    (stage multipliers or None, lam_k, gradient rows)."""
+    (stage multipliers, None on the matrix backend; lam_k; rows)."""
     if backend == "matrix":
         re = RADAU_IIA.s * (ocp.n + 1 if traj.mode[k] is Mode.SLIDING else ocp.n)
         Lam_plus = np.zeros((lam_plus.shape[0], re + ocp.n))
         Lam_plus[:, re:] = lam_plus
         Lambda_k, rows = adjoint_step_matrix(ocp, traj, k, u, Lam_plus, timed)
         return None, Lambda_k[:, re:], rows
-    if traj.mode[k] is Mode.SLIDING:
-        return (None, *adjoint_step_sliding(ocp, traj, k, u, lam_plus, store, timed))
-    return adjoint_step_transformed(ocp, traj, k, u, lam_plus, store, timed)
+    # one function per mode, so that each is timed and counted apart
+    step = adjoint_step_sliding if traj.mode[k] is Mode.SLIDING else adjoint_step_transformed
+    return step(ocp, traj, k, u, lam_plus, store, timed)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +418,7 @@ def run_adjoints(ocp: HybridOCP, traj: Trajectory, grid: ControlGrid,
             if stages is not None:
                 stage_lams[f][k] = stages[f]
             if rec is not None or event:
-                jumps[f].append({"t_t": traj.times[k + 1] if rec is None else rec.t, "k": k + 1,
+                jumps[f].append({"t_t": traj.times[k + 1], "k": k + 1,
                                  "kind": None if rec is None else rec.kind.value,
                                  "event": kind, "pi": float(c[f])})
 

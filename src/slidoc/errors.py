@@ -122,6 +122,19 @@ def is_count(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
+def is_number(v, nested: bool = False) -> bool:
+    """Whether v is a finite real number (a bool is none) or, if nested,
+    a list, tuple or real array of such values with one length per
+    level."""
+    if isinstance(v, np.ndarray):
+        return nested and v.dtype.kind in "iuf" and bool(np.isfinite(v).all())
+    if isinstance(v, (list, tuple)):
+        return nested and all(is_number(item, True) for item in v) \
+            and len({np.shape(item) for item in v}) <= 1
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 # (rule text, check) pairs that check_fields rules share
 POSITIVE = ("> 0", lambda v: v > 0)
 COUNT = ("an integer >= 1", is_count)
@@ -135,5 +148,5 @@ def check_fields(obj, rules) -> None:
         v = getattr(obj, key)
         if isinstance(v, float) and not math.isfinite(v):
             raise ValidationError(f"{key}: must be a finite number, got {v!r}", field=key)
-        if not (isinstance(v, (int, float, np.integer)) and not isinstance(v, bool) and ok(v)):
+        if not (is_number(v) and ok(v)):
             raise ValidationError(f"{key}: must be {rule}, got {v!r}", field=key)

@@ -25,14 +25,13 @@ eps_tan and eps_den have no defaults: callers pass their run's options.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (DegenerateDenominator, DimensionMismatch, TangentialAmbiguity,
-                     ValidationError)
+                     ValidationError, is_number)
 
 class Mode(enum.Enum):
     BELOW = "below"
@@ -113,8 +112,8 @@ class HybridOCP:
 @dataclass(frozen=True)
 class ControlGrid:
     """Piecewise-constant control on N uniform intervals of [t0, tf].
-    t0 and tf must be finite with tf > t0, or ValidationError names the
-    field."""
+    t0 and tf must be finite real numbers (a bool is none) with tf > t0,
+    or ValidationError names the field."""
 
     t0: float
     tf: float
@@ -122,7 +121,7 @@ class ControlGrid:
 
     def __post_init__(self):
         for key in ("t0", "tf"):
-            if not math.isfinite(getattr(self, key)):
+            if not is_number(getattr(self, key)):
                 raise ValidationError(f"{key}: must be a finite number, got {getattr(self, key)!r}",
                                       field=key)
         if not self.tf > self.t0:

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ValidationError, is_count
+from .errors import ValidationError, is_count, is_number
 from .model import ControlGrid, EndpointFunctional, HybridOCP
 
 
@@ -200,6 +200,19 @@ def problem_names():
     return sorted(_FACTORIES)
 
 
+# every override but N, with whether it may be a nested list
+OVERRIDES = {"t0": False, "tf": False, "x0": True, "u": True, "u_lo": True, "u_hi": True}
+
+
+def check_override(key: str, field: str, v) -> None:
+    """Raise ValidationError naming field unless the value v of override
+    key is a finite real number or, where OVERRIDES allows, a nested list
+    of them."""
+    if not is_number(v, OVERRIDES[key]):
+        rule = "a finite number" + (" or a nested list of them" if OVERRIDES[key] else "")
+        raise ValidationError(f"{field}: must be {rule}, got {v!r}", field=field)
+
+
 def get_problem(name: str, overrides: dict | None = None):
     """Build a registry problem with overrides applied.
 
@@ -211,10 +224,11 @@ def get_problem(name: str, overrides: dict | None = None):
         raise ValidationError(f"problem: unknown name {name!r}; known: {', '.join(problem_names())}",
                               field="problem")
     ov = dict(overrides or {})
-    allowed = {"x0", "t0", "tf", "N", "u", "u_lo", "u_hi"}
     for key in ov:
-        if key not in allowed:
+        if key not in OVERRIDES and key != "N":
             raise ValidationError(f"overrides.{key}: unknown override", field=f"overrides.{key}")
+        if key in OVERRIDES:
+            check_override(key, f"overrides.{key}", ov[key])
 
     N = ov.get("N", 10)
     if not is_count(N):
@@ -224,9 +238,6 @@ def get_problem(name: str, overrides: dict | None = None):
     ocp, grid = _FACTORIES[name](N)
 
     t0, tf = float(ov.get("t0", ocp.t0)), float(ov.get("tf", ocp.tf))
-    for key, v in (("t0", t0), ("tf", tf)):
-        if not np.isfinite(v):
-            raise ValidationError(f"overrides.{key}: must be finite, got {v}", field=f"overrides.{key}")
     if not tf > t0:
         raise ValidationError(f"overrides.tf: need tf > t0, got [{t0}, {tf}]", field="overrides.tf")
 
@@ -239,8 +250,11 @@ def get_problem(name: str, overrides: dict | None = None):
         changed["x0"] = x0
     for key in ("u_lo", "u_hi"):
         if key in ov:
-            val = np.broadcast_to(np.asarray(ov[key], dtype=float), (ocp.m,)).copy()
-            changed[key] = val
+            val = np.asarray(ov[key], dtype=float)
+            if val.shape not in ((), (ocp.m,)):
+                raise ValidationError(f"overrides.{key}: expected a number or {ocp.m} entries, "
+                                      f"got shape {val.shape}", field=f"overrides.{key}")
+            changed[key] = np.broadcast_to(val, (ocp.m,)).copy()
 
     ocp = replace(ocp, **changed)
     if np.any(ocp.u_hi <= ocp.u_lo):

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import run_adjoint
-from .errors import ReferenceUnconverged, SlidocError, ValidationError
+from .errors import ReferenceUnconverged, SlidocError, ValidationError, is_number
 from .gradient import reduced_gradient
 from .integrator import IntegratorOptions, Trajectory, check_mesh, check_width, integrate
 from .model import ControlGrid, EndpointFunctional, HybridOCP
@@ -80,20 +80,25 @@ def _structure(traj: Trajectory) -> tuple:
                      [rec.k in located for rec in traj.transitions]))
 
 
+def _check_eps(eps) -> None:
+    if not (is_number(eps) and eps > 0):
+        raise ValidationError(f"eps: must be a finite number > 0, got {eps!r}", field="eps")
+
+
 def fd_gradient(ocp: HybridOCP, grid: ControlGrid, base: Trajectory,
                 functional: Optional[EndpointFunctional] = None,
                 eps: float = 1e-6) -> FDReport:
     """Central differences of w(x(tf)) in every control entry.
 
-    The probe size is eps scaled by max(1, |u_nj|).  base is the
-    unperturbed run; every probe runs with its steps per interval and
-    options, and a probe of u_n resumes it at interval n, event location
-    included.  A grid whose width is not ocp.m raises DimensionMismatch
-    and a base from another mesh (N or any breakpoint) MeshMismatch, both
-    before any probe runs; a failing probe flags its entry.
+    The probe size is eps, a finite number > 0, scaled by max(1,
+    |u_nj|).  base is the unperturbed run; every probe runs with its
+    steps per interval and options, and a probe of u_n resumes it at
+    interval n, event location included.  A grid whose width is not ocp.m
+    raises DimensionMismatch and a base from another mesh (N or any
+    breakpoint) MeshMismatch, both before any probe runs; a failing probe
+    flags its entry.
     """
-    if not eps > 0:
-        raise ValidationError(f"eps: must be > 0, got {eps}", field="eps")
+    _check_eps(eps)
     functional = functional if functional is not None else ocp.phi
     check_width(ocp, grid)
     check_mesh(base, grid)
@@ -163,8 +168,10 @@ def gradient_check(ocp: HybridOCP, grid: ControlGrid, steps_per_interval: int = 
 
     rel is the max-norm difference over unflagged entries divided by
     max(‖fd‖_inf over those entries, 1e-3); the floor keeps near-zero
-    gradients from inflating the ratio.
+    gradients from inflating the ratio.  A bad eps is refused before
+    anything is integrated.
     """
+    _check_eps(eps)
     functional = functional if functional is not None else ocp.phi
 
     traj = integrate(ocp, grid, steps_per_interval, opts=opts)
@@ -293,6 +300,9 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
         raise ValidationError(
             f"quantity: unknown {quantity!r}; one of {', '.join(QUANTITIES)}",
             field="quantity")
+    for h in hs:
+        if not (is_number(h) and h > 0):
+            raise ValidationError(f"h: must be a finite number > 0, got {h!r}", field="h")
     hs = [float(h) for h in hs]
     if len(hs) < 2:
         raise ValidationError("h: need at least two step sizes", field="h")
@@ -305,8 +315,6 @@ def order_study(ocp: HybridOCP, grid: ControlGrid, quantity: str, hs,
     span = (grid.tf - grid.t0) / grid.N
     spis = []
     for h in hs:
-        if not 0 < h < np.inf:
-            raise ValidationError(f"h: must be a finite number > 0, got {h}", field="h")
         spi = span / h
         if abs(spi - round(spi)) > 1e-9 * max(1.0, abs(spi)):
             raise ValidationError(

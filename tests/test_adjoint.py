@@ -23,7 +23,7 @@ from slidoc.verify import gradient_check
 from test_tools import drawn_survey
 from slidoc.integrator import EventNode, IntegratorOptions, StageStore, integrate
 from slidoc.model import (ControlGrid, EndpointFunctional, HybridOCP, Mode,
-                          filippov_jacobians, filippov_values)
+                          filippov_control_jacobian, filippov_jacobians, filippov_values)
 from slidoc.problems import get_problem
 from slidoc.tableau import adjoint_tableau, radau_iia_3
 
@@ -91,17 +91,44 @@ def test_relay_sweep_annihilates_the_normal_component():
 def test_sliding_step_is_exact_in_one_step():
     """One backward sliding step on the relay problem maps any lam_plus
     onto the tangent space with no truncation error: the normal component
-    is removed completely, the tangential one kept."""
+    is removed completely, the tangential one kept, in lam_k and in every
+    stage multiplier."""
     ocp, grid = get_problem("p2-sliding")
     traj = integrate(ocp, grid, 8)
     k = traj.transitions[0].k + 1          # a fully sliding step
     u = grid.values[traj.ctrl[k]]
     lam_plus = np.array([1.0, 0.7])
-    lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None],
-                                      StageStore(transpose=True))
+    stages, lam_k, row = adjoint_step_sliding(ocp, traj, k, u, lam_plus[None],
+                                              StageStore(transpose=True))
+    assert stages.shape == (1, TAB.s, ocp.n)
+    assert np.max(np.abs(stages[0] - [1.0, 0.0])) <= 1e-13
     assert lam_k.shape == (1, ocp.n)
     assert lam_k[0] == pytest.approx([1.0, 0.0], abs=1e-13)
     assert row.shape == (1, ocp.m)
+
+
+def test_sliding_stage_multipliers_give_the_gradient_row():
+    """On circle-slide's curved surface the kept stage multipliers of
+    every sliding step that no event node times give its gradient row as
+    the stage quadrature h sum_i b_i fF_u^T(x_i, u) lam_i, equal to the
+    row of the dense oracle adjoint_step_matrix."""
+    ocp, grid = _circle_slide()
+    traj = integrate(ocp, grid, 8)
+    adj = run_adjoint(ocp, traj, grid, ocp.phi)
+    events = {e.k for e in traj.events}
+    steps = [k for k in range(traj.K) if traj.mode[k] is Mode.SLIDING
+             and k not in events and k + 1 not in events]
+    assert len(steps) == 16
+    re = TAB.s * (ocp.n + 1)
+    for k in steps:
+        u = grid.values[traj.ctrl[k]]
+        fus = [filippov_control_jacobian(ocp, filippov_values(ocp, x, u, traj.opts.eps_den),
+                                         x, u)[0] for x in traj.stages_x[k]]
+        got = traj.h[k] * sum(TAB.b[i] * fus[i].T @ adj.stage_lams[k][i] for i in range(TAB.s))
+        Lam_plus = np.zeros((1, re + ocp.n))
+        Lam_plus[0, re:] = adj.lam[k + 1]
+        _, row = adjoint_step_matrix(ocp, traj, k, u, Lam_plus)
+        assert np.max(np.abs(got - row[0])) <= 1e-12 * np.max(np.abs(row[0]))
 
 
 @pytest.mark.parametrize("name", ["smooth-linear", "p2-sliding", "slide-exit",
@@ -352,7 +379,8 @@ def test_lambda_g_is_the_bracket_of_the_normal_and_the_sliding_field():
     N, e = ocp.g_x, 1e-5
     bracket = (F(x + e * N(x)) - F(x - e * N(x)) - N(x + e * F(x)) + N(x - e * F(x))) / (2 * e)
     ref = float(lam @ bracket) / float(N(x) @ N(x))
-    assert abs(lambda_g_pointwise(ocp, x, u, z, lam, traj.opts.eps_den) - ref) <= 1e-9 * max(1.0, abs(ref))
+    got, = lambda_g_pointwise(ocp, x, u, z, lam[None], traj.opts.eps_den)
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def _step_residual(ocp, mode, h, Xp, xk, u):
@@ -485,7 +513,9 @@ def test_unknown_backend_is_refused():
 def test_run_adjoints_matches_single_sweeps():
     """The lockstep sweep gives every functional bit for bit what a sweep
     of that functional alone gives, on both backends, also when its
-    steps reuse stored eigenbasis blocks (chain-16)."""
+    steps reuse stored eigenbasis blocks (chain-16).  The transformed
+    backend keeps the stage multipliers of every step, sliding steps and
+    the event steps whose c update they take included."""
     for (ocp, grid, ws), backend in itertools.product(_lockstep_cases(),
                                                       ("transformed", "matrix")):
         traj = integrate(ocp, grid, 8)
@@ -497,9 +527,12 @@ def test_run_adjoints_matches_single_sweeps():
             assert np.array_equal(adj.lam, solo.lam)
             assert np.array_equal(adj.lam_g, solo.lam_g)
             assert np.array_equal(adj.grad, solo.grad)
-            assert len(adj.stage_lams) == len(solo.stage_lams)
+            assert len(adj.stage_lams) == len(solo.stage_lams) == traj.K
             for a, b in zip(adj.stage_lams, solo.stage_lams):
-                assert (a is None and b is None) or np.array_equal(a, b)
+                if backend == "matrix":
+                    assert a is None and b is None
+                else:
+                    assert a.shape == (TAB.s, ocp.n) and a.tobytes() == b.tobytes()
             assert np.array_equal([j["pi"] for j in adj.jumps],
                                   [j["pi"] for j in solo.jumps])
             assert adj.nu1 == solo.nu1
@@ -636,8 +669,7 @@ def test_reruns_of_a_sweep_are_byte_identical():
         for name in ("lam", "lam_g", "grad"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert [j["pi"] for j in a.jumps] == [j["pi"] for j in b.jumps]
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.stage_lams, b.stage_lams)
-                   if x is not None)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.stage_lams, b.stage_lams))
 
 
 def test_ill_conditioned_blocks_are_solved_not_inverted(monkeypatch):

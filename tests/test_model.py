@@ -230,10 +230,21 @@ def test_problem_overrides_reach_the_problem_and_the_grid():
     ("p2-sliding", {"tf": math.inf}, "overrides.tf"),
     ("p2-sliding", {"tf": math.nan}, "overrides.tf"),
     ("p2-sliding", {"t0": -math.inf}, "overrides.t0"),
-    ("p2-sliding", {"t0": math.nan}, "overrides.t0")])
+    ("p2-sliding", {"t0": math.nan}, "overrides.t0"),
+    ("p2-sliding", {"u": math.nan}, "overrides.u"),
+    ("p2-sliding", {"x0": [math.nan, -0.5]}, "overrides.x0"),
+    ("p2-sliding", {"x0": [1, None]}, "overrides.x0"),
+    ("p2-sliding", {"x0": "abc"}, "overrides.x0"),
+    ("p2-sliding", {"tf": "2"}, "overrides.tf"),
+    ("p2-sliding", {"t0": True}, "overrides.t0"),
+    ("p2-sliding", {"u_lo": [0.0, 1.0]}, "overrides.u_lo")])
 def test_problem_overrides_are_refused_naming_the_key(name, overrides, field):
     """A non-finite t0 or tf is refused as the override it is, not under
-    the grid field (tf, t0) it would otherwise reach."""
+    the grid field (tf, t0) it would otherwise reach.  Every override is
+    a finite real number (a bool or a str is none) or a nested list of
+    them, as RunConfig asks, and a control bound has one entry or m: a
+    NaN control or start once ended in NewtonDivergence, and a str or a
+    bound of the wrong length in an untyped ValueError."""
     with pytest.raises(ValidationError, match=f"^{field}: ") as exc:
         get_problem(name, overrides)
     assert exc.value.payload["field"] == field
@@ -251,12 +262,15 @@ def test_control_grid_breakpoints_are_reproducible():
 
 @pytest.mark.parametrize("t0, tf, field", [(1.0, 0.0, "tf"), (0.0, 0.0, "tf"),
                                            (0.0, math.nan, "tf"), (0.0, math.inf, "tf"),
-                                           (math.nan, 1.0, "t0"), (-math.inf, 1.0, "t0")])
+                                           (math.nan, 1.0, "t0"), (-math.inf, 1.0, "t0"),
+                                           ("a", 1.0, "t0"), (0.0, None, "tf"),
+                                           (True, 2.0, "t0")])
 def test_control_grid_refuses_a_horizon_that_is_not_finite_and_increasing(t0, tf, field):
     """A reversed or empty horizon would integrate no step and overwrite
     node 0's time with tf, and a NaN tf would end in NewtonDivergence:
-    the grid refuses them, naming the field.  get_problem keeps its own
-    message for an overridden tf."""
+    the grid refuses them, naming the field, and so it does a str or
+    None (once a TypeError) and a bool (once read as 1.0).  get_problem
+    keeps its own message for an overridden tf."""
     with pytest.raises(ValidationError) as exc:
         ControlGrid(t0, tf, np.zeros((4, 1)))
     assert exc.value.payload["field"] == field

@@ -51,10 +51,19 @@ def test_fd_oracle_zero_for_control_free_dynamics():
     assert np.all(rep.entries == 0.0)
 
 
-def test_fd_rejects_bad_eps():
+def test_fd_rejects_bad_eps(monkeypatch):
+    """eps must be a finite number > 0.  gradient_check refuses any other
+    before it integrates: an eps of inf once ran the base and its sweep,
+    then made every probe raise, so every entry came back flagged."""
     ocp, grid = get_problem("smooth-linear")
-    with pytest.raises(ValidationError):
-        fd_gradient(ocp, grid, integrate(ocp, grid, 4), eps=0.0)
+    base = integrate(ocp, grid, 4)
+    monkeypatch.setattr(verify_mod, "integrate", None)   # nothing may integrate
+    for eps in (0.0, -1e-6, np.inf, np.nan, "1e-6", True):
+        for check in (lambda: fd_gradient(ocp, grid, base, eps=eps),
+                      lambda: gradient_check(ocp, grid, 4, eps=eps)):
+            with pytest.raises(ValidationError) as exc:
+                check()
+            assert exc.value.payload["field"] == "eps"
 
 
 def test_gradient_check_agrees_on_smooth_problem():
@@ -413,10 +422,12 @@ def test_order_study_input_validation():
         order_study(ocp, grid, "state_endpoint", [span / 3, span / 8])
 
 
-@pytest.mark.parametrize("hs", [[np.inf, 0.1], [0.1, 0.0], [0.1, -0.05]])
+@pytest.mark.parametrize("hs", [[np.inf, 0.1], [0.1, 0.0], [0.1, -0.05], ["a", 0.05],
+                                [0.1, None]])
 def test_order_study_refuses_a_step_that_is_not_finite_and_positive(hs):
     """An h of inf gives 0 steps per interval and one of 0 divides by
-    zero; each is refused as a ValidationError on h before any run."""
+    zero, and a str or None once raised ValueError or TypeError from
+    float(h); each is refused as a ValidationError on h before any run."""
     ocp, grid = get_problem("smooth-linear")
     with pytest.raises(ValidationError, match="finite number > 0") as exc:
         order_study(ocp, grid, "gradient", hs)
