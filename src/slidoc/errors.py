@@ -8,6 +8,7 @@ payload dict so the CLI can serialize diagnostics without string parsing.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -123,16 +124,16 @@ def is_count(v) -> bool:
 
 
 def is_number(v, nested: bool = False) -> bool:
-    """Whether v is a finite real number (a bool is none) or, if nested,
-    a list, tuple or real array of such values with one length per
-    level."""
+    """Whether v is a finite real number that a float holds (a bool is
+    none) or, if nested, a list, tuple or real array of such values with
+    one length per level."""
     if isinstance(v, np.ndarray):
         return nested and v.dtype.kind in "iuf" and bool(np.isfinite(v).all())
     if isinstance(v, (list, tuple)):
         return nested and all(is_number(item, True) for item in v) \
             and len({np.shape(item) for item in v}) <= 1
     return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 # (rule text, check) pairs that check_fields rules share

@@ -131,6 +131,29 @@ def test_sliding_stage_multipliers_give_the_gradient_row():
         assert np.max(np.abs(got - row[0])) <= 1e-12 * np.max(np.abs(row[0]))
 
 
+def test_event_steps_keep_the_stage_multipliers_of_the_jumped_multiplier():
+    """At an event node k + 1 the sweep steps back from lam~ = lam_{k+1} -
+    c E_x^T, which adj.lam[k + 1] holds, by updating the step's results
+    for lam_{k+1} and for E_x.  The step is linear in its right-hand
+    side, so its stage multipliers and lam_k are, to rounding, what the
+    step gives for lam~ alone: drawn seed 953 has an event after an
+    off-surface step (E = g) and one after a sliding step (E = alpha),
+    each with c != 0."""
+    ocp, grid = drawn_survey().drawn_problem(953)
+    traj = integrate(ocp, grid, 8)
+    adj = run_adjoint(ocp, traj, grid, ocp.phi)
+    assert [traj.mode[e.k - 1] is Mode.SLIDING for e in traj.events] == [False, True]
+    assert all(abs(j["pi"]) > 1e-3 for j in adj.jumps)
+    for e in traj.events:
+        k = e.k - 1
+        step = adjoint_step_sliding if traj.mode[k] is Mode.SLIDING else adjoint_step_transformed
+        stages, lam_k, _ = step(ocp, traj, k, grid.values[traj.ctrl[k]], adj.lam[k + 1][None],
+                                StageStore(transpose=True))
+        scale = np.max(np.abs(stages))
+        assert np.max(np.abs(adj.stage_lams[k] - stages[0])) <= 1e-13 * scale
+        assert np.max(np.abs(adj.lam[k] - lam_k[0])) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("name", ["smooth-linear", "p2-sliding", "slide-exit",
                                   "circle-slide"])
 def test_two_backends_agree(name):

@@ -237,14 +237,16 @@ def test_problem_overrides_reach_the_problem_and_the_grid():
     ("p2-sliding", {"x0": "abc"}, "overrides.x0"),
     ("p2-sliding", {"tf": "2"}, "overrides.tf"),
     ("p2-sliding", {"t0": True}, "overrides.t0"),
-    ("p2-sliding", {"u_lo": [0.0, 1.0]}, "overrides.u_lo")])
+    ("p2-sliding", {"u_lo": [0.0, 1.0]}, "overrides.u_lo"),
+    ("p2-sliding", {"x0": [10 ** 400, 0.0]}, "overrides.x0")])
 def test_problem_overrides_are_refused_naming_the_key(name, overrides, field):
     """A non-finite t0 or tf is refused as the override it is, not under
     the grid field (tf, t0) it would otherwise reach.  Every override is
     a finite real number (a bool or a str is none) or a nested list of
     them, as RunConfig asks, and a control bound has one entry or m: a
     NaN control or start once ended in NewtonDivergence, and a str or a
-    bound of the wrong length in an untyped ValueError."""
+    bound of the wrong length in an untyped ValueError, and an int beyond
+    a float's range in OverflowError."""
     with pytest.raises(ValidationError, match=f"^{field}: ") as exc:
         get_problem(name, overrides)
     assert exc.value.payload["field"] == field
@@ -264,12 +266,14 @@ def test_control_grid_breakpoints_are_reproducible():
                                            (0.0, math.nan, "tf"), (0.0, math.inf, "tf"),
                                            (math.nan, 1.0, "t0"), (-math.inf, 1.0, "t0"),
                                            ("a", 1.0, "t0"), (0.0, None, "tf"),
-                                           (True, 2.0, "t0")])
+                                           (True, 2.0, "t0"),
+                                           pytest.param(0, 10 ** 400, "tf", id="0-10**400-tf")])
 def test_control_grid_refuses_a_horizon_that_is_not_finite_and_increasing(t0, tf, field):
     """A reversed or empty horizon would integrate no step and overwrite
     node 0's time with tf, and a NaN tf would end in NewtonDivergence:
     the grid refuses them, naming the field, and so it does a str or
-    None (once a TypeError) and a bool (once read as 1.0).  get_problem
+    None (once a TypeError), an int a float cannot hold (once an
+    OverflowError) and a bool (once read as 1.0).  get_problem
     keeps its own message for an overridden tf."""
     with pytest.raises(ValidationError) as exc:
         ControlGrid(t0, tf, np.zeros((4, 1)))
