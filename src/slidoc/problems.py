@@ -225,10 +225,10 @@ def get_problem(name: str, overrides: dict | None = None):
                               field="problem")
     ov = dict(overrides or {})
     for key in ov:
-        if key not in OVERRIDES and key != "N":
-            raise ValidationError(f"overrides.{key}: unknown override", field=f"overrides.{key}")
         if key in OVERRIDES:
             check_override(key, f"overrides.{key}", ov[key])
+        elif key != "N":
+            raise ValidationError(f"overrides.{key}: unknown override", field=f"overrides.{key}")
 
     N = ov.get("N", 10)
     if not is_count(N):
